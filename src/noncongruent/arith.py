@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd
 
 from .errors import (
     IllDefined,
     NoRoot,
     NotCoprime,
     NotSquareFree,
+    TooLarge,
     ZeroOrNegative,
 )
 
@@ -24,17 +26,18 @@ from .errors import (
 # primality and factorization
 # ---------------------------------------------------------------------------
 
-_TRIAL_BOUND = 10**6
+_TRIAL_BOUND = 10**3
 
-# Witnesses making Miller-Rabin deterministic below 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses making Miller-Rabin deterministic below psi_13 ~ 3.3 * 10^24
+# (Sorenson-Webster); without 41 only below psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for all inputs we ever factor)."""
+    """Deterministic Miller-Rabin below 3.3 * 10^24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -82,7 +85,7 @@ def _pollard_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
+    raise TooLarge(f"Pollard rho found no factor of {n}")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -111,6 +114,31 @@ def factorize(n: int) -> list[tuple[int, int]]:
         g = _pollard_rho(m)
         stack.extend((g, m // g))
     return sorted(out.items())
+
+
+def split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, n / p^e) for the largest e with p^e dividing the nonzero n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+def factor_over(m: int, odd_primes: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
+    """``factorize(m)``, or, given increasing ``odd_primes`` that include
+    every odd prime of m, the same pairs found by dividing m by 2 and by
+    them; a cofactor left over means the primes were not those of m."""
+    if odd_primes is None:
+        return factorize(m)
+    out = []
+    for p in (2, *odd_primes):
+        e, m = split_power(m, p)
+        if e:
+            out.append((p, e))
+    if m != 1:
+        raise ValueError(f"the given primes leave the cofactor {m}")
+    return out
 
 
 def squarefree_part(n: int) -> int:
@@ -159,11 +187,12 @@ class SquareFreeN:
         return len(self.primes)
 
 
-def factor_squarefree(n: int) -> SquareFreeN:
-    """Validate and factor a positive square-free integer."""
+def factor_squarefree(n: int, odd_primes: tuple[int, ...] | None = None) -> SquareFreeN:
+    """Validate and factor a positive square-free integer (or check its
+    known ``odd_primes`` against it, see ``factor_over``)."""
     if n < 1:
         raise ZeroOrNegative(f"n must be >= 1, got {n}")
-    fac = factorize(n)
+    fac = factor_over(n, odd_primes)
     if any(e > 1 for _, e in fac):
         raise NotSquareFree(f"{n} is divisible by a square")
     primes = tuple(p for p, _ in fac if p != 2)
@@ -178,6 +207,11 @@ def factor_squarefree(n: int) -> SquareFreeN:
     )
 
 
+@lru_cache(maxsize=4096)
+def _place_prime(p: int) -> bool:
+    return is_prime(p)
+
+
 @dataclass(frozen=True)
 class Place:
     """A place of Q: a finite prime p >= 2 or the real place (p is None)."""
@@ -185,7 +219,7 @@ class Place:
     p: int | None
 
     def __post_init__(self):
-        if self.p is not None and (self.p < 2 or not is_prime(self.p)):
+        if self.p is not None and (self.p < 2 or not _place_prime(self.p)):
             raise ValueError(f"finite place must carry a prime, got {self.p}")
 
     @classmethod
@@ -299,14 +333,8 @@ def hilbert(a, b, v: Place) -> int:
     if v.is_real:
         return -1 if (a < 0 and b < 0) else 1
     p = v.p
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    beta = 0
-    while b % p == 0:
-        b //= p
-        beta += 1
+    alpha, a = split_power(a, p)
+    beta, b = split_power(b, p)
     if p == 2:
         exponent = _eps(a) * _eps(b) + alpha * _omega(b) + beta * _omega(a)
         return 1 if exponent % 2 == 0 else -1
@@ -416,18 +444,18 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def quad_jacobi(q: QuadExpr, m: int) -> int:
+def quad_jacobi(q: QuadExpr, m: int, odd_primes: tuple[int, ...] | None = None) -> int:
     """Jacobi-style symbol of x + y*sqrt(r) over the odd modulus m > 0.
 
     For every prime p | m both r and the norm x^2 - r y^2 must be quadratic
     residues mod p; the per-prime Legendre value is then independent of which
     square root of r is used, and the result is the product over p | m with
-    multiplicity.
+    multiplicity.  Known ``odd_primes`` of m spare factoring it.
     """
     if m <= 0 or m % 2 == 0:
         raise ValueError(f"modulus must be positive odd, got {m}")
     result = 1
-    for p, mult in factorize(m):
+    for p, mult in factor_over(m, odd_primes):
         if legendre(q.r % p, p) != 1:
             raise IllDefined(f"radicand {q.r} is a non-residue mod {p}")
         if legendre(q.norm % p, p) != 1:
@@ -437,19 +465,14 @@ def quad_jacobi(q: QuadExpr, m: int) -> int:
     return result
 
 
-def is_norm(e: int, m: int) -> bool:
+def is_norm(e: int, m: int, odd_primes: tuple[int, ...] | None = None) -> bool:
     """True iff e is a norm from Q(sqrt(m)), i.e. (e, m)_v = +1 everywhere.
 
     Only places dividing 2, infinity, e and m can carry a nontrivial symbol,
-    so the check is finite.
+    so the check is finite.  Known ``odd_primes`` of e and m spare factoring.
     """
     if e == 0 or m == 0:
         raise ValueError("arguments must be nonzero")
-    places = [REAL_PLACE, Place(2)]
-    odd_primes = set()
-    for x in (e, m):
-        for p, _ in factorize(abs(x)):
-            if p != 2:
-                odd_primes.add(p)
-    places.extend(Place(p) for p in sorted(odd_primes))
+    primes = {p for x in (e, m) for p, _ in factor_over(abs(x), odd_primes) if p != 2}
+    places = [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
     return all(hilbert(e, m, v) == 1 for v in places)

@@ -24,6 +24,7 @@ from .arith import (
     jacobi,
     legendre,
     quad_jacobi,
+    split_power,
     sqrt_mod,
 )
 from .errors import NotRankTwo, PrecisionExhausted
@@ -115,7 +116,7 @@ def tangent_data(sf: SquareFreeN) -> tuple[TangentData, TangentData]:
     """
     if not sf.is_even:
         d = criteria.distinguished_divisor(sf)
-        u2w = linked_u2w(rep_2mu2_tau2(sf.n, d))
+        u2w = linked_u2w(rep_2mu2_tau2(sf.n, d, sf.primes))
         u, w, n = u2w.u, u2w.w, sf.n
         t1 = TangentData(
             form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1)
@@ -146,7 +147,7 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
         if mu is None:
             raise ValueError("odd case needs mu")
         return jacobi(-mu, d)
-    return quad_jacobi(QuadExpr(2, -1, 2), abs(d))
+    return quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
 
 
 def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, int]], bool]:
@@ -159,7 +160,7 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
     if matrices.s2(sf) != 2:
         raise NotRankTwo(f"s2({sf.n}) != 2")
     d = criteria.distinguished_divisor(sf)
-    mu = rep_2mu2_tau2(sf.n, d).mu if not sf.is_even else None
+    mu = rep_2mu2_tau2(sf.n, d, sf.primes).mu if not sf.is_even else None
     c = closed_form_pairing(sf, d, mu)
     return ((1, c), (c, 1)), c == -1
 
@@ -182,10 +183,7 @@ def _two_adic_parts(x: int, precision_bits: int) -> tuple[int, int] | None:
     """
     if x % (1 << precision_bits) == 0:
         return None
-    val = 0
-    while x % 2 == 0:
-        x //= 2
-        val += 1
+    val, x = split_power(x, 2)
     if precision_bits - val < 3:
         return None
     return val, x % 8
@@ -207,7 +205,7 @@ def local_pairing(sf: SquareFreeN, v: Place) -> int:
     if v.is_real:
         if not sf.is_even:
             # L1*L3 = 2*(sqrt(n) - u); sign checked exactly, d > 0 kills it.
-            u = linked_u2w(rep_2mu2_tau2(n, d)).u
+            u = linked_u2w(rep_2mu2_tau2(n, d, sf.primes)).u
             positive = u < 0 or u * u < n
             return 1 if (positive or d > 0) else -1
         # L1*L3 = -2*(sqrt(n') - 1)^2 < 0: nontrivial exactly when d < 0.
@@ -218,7 +216,7 @@ def local_pairing(sf: SquareFreeN, v: Place) -> int:
         raise ValueError(f"place {p} does not divide 2n")
 
     if not sf.is_even:
-        rep = rep_2mu2_tau2(n, d)
+        rep = rep_2mu2_tau2(n, d, sf.primes)
         u2w = linked_u2w(rep)
         u, w, mu = u2w.u, u2w.w, rep.mu
         if p == 2:
@@ -435,7 +433,7 @@ def local_point_search(
     else:
         forms, scales = _minimize_at_p(ts, p)
         h1, h3 = _choose_pair(forms, p)
-    vp4n2 = (2 + 2 * _valuation(n, 2)) if p == 2 else 2 * _valuation(n, p)
+    vp4n2 = 2 * split_power(n, p)[0] + (2 if p == 2 else 0)
     depth = e if e is not None else 2 * vp4n2 + 1 + 4
 
     def report(x, m, cert_val):
@@ -470,14 +468,6 @@ def local_point_search(
     raise PrecisionExhausted(
         f"no certificate and live frontier at p = {p}, depth {depth}"
     )
-
-
-def _valuation(n: int, p: int) -> int:
-    val = 0
-    while n % p == 0:
-        n //= p
-        val += 1
-    return val
 
 
 def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:

@@ -14,9 +14,10 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict
+from math import isqrt
 
 from . import cassels, criteria, matrices, oracles, tame
-from .arith import factor_squarefree, squarefree_part
+from .arith import SquareFreeN, factor_squarefree, squarefree_part
 from .criteria import VerdictKind
 from .errors import NoncongruentError
 
@@ -37,9 +38,9 @@ CSV_COLUMNS = [
 ]
 
 
-def _scan_row(n: int, with_oracle: bool) -> dict:
-    sf = factor_squarefree(n)
-    v = criteria.classify(n)
+def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
+    n = sf.n
+    v = criteria.classify(sf)
     row = {
         "n": n,
         "eligible": sf.eligibility and n % 8 in (1, 2),
@@ -55,30 +56,47 @@ def _scan_row(n: int, with_oracle: bool) -> dict:
     }
     if with_oracle and sf.k >= 1:
         m = -n if n % 2 == 1 else -(n // 2)
-        row["h4_agree"] = matrices.h4(m) == oracles.h4_oracle(m)
+        row["h4_agree"] = matrices.h4(m, sf.primes) == oracles.h4_oracle(m)
     return row
+
+
+def _squarefree_block(lo: int, hi: int):
+    """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
+    sieve: each prime p <= sqrt(hi) is divided out of its multiples (twice
+    means a square), and what is left above 1 is one prime > sqrt(hi)."""
+    bound = isqrt(hi - 1)
+    is_p = bytearray([1]) * (bound + 1)
+    rem = list(range(lo, hi))
+    primes: list[list[int] | None] = [[] for _ in rem]
+    for p in range(2, bound + 1):
+        if not is_p[p]:
+            continue
+        is_p[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+        for i in range(-lo % p, len(rem), p):
+            if primes[i] is not None:
+                rem[i] //= p
+                if rem[i] % p == 0:
+                    primes[i] = None
+                elif p != 2:
+                    primes[i].append(p)
+    for n, r, ps in zip(range(lo, hi), rem, primes):
+        if ps is not None:
+            yield n, factor_squarefree(n, (*ps, r) if r > 2 else tuple(ps))
 
 
 def _scan_block(args: tuple[int, int, dict]) -> list[dict]:
     lo, hi, opts = args
     rows = []
-    for n in range(lo, hi):
-        if squarefree_part(n) != n:
+    for n, sf in _squarefree_block(lo, hi):
+        if opts["parity"] != "all" and (n % 2 == 0) != (opts["parity"] == "even"):
             continue
-        if opts["parity"] == "odd" and n % 2 == 0:
-            continue
-        if opts["parity"] == "even" and n % 2 == 1:
-            continue
-        sf = factor_squarefree(n)
-        if opts["filter"] == "eligible" and not (
-            sf.eligibility and n % 8 in (1, 2) and sf.k >= 1
+        if opts["filter"] != "all" and not (
+            n % 8 in (1, 2)
+            and sf.k >= 1
+            and (sf.eligibility if opts["filter"] == "eligible" else sf.strict_eligibility)
         ):
             continue
-        if opts["filter"] == "strict" and not (
-            sf.strict_eligibility and n % 8 in (1, 2) and sf.k >= 1
-        ):
-            continue
-        rows.append(_scan_row(n, opts["oracle"]))
+        rows.append(_scan_row(sf, opts["oracle"]))
     return rows
 
 
@@ -166,14 +184,12 @@ def cmd_classgroup(args) -> int:
 
 
 def _squarefree_range(bound: int):
-    for n in range(1, bound + 1):
-        if squarefree_part(n) == n:
-            yield n
+    for lo in range(1, bound + 1, _BLOCK):
+        yield from _squarefree_block(lo, min(lo + _BLOCK, bound + 1))
 
 
 def _suite_selmer_oracle(bound: int):
-    for n in _squarefree_range(min(bound, 500)):
-        sf = factor_squarefree(n)
+    for n, sf in _squarefree_range(min(bound, 500)):
         if sf.k == 0:
             continue
         got = oracles.selmer_oracle(sf)
@@ -182,7 +198,7 @@ def _suite_selmer_oracle(bound: int):
 
 
 def _suite_class_oracle(bound: int):
-    for n in _squarefree_range(bound):
+    for n, _ in _squarefree_range(bound):
         if n == 1:
             continue
         for m in (n, -n):
@@ -195,15 +211,11 @@ def _suite_class_oracle(bound: int):
 
 
 def _suite_pairing_product(bound: int):
-    for n in _squarefree_range(bound):
-        sf = factor_squarefree(n)
-        if sf.k == 0 or not sf.eligibility or n % 8 not in (1, 2):
+    for n, sf in _squarefree_range(bound):
+        v = criteria.classify(sf)
+        if v.s2 != 2:
             continue
-        if matrices.s2(sf) != 2:
-            continue
-        d = criteria.distinguished_divisor(sf)
-        mu = None if sf.is_even else criteria.rep_2mu2_tau2(n, d).mu
-        closed = cassels.closed_form_pairing(sf, d, mu)
+        closed = cassels.closed_form_pairing(sf, v.d, v.mu)
         product = cassels.pairing_product(sf)
         _, nondeg = cassels.pairing_matrix(sf)
         ok = product == closed and nondeg == (closed == -1)
@@ -233,11 +245,10 @@ def _suite_lemma_2symbol(count: int):
 
 def _suite_proposition(bound: int):
     qualifying = 0
-    for n in _squarefree_range(bound):
-        sf = factor_squarefree(n)
+    for n, sf in _squarefree_range(bound):
         if sf.is_even or not sf.strict_eligibility or sf.k == 0:
             continue
-        h4m = matrices.h4(-n)
+        h4m = matrices.h4(-n, sf.primes)
         # The stated precondition h4(-n) = 0 never holds in this family
         # (h4(-n) >= 1 whenever all factors are 1 mod 8); assert that, and
         # evaluate the eight-way equivalence on any n that would qualify.
@@ -250,11 +261,10 @@ def _suite_proposition(bound: int):
 
 
 def _suite_corollaries(bound: int):
-    for n in _squarefree_range(bound):
-        sf = factor_squarefree(n)
+    for n, sf in _squarefree_range(bound):
         if sf.k == 0 or not sf.strict_eligibility or n % 8 not in (1, 2):
             continue
-        v = criteria.classify(n)
+        v = criteria.classify(sf)
         m = n if n % 2 == 1 else -n
         r4 = tame.r4_tame(m)
         ok = (v.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (r4 == 0)
@@ -265,14 +275,11 @@ def _suite_pell_orbit(bound: int):
     from .reps import orbit_step_2mu2, rep_2mu2_tau2
     from .arith import jacobi
 
-    for n in _squarefree_range(bound):
-        if n % 2 == 0 or n % 8 != 1:
-            continue
-        sf = factor_squarefree(n)
-        if not sf.eligibility or sf.k == 0 or matrices.s2(sf) != 2:
+    for n, sf in _squarefree_range(bound):
+        if n % 8 != 1 or not sf.eligibility or sf.k == 0 or matrices.s2(sf) != 2:
             continue
         d = criteria.distinguished_divisor(sf)
-        rep = rep_2mu2_tau2(n, d)
+        rep = rep_2mu2_tau2(n, d, sf.primes)
         base = jacobi(-rep.mu, d)
         mu, tau = rep.mu, rep.tau
         ok = True

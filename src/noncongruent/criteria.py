@@ -11,7 +11,7 @@ criterion only means the sufficient condition does not hold.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import f2linalg, matrices
 from .arith import (
@@ -54,18 +54,17 @@ class Verdict:
     pairing_symbol: int | None = None
     trace: list[tuple[str, str]] = field(default_factory=list)
 
+    def record(self, name: str, method: str, value):
+        """Set one field, note in the trace how it was computed, return it."""
+        setattr(self, name, value)
+        self.trace.append((name, method))
+        return value
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "verdict": self.verdict.value,
-            "s2": self.s2,
-            "h4_minus": self.h4_minus,
-            "h4_plus": self.h4_plus,
-            "d": self.d,
-            "mu": self.mu,
-            "pairing_symbol": self.pairing_symbol,
-            "trace": [list(t) for t in self.trace],
-        }
+        out = asdict(self)
+        out["verdict"] = self.verdict.value
+        out["trace"] = [list(t) for t in self.trace]
+        return out
 
 
 def distinguished_divisor(sf: SquareFreeN) -> int:
@@ -95,88 +94,70 @@ def distinguished_divisor(sf: SquareFreeN) -> int:
     return d
 
 
-def thm_main1_lhs(sf: SquareFreeN) -> tuple[bool, list[tuple[str, str]]]:
-    """Odd-case criterion: h4(-n) = 1, h4(n) = 0 and (-mu/d) = -1."""
+def thm_main1_lhs(sf: SquareFreeN) -> tuple[bool, Verdict]:
+    """Odd-case criterion: h4(-n) = 1, h4(n) = 0 and (-mu/d) = -1.
+
+    Returns whether it holds and the verdict with every value computed on
+    the way (all but s2).
+    """
     if sf.is_even or sf.n % 8 != 1 or not sf.eligibility:
         raise PreconditionFailed(f"n = {sf.n} is not odd eligible 1 mod 8")
-    trace: list[tuple[str, str]] = []
-    h4m = matrices.h4(-sf.n)
-    trace.append(("h4_minus", "redei_rank"))
-    h4p = matrices.h4(sf.n)
-    trace.append(("h4_plus", "redei_rank"))
+    v = Verdict(n=sf.n, verdict=VerdictKind.CRITERION_FAILS)
+    h4m = v.record("h4_minus", "redei_rank", matrices.h4(-sf.n, sf.primes))
+    h4p = v.record("h4_plus", "redei_rank", matrices.h4(sf.n, sf.primes))
     if h4m != 1 or h4p != 0:
-        return False, trace
-    d = distinguished_divisor(sf)
-    trace.append(("d", "kernel_psi"))
-    mu = rep_2mu2_tau2(sf.n, d).mu
-    trace.append(("mu", "pell_window"))
-    symbol = jacobi(-mu, d)
-    trace.append(("pairing_symbol", "jacobi_closed_form"))
-    return symbol == -1, trace
+        return _settle(v, False)
+    d = v.record("d", "kernel_psi", distinguished_divisor(sf))
+    mu = v.record("mu", "pell_window", rep_2mu2_tau2(sf.n, d, sf.primes).mu)
+    return _settle(v, v.record("pairing_symbol", "jacobi_closed_form", jacobi(-mu, d)) == -1)
 
 
-def thm_main2_lhs(sf: SquareFreeN) -> tuple[bool, list[tuple[str, str]]]:
-    """Even-case criterion: h4(-n/2) = 1 and ((2 - sqrt(2)) / |d|) = -1."""
+def thm_main2_lhs(sf: SquareFreeN) -> tuple[bool, Verdict]:
+    """Even-case criterion: h4(-n/2) = 1 and ((2 - sqrt(2)) / |d|) = -1.
+
+    Returns whether it holds and the verdict, as ``thm_main1_lhs`` does.
+    """
     if not sf.is_even or sf.n % 8 != 2 or not sf.eligibility:
         raise PreconditionFailed(f"n = {sf.n} is not even eligible 2 mod 8")
-    trace: list[tuple[str, str]] = []
-    h4m = matrices.h4(-sf.odd_part)
-    trace.append(("h4_minus", "redei_rank"))
-    if h4m != 1:
-        return False, trace
-    d = distinguished_divisor(sf)
-    trace.append(("d", "kernel_psi"))
-    symbol = quad_jacobi(QuadExpr(2, -1, 2), abs(d))
-    trace.append(("pairing_symbol", "quad_jacobi_closed_form"))
-    return symbol == -1, trace
+    v = Verdict(n=sf.n, verdict=VerdictKind.CRITERION_FAILS)
+    if v.record("h4_minus", "redei_rank", matrices.h4(-sf.odd_part, sf.primes)) != 1:
+        return _settle(v, False)
+    d = v.record("d", "kernel_psi", distinguished_divisor(sf))
+    symbol = quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
+    return _settle(v, v.record("pairing_symbol", "quad_jacobi_closed_form", symbol) == -1)
 
 
-def classify(n: int) -> Verdict:
-    """Classify n; all failure modes become verdict values, never errors."""
-    try:
-        sf = factor_squarefree(n)
-    except NotSquareFree:
-        return Verdict(n=n, verdict=VerdictKind.NOT_ELIGIBLE, trace=[("n", "not_squarefree")])
+def _settle(v: Verdict, holds: bool) -> tuple[bool, Verdict]:
+    v.verdict = VerdictKind.NON_CONGRUENT_SHA22 if holds else VerdictKind.CRITERION_FAILS
+    return holds, v
+
+
+def classify(n: int | SquareFreeN) -> Verdict:
+    """Classify n; all failure modes become verdict values, never errors.
+
+    n is factored once (a ``SquareFreeN`` is taken as already factored) and
+    every field is computed once.
+    """
+    if isinstance(n, SquareFreeN):
+        sf = n
+    else:
+        try:
+            sf = factor_squarefree(n)
+        except NotSquareFree:
+            return Verdict(n=n, verdict=VerdictKind.NOT_ELIGIBLE, trace=[("n", "not_squarefree")])
+    n = sf.n
     if not sf.eligibility or n % 8 not in (1, 2):
         return Verdict(n=n, verdict=VerdictKind.NOT_ELIGIBLE, trace=[("n", "eligibility_sieve")])
     if sf.k == 0:
         # n = 1 or 2: the pure Selmer group is trivial.
         return Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO, s2=0, trace=[("s2", "trivial_case")])
-    v = Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO)
-    v.s2 = matrices.s2(sf)
-    v.trace.append(("s2", "monsky_rank"))
-    if v.s2 != 2:
-        return v
-    if not sf.is_even:
-        holds, trace = thm_main1_lhs(sf)
-        v.trace.extend(trace)
-        v.h4_minus = matrices.h4(-n)
-        v.h4_plus = matrices.h4(n)
-        v.d = distinguished_divisor(sf)
-        v.mu = rep_2mu2_tau2(n, v.d).mu
-        v.pairing_symbol = jacobi(-v.mu, v.d)
-    else:
-        holds, trace = thm_main2_lhs(sf)
-        v.trace.extend(trace)
-        v.h4_minus = matrices.h4(-sf.odd_part)
-        v.d = distinguished_divisor(sf)
-        v.pairing_symbol = quad_jacobi(QuadExpr(2, -1, 2), abs(v.d))
-    v.verdict = (
-        VerdictKind.NON_CONGRUENT_SHA22 if holds else VerdictKind.CRITERION_FAILS
-    )
+    s2 = matrices.s2(sf)
+    if s2 != 2:
+        return Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO, s2=s2, trace=[("s2", "monsky_rank")])
+    _, v = (thm_main2_lhs if sf.is_even else thm_main1_lhs)(sf)
+    v.s2 = s2
+    v.trace.insert(0, ("s2", "monsky_rank"))
     return v
-
-
-_PROP_LABELS = (
-    "b_even",
-    "one_plus_sqrt2",
-    "one_plus_i",
-    "sqrt2_vs_n",
-    "u_mod4",
-    "mu_mod4",
-    "h8_minus_zero",
-    "mu_symbol",
-)
 
 
 def proposition_conditions(sf: SquareFreeN) -> dict[str, bool]:
@@ -190,7 +171,7 @@ def proposition_conditions(sf: SquareFreeN) -> dict[str, bool]:
     """
     if sf.is_even or not sf.strict_eligibility or sf.k == 0:
         raise PreconditionFailed(f"n = {sf.n} is not odd with all factors 1 mod 8")
-    h4m = matrices.h4(-sf.n)
+    h4m = matrices.h4(-sf.n, sf.primes)
     if h4m != 0:
         raise PreconditionFailed(f"h4(-{sf.n}) = {h4m} != 0")
     return _proposition_booleans(sf)
@@ -206,9 +187,9 @@ def _proposition_booleans(sf: SquareFreeN) -> dict[str, bool]:
     u = rep_u2_2w2(n).u
     return {
         "b_even": rep_ab.b % 2 == 0,
-        "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n) == 1,
-        "one_plus_i": quad_jacobi(QuadExpr(1, 1, -1), n) == 1,
-        "sqrt2_vs_n": quad_jacobi(QuadExpr(0, 1, 2), n) == (-1) ** ((n - 1) // 8),
+        "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n, sf.primes) == 1,
+        "one_plus_i": quad_jacobi(QuadExpr(1, 1, -1), n, sf.primes) == 1,
+        "sqrt2_vs_n": quad_jacobi(QuadExpr(0, 1, 2), n, sf.primes) == (-1) ** ((n - 1) // 8),
         "u_mod4": abs(u) % 4 == 1,
         "mu_mod4": abs(mu) % 4 == 1,
         "h8_minus_zero": oracles.h8_oracle(-n) == 0,

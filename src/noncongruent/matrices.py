@@ -10,7 +10,7 @@ class-group ranks h2 / h4 they compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import f2linalg
 from .arith import (
@@ -19,7 +19,7 @@ from .arith import (
     additive_hilbert,
     additive_jacobi,
     factor_squarefree,
-    factorize,
+    split_power,
     squarefree_part,
 )
 from .errors import EmptyFactorization, NotCoprime
@@ -78,10 +78,7 @@ def psi_inverse(d: int, primes: tuple[int, ...]) -> F2Vector:
     d = abs(d)
     bits = 0
     for i, p in enumerate(primes):
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
+        e, d = split_power(d, p)
         bits |= (e & 1) << i
     return F2Vector(bits, len(primes))
 
@@ -186,31 +183,30 @@ def torsion_triples(n: int) -> tuple[SelmerTriple, ...]:
 # ---------------------------------------------------------------------------
 
 
-def field_discriminant(m: int) -> int:
-    """Discriminant of Q(sqrt(m)) for square-free m != 0, 1."""
+def _squarefree_odd_primes(m: int, odd_primes: tuple[int, ...] | None) -> tuple[int, ...]:
     if m in (0, 1):
         raise ValueError("m must define a quadratic field")
-    if squarefree_part(m) != m:
-        raise ValueError(f"{m} is not square-free")
+    return factor_squarefree(abs(m), odd_primes).primes
+
+
+def field_discriminant(m: int, odd_primes: tuple[int, ...] | None = None) -> int:
+    """Discriminant of Q(sqrt(m)) for square-free m != 0, 1.
+
+    Here and below, known ``odd_primes`` of m (those of n for m = -n, n or
+    -n/2) are checked against m instead of factoring it."""
+    _squarefree_odd_primes(m, odd_primes)
     return m if m % 4 == 1 else 4 * m
 
 
-def prime_discriminants(m: int) -> DiscriminantFactorization:
+def prime_discriminants(m: int, odd_primes: tuple[int, ...] | None = None) -> DiscriminantFactorization:
     """Factor disc(Q(sqrt(m))) into prime discriminants.
 
     Odd prime discriminants p* = (-1)^((p-1)/2) p come first in increasing
     order of p; the even one (one of -4, 8, -8), when present, comes last.
     """
-    disc = field_discriminant(m)
-    parts = []
-    prod = 1
-    for p, _ in factorize(abs(m)):
-        if p == 2:
-            continue
-        star = p if p % 4 == 1 else -p
-        parts.append(star)
-        prod *= star
-    two_part = disc // prod
+    odd_primes = _squarefree_odd_primes(m, odd_primes)
+    parts = [p if p % 4 == 1 else -p for p in odd_primes]
+    two_part = field_discriminant(m, odd_primes) // prod(parts)
     if two_part != 1:
         if two_part not in (-4, 8, -8):
             raise ValueError(f"bad 2-part {two_part} for m = {m}")  # pragma: no cover
@@ -218,9 +214,9 @@ def prime_discriminants(m: int) -> DiscriminantFactorization:
     return DiscriminantFactorization(tuple(parts))
 
 
-def redei_matrix(m: int) -> F2Matrix:
+def redei_matrix(m: int, odd_primes: tuple[int, ...] | None = None) -> F2Matrix:
     """t x t matrix of additive Hilbert symbols [p_j, m] at the places p_i."""
-    fac = prime_discriminants(m)
+    fac = prime_discriminants(m, odd_primes)
     ps = fac.primes
     rows = []
     for pi in ps:
@@ -237,12 +233,7 @@ def h2(m: int) -> int:
     return prime_discriminants(m).t - 1
 
 
-def h4(m: int) -> int:
+def h4(m: int, odd_primes: tuple[int, ...] | None = None) -> int:
     """4-rank of the narrow class group via the Redei rank formula."""
-    fac = prime_discriminants(m)
-    return fac.t - 1 - f2linalg.rank(redei_matrix(m))
-
-
-def squarefree_n(n: int) -> SquareFreeN:
-    """Shorthand used throughout the test-suite and CLI."""
-    return factor_squarefree(n)
+    r = redei_matrix(m, odd_primes)
+    return r.ncols - 1 - f2linalg.rank(r)

@@ -96,15 +96,16 @@ def fundamental_2mu2_tau2(n: int) -> tuple[int, int]:
     raise NoRepresentation(f"{n} != 2*mu^2 - tau^2 for any integers")
 
 
-def rep_2mu2_tau2(n: int, d: int) -> Rep2MuTau:
+def rep_2mu2_tau2(n: int, d: int, odd_primes: tuple[int, ...] | None = None) -> Rep2MuTau:
     """Fundamental representation n = 2*mu^2 - tau^2 with mu = d mod 4.
 
     Requires 2 to be a norm from Q(sqrt(n)); mu is odd for odd n, so exactly
-    one choice of sign matches d mod 4.
+    one choice of sign matches d mod 4.  ``odd_primes`` of n, when known,
+    spare factoring n for that check.
     """
     if d % 2 == 0:
         raise ValueError("d must be odd")
-    if not is_norm(2, n):
+    if not is_norm(2, n, odd_primes):
         raise NoRepresentation(f"2 is not a norm from Q(sqrt({n}))")
     mu, tau = fundamental_2mu2_tau2(n)
     if mu % 2 == 1 and (mu - d) % 4 != 0:

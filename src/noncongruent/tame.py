@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from . import f2linalg, matrices
 from .arith import (
     Place,
+    SquareFreeN,
     divisors_of,
     factor_squarefree,
     hilbert,
     is_norm,
     legendre,
-    squarefree_part,
 )
 from .errors import CountNotPowerOfTwo, OutOfRange
 from .f2linalg import F2Vector
@@ -38,22 +38,21 @@ class TameKernelReport:
     mu_used: int | None
 
 
-def _check_range(m: int) -> None:
+def _factored(m: int) -> SquareFreeN:
+    """|m| factored, for square-free m with |m| > 2."""
     if abs(m) <= 2:
         raise OutOfRange(f"|m| must exceed 2, got {m}")
-    if squarefree_part(m) != m:
-        raise ValueError(f"{m} is not square-free")
+    return factor_squarefree(abs(m))
 
 
 def r2_tame(m: int) -> int:
     """2-rank of the tame kernel of Q(sqrt(m))."""
-    _check_range(m)
-    k = len(factor_squarefree(abs(m)).primes)
+    sf = _factored(m)
     if m > 2:
-        norms = sum(1 for e in (1, -1, 2, -2) if is_norm(e, m))
-        return k + norms.bit_length() - 1
-    norms = sum(1 for e in (1, 2) if is_norm(e, m))
-    return k - 1 + norms.bit_length() - 1
+        norms = sum(1 for e in (1, -1, 2, -2) if is_norm(e, m, sf.primes))
+        return sf.k + norms.bit_length() - 1
+    norms = sum(1 for e in (1, 2) if is_norm(e, m, sf.primes))
+    return sf.k - 1 + norms.bit_length() - 1
 
 
 def _solution_values(b_target: F2Vector, bmat, primes) -> set[int]:
@@ -67,15 +66,14 @@ def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
     m < 0 they are signed, with solutions of the targets b_(-eps) contributing
     negative divisors.  V2 is empty when 2 is not a norm from Q(sqrt(m)).
     """
-    _check_range(m)
-    sf = factor_squarefree(abs(m) // (2 if m % 2 == 0 else 1))
+    primes = _factored(m).primes
+    sf = factor_squarefree(abs(m) // (2 if m % 2 == 0 else 1), primes)
     bmat = matrices.build_A(sf) + matrices.build_D(m // sf.n, sf)
-    primes = sf.primes
 
     def solutions(eps: int) -> set[int]:
         return _solution_values(matrices.build_b(eps, sf), bmat, primes)
 
-    two_is_norm = is_norm(2, m)
+    two_is_norm = is_norm(2, m, primes)
     if m > 0:
         v1 = set()
         for eps in (1, -1, 2, -2):
@@ -102,10 +100,9 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
     Tests the defining condition (d, -m)_p = (eps/p) for all p | m' directly,
     without any linear algebra; used to cross-check v_sets.
     """
-    _check_range(m)
-    m_odd = abs(m) // (2 if m % 2 == 0 else 1)
-    primes = factor_squarefree(m_odd).primes
-    candidates = divisors_of(m_odd)
+    sf = _factored(m)
+    primes = sf.primes
+    candidates = divisors_of(sf.odd_part)
     if m < 0:
         candidates = candidates + [-d for d in candidates]
 
@@ -116,7 +113,7 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
 
     eps1 = (1, -1, 2, -2) if m > 0 else (1, 2)
     v1 = frozenset(d for d in candidates if any(matches(d, e) for e in eps1))
-    if not is_norm(2, m):
+    if not is_norm(2, m, primes):
         return v1, frozenset()
     if m > 0:
         mu, _ = fundamental_2mu2_tau2(m)
@@ -131,7 +128,10 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
 
 def r4_tame(m: int) -> int:
     """4-rank of the tame kernel from the V-set counts."""
-    v1, v2 = v_sets(m)
+    return _r4_from_counts(m, *v_sets(m))
+
+
+def _r4_from_counts(m: int, v1: frozenset[int], v2: frozenset[int]) -> int:
     count = len(v1) + len(v2)
     if count & (count - 1):
         raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} for m = {m}")
@@ -148,14 +148,10 @@ def tame_report(m: int) -> TameKernelReport:
     mu: int | None = None
     if is_norm(2, m):
         mu = fundamental_2mu2_tau2(m)[0] if m > 0 else rep_neg(m).mu
-    count = len(v1) + len(v2)
-    if count & (count - 1):
-        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} for m = {m}")
-    log = count.bit_length() - 1
     return TameKernelReport(
         m=m,
         r2=r2_tame(m),
-        r4=log - 1 if m > 0 else log - 2,
+        r4=_r4_from_counts(m, v1, v2),
         v1=v1,
         v2=v2,
         mu_used=mu,

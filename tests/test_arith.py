@@ -1,13 +1,15 @@
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
+from noncongruent import arith
 from noncongruent.arith import (
     Place,
     QuadExpr,
     REAL_PLACE,
     additive_jacobi,
+    factor_over,
     factor_squarefree,
     factorize,
     hilbert,
@@ -24,6 +26,7 @@ from noncongruent.errors import (
     NoRoot,
     NotCoprime,
     NotSquareFree,
+    TooLarge,
     ZeroOrNegative,
 )
 
@@ -59,6 +62,84 @@ def test_factorize_large_semiprime():
     # exercises the rho stage past the trial-division bound
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def test_is_prime_rejects_psi12():
+    # psi_12 is a strong pseudoprime to every base 2..37; base 41 exposes it.
+    p, q = 399165290221, 798330580441
+    assert is_prime(p) and is_prime(q) and not is_prime(p * q)
+    assert factor_squarefree(p * q).primes == (p, q)
+
+
+def test_pollard_rho_gives_up_with_typed_error():
+    # On a prime every c ends in the trivial factor n, so rho runs out of c.
+    with pytest.raises(TooLarge):
+        arith._pollard_rho(101)
+
+
+def _check_factors(n, fac):
+    assert prod(p**e for p, e in fac) == n
+    assert all(is_prime(p) for p, _ in fac)
+    assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        (997, 1009),
+        (2, 991, 1013),
+        (3, 983, 1019, 1021),
+        (1009, 1013, 1000003),
+        (997, 999983, 1000003, 1000033),
+        (1000003, 10**9 + 7),
+    ],
+)
+def test_factorize_products_straddling_trial_bound(primes):
+    n = prod(primes)
+    fac = factorize(n)
+    _check_factors(n, fac)
+    assert fac == [(p, 1) for p in sorted(primes)]
+    assert factor_squarefree(n).primes == tuple(p for p in primes if p != 2)
+
+
+@pytest.mark.parametrize(
+    "n, fac",
+    [
+        (1009**2, [(1009, 2)]),
+        (1009**2 * 1013, [(1009, 2), (1013, 1)]),
+        (3 * 1000003**2, [(3, 1), (1000003, 2)]),
+        (1000003**2 * 1009, [(1009, 1), (1000003, 2)]),
+    ],
+)
+def test_factorize_squares_above_trial_bound(n, fac):
+    assert factorize(n) == fac
+    _check_factors(n, fac)
+    with pytest.raises(NotSquareFree):
+        factor_squarefree(n)
+
+
+def test_factor_over_known_primes():
+    assert factor_over(2 * 7 * 7 * 23, (7, 23)) == [(2, 1), (7, 2), (23, 1)]
+    assert factor_over(23, (7, 23)) == [(23, 1)]  # primes may be a superset
+    with pytest.raises(ValueError):
+        factor_over(7 * 31, (7, 23))
+
+
+def test_factor_squarefree_with_known_primes():
+    assert factor_squarefree(322, (7, 23)) == factor_squarefree(322)
+    with pytest.raises(ValueError):
+        factor_squarefree(322, (7, 29))
+    with pytest.raises(NotSquareFree):
+        factor_squarefree(4 * 7, (7,))
+    with pytest.raises(NotSquareFree):
+        factor_squarefree(2 * 49, (7,))
+
+
+def test_place_rejects_non_primes():
+    for p in (1, 4, 91):
+        with pytest.raises(ValueError):
+            Place(p)
+    assert Place(97) == Place(97) and Place(2).p == 2
 
 
 def test_jacobi_examples():
@@ -173,6 +254,14 @@ def test_quad_jacobi_examples():
         quad_jacobi(QuadExpr(1, 1, 2), 5)  # 2 is a non-residue mod 5
 
 
+def test_quad_jacobi_with_known_primes():
+    q = QuadExpr(2, -1, 2)
+    assert quad_jacobi(q, 7 * 23, (7, 23)) == quad_jacobi(q, 7 * 23)
+    assert quad_jacobi(q, 7, (7, 23)) == quad_jacobi(q, 7)
+    with pytest.raises(ValueError):
+        quad_jacobi(q, 7 * 23, (7,))
+
+
 def _quad_jacobi_reference(q, m, root_choice):
     """Per-prime evaluation with an explicit choice of square root."""
     value = 1
@@ -203,6 +292,12 @@ def test_is_norm_examples():
     assert is_norm(-1, 17)
     assert not is_norm(-1, -34)
     assert is_norm(2, 17)
+
+
+def test_is_norm_with_known_primes():
+    for e, m in [(2, 161), (2, 7 * 17 * 41), (-1, 17), (-1, -34), (2, 1394), (3, 5 * 7)]:
+        primes = tuple(sorted({p for x in (e, m) for p, _ in factorize(abs(x)) if p != 2}))
+        assert is_norm(e, m, primes) == is_norm(e, m), (e, m)
 
 
 def test_is_norm_against_bounded_form_search():

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from noncongruent import arith, cli
 from noncongruent.cli import main
 
 
@@ -108,3 +111,27 @@ def test_main_entrypoint_in_process(capsys):
     assert main(["classify", "17"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 17
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1025), (1, 3), (2, 6), (99329, 100353), (10**8 - 1023, 10**8 + 1)])
+def test_sieve_block_matches_factorize(lo, hi):
+    sieved = dict(cli._squarefree_block(lo, hi))
+    for n in range(lo, hi):
+        fac = arith.factorize(n)
+        if any(e > 1 for _, e in fac):
+            assert n not in sieved
+        else:
+            assert sieved[n] == arith.factor_squarefree(n)
+
+
+def test_classify_exits_3_when_rho_gives_up(monkeypatch, capsys):
+    # Rho run on a prime exhausts its retries, as it would on a hard n.
+    rho = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: rho(101))
+    assert main(["classify", str(1375951 * 1777823)]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_tame_rejects_non_squarefree_with_exit_3(capsys):
+    assert main(["tame", "12"]) == 3
+    assert "square" in capsys.readouterr().err

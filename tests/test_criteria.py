@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from noncongruent import arith, cli
 from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert
 from noncongruent.criteria import (
     VerdictKind,
@@ -32,8 +35,9 @@ def test_distinguished_divisor_is_unique_brute_force():
 
 
 def test_thm_main1_examples():
-    ok, _ = thm_main1_lhs(factor_squarefree(17))
+    ok, v = thm_main1_lhs(factor_squarefree(17))
     assert ok
+    assert (v.h4_minus, v.h4_plus, v.d, v.mu, v.pairing_symbol) == (1, 0, 17, -3, -1)
     ok, _ = thm_main1_lhs(factor_squarefree(161))
     assert not ok
     with pytest.raises(PreconditionFailed):
@@ -101,3 +105,39 @@ def test_proposition_paper_proven_subequivalences():
         b = _proposition_booleans(sf)
         assert b["b_even"] == b["one_plus_sqrt2"] == b["sqrt2_vs_n"], n
         assert b["mu_mod4"] == b["mu_symbol"], n
+
+
+def _count_factorize(monkeypatch):
+    """Route arith.factorize, in every namespace that holds it, through a counter."""
+    calls = []
+    real = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "noncongruent" or name.startswith("noncongruent."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2446197334673, 2213746])  # 1375951 * 1777823, 2 * 1009 * 1097
+def test_classify_factors_once(monkeypatch, n):
+    calls = _count_factorize(monkeypatch)
+    assert classify(n).s2 == 2
+    assert calls == [n]
+
+
+def test_classify_takes_a_factored_n():
+    for n in (17, 34, 161, 322, 2213746):
+        assert classify(factor_squarefree(n)) == classify(n)
+
+
+def test_scan_block_never_factorizes(monkeypatch):
+    calls = _count_factorize(monkeypatch)
+    opts = {"parity": "all", "filter": "eligible", "oracle": False}
+    rows = cli._scan_block((99329, 100353, opts))
+    assert rows and calls == []

@@ -4,7 +4,7 @@ import pytest
 
 from noncongruent import f2linalg
 from noncongruent.arith import additive_jacobi, factor_squarefree, squarefree_part
-from noncongruent.errors import EmptyFactorization, NotCoprime
+from noncongruent.errors import EmptyFactorization, NotCoprime, NotSquareFree
 from noncongruent.f2linalg import F2Matrix
 from noncongruent.matrices import (
     SelmerTriple,
@@ -204,3 +204,16 @@ def test_psi_roundtrip():
         from noncongruent.matrices import psi_inverse
 
         assert psi_inverse(d, sf.primes) == v
+
+
+def test_redei_helpers_take_known_primes():
+    for n in (17, 161, 7 * 17 * 41, 1009 * 1097):
+        sf = factor_squarefree(n)
+        for m in (n, -n, 2 * n, -2 * n):
+            assert prime_discriminants(m, sf.primes) == prime_discriminants(m)
+            assert redei_matrix(m, sf.primes) == redei_matrix(m)
+            assert h4(m, sf.primes) == h4(m)
+    with pytest.raises(ValueError):
+        h4(-161, (7, 29))
+    with pytest.raises(NotSquareFree):
+        h4(-7 * 7 * 23, (7, 23))
