@@ -40,7 +40,6 @@ from .oracles import (
     CongruentCurve,
     class_group,
     h4_oracle,
-    h8_oracle,
     point_search,
     selmer_oracle,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "CongruentCurve",
     "class_group",
     "h4_oracle",
-    "h8_oracle",
     "point_search",
     "selmer_oracle",
     "rep_2mu2_tau2",

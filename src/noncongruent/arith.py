@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     IllDefined,
@@ -28,13 +28,17 @@ from .errors import (
 
 _TRIAL_BOUND = 10**3
 
-# Witnesses making Miller-Rabin deterministic below psi_13 ~ 3.3 * 10^24
-# (Sorenson-Webster); without 41 only below psi_12 = 318665857834031151167461.
+# Witnesses making Miller-Rabin deterministic below psi_13 (Sorenson-Webster);
+# without 41 only below psi_12 = 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin; raises TooLarge for n >= psi_13 ~ 3.3 * 10^24,
+    where these witnesses no longer decide primality."""
+    if n >= _PSI_13:
+        raise TooLarge(f"{n} is beyond the exact primality bound psi_13 = {_PSI_13}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -205,6 +209,36 @@ def factor_squarefree(n: int, odd_primes: tuple[int, ...] | None = None) -> Squa
         eligibility=all(p % 8 in (1, 7) for p in primes),
         strict_eligibility=all(p % 8 == 1 for p in primes),
     )
+
+
+def squarefree_block(lo: int, hi: int):
+    """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
+    sieve: each prime p <= sqrt(hi) is divided out of its multiples (twice
+    means a square), and what is left above 1 is one prime > sqrt(hi)."""
+    bound = isqrt(hi - 1)
+    is_p = bytearray([1]) * (bound + 1)
+    rem = list(range(lo, hi))
+    primes: list[list[int] | None] = [[] for _ in rem]
+    for p in range(2, bound + 1):
+        if not is_p[p]:
+            continue
+        is_p[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+        for i in range(-lo % p, len(rem), p):
+            if primes[i] is not None:
+                rem[i] //= p
+                if rem[i] % p == 0:
+                    primes[i] = None
+                elif p != 2:
+                    primes[i].append(p)
+    for n, r, ps in zip(range(lo, hi), rem, primes):
+        if ps is not None:
+            yield n, factor_squarefree(n, (*ps, r) if r > 2 else tuple(ps))
+
+
+def squarefree_upto(bound: int):
+    """(n, SquareFreeN) for each square-free n in [1, bound], sieved in 1024-blocks."""
+    for lo in range(1, bound + 1, 1024):
+        yield from squarefree_block(lo, min(lo + 1024, bound + 1))
 
 
 @lru_cache(maxsize=4096)

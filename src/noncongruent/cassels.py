@@ -10,9 +10,7 @@ descent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
-
-import numpy as np
+from itertools import product
 
 from . import criteria, f2linalg, matrices
 from .arith import (
@@ -29,7 +27,7 @@ from .arith import (
 )
 from .errors import NotRankTwo, PrecisionExhausted
 from .matrices import SelmerTriple
-from .reps import linked_u2w, rep_2mu2_tau2
+from .reps import Rep2MuTau, linked_u2w, rep_2mu2_tau2
 
 
 @dataclass(frozen=True)
@@ -150,6 +148,14 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
     return quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
 
 
+def _pairing_inputs(sf: SquareFreeN) -> tuple[int, Rep2MuTau | None]:
+    """d and, for odd n, the representation 2mu^2 - tau^2 = n with mu = d mod 4."""
+    if matrices.s2(sf) != 2:
+        raise NotRankTwo(f"s2({sf.n}) != 2")
+    d = criteria.distinguished_divisor(sf)
+    return d, None if sf.is_even else rep_2mu2_tau2(sf.n, d, sf.primes)
+
+
 def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, int]], bool]:
     """2x2 Gram matrix of the pairing (multiplicative) and non-degeneracy.
 
@@ -157,11 +163,8 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
     [[+1, c], [c, +1]] with c the closed-form value; on a two-dimensional
     space this is non-degenerate exactly when c = -1.
     """
-    if matrices.s2(sf) != 2:
-        raise NotRankTwo(f"s2({sf.n}) != 2")
-    d = criteria.distinguished_divisor(sf)
-    mu = rep_2mu2_tau2(sf.n, d, sf.primes).mu if not sf.is_even else None
-    c = closed_form_pairing(sf, d, mu)
+    d, rep = _pairing_inputs(sf)
+    c = closed_form_pairing(sf, d, None if rep is None else rep.mu)
     return ((1, c), (c, 1)), c == -1
 
 
@@ -170,10 +173,6 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
 # ---------------------------------------------------------------------------
 
 _MAX_RETRIES = 4
-
-
-def _symbol_2adic(x_val: int, x_unit: int, d: int) -> int:
-    return hilbert2_from_parts(x_val, x_unit, d)
 
 
 def _two_adic_parts(x: int, precision_bits: int) -> tuple[int, int] | None:
@@ -197,15 +196,16 @@ def local_pairing(sf: SquareFreeN, v: Place) -> int:
     at p = 2 and the real place; the even case uses (1, 0, 2, sqrt(2)) and
     (0, sqrt(n'), 1, -1).
     """
-    if matrices.s2(sf) != 2:
-        raise NotRankTwo(f"s2({sf.n}) != 2")
-    d = criteria.distinguished_divisor(sf)
-    n = sf.n
+    return _local_factor(sf, v, *_pairing_inputs(sf))
 
+
+def _local_factor(sf: SquareFreeN, v: Place, d: int, rep: Rep2MuTau | None) -> int:
+    """``local_pairing`` given d and, for odd n, the representation of n."""
+    n = sf.n
     if v.is_real:
-        if not sf.is_even:
+        if rep is not None:
             # L1*L3 = 2*(sqrt(n) - u); sign checked exactly, d > 0 kills it.
-            u = linked_u2w(rep_2mu2_tau2(n, d, sf.primes)).u
+            u = linked_u2w(rep).u
             positive = u < 0 or u * u < n
             return 1 if (positive or d > 0) else -1
         # L1*L3 = -2*(sqrt(n') - 1)^2 < 0: nontrivial exactly when d < 0.
@@ -215,10 +215,9 @@ def local_pairing(sf: SquareFreeN, v: Place) -> int:
     if p != 2 and n % p != 0:
         raise ValueError(f"place {p} does not divide 2n")
 
-    if not sf.is_even:
-        rep = rep_2mu2_tau2(n, d, sf.primes)
+    if rep is not None:
         u2w = linked_u2w(rep)
-        u, w, mu = u2w.u, u2w.w, rep.mu
+        u, w = u2w.u, u2w.w
         if p == 2:
             return _local2_odd(n, u, d)
         # sqrt(2) mod p chosen so that it equals -u/w, making L3 a unit.
@@ -253,7 +252,7 @@ def _local2_odd(n: int, u: int, d: int) -> int:
         parts = _two_adic_parts((s - u) % (1 << (e - 1)), e - 1)
         if parts is not None:
             val, unit = parts
-            return _symbol_2adic(val + 1, unit, d)
+            return hilbert2_from_parts(val + 1, unit, d)
         e *= 2
     raise PrecisionExhausted(f"2-adic symbol for n = {n} stayed ambiguous")
 
@@ -267,7 +266,7 @@ def _local2_even(np_: int, d: int) -> int:
         parts = _two_adic_parts(x, e)
         if parts is not None:
             val, unit = parts
-            return _symbol_2adic(val, unit, d)
+            return hilbert2_from_parts(val, unit, d)
         e *= 2
     raise PrecisionExhausted(f"2-adic symbol for n' = {np_} stayed ambiguous")
 
@@ -300,9 +299,10 @@ def pairing_places(sf: SquareFreeN) -> list[Place]:
 
 def pairing_product(sf: SquareFreeN) -> int:
     """Product of all local factors; must agree with the closed form."""
+    d, rep = _pairing_inputs(sf)
     out = 1
     for v in pairing_places(sf):
-        out *= local_pairing(sf, v)
+        out *= _local_factor(sf, v, d, rep)
     return out
 
 
@@ -417,7 +417,7 @@ def local_point_search(
     """Search for a certified local point on the torsor at the place v.
 
     Finite places run a breadth-first lift over residues modulo p^m on a
-    p-minimized model: level one is enumerated exhaustively (vectorized),
+    p-minimized model: level one is enumerated exhaustively (see _level_one),
     later levels lift solutions while checking the Hensel certificate.
     Returns None only when some level has no solutions at all, which soundly
     certifies insolvability.  ``e`` caps the certificate depth; the default
@@ -471,41 +471,51 @@ def local_point_search(
 
 
 def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
-    """All projective solutions mod p, one affine patch per unit coordinate."""
-    sols: list[tuple[int, int, int, int]] = []
+    """All projective solutions mod p, one affine patch per unit coordinate.
+
+    Both forms are diagonal, so once every free coordinate but the last is
+    fixed, each form pins the last coordinate's square by a linear
+    condition mod p; its roots come from a table of square roots.  That is
+    O(p^2) time and O(p) memory, and the solutions come out in the order of
+    an exhaustive lexicographic scan.
+    """
     if p == 2:
-        for x in range(2):
-            for y in range(2):
-                for z in range(2):
-                    for w in range(2):
-                        pt = (x, y, z, w)
-                        if pt == (0, 0, 0, 0):
-                            continue
-                        if _eval_form(h1, pt) % 2 == 0 and _eval_form(h3, pt) % 2 == 0:
-                            sols.append(pt)
-        return sols
-    rng = np.arange(p, dtype=np.int64)
-    squares = (rng * rng) % p
+        return [
+            pt
+            for pt in product(range(2), repeat=4)
+            if any(pt) and _eval_form(h1, pt) % 2 == 0 and _eval_form(h3, pt) % 2 == 0
+        ]
+    roots: list[list[int]] = [[] for _ in range(p)]
+    for x in range(p):
+        roots[x * x % p].append(x)
+    every = list(range(p))
+    sols: list[tuple[int, int, int, int]] = []
     for patch in range(4):
         # Coordinates before `patch` are zero and coordinate `patch` is 1,
         # which picks a unique representative of every projective point.
-        free = list(range(patch + 1, 4))
-        shape = [1] * len(free)
-        vals1 = np.int64(h1[patch] % p)
-        vals3 = np.int64(h3[patch] % p)
-        for axis, coord in enumerate(free):
-            axis_shape = shape.copy()
-            axis_shape[axis] = p
-            sq = squares.reshape(axis_shape)
-            vals1 = vals1 + (h1[coord] % p) * sq
-            vals3 = vals3 + (h3[coord] % p) * sq
-        mask = ((vals1 % p) == 0) & ((vals3 % p) == 0)
-        for multi in np.argwhere(np.atleast_1d(mask)):
-            pt = [0, 0, 0, 0]
-            pt[patch] = 1
-            for axis, coord in enumerate(free):
-                pt[coord] = int(multi[axis])
-            sols.append(tuple(pt))
+        lead = (0,) * patch + (1,)
+        if patch == 3:
+            if h1[3] % p == 0 and h3[3] % p == 0:
+                sols.append(lead)
+            continue
+        *head, last = range(patch + 1, 4)
+        a, b = h1[last] % p, h3[last] % p
+        inv = pow(a or b or 1, -1, p)
+        for xs in product(range(p), repeat=len(head)):
+            r1, r3 = h1[patch], h3[patch]
+            for c, x in zip(head, xs):
+                r1 += h1[c] * x * x
+                r3 += h3[c] * x * x
+            # r1 + a*s = r3 + b*s = 0 (mod p) for s the last coordinate squared.
+            if a:
+                s = -r1 * inv % p
+                lasts = roots[s] if (r3 + b * s) % p == 0 else ()
+            elif b:
+                lasts = roots[-r3 * inv % p] if r1 % p == 0 else ()
+            else:
+                lasts = every if r1 % p == 0 and r3 % p == 0 else ()
+            for x in lasts:
+                sols.append(lead + xs + (x,))
     return sols
 
 

@@ -14,10 +14,9 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict
-from math import isqrt
 
-from . import cassels, criteria, matrices, oracles, tame
-from .arith import SquareFreeN, factor_squarefree, squarefree_part
+from . import criteria, matrices, oracles, tame, verify
+from .arith import SquareFreeN, squarefree_block
 from .criteria import VerdictKind
 from .errors import NoncongruentError
 
@@ -60,34 +59,10 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     return row
 
 
-def _squarefree_block(lo: int, hi: int):
-    """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
-    sieve: each prime p <= sqrt(hi) is divided out of its multiples (twice
-    means a square), and what is left above 1 is one prime > sqrt(hi)."""
-    bound = isqrt(hi - 1)
-    is_p = bytearray([1]) * (bound + 1)
-    rem = list(range(lo, hi))
-    primes: list[list[int] | None] = [[] for _ in rem]
-    for p in range(2, bound + 1):
-        if not is_p[p]:
-            continue
-        is_p[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-        for i in range(-lo % p, len(rem), p):
-            if primes[i] is not None:
-                rem[i] //= p
-                if rem[i] % p == 0:
-                    primes[i] = None
-                elif p != 2:
-                    primes[i].append(p)
-    for n, r, ps in zip(range(lo, hi), rem, primes):
-        if ps is not None:
-            yield n, factor_squarefree(n, (*ps, r) if r > 2 else tuple(ps))
-
-
 def _scan_block(args: tuple[int, int, dict]) -> list[dict]:
     lo, hi, opts = args
     rows = []
-    for n, sf in _squarefree_block(lo, hi):
+    for n, sf in squarefree_block(lo, hi):
         if opts["parity"] != "all" and (n % 2 == 0) != (opts["parity"] == "even"):
             continue
         if opts["filter"] != "all" and not (
@@ -178,147 +153,10 @@ def cmd_classgroup(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _squarefree_range(bound: int):
-    for lo in range(1, bound + 1, _BLOCK):
-        yield from _squarefree_block(lo, min(lo + _BLOCK, bound + 1))
-
-
-def _suite_selmer_oracle(bound: int):
-    for n, sf in _squarefree_range(min(bound, 500)):
-        if sf.k == 0:
-            continue
-        got = oracles.selmer_oracle(sf)
-        want = matrices.selmer_elements(sf)
-        yield n, got == want, {"oracle": sorted(map(str, got)), "kernel": sorted(map(str, want))}
-
-
-def _suite_class_oracle(bound: int):
-    for n, _ in _squarefree_range(bound):
-        if n == 1:
-            continue
-        for m in (n, -n):
-            if abs(matrices.field_discriminant(m)) > 10**6:
-                continue
-            yield m, matrices.h4(m) == oracles.h4_oracle(m), {
-                "redei": matrices.h4(m),
-                "oracle": oracles.h4_oracle(m),
-            }
-
-
-def _suite_pairing_product(bound: int):
-    for n, sf in _squarefree_range(bound):
-        v = criteria.classify(sf)
-        if v.s2 != 2:
-            continue
-        closed = cassels.closed_form_pairing(sf, v.d, v.mu)
-        product = cassels.pairing_product(sf)
-        _, nondeg = cassels.pairing_matrix(sf)
-        ok = product == closed and nondeg == (closed == -1)
-        yield n, ok, {"closed": closed, "product": product}
-
-
-def _suite_lemma_2symbol(count: int):
-    from .cassels import two_symbol_check
-    from .reps import fundamental_2mu2_tau2, linked_u2w, Rep2MuTau
-
-    seen = 0
-    n = 9
-    while seen < count:
-        n += 8
-        if squarefree_part(n) != n:
-            continue
-        sf = factor_squarefree(n)
-        if not sf.eligibility or sf.k == 0:
-            continue
-        seen += 1
-        mu, tau_ = fundamental_2mu2_tau2(n)
-        rep = Rep2MuTau(mu, tau_, n)
-        u = linked_u2w(rep).u
-        lhs, rhs = two_symbol_check(n, u, mu)
-        yield n, lhs[0] == rhs and lhs[1] == rhs, {"lhs": lhs, "rhs": rhs}
-
-
-def _suite_proposition(bound: int):
-    qualifying = 0
-    for n, sf in _squarefree_range(bound):
-        if sf.is_even or not sf.strict_eligibility or sf.k == 0:
-            continue
-        h4m = matrices.h4(-n, sf.primes)
-        # The stated precondition h4(-n) = 0 never holds in this family
-        # (h4(-n) >= 1 whenever all factors are 1 mod 8); assert that, and
-        # evaluate the eight-way equivalence on any n that would qualify.
-        if h4m < 1:
-            qualifying += 1
-            booleans = criteria.proposition_conditions(sf)
-            vals = set(booleans.values())
-            yield n, len(vals) == 1, booleans
-    yield ("qualifying-count", qualifying), True, {"qualifying": qualifying}
-
-
-def _suite_corollaries(bound: int):
-    for n, sf in _squarefree_range(bound):
-        if sf.k == 0 or not sf.strict_eligibility or n % 8 not in (1, 2):
-            continue
-        v = criteria.classify(sf)
-        m = n if n % 2 == 1 else -n
-        r4 = tame.r4_tame(m)
-        ok = (v.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (r4 == 0)
-        yield n, ok, {"verdict": v.verdict.value, "r4_tame": r4}
-
-
-def _suite_pell_orbit(bound: int):
-    from .reps import orbit_step_2mu2, rep_2mu2_tau2
-    from .arith import jacobi
-
-    for n, sf in _squarefree_range(bound):
-        if n % 8 != 1 or not sf.eligibility or sf.k == 0 or matrices.s2(sf) != 2:
-            continue
-        d = criteria.distinguished_divisor(sf)
-        rep = rep_2mu2_tau2(n, d, sf.primes)
-        base = jacobi(-rep.mu, d)
-        mu, tau = rep.mu, rep.tau
-        ok = True
-        symbols = [base]
-        for _ in range(3):
-            mu, tau = orbit_step_2mu2(mu, tau)
-            mu_n = mu if (mu - d) % 4 == 0 else -mu
-            symbols.append(jacobi(-mu_n, d))
-            ok = ok and symbols[-1] == base
-        yield n, ok, {"symbols": symbols}
-
-
-_SUITES = {
-    "selmer-oracle": _suite_selmer_oracle,
-    "class-oracle": _suite_class_oracle,
-    "pairing-product": _suite_pairing_product,
-    "lemma-2symbol": _suite_lemma_2symbol,
-    "proposition": _suite_proposition,
-    "corollaries": _suite_corollaries,
-    "pell-orbit": _suite_pell_orbit,
-}
-
-
 def cmd_verify(args) -> int:
-    suite = _SUITES[args.suite]
-    passed = failed = 0
-    first_bad = None
-    for key, ok, detail in suite(args.bound):
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            if first_bad is None:
-                first_bad = {"case": key if not isinstance(key, tuple) else list(key), "detail": detail}
-    report = {"suite": args.suite, "bound": args.bound, "passed": passed, "failed": failed}
-    if first_bad is not None:
-        report["first_counterexample"] = first_bad
-    print(json.dumps(report, separators=(",", ":"), default=str))
-    return 0 if failed == 0 else 4
+    report = verify.run(args.suite, args.bound)
+    print(json.dumps(report, separators=(",", ":")))
+    return 0 if report["failed"] == 0 else 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a single n")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", help="JSON output (always on)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("scan", help="scan a range of n")
@@ -360,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted(verify.SUITES))
     p.add_argument("bound", type=int)
     p.set_defaults(func=cmd_verify)
 

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionFailed,
     VerificationFailed,
 )
-from .reps import fundamental_2mu2_tau2, rep_2mu2_tau2, rep_a2_8b2, rep_u2_2w2
+from .reps import rep_2mu2_tau2
 
 
 class VerdictKind(enum.Enum):
@@ -158,40 +158,3 @@ def classify(n: int | SquareFreeN) -> Verdict:
     v.s2 = s2
     v.trace.insert(0, ("s2", "monsky_rank"))
     return v
-
-
-def proposition_conditions(sf: SquareFreeN) -> dict[str, bool]:
-    """The eight equivalent conditions, as labeled booleans.
-
-    Preconditions: n odd with every prime factor 1 mod 8 and h4(-n) = 0.
-    Note the h4(-n) = 0 requirement is unsatisfiable in this family (the
-    Redei matrix of -n contains the row-sum-zero block A, forcing
-    h4(-n) >= 1), so no n ever reaches the condition evaluation; the check
-    is kept exactly as stated and PreconditionFailed reports the value.
-    """
-    if sf.is_even or not sf.strict_eligibility or sf.k == 0:
-        raise PreconditionFailed(f"n = {sf.n} is not odd with all factors 1 mod 8")
-    h4m = matrices.h4(-sf.n, sf.primes)
-    if h4m != 0:
-        raise PreconditionFailed(f"h4(-{sf.n}) = {h4m} != 0")
-    return _proposition_booleans(sf)
-
-
-def _proposition_booleans(sf: SquareFreeN) -> dict[str, bool]:
-    """Evaluate the eight booleans (no precondition; used by verify sweeps)."""
-    from . import oracles  # local import: oracles depends on cassels -> criteria
-
-    n = sf.n
-    rep_ab = rep_a2_8b2(n)
-    mu = fundamental_2mu2_tau2(n)[0]
-    u = rep_u2_2w2(n).u
-    return {
-        "b_even": rep_ab.b % 2 == 0,
-        "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n, sf.primes) == 1,
-        "one_plus_i": quad_jacobi(QuadExpr(1, 1, -1), n, sf.primes) == 1,
-        "sqrt2_vs_n": quad_jacobi(QuadExpr(0, 1, 2), n, sf.primes) == (-1) ** ((n - 1) // 8),
-        "u_mod4": abs(u) % 4 == 1,
-        "mu_mod4": abs(mu) % 4 == 1,
-        "h8_minus_zero": oracles.h8_oracle(-n) == 0,
-        "mu_symbol": jacobi(mu, n) == 1,
-    }

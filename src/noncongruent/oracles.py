@@ -372,11 +372,6 @@ def h4_oracle(m: int) -> int:
     return class_group(field_discriminant(m)).r4
 
 
-def h8_oracle(m: int) -> int:
-    """8-rank of the narrow class group of Q(sqrt(m)), by composition."""
-    return class_group(field_discriminant(m)).r8
-
-
 # ---------------------------------------------------------------------------
 # descent oracle: local solvability over the representative grid
 # ---------------------------------------------------------------------------

@@ -1,0 +1,157 @@
+"""Verification suites: each formula swept against an independent route.
+
+A suite maps a bound to a stream of (case, ok, detail) triples; ``run``
+counts them into the report that ``noncongruent verify`` prints and that
+the acceptance tests assert on, so every sweep exists once.
+"""
+
+from __future__ import annotations
+
+from . import cassels, criteria, matrices, oracles, tame
+from .arith import (
+    QuadExpr,
+    factor_squarefree,
+    jacobi,
+    quad_jacobi,
+    squarefree_part,
+    squarefree_upto,
+)
+from .criteria import VerdictKind
+from .reps import (
+    Rep2MuTau,
+    fundamental_2mu2_tau2,
+    linked_u2w,
+    orbit_step_2mu2,
+    rep_2mu2_tau2,
+    rep_a2_8b2,
+)
+
+
+def _selmer_oracle(bound: int):
+    for n, sf in squarefree_upto(min(bound, 500)):
+        if sf.k == 0:
+            continue
+        got = oracles.selmer_oracle(sf)
+        want = matrices.selmer_elements(sf)
+        yield n, got == want, {"oracle": sorted(map(str, got)), "kernel": sorted(map(str, want))}
+
+
+def _class_oracle(bound: int):
+    for n, _ in squarefree_upto(bound):
+        if n == 1:
+            continue
+        for m in (n, -n):
+            if abs(matrices.field_discriminant(m)) > 10**6:
+                continue
+            redei, oracle = matrices.h4(m), oracles.h4_oracle(m)
+            yield m, redei == oracle, {"redei": redei, "oracle": oracle}
+
+
+def _pairing_product(bound: int):
+    for n, sf in squarefree_upto(bound):
+        v = criteria.classify(sf)
+        if v.s2 != 2:
+            continue
+        closed = cassels.closed_form_pairing(sf, v.d, v.mu)
+        product = cassels.pairing_product(sf)
+        _, nondeg = cassels.pairing_matrix(sf)
+        ok = product == closed and nondeg == (closed == -1)
+        yield n, ok, {"closed": closed, "product": product}
+
+
+def _lemma_2symbol(count: int):
+    seen = 0
+    n = 9
+    while seen < count:
+        n += 8
+        if squarefree_part(n) != n:
+            continue
+        sf = factor_squarefree(n)
+        if not sf.eligibility or sf.k == 0:
+            continue
+        seen += 1
+        mu, tau = fundamental_2mu2_tau2(n)
+        u = linked_u2w(Rep2MuTau(mu, tau, n)).u
+        lhs, rhs = cassels.two_symbol_check(n, u, mu)
+        yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
+
+
+def _proposition(bound: int):
+    """The proposition's sub-equivalences that hold without its hypothesis.
+
+    The stated precondition h4(-n) = 0 never holds when every prime is
+    1 mod 8 (the Redei matrix of -n contains the row-sum-zero block A), so
+    each case also checks h4(-n) >= 1.  The equivalences are
+    (i) b even <=> (ii) ((1+sqrt 2)/n) = 1 <=> (iv) (sqrt 2/n) = (-1)^((n-1)/8)
+    for n = a^2 + 8b^2, and (vi) |mu| = 1 mod 4 <=> (viii) (mu/n) = 1.
+    """
+    for n, sf in squarefree_upto(bound):
+        if sf.is_even or not sf.strict_eligibility or sf.k == 0:
+            continue
+        h4m = matrices.h4(-n, sf.primes)
+        mu = fundamental_2mu2_tau2(n)[0]
+        b = {
+            "b_even": rep_a2_8b2(n).b % 2 == 0,
+            "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n, sf.primes) == 1,
+            "sqrt2_vs_n": quad_jacobi(QuadExpr(0, 1, 2), n, sf.primes) == (-1) ** ((n - 1) // 8),
+            "mu_mod4": abs(mu) % 4 == 1,
+            "mu_symbol": jacobi(mu, n) == 1,
+        }
+        ok = (
+            h4m >= 1
+            and b["b_even"] == b["one_plus_sqrt2"] == b["sqrt2_vs_n"]
+            and b["mu_mod4"] == b["mu_symbol"]
+        )
+        yield n, ok, {"h4_minus": h4m, **b}
+
+
+def _corollaries(bound: int):
+    for n, sf in squarefree_upto(bound):
+        if sf.k == 0 or not sf.strict_eligibility or n % 8 not in (1, 2):
+            continue
+        v = criteria.classify(sf)
+        r4 = tame.r4_tame(n if n % 2 == 1 else -n)
+        ok = (v.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (r4 == 0)
+        yield n, ok, {"verdict": v.verdict.value, "r4_tame": r4}
+
+
+def _pell_orbit(bound: int):
+    for n, sf in squarefree_upto(bound):
+        if n % 8 != 1 or not sf.eligibility or sf.k == 0 or matrices.s2(sf) != 2:
+            continue
+        d = criteria.distinguished_divisor(sf)
+        rep = rep_2mu2_tau2(n, d, sf.primes)
+        mu, tau = rep.mu, rep.tau
+        symbols = [jacobi(-mu, d)]
+        for _ in range(3):
+            mu, tau = orbit_step_2mu2(mu, tau)
+            symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))
+        yield n, len(set(symbols)) == 1, {"symbols": symbols}
+
+
+SUITES = {
+    "selmer-oracle": _selmer_oracle,
+    "class-oracle": _class_oracle,
+    "pairing-product": _pairing_product,
+    "lemma-2symbol": _lemma_2symbol,
+    "proposition": _proposition,
+    "corollaries": _corollaries,
+    "pell-orbit": _pell_orbit,
+}
+
+
+def run(suite: str, bound: int) -> dict:
+    """Run one suite: pass and fail counts, plus the first failing case."""
+    passed = failed = 0
+    first_bad = None
+    for case, ok, detail in SUITES[suite](bound):
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+            if first_bad is None:
+                first_bad = {"case": case, "detail": detail}
+    report = {"suite": suite, "bound": bound, "passed": passed, "failed": failed}
+    if first_bad is not None:
+        report["first_counterexample"] = first_bad
+    return report

@@ -2,23 +2,13 @@
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them inline).
 All checks are exact equalities over the integers; there are no numeric
-tolerances anywhere.
+tolerances anywhere.  Criteria with a ``noncongruent verify`` suite run that
+suite at the README bound and pin how many cases it checked.
 """
 
-from math import isqrt
-
-from noncongruent import cassels, criteria, matrices, oracles, tame
-from noncongruent.arith import (
-    Place,
-    REAL_PLACE,
-    factor_squarefree,
-    hilbert,
-    jacobi,
-    squarefree_part,
-)
+from noncongruent import cassels, criteria, matrices, oracles, tame, verify
+from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert, squarefree_upto
 from noncongruent.criteria import VerdictKind
-from noncongruent.matrices import field_discriminant
-from noncongruent.reps import linked_u2w, orbit_step_2mu2, rep_2mu2_tau2, Rep2MuTau
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -26,154 +16,66 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, name
 
 
-def _squarefree_upto(bound):
-    # smallest-prime-factor sieve; much faster than per-n factorization
-    spf = list(range(bound + 1))
-    for p in range(2, isqrt(bound) + 1):
-        if spf[p] == p:
-            for q in range(p * p, bound + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    for n in range(1, bound + 1):
-        m, ok, primes = n, True, []
-        while m > 1:
-            p = spf[m]
-            m //= p
-            if m % p == 0:
-                ok = False
-                break
-            primes.append(p)
-        if ok:
-            yield n, primes
-
-
-def _eligible(primes):
-    return all(p % 8 in (1, 7) for p in primes if p != 2)
-
-
-def _strict(primes):
-    return all(p % 8 == 1 for p in primes if p != 2)
-
-
 def test_criterion_1_rank_bridge_odd():
     checked = 0
-    for n, primes in _squarefree_upto(50000):
-        if n % 8 != 1 or n == 1 or not _eligible(primes):
+    for n, sf in squarefree_upto(50000):
+        if n % 8 != 1 or sf.k == 0 or not sf.eligibility:
             continue
         checked += 1
-        sf = factor_squarefree(n)
         lhs = matrices.s2(sf) == 2
-        rhs = matrices.h4(-n) == 1 and matrices.h4(n) == 0
+        rhs = matrices.h4(-n, sf.primes) == 1 and matrices.h4(n, sf.primes) == 0
         assert lhs == rhs, n
     _report("criterion 1: odd rank bridge s2=2 <=> (h4(-n),h4(n))=(1,0)", True, f"{checked} n")
 
 
 def test_criterion_2_rank_bridge_even():
     checked = 0
-    for n, primes in _squarefree_upto(50000):
-        if n % 8 != 2 or n == 2 or not _eligible(primes):
+    for n, sf in squarefree_upto(50000):
+        if n % 8 != 2 or sf.k == 0 or not sf.eligibility:
             continue
         checked += 1
-        sf = factor_squarefree(n)
         lhs = matrices.s2(sf) == 2
-        rhs = matrices.h4(-n // 2) == 1
+        rhs = matrices.h4(-n // 2, sf.primes) == 1
         assert lhs == rhs, n
     _report("criterion 2: even rank bridge s2=2 <=> h4(-n/2)=1", True, f"{checked} n")
 
 
+def _sweep(suite: str, bound: int, cases: int, name: str) -> None:
+    """Run a verify suite at its README bound; it must pass the pinned number of cases."""
+    report = verify.run(suite, bound)
+    assert report["failed"] == 0, report
+    assert report["passed"] == cases, report
+    _report(name, True, f"{cases} cases")
+
+
 def test_criterion_3_h4_oracle_agreement():
-    checked = 0
-    for n, _ in _squarefree_upto(3000):
-        if n == 1:
-            continue
-        for m in (n, -n):
-            if abs(field_discriminant(m)) > 10**6:
-                continue
-            checked += 1
-            assert matrices.h4(m) == oracles.h4_oracle(m), m
-    _report("criterion 3: Redei h4 = class-group oracle h4", True, f"{checked} m")
+    _sweep("class-oracle", 3000, 3646, "criterion 3: Redei h4 = class-group oracle h4")
 
 
 def test_criterion_4_selmer_anti_circularity():
-    checked = 0
-    for n, primes in _squarefree_upto(200):
-        if not any(p != 2 for p in primes):
-            continue
-        checked += 1
-        sf = factor_squarefree(n)
-        assert oracles.selmer_oracle(sf) == matrices.selmer_elements(sf), n
-    _report("criterion 4: local-solvability oracle = Monsky kernel", True, f"{checked} n")
+    _sweep("selmer-oracle", 200, 120, "criterion 4: local-solvability oracle = Monsky kernel")
 
 
 def test_criterion_5_pairing_product():
-    checked = 0
-    for n, primes in _squarefree_upto(2000):
-        if n % 8 not in (1, 2) or not _eligible(primes) or n in (1, 2):
-            continue
-        sf = factor_squarefree(n)
-        if matrices.s2(sf) != 2:
-            continue
-        checked += 1
-        d = criteria.distinguished_divisor(sf)
-        mu = None if sf.is_even else rep_2mu2_tau2(n, d).mu
-        closed = cassels.closed_form_pairing(sf, d, mu)
-        assert cassels.pairing_product(sf) == closed, n
-        _, nondeg = cassels.pairing_matrix(sf)
-        assert nondeg == (closed == -1), n
-    _report("criterion 5: local pairing product = closed form", True, f"{checked} n")
+    _sweep("pairing-product", 2000, 138, "criterion 5: local pairing product = closed form")
 
 
 def test_criterion_6_lemma_2symbol():
-    checked = 0
-    n = 9
-    while checked < 500:
-        n += 8
-        if squarefree_part(n) != n:
-            continue
-        sf = factor_squarefree(n)
-        if sf.k == 0 or not sf.eligibility:
-            continue
-        checked += 1
-        from noncongruent.reps import fundamental_2mu2_tau2
-
-        mu, tau = fundamental_2mu2_tau2(n)
-        u = linked_u2w(Rep2MuTau(mu, tau, n)).u
-        lhs, rhs = cassels.two_symbol_check(n, u, mu, e=12)
-        assert lhs[0] == rhs and lhs[1] == rhs, n
-    _report("criterion 6: (-u +- sqrt(n), -1)_2 = (-mu, -1)_2 at 2^12", True, "500 n")
+    _sweep("lemma-2symbol", 500, 500, "criterion 6: (-u +- sqrt(n), -1)_2 = (-mu, -1)_2 at 2^12")
 
 
 def test_criterion_7_corollary_dual_route():
-    checked = 0
-    for n, primes in _squarefree_upto(50000):
-        if n % 8 not in (1, 2) or n in (1, 2) or not _strict(primes):
-            continue
-        checked += 1
-        verdict = criteria.classify(n).verdict
-        m = n if n % 2 == 1 else -n
-        r4 = tame.r4_tame(m)
-        assert (verdict == VerdictKind.NON_CONGRUENT_SHA22) == (r4 == 0), n
-    _report("criterion 7: classify route <=> tame-kernel r4 route", True, f"{checked} n")
+    _sweep("corollaries", 50000, 2255, "criterion 7: classify route <=> tame-kernel r4 route")
 
 
 def test_criterion_8_proposition_eight_way():
-    qualifying = []
-    for n, primes in _squarefree_upto(100000):
-        if n % 2 == 0 or n == 1 or not _strict(primes):
-            continue
-        h4m = matrices.h4(-n)
-        # h4(-n) >= 1 throughout this family (the Redei matrix of -n embeds
-        # the row-sum-zero block A); the stated h4(-n) = 0 precondition is
-        # therefore unsatisfiable and the sweep must come back empty.
-        assert h4m >= 1, n
-        if h4m == 0:  # pragma: no cover - unreachable by the line above
-            qualifying.append(n)
-            booleans = criteria.proposition_conditions(factor_squarefree(n))
-            assert len(set(booleans.values())) == 1, (n, booleans)
-    _report(
-        "criterion 8: eight-way proposition on qualifying n",
-        True,
-        f"qualifying count = {len(qualifying)} (precondition h4(-n)=0 is vacuous)",
+    # The stated precondition h4(-n) = 0 is unsatisfiable here, so the suite
+    # checks h4(-n) >= 1 and the sub-equivalences that hold without it.
+    _sweep(
+        "proposition",
+        100000,
+        2852,
+        "criterion 8: h4(-n) >= 1, (i) <=> (ii) <=> (iv) and (vi) <=> (viii)",
     )
 
 
@@ -207,23 +109,7 @@ def test_criterion_9_pinned_values():
 
 
 def test_criterion_10_pell_orbit_invariance():
-    checked = 0
-    for n, primes in _squarefree_upto(10000):
-        if n % 8 != 1 or n == 1 or n % 2 == 0 or not _eligible(primes):
-            continue
-        sf = factor_squarefree(n)
-        if matrices.s2(sf) != 2:
-            continue
-        checked += 1
-        d = criteria.distinguished_divisor(sf)
-        rep = rep_2mu2_tau2(n, d)
-        base = jacobi(-rep.mu, d)
-        mu, tau = rep.mu, rep.tau
-        for _ in range(3):
-            mu, tau = orbit_step_2mu2(mu, tau)
-            mu_norm = mu if (mu - d) % 4 == 0 else -mu
-            assert jacobi(-mu_norm, d) == base, n
-    _report("criterion 10: (-mu/d) invariant along the unit orbit", True, f"{checked} n")
+    _sweep("pell-orbit", 10000, 422, "criterion 10: (-mu/d) invariant along the unit orbit")
 
 
 def test_noncongruent_verdicts_have_no_small_points():

@@ -71,6 +71,18 @@ def test_is_prime_rejects_psi12():
     assert factor_squarefree(p * q).primes == (p, q)
 
 
+def test_is_prime_refuses_psi13():
+    # psi_13 is a strong pseudoprime to every base 2..41, so Miller-Rabin
+    # with those bases cannot decide at or above it.
+    psi13 = 1287836182261 * 2575672364521
+    assert psi13 == 3317044064679887385961981
+    with pytest.raises(TooLarge):
+        is_prime(psi13)
+    with pytest.raises(TooLarge):
+        factor_squarefree(psi13)
+    assert not is_prime(psi13 - 1)
+
+
 def test_pollard_rho_gives_up_with_typed_error():
     # On a prime every c ends in the trivial factor n, so rho runs out of c.
     with pytest.raises(TooLarge):

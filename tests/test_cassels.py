@@ -231,6 +231,43 @@ def test_point_choice_independence_of_product():
     assert complete_cases >= 5 and factors_checked >= 12
 
 
+def test_level_one_matches_naive_enumeration():
+    from itertools import product
+
+    from noncongruent.cassels import _level_one
+
+    def naive(h1, h3, p):
+        out = []
+        for patch in range(4):
+            free = range(patch + 1, 4)
+            for xs in product(range(p), repeat=len(free)):
+                pt = (0,) * patch + (1,) + xs
+                if sum(c * x * x for c, x in zip(h1, pt)) % p == 0 == sum(
+                    c * x * x for c, x in zip(h3, pt)
+                ) % p:
+                    out.append(pt)
+        return out
+
+    rng = random.Random(7)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for _ in range(40):
+            # zero coefficients mod p exercise every branch of the last coordinate
+            h1, h3 = ([rng.choice((0, p, rng.randrange(-99, 100))) for _ in range(4)] for _ in "13")
+            assert _level_one(h1, h3, p) == naive(h1, h3, p), (h1, h3, p)
+
+
+def test_pairing_product_computes_d_once(monkeypatch):
+    from noncongruent import cassels, criteria
+
+    calls = []
+    real = criteria.distinguished_divisor
+    monkeypatch.setattr(criteria, "distinguished_divisor", lambda sf: calls.append(sf.n) or real(sf))
+    for n in (17, 161, 322):
+        calls.clear()
+        pairing_product(factor_squarefree(n))
+        assert calls == [n]
+
+
 def test_pairing_product_matches_closed_form_small():
     from noncongruent.arith import squarefree_part
     from noncongruent import matrices

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from noncongruent import arith, cli
+from noncongruent import arith
 from noncongruent.cli import main
 
 
@@ -104,7 +104,7 @@ def test_verify_suites_pass_small():
         proc = run_cli("verify", suite, bound)
         assert proc.returncode == 0, (suite, proc.stdout, proc.stderr)
         report = json.loads(proc.stdout)
-        assert report["failed"] == 0
+        assert report["failed"] == 0 and report["passed"] >= 1, (suite, report)
 
 
 def test_main_entrypoint_in_process(capsys):
@@ -115,7 +115,7 @@ def test_main_entrypoint_in_process(capsys):
 
 @pytest.mark.parametrize("lo, hi", [(1, 1025), (1, 3), (2, 6), (99329, 100353), (10**8 - 1023, 10**8 + 1)])
 def test_sieve_block_matches_factorize(lo, hi):
-    sieved = dict(cli._squarefree_block(lo, hi))
+    sieved = dict(arith.squarefree_block(lo, hi))
     for n in range(lo, hi):
         fac = arith.factorize(n)
         if any(e > 1 for _, e in fac):
@@ -130,6 +130,17 @@ def test_classify_exits_3_when_rho_gives_up(monkeypatch, capsys):
     monkeypatch.setattr(arith, "_pollard_rho", lambda n: rho(101))
     assert main(["classify", str(1375951 * 1777823)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_classify_exits_3_beyond_the_primality_bound():
+    # 2^128 + 1 has no factor below the trial bound and is past psi_13.
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncongruent.cli", "classify", str(2**128 + 1)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3 and "psi_13" in proc.stderr
 
 
 def test_tame_rejects_non_squarefree_with_exit_3(capsys):

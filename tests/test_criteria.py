@@ -8,7 +8,6 @@ from noncongruent.criteria import (
     VerdictKind,
     classify,
     distinguished_divisor,
-    proposition_conditions,
     thm_main1_lhs,
     thm_main2_lhs,
 )
@@ -76,35 +75,6 @@ def test_classify_never_marks_sha_without_symbol():
         if v.verdict == VerdictKind.NON_CONGRUENT_SHA22:
             assert v.s2 == 2 and v.pairing_symbol == -1
             assert v.d is not None and v.d != 1
-
-
-def test_proposition_preconditions():
-    with pytest.raises(PreconditionFailed):
-        proposition_conditions(factor_squarefree(17))  # h4(-17) = 1 != 0
-    with pytest.raises(PreconditionFailed):
-        proposition_conditions(factor_squarefree(15))  # not strictly eligible
-    with pytest.raises(PreconditionFailed):
-        proposition_conditions(factor_squarefree(34))  # even
-
-
-def test_proposition_paper_proven_subequivalences():
-    # (i) <=> (ii) <=> (iv) and (vi) <=> (viii) hold without any h4 hypothesis
-    from noncongruent.criteria import _proposition_booleans
-    from noncongruent.arith import squarefree_part
-
-    checked = 0
-    n = 9
-    while checked < 40:
-        n += 8
-        if squarefree_part(n) != n:
-            continue
-        sf = factor_squarefree(n)
-        if sf.k == 0 or not sf.strict_eligibility:
-            continue
-        checked += 1
-        b = _proposition_booleans(sf)
-        assert b["b_even"] == b["one_plus_sqrt2"] == b["sqrt2_vs_n"], n
-        assert b["mu_mod4"] == b["mu_symbol"], n
 
 
 def _count_factorize(monkeypatch):

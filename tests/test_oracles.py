@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from noncongruent.oracles import (
     class_group,
     compose,
     h4_oracle,
-    h8_oracle,
     is_fundamental,
     point_search,
     reduce_definite,
@@ -47,7 +48,7 @@ def test_class_group_known_values():
 def test_h4_h8_oracle_examples():
     assert h4_oracle(-17) == 1
     assert h4_oracle(17) == 0
-    assert h8_oracle(-17) == 0
+    assert class_group(-68).r8 == 0  # Q(sqrt(-17))
 
 
 def test_composition_group_laws():
@@ -95,6 +96,18 @@ def test_h4_oracle_matches_redei_small():
             continue
         for m in (a, -a):
             assert h4(m) == h4_oracle(m), m
+
+
+def test_runs_without_numpy():
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import noncongruent\n"
+        "from noncongruent import factor_squarefree, selmer_elements, selmer_oracle\n"
+        "sf = factor_squarefree(161)\n"
+        "assert selmer_oracle(sf) == selmer_elements(sf)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selmer_oracle_examples():

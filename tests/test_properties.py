@@ -1,0 +1,98 @@
+"""Property tests for the exact primitives in ``arith`` and ``f2linalg``."""
+
+from math import gcd
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from noncongruent.arith import (
+    Place,
+    REAL_PLACE,
+    factorize,
+    hilbert,
+    is_prime,
+    jacobi,
+    sqrt_mod,
+)
+from noncongruent.f2linalg import F2Matrix, F2Vector, kernel_basis, rank, solve
+
+ODD_PRIMES = [p for p in range(3, 200) if is_prime(p)]
+
+integers = st.integers(-(10**6), 10**6)
+nonzero = integers.filter(bool)
+odd_positive = st.integers(0, 10**6).map(lambda k: 2 * k + 1)
+
+
+@given(nonzero, nonzero)
+def test_hilbert_product_formula(a, b):
+    primes = {2} | {p for x in (a, b) for p, _ in factorize(abs(x))}
+    product = hilbert(a, b, REAL_PLACE)
+    for p in primes:
+        product *= hilbert(a, b, Place(p))
+    assert product == 1
+
+
+@given(integers, integers, odd_positive, odd_positive)
+def test_jacobi_multiplicativity(a, b, m, n):
+    assume(gcd(a * b, m * n) == 1)
+    assert jacobi(a * b, m) == jacobi(a, m) * jacobi(b, m)
+    assert jacobi(a, m * n) == jacobi(a, m) * jacobi(a, n)
+
+
+@given(odd_positive, odd_positive)
+def test_jacobi_reciprocity(m, n):
+    assume(gcd(m, n) == 1)
+    assert jacobi(m, n) * jacobi(n, m) == (-1) ** ((m - 1) // 2 * ((n - 1) // 2))
+    assert jacobi(-1, n) == (-1) ** ((n - 1) // 2)
+    assert jacobi(2, n) == (-1) ** ((n * n - 1) // 8)
+
+
+@given(st.sampled_from(ODD_PRIMES), st.integers(1, 6), st.integers(1, 10**12))
+def test_sqrt_mod_odd_prime_powers(p, e, x):
+    assume(x % p)
+    a = x * x % p**e
+    s = sqrt_mod(a, p, e)
+    assert 0 < s < p**e and (s * s - a) % p**e == 0
+
+
+@given(st.integers(3, 40), st.integers(0, 10**12))
+def test_sqrt_mod_two_adic(e, k):
+    a = 8 * k + 1
+    s = sqrt_mod(a, 2, e)
+    assert (s * s - a) % 2**e == 0
+
+
+@st.composite
+def f2_matrices(draw):
+    ncols = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=1, max_size=12))
+    return F2Matrix(tuple(rows), ncols)
+
+
+@given(f2_matrices())
+def test_f2_rank_nullity(m):
+    basis = kernel_basis(m)
+    assert rank(m) + len(basis) == m.ncols
+    assert all(m.mul_vec(v).is_zero() for v in basis)
+    assert rank(m) == rank(m.transpose())
+
+
+@given(f2_matrices(), st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1))
+def test_f2_solve_and_kernel_agree(m, x_bits, b_bits):
+    x = F2Vector(x_bits % (1 << m.ncols), m.ncols)
+    target = m.mul_vec(x)
+    y = solve(m, target)
+    assert y is not None and m.mul_vec(y) == target
+    # any two solutions differ by a vector in the span of the kernel basis
+    basis = kernel_basis(m)
+    span = F2Matrix(tuple(v.bits for v in basis) + ((x + y).bits,), m.ncols)
+    assert rank(span) == len(basis)
+    b = F2Vector(b_bits % (1 << m.nrows), m.nrows)
+    z = solve(m, b)
+    if z is None:
+        # b outside the column space: no vector hits it
+        assert m.ncols > 10 or all(
+            m.mul_vec(F2Vector(bits, m.ncols)) != b for bits in range(1 << m.ncols)
+        )
+    else:
+        assert m.mul_vec(z) == b
