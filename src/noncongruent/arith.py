@@ -9,7 +9,6 @@ membership for quadratic fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -351,17 +350,8 @@ def _omega(u: int) -> int:
     return 0 if u % 8 in (1, 7) else 1
 
 
-def _as_square_class(a) -> int:
-    """Reduce a nonzero rational to an integer in the same square class."""
-    if isinstance(a, Fraction):
-        return a.numerator * a.denominator
-    return int(a)
-
-
-def hilbert(a, b, v: Place) -> int:
-    """Hilbert symbol (a, b)_v for nonzero rationals a, b."""
-    a = _as_square_class(a)
-    b = _as_square_class(b)
+def hilbert(a: int, b: int, v: Place) -> int:
+    """Hilbert symbol (a, b)_v for nonzero integers a, b."""
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
     if v.is_real:

@@ -27,7 +27,7 @@ from .arith import (
 )
 from .errors import NotRankTwo, PrecisionExhausted
 from .matrices import SelmerTriple
-from .reps import Rep2MuTau, linked_u2w, rep_2mu2_tau2
+from .reps import linked_u2w, rep_2mu2_tau2
 
 
 @dataclass(frozen=True)
@@ -106,33 +106,38 @@ def torsor(lam: SelmerTriple, n: int) -> TorsorSystem:
 # ---------------------------------------------------------------------------
 
 
-def tangent_data(sf: SquareFreeN) -> tuple[TangentData, TangentData]:
-    """The tangent pairs (Q1, L1), (Q3, L3) for the basis element (1, n', n').
+def _pairing_inputs(
+    sf: SquareFreeN,
+) -> tuple[int, int | None, tuple[TangentData, TangentData]]:
+    """d, mu (odd n only, from 2mu^2 - tau^2 = n with mu = d mod 4) and the
+    tangent pairs (Q1, L1), (Q3, L3) for the basis element (1, n', n').
 
     The middle form never enters the pairing because its partner divisor is
     trivial, so only the first and third tangents are materialized.
     """
-    if not sf.is_even:
-        d = criteria.distinguished_divisor(sf)
-        u2w = linked_u2w(rep_2mu2_tau2(sf.n, d, sf.primes))
-        u, w, n = u2w.u, u2w.w, sf.n
-        t1 = TangentData(
-            form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1)
-        )
+    if matrices.s2(sf) != 2:
+        raise NotRankTwo(f"s2({sf.n}) != 2")
+    d = criteria.distinguished_divisor(sf)
+    if sf.is_even:
+        np_ = sf.odd_part
+        t1 = TangentData(form=(-2, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))
         t3 = TangentData(
-            form=(2 * n, 1, -n, 0),
-            point=(w, n, u, 0),
-            linear=(2 * w, 1, -u, 0),
+            form=(4 * np_, 1, -np_, 0),
+            point=(np_ - 1, 4 * np_, 2 * np_ + 2, 0),
+            linear=(2 * (np_ - 1), 2, -(np_ + 1), 0),
         )
-        return t1, t3
-    np_ = sf.odd_part
-    t1 = TangentData(form=(-2, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))
-    t3 = TangentData(
-        form=(4 * np_, 1, -np_, 0),
-        point=(np_ - 1, 4 * np_, 2 * np_ + 2, 0),
-        linear=(2 * (np_ - 1), 2, -(np_ + 1), 0),
-    )
-    return t1, t3
+        return d, None, (t1, t3)
+    rep = rep_2mu2_tau2(sf.n, d, sf.primes)
+    u2w = linked_u2w(rep)
+    u, w, n = u2w.u, u2w.w, sf.n
+    t1 = TangentData(form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))
+    t3 = TangentData(form=(2 * n, 1, -n, 0), point=(w, n, u, 0), linear=(2 * w, 1, -u, 0))
+    return d, rep.mu, (t1, t3)
+
+
+def tangent_data(sf: SquareFreeN) -> tuple[TangentData, TangentData]:
+    """The tangent pairs (Q1, L1), (Q3, L3) that the local factors evaluate."""
+    return _pairing_inputs(sf)[2]
 
 
 def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
@@ -148,14 +153,6 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
     return quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
 
 
-def _pairing_inputs(sf: SquareFreeN) -> tuple[int, Rep2MuTau | None]:
-    """d and, for odd n, the representation 2mu^2 - tau^2 = n with mu = d mod 4."""
-    if matrices.s2(sf) != 2:
-        raise NotRankTwo(f"s2({sf.n}) != 2")
-    d = criteria.distinguished_divisor(sf)
-    return d, None if sf.is_even else rep_2mu2_tau2(sf.n, d, sf.primes)
-
-
 def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, int]], bool]:
     """2x2 Gram matrix of the pairing (multiplicative) and non-degeneracy.
 
@@ -163,8 +160,8 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
     [[+1, c], [c, +1]] with c the closed-form value; on a two-dimensional
     space this is non-degenerate exactly when c = -1.
     """
-    d, rep = _pairing_inputs(sf)
-    c = closed_form_pairing(sf, d, None if rep is None else rep.mu)
+    d, mu, _ = _pairing_inputs(sf)
+    c = closed_form_pairing(sf, d, mu)
     return ((1, c), (c, 1)), c == -1
 
 
@@ -175,121 +172,81 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
 _MAX_RETRIES = 4
 
 
-def _two_adic_parts(x: int, precision_bits: int) -> tuple[int, int] | None:
-    """(valuation, unit mod 8) of x known modulo 2^precision_bits.
+def _hilbert2(a: int, b: int, n: int, d: int) -> int:
+    """(a*sqrt(n) + b, d)_2 for n = 1 mod 8 and odd d.
 
-    None when the valuation eats too much precision to pin the unit mod 8.
+    sqrt(n) is a root at precision 2^e, known modulo 2^(e-1), so the value
+    is known modulo 2^k with k = e - 1 + v_2(a); e doubles while the value's
+    unit mod 8 is not pinned down by that.
     """
-    if x % (1 << precision_bits) == 0:
-        return None
-    val, x = split_power(x, 2)
-    if precision_bits - val < 3:
-        return None
-    return val, x % 8
+    extra = split_power(a, 2)[0] if a else 0
+    e = 12
+    for _ in range(_MAX_RETRIES):
+        k = e - 1 + extra
+        x = (a * sqrt_mod(n, 2, e) + b) % (1 << k)
+        if x:
+            val, unit = split_power(x, 2)
+            if k - val >= 3:
+                return hilbert2_from_parts(val, unit, d)
+        e *= 2
+    raise PrecisionExhausted(f"2-adic symbol of {a}*sqrt({n}) + {b} stayed ambiguous")
 
 
 def local_pairing(sf: SquareFreeN, v: Place) -> int:
-    """Local Cassels factor of the generator pair at a place v | 2n or oo.
+    """Local Cassels factor (L1*L3, d)_v of the generator pair at v | 2n or oo.
 
-    Evaluated at the explicit local points: for odd n these are
-    (1, 0, sqrt(2), 1) at p | n with sqrt(2) = -u/w, and (0, sqrt(n), 1, -1)
-    at p = 2 and the real place; the even case uses (1, 0, 2, sqrt(2)) and
-    (0, sqrt(n'), 1, -1).
+    L1 and L3 are the tangent forms of ``tangent_data``, evaluated at the
+    explicit local points: for odd n these are (1, 0, sqrt(2), 1) at p | n
+    with sqrt(2) = -u/w, and (0, sqrt(n), 1, -1) at p = 2 and the real
+    place; the even case uses (1, 0, 2, sqrt(2)) and (0, sqrt(n'), 1, -1).
     """
-    return _local_factor(sf, v, *_pairing_inputs(sf))
+    d, _, tangents = _pairing_inputs(sf)
+    return _local_factor(sf, v, d, tangents)
 
 
-def _local_factor(sf: SquareFreeN, v: Place, d: int, rep: Rep2MuTau | None) -> int:
-    """``local_pairing`` given d and, for odd n, the representation of n."""
-    n = sf.n
-    if v.is_real:
-        if rep is not None:
-            # L1*L3 = 2*(sqrt(n) - u); sign checked exactly, d > 0 kills it.
-            u = linked_u2w(rep).u
-            positive = u < 0 or u * u < n
-            return 1 if (positive or d > 0) else -1
-        # L1*L3 = -2*(sqrt(n') - 1)^2 < 0: nontrivial exactly when d < 0.
-        return -1 if d < 0 else 1
+def _local_factor(
+    sf: SquareFreeN, v: Place, d: int, tangents: tuple[TangentData, TangentData]
+) -> int:
+    """``local_pairing`` given d and the tangent data of n."""
+    if v.is_real or v.p == 2:
+        # At (0, sqrt(N), 1, -1) each form is a*sqrt(N) + b, and so is L1*L3.
+        big_n = sf.odd_part
+        (a1, b1), (a3, b3) = ((t.linear[1], t.linear[2] - t.linear[3]) for t in tangents)
+        a, b = a1 * b3 + a3 * b1, a1 * a3 * big_n + b1 * b3
+        if v.p == 2:
+            return _hilbert2(a, b, big_n, d)
+        # Exact sign of a*sqrt(N) + b: when a and b differ in sign, the
+        # larger of a^2*N and b^2 wins.
+        positive = a + b > 0 if a * b >= 0 else (a * a * big_n > b * b) == (a > 0)
+        return 1 if (positive or d > 0) else -1
 
     p = v.p
-    if p != 2 and n % p != 0:
+    if sf.n % p != 0:
         raise ValueError(f"place {p} does not divide 2n")
-
-    if rep is not None:
-        u2w = linked_u2w(rep)
-        u, w = u2w.u, u2w.w
-        if p == 2:
-            return _local2_odd(n, u, d)
+    s = sqrt_mod(2, p, 1)
+    if sf.is_even:
+        point = (1, 0, 2, s)
+    else:
         # sqrt(2) mod p chosen so that it equals -u/w, making L3 a unit.
-        s = sqrt_mod(2, p, 1)
+        w, _, u, _ = tangents[1].point
         if (w * s + u) % p != 0:
             s = p - s
         if (w * s + u) % p != 0:
             raise ArithmeticError("no square root of 2 matches -u/w")  # pragma: no cover
-        value = (s - 1) * (2 * w - u * s) % p
-        if value == 0:
-            raise ArithmeticError("tangent product vanished mod p")  # pragma: no cover
-        if abs(d) % p == 0:
-            return legendre(value, p)
-        return 1
-
-    np_ = sf.odd_part
-    if p == 2:
-        return _local2_even(np_, d)
-    s = sqrt_mod(2, p, 1)
-    # L1*L3 = -4*(2 - sqrt(2)); both roots give the same factor.
-    value = -4 * (2 - s) % p
+        point = (1, 0, s, 1)
+    l1, l3 = (sum(c * x for c, x in zip(t.linear, point)) for t in tangents)
+    value = l1 * l3 % p
+    if value == 0:
+        raise ArithmeticError("tangent product vanished mod p")  # pragma: no cover
     if abs(d) % p == 0:
         return legendre(value, p)
     return 1
 
 
-def _local2_odd(n: int, u: int, d: int) -> int:
-    """(2*(sqrt(n) - u), d)_2 with retry-on-ambiguity precision control."""
-    e = 12
-    for _ in range(_MAX_RETRIES):
-        s = sqrt_mod(n, 2, e)
-        parts = _two_adic_parts((s - u) % (1 << (e - 1)), e - 1)
-        if parts is not None:
-            val, unit = parts
-            return hilbert2_from_parts(val + 1, unit, d)
-        e *= 2
-    raise PrecisionExhausted(f"2-adic symbol for n = {n} stayed ambiguous")
-
-
-def _local2_even(np_: int, d: int) -> int:
-    """(-2*(sqrt(n') - 1)^2, d)_2 with retry-on-ambiguity precision control."""
-    e = 12
-    for _ in range(_MAX_RETRIES):
-        s = sqrt_mod(np_, 2, e)
-        x = 2 * (2 * s - np_ - 1) % (1 << e)
-        parts = _two_adic_parts(x, e)
-        if parts is not None:
-            val, unit = parts
-            return hilbert2_from_parts(val, unit, d)
-        e *= 2
-    raise PrecisionExhausted(f"2-adic symbol for n' = {np_} stayed ambiguous")
-
-
-def two_symbol_check(n: int, u: int, mu: int, e: int = 12) -> tuple[list[int], int]:
-    """Both symbols (-u +- sqrt(n), -1)_2 and the target (-mu, -1)_2.
-
-    The 2-adic root is taken at precision 2^e (retried with doubled
-    precision while -u +- sqrt(n) is too close to zero to pin its unit).
-    """
+def two_symbol_check(n: int, u: int, mu: int) -> tuple[list[int], int]:
+    """Both symbols (-u +- sqrt(n), -1)_2 and the target (-mu, -1)_2."""
     rhs = hilbert2_from_parts(0, (-mu) % 8, -1)
-    for _ in range(_MAX_RETRIES):
-        s = sqrt_mod(n, 2, e)
-        lhs = []
-        for x in ((-u + s) % (1 << (e - 1)), (-u - s) % (1 << (e - 1))):
-            parts = _two_adic_parts(x, e - 1)
-            if parts is None:
-                break
-            lhs.append(hilbert2_from_parts(parts[0], parts[1], -1))
-        if len(lhs) == 2:
-            return lhs, rhs
-        e *= 2
-    raise PrecisionExhausted(f"2-adic symbols for n = {n} stayed ambiguous")
+    return [_hilbert2(a, -u, n, -1) for a in (1, -1)], rhs
 
 
 def pairing_places(sf: SquareFreeN) -> list[Place]:
@@ -299,10 +256,10 @@ def pairing_places(sf: SquareFreeN) -> list[Place]:
 
 def pairing_product(sf: SquareFreeN) -> int:
     """Product of all local factors; must agree with the closed form."""
-    d, rep = _pairing_inputs(sf)
+    d, _, tangents = _pairing_inputs(sf)
     out = 1
     for v in pairing_places(sf):
-        out *= _local_factor(sf, v, d, rep)
+        out *= _local_factor(sf, v, d, tangents)
     return out
 
 
@@ -411,17 +368,15 @@ def _choose_pair(forms: list[list[int]], p: int) -> tuple[list[int], list[int]]:
     return forms[0], forms[2]
 
 
-def local_point_search(
-    ts: TorsorSystem, v: Place, e: int | None = None
-) -> LocalPoint | None:
+def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
     """Search for a certified local point on the torsor at the place v.
 
     Finite places run a breadth-first lift over residues modulo p^m on a
     p-minimized model: level one is enumerated exhaustively (see _level_one),
     later levels lift solutions while checking the Hensel certificate.
     Returns None only when some level has no solutions at all, which soundly
-    certifies insolvability.  ``e`` caps the certificate depth; the default
-    is the sufficient bound 2*v_p(4n^2) + 1 plus slack.
+    certifies insolvability.  The certificate depth is the sufficient bound
+    2*v_p(4n^2) + 1 plus slack.
     """
     if v.is_real:
         return _real_point(ts)
@@ -434,7 +389,7 @@ def local_point_search(
         forms, scales = _minimize_at_p(ts, p)
         h1, h3 = _choose_pair(forms, p)
     vp4n2 = 2 * split_power(n, p)[0] + (2 if p == 2 else 0)
-    depth = e if e is not None else 2 * vp4n2 + 1 + 4
+    depth = 2 * vp4n2 + 1 + 4
 
     def report(x, m, cert_val):
         coords = tuple(
@@ -532,8 +487,9 @@ def _scan_certificates(h1, h3, frontier, p, m):
 def _lift_children(h1, h3, x, p: int, mod: int):
     """Solutions mod p*mod lying over x (all coordinates shifted by mod*y).
 
-    For odd p the conditions are linear in the shift y; for p = 2 the eight
-    shifts are checked directly.
+    For odd p the conditions are linear in the shift y.  For p = 2 the forms
+    are diagonal and mod is even, so (x + mod*y)^2 = x^2 mod 2*mod: either
+    all eight shifts lift or none does.
     """
     new_mod = mod * p
     # The patch coordinate is the first one equal to 1 with only multiples
@@ -542,14 +498,14 @@ def _lift_children(h1, h3, x, p: int, mod: int):
     free = [i for i in range(4) if i != patch]
 
     if p == 2:
+        if _eval_form(h1, x) % new_mod or _eval_form(h3, x) % new_mod:
+            return []
         out = []
         for bits in range(8):
             y = [0, 0, 0, 0]
             for axis, coord in enumerate(free):
                 y[coord] = (bits >> axis) & 1
-            cand = tuple((x[i] + mod * y[i]) % new_mod for i in range(4))
-            if _eval_form(h1, cand) % new_mod == 0 and _eval_form(h3, cand) % new_mod == 0:
-                out.append(cand)
+            out.append(tuple((x[i] + mod * y[i]) % new_mod for i in range(4)))
         return out
 
     r1 = (_eval_form(h1, x) // mod) % p

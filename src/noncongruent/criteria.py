@@ -15,12 +15,10 @@ from dataclasses import asdict, dataclass, field
 
 from . import f2linalg, matrices
 from .arith import (
-    Place,
     QuadExpr,
-    REAL_PLACE,
     SquareFreeN,
     factor_squarefree,
-    hilbert,
+    is_norm,
     jacobi,
     quad_jacobi,
 )
@@ -88,8 +86,7 @@ def distinguished_divisor(sf: SquareFreeN) -> int:
             d = -d
         elif d % 8 != 1:
             raise VerificationFailed(f"|d| = {d} is not +-1 mod 8")
-    places = [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
-    if any(hilbert(d, sf.n, v) != 1 for v in places):
+    if not is_norm(d, sf.n, sf.primes):
         raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {sf.n}")
     return d
 

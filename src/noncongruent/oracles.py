@@ -345,7 +345,7 @@ def class_group(disc: int) -> ClassGroupReport:
     # Invariant factors, assembled prime by prime from the rank chains.
     per_prime: dict[int, list[int]] = {}
     for q in _prime_factors(h):
-        chain = _q_rank_chain(group, q)
+        chain = two_chain if q == 2 else _q_rank_chain(group, q)
         count = chain[0] if chain else 0
         exps = [sum(1 for r in chain if r > i) for i in range(count)]
         per_prime[q] = exps

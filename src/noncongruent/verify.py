@@ -8,14 +8,7 @@ the acceptance tests assert on, so every sweep exists once.
 from __future__ import annotations
 
 from . import cassels, criteria, matrices, oracles, tame
-from .arith import (
-    QuadExpr,
-    factor_squarefree,
-    jacobi,
-    quad_jacobi,
-    squarefree_part,
-    squarefree_upto,
-)
+from .arith import QuadExpr, jacobi, quad_jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .reps import (
     Rep2MuTau,
@@ -60,20 +53,21 @@ def _pairing_product(bound: int):
 
 
 def _lemma_2symbol(count: int):
+    """The first ``count`` square-free eligible n = 1 mod 8 with k >= 1."""
     seen = 0
-    n = 9
+    lo = 17
     while seen < count:
-        n += 8
-        if squarefree_part(n) != n:
-            continue
-        sf = factor_squarefree(n)
-        if not sf.eligibility or sf.k == 0:
-            continue
-        seen += 1
-        mu, tau = fundamental_2mu2_tau2(n)
-        u = linked_u2w(Rep2MuTau(mu, tau, n)).u
-        lhs, rhs = cassels.two_symbol_check(n, u, mu)
-        yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
+        for n, sf in squarefree_block(lo, lo + 1024):
+            if n % 8 != 1 or not sf.eligibility or sf.k == 0:
+                continue
+            mu, tau = fundamental_2mu2_tau2(n)
+            u = linked_u2w(Rep2MuTau(mu, tau, n)).u
+            lhs, rhs = cassels.two_symbol_check(n, u, mu)
+            yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
+            seen += 1
+            if seen == count:
+                return
+        lo += 1024
 
 
 def _proposition(bound: int):

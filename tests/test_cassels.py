@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, legendre
+from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert, legendre
 from noncongruent.cassels import (
+    _hilbert2,
     closed_form_pairing,
     local_pairing,
     local_point_search,
@@ -14,7 +17,7 @@ from noncongruent.cassels import (
     torsor,
 )
 from noncongruent.criteria import distinguished_divisor
-from noncongruent.errors import NotRankTwo
+from noncongruent.errors import NotRankTwo, PrecisionExhausted
 from noncongruent.matrices import SelmerTriple, selmer_elements
 from noncongruent.reps import rep_2mu2_tau2
 
@@ -70,6 +73,43 @@ def test_local_pairing_real_place_sign():
     assert pairing_product(sf) == closed_form_pairing(sf, -7, None) == -1
 
 
+@pytest.mark.parametrize(
+    "n, d, factors",
+    [
+        (17, 17, [1, 1, -1]),
+        (34, 17, [1, 1, 1]),
+        (161, 23, [1, 1, 1, 1]),
+        (322, -7, [-1, 1, 1, 1]),
+        (3281, 3281, [1, 1, -1, -1]),
+        (3122, -223, [-1, 1, 1, -1]),
+    ],
+)
+def test_local_pairing_pinned_per_place(n, d, factors):
+    # Each factor, in pairing_places order (oo, 2, then p | n): a product
+    # check cannot catch two sign errors that cancel, as at 3281 and 3122.
+    sf = factor_squarefree(n)
+    assert distinguished_divisor(sf) == d
+    assert [local_pairing(sf, v) for v in pairing_places(sf)] == factors
+
+
+@given(
+    st.integers(-(2**60), 2**60).filter(bool),
+    st.integers(-(10**6), 10**6).map(lambda k: 2 * k + 1),
+)
+def test_two_adic_helper_matches_hilbert(x, d):
+    # with a = 0 the value x is exact, whatever root of n = 1 is taken
+    assert _hilbert2(0, x, 1, d) == hilbert(x, d, Place(2))
+
+
+def test_two_adic_helper_gives_up_on_unpinned_units():
+    # the last retry knows values modulo 2^95: the unit of 2^92 * odd is
+    # pinned mod 8 there, that of 2^93 is not, and 0 never is
+    assert _hilbert2(0, 3 << 92, 1, 5) == hilbert(3 << 92, 5, Place(2))
+    for x in (0, 1 << 93, 1 << 200):
+        with pytest.raises(PrecisionExhausted):
+            _hilbert2(0, x, 1, 5)
+
+
 def test_local_pairing_rejects_good_places():
     # factors away from 2n are never evaluated (they are +1 by screening)
     sf = factor_squarefree(17)
@@ -119,8 +159,6 @@ def test_real_place_solvability_is_sign_of_d2():
 def test_good_place_spot_check():
     # At good odd primes the local factor is +1: evaluate the tangent forms
     # at a certified local point and take the Hilbert symbol directly.
-    from noncongruent.arith import hilbert
-
     sf = factor_squarefree(17)
     d = distinguished_divisor(sf)
     t1, t3 = tangent_data(sf)
@@ -176,7 +214,7 @@ def _factor_at_searched_point(sf, v, d, lam):
     Returns None when no certified point determines the tangent product's
     unit class (the caller skips such places).
     """
-    from noncongruent.arith import hilbert, hilbert2_from_parts
+    from noncongruent.arith import hilbert2_from_parts
     from noncongruent.cassels import torsor as make_torsor
 
     t1, t3 = tangent_data(sf)
