@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import criteria, f2linalg, matrices
+from . import criteria, matrices
 from .arith import (
     Place,
     QuadExpr,

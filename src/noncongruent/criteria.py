@@ -105,7 +105,7 @@ def thm_main1_lhs(sf: SquareFreeN) -> tuple[bool, Verdict]:
     if h4m != 1 or h4p != 0:
         return _settle(v, False)
     d = v.record("d", "kernel_psi", distinguished_divisor(sf))
-    mu = v.record("mu", "pell_window", rep_2mu2_tau2(sf.n, d, sf.primes).mu)
+    mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf.primes).mu)
     return _settle(v, v.record("pairing_symbol", "jacobi_closed_form", jacobi(-mu, d)) == -1)
 
 

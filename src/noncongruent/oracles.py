@@ -6,7 +6,9 @@ reduction cycles of indefinite forms for positive ones (proper equivalence,
 which matches the narrow group canonically).  2-power ranks come from
 counting images of iterated squaring, never from Redei theory, so they can
 cross-check it.  The Selmer oracle re-derives the pure 2-Selmer set from
-local solvability searches alone, never from the Monsky kernel.
+local solvability searches alone, never from the Monsky kernel.  The
+norm-form window scans find the fundamental solutions that ``reps`` builds
+by Euclid in Z[sqrt(2)], by trying every coordinate in a window.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import cassels
-from .arith import Place, REAL_PLACE, SquareFreeN, divisors_of, squarefree_part
-from .errors import NotFundamental, TooLarge
+from .arith import Place, REAL_PLACE, SquareFreeN, divisors_of, is_norm, squarefree_part
+from .errors import NoRepresentation, NotFundamental, TooLarge
 from .matrices import SelmerTriple, field_discriminant
+from .reps import RepNeg, RepU2W
 
 _DISC_CAP = 10**6
 
@@ -370,6 +373,65 @@ def class_group(disc: int) -> ClassGroupReport:
 def h4_oracle(m: int) -> int:
     """4-rank of the narrow class group of Q(sqrt(m)), by composition."""
     return class_group(field_discriminant(m)).r4
+
+
+# ---------------------------------------------------------------------------
+# norm forms: window scans
+# ---------------------------------------------------------------------------
+
+
+def window_2mu2_tau2(n: int) -> tuple[int, int]:
+    """Minimal positive (mu, tau) with 2*mu^2 - tau^2 = n > 0.
+
+    Any solution reduces into mu in [sqrt(n/2), (1+sqrt(2))*sqrt(n/2)] under
+    the unit 3 + 2*sqrt(2), so scanning that window is a complete search.
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    lo = isqrt((n + 1) // 2)
+    while 2 * lo * lo < n:
+        lo += 1
+    hi = isqrt(n // 2) + isqrt(n) + 2
+    for mu in range(lo, hi + 1):
+        t2 = 2 * mu * mu - n
+        tau = isqrt(t2)
+        if tau * tau == t2:
+            return mu, tau
+    raise NoRepresentation(f"{n} != 2*mu^2 - tau^2 for any integers")
+
+
+def window_u2_2w2(n: int) -> RepU2W:
+    """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if not is_norm(2, n):
+        raise NoRepresentation(f"2 is not a norm from Q(sqrt({n}))")
+    lo = isqrt(n)
+    if lo * lo < n:
+        lo += 1
+    hi = isqrt(n) + isqrt(2 * n) + 2
+    for u in range(lo, hi + 1):
+        w2, rem = divmod(u * u - n, 2)
+        if rem:
+            continue
+        w = isqrt(w2)
+        if w * w == w2:
+            return RepU2W(u, w, n)
+    raise NoRepresentation(f"{n} != u^2 - 2*w^2 for any integers")
+
+
+def window_neg(m: int) -> RepNeg:
+    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for m < 0."""
+    if m >= 0:
+        raise ValueError("m must be negative")
+    if not is_norm(2, m):
+        raise NoRepresentation(f"2 is not a norm from Q(sqrt({m}))")
+    for mu in range(1, 2 * isqrt(-m) + 3):
+        l2 = 2 * mu * mu - m
+        lam = isqrt(l2)
+        if lam * lam == l2:
+            return RepNeg(mu, lam, m)
+    raise NoRepresentation(f"{m} != 2*mu^2 - lam^2 for any integers")
 
 
 # ---------------------------------------------------------------------------

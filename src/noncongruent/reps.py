@@ -1,17 +1,29 @@
 """Integer representation solvers for the norm forms 2x^2 - y^2 and x^2 - 2y^2.
 
-Fundamental solutions are found by bounded search over a window that every
-unit-orbit must meet, so the search is complete whenever the norm condition
-(membership of 2 in the norm group of the relevant quadratic field) holds.
+The solutions of 2*mu^2 - tau^2 = n, u^2 - 2*w^2 = n and 2*mu^2 - lam^2 = m
+are the elements tau + mu*sqrt(2), u + w*sqrt(2) and lam + mu*sqrt(2) of
+Z[sqrt(2)] with norm -n, n and -m.  For square-free n such elements exist
+iff every odd p | n is +-1 mod 8, and each is a unit times a product of one
+prime element above every p | n: sqrt(2) above 2, and gcd(p, r + sqrt(2)) by
+Euclid in Z[sqrt(2)] (r^2 = 2 mod p) or its conjugate above odd p.  The
+2^(k-1) conjugate choices, up to conjugating the whole product, are the unit
+orbits; 1 + sqrt(2) fixes the sign of the norm, and 3 + 2*sqrt(2) steps each
+product to its smallest coordinate.  The minimum over the orbits is the
+fundamental solution, the same one that the window scans in ``oracles``
+find at small n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
-from .arith import is_norm
+from .arith import factor_squarefree, sqrt_mod
 from .errors import NoRepresentation
+
+# Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y); coordinate 0 is x, 1 is y.
+_Z2 = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -76,24 +88,83 @@ def orbit_step_u2w(u: int, w: int) -> tuple[int, int]:
     return 3 * u + 4 * w, 2 * u + 3 * w
 
 
-def fundamental_2mu2_tau2(n: int) -> tuple[int, int]:
-    """Minimal positive (mu, tau) with 2*mu^2 - tau^2 = n > 0.
+# ---------------------------------------------------------------------------
+# arithmetic in Z[sqrt(2)]
+# ---------------------------------------------------------------------------
 
-    Any solution reduces into mu in [sqrt(n/2), (1+sqrt(2))*sqrt(n/2)] under
-    the unit 3 + 2*sqrt(2), so scanning that window is a complete search.
+
+def _mul(a: _Z2, b: _Z2) -> _Z2:
+    return a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _smallest(a: _Z2, c: int) -> _Z2:
+    """The element of a's orbit under 3 + 2*sqrt(2) with the least |coordinate c|.
+
+    Along the orbit the coordinate is A*e^j + B*e^-j (e = 3 + 2*sqrt(2)), whose
+    absolute value falls and then rises, so stepping while it falls ends at
+    the minimum.
+    """
+    for unit in ((3, 2), (3, -2)):
+        b = _mul(a, unit)
+        while abs(b[c]) < abs(a[c]):
+            a, b = b, _mul(b, unit)
+    return a
+
+
+def _gcd(a: _Z2, b: _Z2) -> _Z2:
+    """A gcd by Euclid: Z[sqrt(2)] is norm-Euclidean, since the rounded
+    quotient leaves a remainder of at most half the divisor's |norm|."""
+    while b != (0, 0):
+        nb = b[0] * b[0] - 2 * b[1] * b[1]
+        # a / b = a * conj(b) / N(b), rounded coordinate by coordinate.
+        x, y = a[0] * b[0] - 2 * a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        if nb < 0:
+            x, y, nb = -x, -y, -nb
+        qb = _mul(((2 * x + nb) // (2 * nb), (2 * y + nb) // (2 * nb)), b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
+
+
+@lru_cache(maxsize=4096)
+def _prime_element(p: int) -> _Z2:
+    """An element of norm +-p, for p = 2 or a prime p = +-1 mod 8."""
+    if p == 2:
+        return 0, 1
+    return _smallest(_gcd((p, 0), (sqrt_mod(2, p), 1)), 1)
+
+
+def _least(n: int, odd_primes: tuple[int, ...] | None, sign: int, c: int) -> _Z2:
+    """The element of norm sign*n with the least |coordinate c|, for square-free n > 0.
+
+    Raises NotSquareFree for non-square-free n, and NoRepresentation when some
+    odd prime of n is not +-1 mod 8.  The minimum can be 0 only at n = 1.
+    """
+    sf = factor_squarefree(n, odd_primes)
+    if not sf.eligibility:
+        raise NoRepresentation(f"no element of Z[sqrt(2)] has norm +-{n}: a prime is not +-1 mod 8")
+    elements = [_prime_element(p) for p in ((2,) if sf.is_even else ()) + sf.primes]
+    norm = 1
+    for x, y in elements:
+        norm *= x * x - 2 * y * y
+    # Conjugates share a norm, so one factor 1 + sqrt(2) (norm -1) fixes every sign.
+    products = [(1, 0) if norm == sign * n else (1, 1)]
+    for i, (x, y) in enumerate(elements):
+        # Conjugating the whole product keeps |coordinates|, and the conjugate
+        # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
+        choices = ((x, y), (x, -y)) if i > sf.is_even else ((x, y),)
+        products = [_smallest(_mul(a, e), 1) for a in products for e in choices]
+    return min((_smallest(a, c) for a in products), key=lambda a: abs(a[c]))
+
+
+def fundamental_2mu2_tau2(n: int, odd_primes: tuple[int, ...] | None = None) -> tuple[int, int]:
+    """Minimal positive (mu, tau) with 2*mu^2 - tau^2 = n > 0, n square-free.
+
+    ``odd_primes`` of n, when known, spare factoring it.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    lo = isqrt((n + 1) // 2)
-    while 2 * lo * lo < n:
-        lo += 1
-    hi = isqrt(n // 2) + isqrt(n) + 2
-    for mu in range(lo, hi + 1):
-        t2 = 2 * mu * mu - n
-        tau = isqrt(t2)
-        if tau * tau == t2:
-            return mu, tau
-    raise NoRepresentation(f"{n} != 2*mu^2 - tau^2 for any integers")
+    tau, mu = _least(n, odd_primes, -1, 1)
+    return abs(mu), abs(tau)
 
 
 def rep_2mu2_tau2(n: int, d: int, odd_primes: tuple[int, ...] | None = None) -> Rep2MuTau:
@@ -101,36 +172,22 @@ def rep_2mu2_tau2(n: int, d: int, odd_primes: tuple[int, ...] | None = None) -> 
 
     Requires 2 to be a norm from Q(sqrt(n)); mu is odd for odd n, so exactly
     one choice of sign matches d mod 4.  ``odd_primes`` of n, when known,
-    spare factoring n for that check.
+    spare factoring n.
     """
     if d % 2 == 0:
         raise ValueError("d must be odd")
-    if not is_norm(2, n, odd_primes):
-        raise NoRepresentation(f"2 is not a norm from Q(sqrt({n}))")
-    mu, tau = fundamental_2mu2_tau2(n)
+    mu, tau = fundamental_2mu2_tau2(n, odd_primes)
     if mu % 2 == 1 and (mu - d) % 4 != 0:
         mu = -mu
     return Rep2MuTau(mu, tau, n)
 
 
-def rep_u2_2w2(n: int) -> RepU2W:
-    """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0."""
+def rep_u2_2w2(n: int, odd_primes: tuple[int, ...] | None = None) -> RepU2W:
+    """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0 square-free."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if not is_norm(2, n):
-        raise NoRepresentation(f"2 is not a norm from Q(sqrt({n}))")
-    lo = isqrt(n)
-    if lo * lo < n:
-        lo += 1
-    hi = isqrt(n) + isqrt(2 * n) + 2
-    for u in range(lo, hi + 1):
-        w2, rem = divmod(u * u - n, 2)
-        if rem:
-            continue
-        w = isqrt(w2)
-        if w * w == w2:
-            return RepU2W(u, w, n)
-    raise NoRepresentation(f"{n} != u^2 - 2*w^2 for any integers")
+    u, w = _least(n, odd_primes, 1, 0)
+    return RepU2W(abs(u), abs(w), n)
 
 
 def rep_a2_8b2(n: int) -> RepA8B:
@@ -145,18 +202,15 @@ def rep_a2_8b2(n: int) -> RepA8B:
     raise NoRepresentation(f"{n} != a^2 + 8*b^2 for any integers")
 
 
-def rep_neg(m: int) -> RepNeg:
-    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for m < 0."""
+def rep_neg(m: int, odd_primes: tuple[int, ...] | None = None) -> RepNeg:
+    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for square-free m < 0."""
     if m >= 0:
         raise ValueError("m must be negative")
-    if not is_norm(2, m):
-        raise NoRepresentation(f"2 is not a norm from Q(sqrt({m}))")
-    for mu in range(1, 2 * isqrt(-m) + 3):
-        l2 = 2 * mu * mu - m
-        lam = isqrt(l2)
-        if lam * lam == l2:
-            return RepNeg(mu, lam, m)
-    raise NoRepresentation(f"{m} != 2*mu^2 - lam^2 for any integers")
+    lam, mu = _least(-m, odd_primes, 1, 1)
+    if mu == 0:
+        # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
+        lam, mu = 3, 2
+    return RepNeg(abs(mu), abs(lam), m)
 
 
 def linked_u2w(rep: Rep2MuTau) -> RepU2W:

@@ -47,7 +47,10 @@ def _factored(m: int) -> SquareFreeN:
 
 def r2_tame(m: int) -> int:
     """2-rank of the tame kernel of Q(sqrt(m))."""
-    sf = _factored(m)
+    return _r2(m, _factored(m))
+
+
+def _r2(m: int, sf: SquareFreeN) -> int:
     if m > 2:
         norms = sum(1 for e in (1, -1, 2, -2) if is_norm(e, m, sf.primes))
         return sf.k + norms.bit_length() - 1
@@ -59,6 +62,14 @@ def _solution_values(b_target: F2Vector, bmat, primes) -> set[int]:
     return {matrices.psi(x, primes) for x in f2linalg.solution_set(bmat, b_target)}
 
 
+def _mu(m: int, primes: tuple[int, ...]) -> int | None:
+    """mu of the fundamental 2*mu^2 - tau^2 = m (or - lam^2 for m < 0), or
+    None when 2 is not a norm from Q(sqrt(m))."""
+    if not is_norm(2, m, primes):
+        return None
+    return fundamental_2mu2_tau2(m, primes)[0] if m > 0 else rep_neg(m, primes).mu
+
+
 def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
     """The divisor sets V1 and V2 via F2 solves against B = A + D_(m/m').
 
@@ -66,32 +77,30 @@ def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
     m < 0 they are signed, with solutions of the targets b_(-eps) contributing
     negative divisors.  V2 is empty when 2 is not a norm from Q(sqrt(m)).
     """
-    primes = _factored(m).primes
-    sf = factor_squarefree(abs(m) // (2 if m % 2 == 0 else 1), primes)
-    bmat = matrices.build_A(sf) + matrices.build_D(m // sf.n, sf)
+    return _v_sets(m, _factored(m))[:2]
+
+
+def _v_sets(m: int, sf: SquareFreeN) -> tuple[frozenset[int], frozenset[int], int | None]:
+    """``v_sets`` for |m| factored as sf, and the mu it used."""
+    primes = sf.primes
+    odd = factor_squarefree(sf.odd_part, primes)
+    bmat = matrices.build_A(odd) + matrices.build_D(m // odd.n, odd)
 
     def solutions(eps: int) -> set[int]:
-        return _solution_values(matrices.build_b(eps, sf), bmat, primes)
+        return _solution_values(matrices.build_b(eps, odd), bmat, primes)
 
-    two_is_norm = is_norm(2, m, primes)
+    mu = _mu(m, primes)
     if m > 0:
         v1 = set()
         for eps in (1, -1, 2, -2):
             v1 |= solutions(eps)
-        v2: set[int] = set()
-        mu = None
-        if two_is_norm:
-            mu, _ = fundamental_2mu2_tau2(m)
-            v2 = solutions(mu) | solutions(-mu)
-        return frozenset(v1), frozenset(v2)
+        v2 = set() if mu is None else solutions(mu) | solutions(-mu)
+        return frozenset(v1), frozenset(v2), mu
 
     v1 = solutions(1) | solutions(2)
     v1 |= {-d for d in solutions(-1) | solutions(-2)}
-    v2 = set()
-    if two_is_norm:
-        mu = rep_neg(m).mu
-        v2 = solutions(mu) | {-d for d in solutions(-mu)}
-    return frozenset(v1), frozenset(v2)
+    v2 = set() if mu is None else solutions(mu) | {-d for d in solutions(-mu)}
+    return frozenset(v1), frozenset(v2), mu
 
 
 def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -113,15 +122,14 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
 
     eps1 = (1, -1, 2, -2) if m > 0 else (1, 2)
     v1 = frozenset(d for d in candidates if any(matches(d, e) for e in eps1))
-    if not is_norm(2, m, primes):
+    mu = _mu(m, primes)
+    if mu is None:
         return v1, frozenset()
     if m > 0:
-        mu, _ = fundamental_2mu2_tau2(m)
         v2 = frozenset(
             d for d in candidates if any(matches(d, e * mu) for e in (1, -1))
         )
     else:
-        mu = rep_neg(m).mu
         v2 = frozenset(d for d in candidates if matches(d, mu))
     return v1, v2
 
@@ -143,14 +151,15 @@ def _r4_from_counts(m: int, v1: frozenset[int], v2: frozenset[int]) -> int:
 
 
 def tame_report(m: int) -> TameKernelReport:
-    """Full report: r2, r4, the V sets and the mu that was used (if any)."""
-    v1, v2 = v_sets(m)
-    mu: int | None = None
-    if is_norm(2, m):
-        mu = fundamental_2mu2_tau2(m)[0] if m > 0 else rep_neg(m).mu
+    """Full report: r2, r4, the V sets and the mu that was used (if any).
+
+    m is factored once and mu computed once.
+    """
+    sf = _factored(m)
+    v1, v2, mu = _v_sets(m, sf)
     return TameKernelReport(
         m=m,
-        r2=r2_tame(m),
+        r2=_r2(m, sf),
         r4=_r4_from_counts(m, v1, v2),
         v1=v1,
         v2=v2,

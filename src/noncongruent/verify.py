@@ -60,7 +60,7 @@ def _lemma_2symbol(count: int):
         for n, sf in squarefree_block(lo, lo + 1024):
             if n % 8 != 1 or not sf.eligibility or sf.k == 0:
                 continue
-            mu, tau = fundamental_2mu2_tau2(n)
+            mu, tau = fundamental_2mu2_tau2(n, sf.primes)
             u = linked_u2w(Rep2MuTau(mu, tau, n)).u
             lhs, rhs = cassels.two_symbol_check(n, u, mu)
             yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
@@ -83,7 +83,7 @@ def _proposition(bound: int):
         if sf.is_even or not sf.strict_eligibility or sf.k == 0:
             continue
         h4m = matrices.h4(-n, sf.primes)
-        mu = fundamental_2mu2_tau2(n)[0]
+        mu = fundamental_2mu2_tau2(n, sf.primes)[0]
         b = {
             "b_even": rep_a2_8b2(n).b % 2 == 0,
             "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n, sf.primes) == 1,
@@ -115,12 +115,14 @@ def _pell_orbit(bound: int):
             continue
         d = criteria.distinguished_divisor(sf)
         rep = rep_2mu2_tau2(n, d, sf.primes)
+        window_mu = oracles.window_2mu2_tau2(n)[0]
         mu, tau = rep.mu, rep.tau
         symbols = [jacobi(-mu, d)]
         for _ in range(3):
             mu, tau = orbit_step_2mu2(mu, tau)
             symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))
-        yield n, len(set(symbols)) == 1, {"symbols": symbols}
+        ok = len(set(symbols)) == 1 and abs(rep.mu) == window_mu
+        yield n, ok, {"symbols": symbols, "mu": rep.mu, "window_mu": window_mu}
 
 
 SUITES = {

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
@@ -141,6 +142,22 @@ def test_classify_exits_3_beyond_the_primality_bound():
         timeout=10,
     )
     assert proc.returncode == 3 and "psi_13" in proc.stderr
+
+
+def test_classify_two_large_primes_finishes():
+    # 1799999999969 * 1799999999753, s2 = 2: its mu once took an O(sqrt(n)) walk.
+    n = 3239999999499600000007657
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncongruent.cli", "classify", str(n)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode in (0, 1, 2)
+    row = json.loads(proc.stdout)
+    mu = row["mu"]
+    tau2 = 2 * mu * mu - n
+    assert tau2 >= 0 and isqrt(tau2) ** 2 == tau2
 
 
 def test_tame_rejects_non_squarefree_with_exit_3(capsys):

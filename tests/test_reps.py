@@ -1,11 +1,16 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from noncongruent.arith import factor_squarefree, is_norm, squarefree_part
+from noncongruent import oracles
+from noncongruent.arith import factor_squarefree, is_norm, is_prime, squarefree_part, squarefree_upto
 from noncongruent.cassels import two_symbol_check
-from noncongruent.errors import NoRepresentation
+from noncongruent.errors import NoRepresentation, NotSquareFree
 from noncongruent.reps import (
+    _prime_element,
     Rep2MuTau,
     fundamental_2mu2_tau2,
     linked_u2w,
@@ -118,3 +123,71 @@ def test_two_symbol_lemma_small():
         u = linked_u2w(Rep2MuTau(mu, tau, n)).u
         lhs, rhs = two_symbol_check(n, u, mu)
         assert lhs[0] == rhs and lhs[1] == rhs
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except NoRepresentation:
+        return NoRepresentation
+
+
+def _assert_matches_window_scans(n, primes):
+    assert _outcome(fundamental_2mu2_tau2, n, primes) == _outcome(oracles.window_2mu2_tau2, n)
+    assert _outcome(rep_u2_2w2, n, primes) == _outcome(oracles.window_u2_2w2, n)
+    assert _outcome(rep_neg, -n, primes) == _outcome(oracles.window_neg, -n)
+
+
+def test_solvers_equal_window_scans_exhaustively():
+    # Every square-free n <= 2*10^4, odd and even, both signs, n = 1 and 2 included.
+    represented = 0
+    for n, sf in squarefree_upto(20000):
+        _assert_matches_window_scans(n, sf.primes)
+        represented += sf.eligibility
+    assert represented > 1000
+    for n in (1, 2, 17, 34, 161, 322):
+        _assert_matches_window_scans(n, None)
+
+
+def _next_prime_pm1_mod8(q):
+    while not (q % 8 in (1, 7) and is_prime(q)):
+        q += 1
+    return q
+
+
+@st.composite
+def z2_products(draw):
+    """Square-free n <= 10^10 from 2-4 primes = +-1 mod 8, sometimes doubled."""
+    k = draw(st.integers(2, 4))
+    cap = round((10**10 / 2) ** (1 / k))
+    primes = sorted({_next_prime_pm1_mod8(draw(st.integers(7, cap))) for _ in range(k)})
+    n = prod(primes) * draw(st.sampled_from((1, 2)))
+    assume(len(primes) >= 2 and n <= 10**10)
+    return n, tuple(primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z2_products())
+def test_solvers_equal_window_scans_on_prime_products(case):
+    n, primes = case
+    _assert_matches_window_scans(n, primes)
+    assert fundamental_2mu2_tau2(n) == fundamental_2mu2_tau2(n, primes)
+
+
+@given(st.integers(7, 10**12))
+def test_prime_element_has_norm_pm_p(q):
+    p = _next_prime_pm1_mod8(q)
+    x, y = _prime_element(p)
+    assert abs(x * x - 2 * y * y) == p
+
+
+@pytest.mark.parametrize("n", [18, 50, 98, 3 * 17 * 17])
+def test_solvers_reject_non_squarefree(n):
+    with pytest.raises(NotSquareFree):
+        fundamental_2mu2_tau2(n)
+    with pytest.raises(NotSquareFree):
+        rep_u2_2w2(n)
+    with pytest.raises(NotSquareFree):
+        rep_neg(-n)
+    with pytest.raises(NotSquareFree):
+        rep_2mu2_tau2(n, 1)

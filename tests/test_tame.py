@@ -75,3 +75,25 @@ def test_count_power_of_two_sweep():
             assert count & (count - 1) == 0
             assert count >= (2 if m > 0 else 4)
             assert r4_tame(m) >= 0
+
+
+def test_tame_report_factors_once_and_solves_once(monkeypatch):
+    import sys
+
+    from noncongruent import arith, reps
+
+    calls = {"factorize": [], "mu": []}
+    for name, real in (("factorize", arith.factorize), ("mu", reps.fundamental_2mu2_tau2)):
+
+        def counting(n, *args, _real=real, _name=name):
+            calls[_name].append(n)
+            return _real(n, *args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "noncongruent" or mod_name.startswith("noncongruent."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counting)
+    rep = tame_report(161)
+    assert rep.mu_used == 9 and rep.r4 == 1
+    assert calls == {"factorize": [161], "mu": [161]}
