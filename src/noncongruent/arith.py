@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import (
     IllDefined,
@@ -185,53 +185,67 @@ class SquareFreeN:
     eligibility: bool
     strict_eligibility: bool
 
+    @classmethod
+    def from_primes(cls, n: int, primes: tuple[int, ...]) -> "SquareFreeN":
+        """The record of square-free n whose odd primes are exactly the
+        increasing ``primes``; the caller vouches for both, nothing is checked."""
+        is_even = n % 2 == 0
+        residues = {p % 8 for p in primes}
+        return cls(
+            n=n,
+            odd_part=n // 2 if is_even else n,
+            primes=primes,
+            is_even=is_even,
+            eligibility=residues <= {1, 7},
+            strict_eligibility=residues <= {1},
+        )
+
     @property
     def k(self) -> int:
         return len(self.primes)
 
 
-def factor_squarefree(n: int, odd_primes: tuple[int, ...] | None = None) -> SquareFreeN:
-    """Validate and factor a positive square-free integer (or check its
-    known ``odd_primes`` against it, see ``factor_over``)."""
+def factor_squarefree(n: int) -> SquareFreeN:
+    """Validate and factor a positive square-free integer."""
     if n < 1:
         raise ZeroOrNegative(f"n must be >= 1, got {n}")
-    fac = factor_over(n, odd_primes)
+    fac = factorize(n)
     if any(e > 1 for _, e in fac):
         raise NotSquareFree(f"{n} is divisible by a square")
-    primes = tuple(p for p, _ in fac if p != 2)
-    is_even = n % 2 == 0
-    return SquareFreeN(
-        n=n,
-        odd_part=n // 2 if is_even else n,
-        primes=primes,
-        is_even=is_even,
-        eligibility=all(p % 8 in (1, 7) for p in primes),
-        strict_eligibility=all(p % 8 == 1 for p in primes),
-    )
+    return SquareFreeN.from_primes(n, tuple(p for p, _ in fac if p != 2))
 
 
-def squarefree_block(lo: int, hi: int):
+def squarefree_block(lo: int, hi: int, residues: tuple[int, ...] | None = None):
     """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
-    sieve: each prime p <= sqrt(hi) is divided out of its multiples (twice
-    means a square), and what is left above 1 is one prime > sqrt(hi)."""
+    sieve; with ``residues``, only for n whose residue mod 8 is among them.
+
+    Each prime p <= sqrt(hi) marks the multiples of p^2 as not square-free
+    and, when odd, joins the prime list of each of its multiples; the odd
+    part of a square-free n over the product of its list is 1 or one prime
+    above sqrt(hi).  The sieve is exact, so nothing is divided again.
+    """
+    size = hi - lo
     bound = isqrt(hi - 1)
     is_p = bytearray([1]) * (bound + 1)
-    rem = list(range(lo, hi))
-    primes: list[list[int] | None] = [[] for _ in rem]
+    square = bytearray(size)
+    primes: list[list[int]] = [[] for _ in range(size)]
     for p in range(2, bound + 1):
         if not is_p[p]:
             continue
         is_p[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-        for i in range(-lo % p, len(rem), p):
-            if primes[i] is not None:
-                rem[i] //= p
-                if rem[i] % p == 0:
-                    primes[i] = None
-                elif p != 2:
-                    primes[i].append(p)
-    for n, r, ps in zip(range(lo, hi), rem, primes):
-        if ps is not None:
-            yield n, factor_squarefree(n, (*ps, r) if r > 2 else tuple(ps))
+        start = -lo % (p * p)
+        square[start :: p * p] = b"\x01" * len(range(start, size, p * p))
+        if p != 2:
+            for i in range(-lo % p, size, p):
+                primes[i].append(p)
+    for i, ps in enumerate(primes):
+        n = lo + i
+        if square[i] or residues is not None and n % 8 not in residues:
+            continue
+        r = (n if n % 2 else n // 2) // prod(ps)
+        if r > 1:
+            ps.append(r)
+        yield n, SquareFreeN.from_primes(n, tuple(ps))
 
 
 def squarefree_upto(bound: int):
@@ -352,11 +366,16 @@ def _omega(u: int) -> int:
 
 def hilbert(a: int, b: int, v: Place) -> int:
     """Hilbert symbol (a, b)_v for nonzero integers a, b."""
+    return _hilbert(a, b, v.p)
+
+
+def _hilbert(a: int, b: int, p: int | None) -> int:
+    """(a, b)_v at the place v of the prime p, or the real place for None;
+    the caller vouches that p is prime."""
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
-    if v.is_real:
+    if p is None:
         return -1 if (a < 0 and b < 0) else 1
-    p = v.p
     alpha, a = split_power(a, p)
     beta, b = split_power(b, p)
     if p == 2:
@@ -497,6 +516,6 @@ def is_norm(e: int, m: int, odd_primes: tuple[int, ...] | None = None) -> bool:
     """
     if e == 0 or m == 0:
         raise ValueError("arguments must be nonzero")
+    # The primes come from factorize or the caller: no Place re-proves them.
     primes = {p for x in (e, m) for p, _ in factor_over(abs(x), odd_primes) if p != 2}
-    places = [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
-    return all(hilbert(e, m, v) == 1 for v in places)
+    return all(_hilbert(e, m, p) == 1 for p in (None, 2, *sorted(primes)))

@@ -127,7 +127,7 @@ def _pairing_inputs(
             linear=(2 * (np_ - 1), 2, -(np_ + 1), 0),
         )
         return d, None, (t1, t3)
-    rep = rep_2mu2_tau2(sf.n, d, sf.primes)
+    rep = rep_2mu2_tau2(sf.n, d, sf)
     u2w = linked_u2w(rep)
     u, w, n = u2w.u, u2w.w, sf.n
     t1 = TangentData(form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))

@@ -55,20 +55,20 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     }
     if with_oracle and sf.k >= 1:
         m = -n if n % 2 == 1 else -(n // 2)
-        row["h4_agree"] = matrices.h4(m, sf.primes) == oracles.h4_oracle(m)
+        row["h4_agree"] = matrices.h4(m) == oracles.h4_oracle(m)
     return row
 
 
 def _scan_block(args: tuple[int, int, dict]) -> list[dict]:
     lo, hi, opts = args
     rows = []
-    for n, sf in squarefree_block(lo, hi):
+    # Only n = 1, 2 mod 8 pass the eligibility filters: the sieve skips the rest.
+    residues = None if opts["filter"] == "all" else (1, 2)
+    for n, sf in squarefree_block(lo, hi, residues):
         if opts["parity"] != "all" and (n % 2 == 0) != (opts["parity"] == "even"):
             continue
         if opts["filter"] != "all" and not (
-            n % 8 in (1, 2)
-            and sf.k >= 1
-            and (sf.eligibility if opts["filter"] == "eligible" else sf.strict_eligibility)
+            sf.k >= 1 and (sf.eligibility if opts["filter"] == "eligible" else sf.strict_eligibility)
         ):
             continue
         rows.append(_scan_row(sf, opts["oracle"]))
@@ -100,9 +100,20 @@ def cmd_classify(args) -> int:
     }[v.verdict]
 
 
+def _worker_count(jobs: int | str) -> int:
+    """Scan worker processes for --jobs or NONCONGRUENT_JOBS: an integer,
+    clamped to [1, cpu count]; ValueError for anything else."""
+    return max(1, min(int(jobs), os.cpu_count() or 1))
+
+
 def cmd_scan(args) -> int:
     if not 1 <= args.min <= args.max <= 10**8:
         print("scan range must satisfy 1 <= min <= max <= 10^8", file=sys.stderr)
+        return 3
+    try:
+        jobs = _worker_count(os.environ.get("NONCONGRUENT_JOBS", args.jobs))
+    except ValueError:
+        print("NONCONGRUENT_JOBS must be an integer", file=sys.stderr)
         return 3
     lo = max(args.min, args.start or args.min)
     opts = {
@@ -117,7 +128,6 @@ def cmd_scan(args) -> int:
         (b, min(b + _BLOCK, args.max + 1), opts)
         for b in range(lo, args.max + 1, _BLOCK)
     ]
-    jobs = int(os.environ.get("NONCONGRUENT_JOBS", args.jobs))
     if jobs > 1 and len(blocks) > 1:
         with multiprocessing.Pool(jobs) as pool:
             for rows in pool.imap(_scan_block, blocks):

@@ -65,19 +65,18 @@ class Verdict:
         return out
 
 
-def distinguished_divisor(sf: SquareFreeN) -> int:
+def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> int:
     """The unique divisor d != 1 of n with (d, n)_v = +1 at every place.
 
     Odd n: d is the positive divisor read off the one-dimensional kernel of
     A + D_(-1).  Even n: |d| comes from the kernel of A^T and the sign is
-    fixed by d = 1 mod 8.  The Hilbert conditions are re-verified before
-    returning.
+    fixed by d = 1 mod 8.  Both matrices come from the symbol table of n
+    (built here unless given).  The Hilbert conditions are re-verified
+    before returning.
     """
-    a = matrices.build_A(sf)
-    if not sf.is_even:
-        ker = f2linalg.kernel(a + matrices.build_D(-1, sf))
-    else:
-        ker = f2linalg.kernel(a.transpose())
+    if table is None:
+        table = matrices.symbol_table(sf)
+    ker = f2linalg.kernel(table.divisor_matrix())
     if len(ker) != 2:
         raise NotRankTwo(f"kernel size {len(ker)} != 2 for n = {sf.n}")
     d = matrices.psi(ker[1], sf.primes)
@@ -91,35 +90,40 @@ def distinguished_divisor(sf: SquareFreeN) -> int:
     return d
 
 
-def thm_main1_lhs(sf: SquareFreeN) -> tuple[bool, Verdict]:
+def thm_main1_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> tuple[bool, Verdict]:
     """Odd-case criterion: h4(-n) = 1, h4(n) = 0 and (-mu/d) = -1.
 
     Returns whether it holds and the verdict with every value computed on
-    the way (all but s2).
+    the way (all but s2).  Every rank is read off the symbol table of n,
+    built here unless given.
     """
     if sf.is_even or sf.n % 8 != 1 or not sf.eligibility:
         raise PreconditionFailed(f"n = {sf.n} is not odd eligible 1 mod 8")
+    if table is None:
+        table = matrices.symbol_table(sf)
     v = Verdict(n=sf.n, verdict=VerdictKind.CRITERION_FAILS)
-    h4m = v.record("h4_minus", "redei_rank", matrices.h4(-sf.n, sf.primes))
-    h4p = v.record("h4_plus", "redei_rank", matrices.h4(sf.n, sf.primes))
+    h4m = v.record("h4_minus", "redei_rank", table.h4(-sf.n))
+    h4p = v.record("h4_plus", "redei_rank", table.h4(sf.n))
     if h4m != 1 or h4p != 0:
         return _settle(v, False)
-    d = v.record("d", "kernel_psi", distinguished_divisor(sf))
-    mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf.primes).mu)
+    d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
+    mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf).mu)
     return _settle(v, v.record("pairing_symbol", "jacobi_closed_form", jacobi(-mu, d)) == -1)
 
 
-def thm_main2_lhs(sf: SquareFreeN) -> tuple[bool, Verdict]:
+def thm_main2_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> tuple[bool, Verdict]:
     """Even-case criterion: h4(-n/2) = 1 and ((2 - sqrt(2)) / |d|) = -1.
 
     Returns whether it holds and the verdict, as ``thm_main1_lhs`` does.
     """
     if not sf.is_even or sf.n % 8 != 2 or not sf.eligibility:
         raise PreconditionFailed(f"n = {sf.n} is not even eligible 2 mod 8")
+    if table is None:
+        table = matrices.symbol_table(sf)
     v = Verdict(n=sf.n, verdict=VerdictKind.CRITERION_FAILS)
-    if v.record("h4_minus", "redei_rank", matrices.h4(-sf.odd_part, sf.primes)) != 1:
+    if v.record("h4_minus", "redei_rank", table.h4(-sf.odd_part)) != 1:
         return _settle(v, False)
-    d = v.record("d", "kernel_psi", distinguished_divisor(sf))
+    d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
     symbol = quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
     return _settle(v, v.record("pairing_symbol", "quad_jacobi_closed_form", symbol) == -1)
 
@@ -132,8 +136,9 @@ def _settle(v: Verdict, holds: bool) -> tuple[bool, Verdict]:
 def classify(n: int | SquareFreeN) -> Verdict:
     """Classify n; all failure modes become verdict values, never errors.
 
-    n is factored once (a ``SquareFreeN`` is taken as already factored) and
-    every field is computed once.
+    n is factored once (a ``SquareFreeN`` is taken as already factored),
+    every field is computed once, and every F2 matrix is read off one
+    symbol table of n.
     """
     if isinstance(n, SquareFreeN):
         sf = n
@@ -148,10 +153,11 @@ def classify(n: int | SquareFreeN) -> Verdict:
     if sf.k == 0:
         # n = 1 or 2: the pure Selmer group is trivial.
         return Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO, s2=0, trace=[("s2", "trivial_case")])
-    s2 = matrices.s2(sf)
+    table = matrices.symbol_table(sf)
+    s2 = table.s2()
     if s2 != 2:
         return Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO, s2=s2, trace=[("s2", "monsky_rank")])
-    _, v = (thm_main2_lhs if sf.is_even else thm_main1_lhs)(sf)
+    _, v = (thm_main2_lhs if sf.is_even else thm_main1_lhs)(sf, table)
     v.s2 = s2
     v.trace.insert(0, ("s2", "monsky_rank"))
     return v

@@ -60,9 +60,6 @@ class F2Vector:
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(b) for b in self.to_tuple()) + ")"
 
@@ -91,10 +88,6 @@ class F2Matrix:
                     bits |= 1 << j
             rows.append(bits)
         return cls(tuple(rows), ncols)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "F2Matrix":
-        return cls((0,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":

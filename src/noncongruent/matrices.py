@@ -4,7 +4,8 @@ Covers the symbol matrix A attached to the odd part of n, the diagonal
 twists D_eps and their diagonals b_eps, the 2k x 2k Monsky matrix (odd and
 even shapes), the pure 2-Selmer rank s2, enumeration of pure Selmer
 representatives, prime-discriminant factorizations, Redei matrices and the
-class-group ranks h2 / h4 they compute.
+class-group ranks h2 / h4 they compute; and the per-n symbol table from
+which ``classify`` reads all of these for eligible n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .arith import (
     additive_hilbert,
     additive_jacobi,
     factor_squarefree,
-    split_power,
     squarefree_part,
 )
 from .errors import EmptyFactorization, NotCoprime
@@ -73,16 +73,6 @@ def psi(vec: F2Vector, primes: tuple[int, ...]) -> int:
     return out
 
 
-def psi_inverse(d: int, primes: tuple[int, ...]) -> F2Vector:
-    """Exponent vector of |d| over the given prime list."""
-    d = abs(d)
-    bits = 0
-    for i, p in enumerate(primes):
-        e, d = split_power(d, p)
-        bits |= (e & 1) << i
-    return F2Vector(bits, len(primes))
-
-
 def build_A(sf: SquareFreeN) -> F2Matrix:
     """k x k additive-symbol matrix of the odd part.
 
@@ -131,8 +121,11 @@ def monsky_matrix(sf: SquareFreeN) -> F2Matrix:
 
 
 def s2(sf: SquareFreeN) -> int:
-    """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix."""
+    """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix (read off
+    the symbol table when n is eligible)."""
     _require_factors(sf)
+    if sf.eligibility:
+        return symbol_table(sf).s2()
     return 2 * sf.k - f2linalg.rank(monsky_matrix(sf))
 
 
@@ -183,30 +176,26 @@ def torsion_triples(n: int) -> tuple[SelmerTriple, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_odd_primes(m: int, odd_primes: tuple[int, ...] | None) -> tuple[int, ...]:
+def _squarefree_odd_primes(m: int) -> tuple[int, ...]:
     if m in (0, 1):
         raise ValueError("m must define a quadratic field")
-    return factor_squarefree(abs(m), odd_primes).primes
+    return factor_squarefree(abs(m)).primes
 
 
-def field_discriminant(m: int, odd_primes: tuple[int, ...] | None = None) -> int:
-    """Discriminant of Q(sqrt(m)) for square-free m != 0, 1.
-
-    Here and below, known ``odd_primes`` of m (those of n for m = -n, n or
-    -n/2) are checked against m instead of factoring it."""
-    _squarefree_odd_primes(m, odd_primes)
+def field_discriminant(m: int) -> int:
+    """Discriminant of Q(sqrt(m)) for square-free m != 0, 1."""
+    _squarefree_odd_primes(m)
     return m if m % 4 == 1 else 4 * m
 
 
-def prime_discriminants(m: int, odd_primes: tuple[int, ...] | None = None) -> DiscriminantFactorization:
+def prime_discriminants(m: int) -> DiscriminantFactorization:
     """Factor disc(Q(sqrt(m))) into prime discriminants.
 
     Odd prime discriminants p* = (-1)^((p-1)/2) p come first in increasing
     order of p; the even one (one of -4, 8, -8), when present, comes last.
     """
-    odd_primes = _squarefree_odd_primes(m, odd_primes)
-    parts = [p if p % 4 == 1 else -p for p in odd_primes]
-    two_part = field_discriminant(m, odd_primes) // prod(parts)
+    parts = [p if p % 4 == 1 else -p for p in _squarefree_odd_primes(m)]
+    two_part = (m if m % 4 == 1 else 4 * m) // prod(parts)
     if two_part != 1:
         if two_part not in (-4, 8, -8):
             raise ValueError(f"bad 2-part {two_part} for m = {m}")  # pragma: no cover
@@ -214,9 +203,9 @@ def prime_discriminants(m: int, odd_primes: tuple[int, ...] | None = None) -> Di
     return DiscriminantFactorization(tuple(parts))
 
 
-def redei_matrix(m: int, odd_primes: tuple[int, ...] | None = None) -> F2Matrix:
+def redei_matrix(m: int) -> F2Matrix:
     """t x t matrix of additive Hilbert symbols [p_j, m] at the places p_i."""
-    fac = prime_discriminants(m, odd_primes)
+    fac = prime_discriminants(m)
     ps = fac.primes
     rows = []
     for pi in ps:
@@ -233,7 +222,104 @@ def h2(m: int) -> int:
     return prime_discriminants(m).t - 1
 
 
-def h4(m: int, odd_primes: tuple[int, ...] | None = None) -> int:
+def h4(m: int) -> int:
     """4-rank of the narrow class group via the Redei rank formula."""
-    r = redei_matrix(m, odd_primes)
-    return r.ncols - 1 - f2linalg.rank(r)
+    return _h4(redei_matrix(m))
+
+
+def _h4(redei: F2Matrix) -> int:
+    return redei.ncols - 1 - f2linalg.rank(redei)
+
+
+# ---------------------------------------------------------------------------
+# the per-n symbol table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SymbolTable:
+    """The quadratic symbols among the odd primes p_0 < ... < p_(k-1) of n.
+
+    Bit j of ``rows[i]`` is the additive Legendre symbol (p_j / p_i) for
+    j != i (bit i is 0); bit i of ``minus_one`` and of ``two`` is the
+    additive (-1 / p_i) and (2 / p_i).  A, D_(-1), the Monsky matrix of
+    eligible n and the Redei matrices of +-n' and +-2n' (n' the odd part of
+    n) are all read off these bits.
+    """
+
+    sf: SquareFreeN
+    rows: tuple[int, ...]
+    minus_one: int
+    two: int
+
+    def a_matrix(self) -> F2Matrix:
+        """``build_A``: each diagonal entry makes its row sum to zero."""
+        return F2Matrix(
+            tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(self.rows)), self.sf.k
+        )
+
+    def _plus_minus_one(self, a: F2Matrix) -> F2Matrix:
+        return F2Matrix(tuple(r ^ (self.minus_one & 1 << i) for i, r in enumerate(a.rows)), a.ncols)
+
+    def divisor_matrix(self) -> F2Matrix:
+        """The matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T for even n."""
+        a = self.a_matrix()
+        return a.transpose() if self.sf.is_even else self._plus_minus_one(a)
+
+    def s2(self) -> int:
+        """``s2`` for eligible n.  Every (2 / p) = 1 makes D_2 = 0 and
+        D_(-2) = D_(-1), so the Monsky matrix is diag(A, A + D_(-1)) for odd
+        n and [[A^T, D_(-1)], [0, A]] for even n."""
+        _require_factors(self.sf)
+        if self.two:
+            raise ValueError(f"n = {self.sf.n} has a prime +-3 mod 8")
+        k = self.sf.k
+        a = self.a_matrix()
+        if not self.sf.is_even:
+            return 2 * k - f2linalg.rank(a) - f2linalg.rank(self._plus_minus_one(a))
+        top = [r | (self.minus_one & 1 << i) << k for i, r in enumerate(a.transpose().rows)]
+        return 2 * k - f2linalg.rank(F2Matrix(tuple(top + [r << k for r in a.rows]), 2 * k))
+
+    def redei_matrix(self, m: int) -> F2Matrix:
+        """``redei_matrix(m)`` for m = +-n' or +-2n'.
+
+        At an odd place p_i, (p_j, m) is (p_j / p_i) for j != i and
+        ((-m / p_i) / p_i) on the diagonal, and (2, m) is (2 / p_i).  The
+        place 2 has a row when m != 1 mod 4: with q the signed odd part of
+        m, (p_j, m)_2 is eps(p_j) eps(q) + [m even] omega(p_j) and (2, m)_2
+        is omega(q).
+        """
+        even = m % 2 == 0
+        q = m // 2 if even else m
+        if abs(q) != self.sf.odd_part:
+            raise ValueError(f"m = {m} is not +-{self.sf.odd_part} or twice that")
+        k = self.sf.k
+        two = self.two if even else 0
+        # (-m / p_i) / p_i = (-1 / p_i)^[m > 0] (2 / p_i)^[m even] prod_(j != i) (p_j / p_i)
+        diag = (self.minus_one if m > 0 else 0) ^ two
+        rows = [r | ((r.bit_count() ^ diag >> i) & 1) << i for i, r in enumerate(self.rows)]
+        if m % 4 == 1:
+            return F2Matrix(tuple(rows), k)
+        rows = [r | (self.two >> i & 1) << k for i, r in enumerate(rows)]
+        last = ((self.minus_one if q % 4 == 3 else 0) ^ two) | (q % 8 in (3, 5)) << k
+        return F2Matrix(tuple(rows + [last]), k + 1)
+
+    def h4(self, m: int) -> int:
+        """``h4(m)`` for m = +-n' or +-2n', from the table's Redei matrix."""
+        return _h4(self.redei_matrix(m))
+
+
+def symbol_table(sf: SquareFreeN) -> SymbolTable:
+    """The table of sf from its k(k-1)/2 symbols (p_j / p_i), i < j; by
+    reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4."""
+    ps = sf.primes
+    rows = [0] * len(ps)
+    minus_one = two = 0
+    for i, p in enumerate(ps):
+        minus_one |= (p % 4 == 3) << i
+        two |= (p % 8 in (3, 5)) << i
+        for j in range(i + 1, len(ps)):
+            s = additive_jacobi(ps[j], p)
+            rows[i] |= s << j
+            rows[j] |= (s ^ (p % 4 == 3 and ps[j] % 4 == 3)) << i
+    return SymbolTable(sf, tuple(rows), minus_one, two)

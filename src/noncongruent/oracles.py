@@ -506,10 +506,3 @@ def point_search(curve: CongruentCurve, height: int) -> list[tuple[Fraction, Fra
     found.sort(key=lambda pt: (pt[0], pt[1]))
     return found
 
-
-def triangle_from_point(n: int, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Rational right triangle with area n from a non-torsion point."""
-    n_ = Fraction(n)
-    legs = (abs((x * x - n_ * n_) / y), abs(2 * n_ * x / y))
-    hyp = abs((x * x + n_ * n_) / y)
-    return (legs[0], legs[1], hyp)

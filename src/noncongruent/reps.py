@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import factor_squarefree, sqrt_mod
+from .arith import SquareFreeN, factor_squarefree, sqrt_mod
 from .errors import NoRepresentation
 
 # Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y); coordinate 0 is x, 1 is y.
@@ -83,11 +83,6 @@ def orbit_step_2mu2(mu: int, tau: int) -> tuple[int, int]:
     return 3 * mu + 2 * tau, 4 * mu + 3 * tau
 
 
-def orbit_step_u2w(u: int, w: int) -> tuple[int, int]:
-    """Action of 3 + 2*sqrt(2) on u^2 - 2*w^2 = n."""
-    return 3 * u + 4 * w, 2 * u + 3 * w
-
-
 # ---------------------------------------------------------------------------
 # arithmetic in Z[sqrt(2)]
 # ---------------------------------------------------------------------------
@@ -133,13 +128,17 @@ def _prime_element(p: int) -> _Z2:
     return _smallest(_gcd((p, 0), (sqrt_mod(2, p), 1)), 1)
 
 
-def _least(n: int, odd_primes: tuple[int, ...] | None, sign: int, c: int) -> _Z2:
+def _least(n: int, sf: SquareFreeN | None, sign: int, c: int) -> _Z2:
     """The element of norm sign*n with the least |coordinate c|, for square-free n > 0.
 
-    Raises NotSquareFree for non-square-free n, and NoRepresentation when some
-    odd prime of n is not +-1 mod 8.  The minimum can be 0 only at n = 1.
+    ``sf`` is n factored, or None to factor it here.  Raises NotSquareFree for
+    non-square-free n, and NoRepresentation when some odd prime of n is not
+    +-1 mod 8.  The minimum can be 0 only at n = 1.
     """
-    sf = factor_squarefree(n, odd_primes)
+    if sf is None:
+        sf = factor_squarefree(n)
+    elif sf.n != n:
+        raise ValueError(f"the factored {sf.n} is not {n}")
     if not sf.eligibility:
         raise NoRepresentation(f"no element of Z[sqrt(2)] has norm +-{n}: a prime is not +-1 mod 8")
     elements = [_prime_element(p) for p in ((2,) if sf.is_even else ()) + sf.primes]
@@ -156,37 +155,37 @@ def _least(n: int, odd_primes: tuple[int, ...] | None, sign: int, c: int) -> _Z2
     return min((_smallest(a, c) for a in products), key=lambda a: abs(a[c]))
 
 
-def fundamental_2mu2_tau2(n: int, odd_primes: tuple[int, ...] | None = None) -> tuple[int, int]:
+def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, int]:
     """Minimal positive (mu, tau) with 2*mu^2 - tau^2 = n > 0, n square-free.
 
-    ``odd_primes`` of n, when known, spare factoring it.
+    ``sf``, n factored, when known, spares factoring it.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    tau, mu = _least(n, odd_primes, -1, 1)
+    tau, mu = _least(n, sf, -1, 1)
     return abs(mu), abs(tau)
 
 
-def rep_2mu2_tau2(n: int, d: int, odd_primes: tuple[int, ...] | None = None) -> Rep2MuTau:
+def rep_2mu2_tau2(n: int, d: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
     """Fundamental representation n = 2*mu^2 - tau^2 with mu = d mod 4.
 
     Requires 2 to be a norm from Q(sqrt(n)); mu is odd for odd n, so exactly
-    one choice of sign matches d mod 4.  ``odd_primes`` of n, when known,
-    spare factoring n.
+    one choice of sign matches d mod 4.  ``sf``, n factored, when known,
+    spares factoring n.
     """
     if d % 2 == 0:
         raise ValueError("d must be odd")
-    mu, tau = fundamental_2mu2_tau2(n, odd_primes)
+    mu, tau = fundamental_2mu2_tau2(n, sf)
     if mu % 2 == 1 and (mu - d) % 4 != 0:
         mu = -mu
     return Rep2MuTau(mu, tau, n)
 
 
-def rep_u2_2w2(n: int, odd_primes: tuple[int, ...] | None = None) -> RepU2W:
+def rep_u2_2w2(n: int, sf: SquareFreeN | None = None) -> RepU2W:
     """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0 square-free."""
     if n <= 0:
         raise ValueError("n must be positive")
-    u, w = _least(n, odd_primes, 1, 0)
+    u, w = _least(n, sf, 1, 0)
     return RepU2W(abs(u), abs(w), n)
 
 
@@ -202,11 +201,12 @@ def rep_a2_8b2(n: int) -> RepA8B:
     raise NoRepresentation(f"{n} != a^2 + 8*b^2 for any integers")
 
 
-def rep_neg(m: int, odd_primes: tuple[int, ...] | None = None) -> RepNeg:
-    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for square-free m < 0."""
+def rep_neg(m: int, sf: SquareFreeN | None = None) -> RepNeg:
+    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for square-free
+    m < 0; ``sf`` is -m factored, when known."""
     if m >= 0:
         raise ValueError("m must be negative")
-    lam, mu = _least(-m, odd_primes, 1, 1)
+    lam, mu = _least(-m, sf, 1, 1)
     if mu == 0:
         # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
         lam, mu = 3, 2

@@ -62,12 +62,12 @@ def _solution_values(b_target: F2Vector, bmat, primes) -> set[int]:
     return {matrices.psi(x, primes) for x in f2linalg.solution_set(bmat, b_target)}
 
 
-def _mu(m: int, primes: tuple[int, ...]) -> int | None:
+def _mu(m: int, sf: SquareFreeN) -> int | None:
     """mu of the fundamental 2*mu^2 - tau^2 = m (or - lam^2 for m < 0), or
-    None when 2 is not a norm from Q(sqrt(m))."""
-    if not is_norm(2, m, primes):
+    None when 2 is not a norm from Q(sqrt(m)); sf is |m| factored."""
+    if not is_norm(2, m, sf.primes):
         return None
-    return fundamental_2mu2_tau2(m, primes)[0] if m > 0 else rep_neg(m, primes).mu
+    return fundamental_2mu2_tau2(m, sf)[0] if m > 0 else rep_neg(m, sf).mu
 
 
 def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -83,13 +83,13 @@ def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
 def _v_sets(m: int, sf: SquareFreeN) -> tuple[frozenset[int], frozenset[int], int | None]:
     """``v_sets`` for |m| factored as sf, and the mu it used."""
     primes = sf.primes
-    odd = factor_squarefree(sf.odd_part, primes)
+    odd = SquareFreeN.from_primes(sf.odd_part, primes)
     bmat = matrices.build_A(odd) + matrices.build_D(m // odd.n, odd)
 
     def solutions(eps: int) -> set[int]:
         return _solution_values(matrices.build_b(eps, odd), bmat, primes)
 
-    mu = _mu(m, primes)
+    mu = _mu(m, sf)
     if m > 0:
         v1 = set()
         for eps in (1, -1, 2, -2):
@@ -122,7 +122,7 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
 
     eps1 = (1, -1, 2, -2) if m > 0 else (1, 2)
     v1 = frozenset(d for d in candidates if any(matches(d, e) for e in eps1))
-    mu = _mu(m, primes)
+    mu = _mu(m, sf)
     if mu is None:
         return v1, frozenset()
     if m > 0:

@@ -60,7 +60,7 @@ def _lemma_2symbol(count: int):
         for n, sf in squarefree_block(lo, lo + 1024):
             if n % 8 != 1 or not sf.eligibility or sf.k == 0:
                 continue
-            mu, tau = fundamental_2mu2_tau2(n, sf.primes)
+            mu, tau = fundamental_2mu2_tau2(n, sf)
             u = linked_u2w(Rep2MuTau(mu, tau, n)).u
             lhs, rhs = cassels.two_symbol_check(n, u, mu)
             yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
@@ -82,8 +82,8 @@ def _proposition(bound: int):
     for n, sf in squarefree_upto(bound):
         if sf.is_even or not sf.strict_eligibility or sf.k == 0:
             continue
-        h4m = matrices.h4(-n, sf.primes)
-        mu = fundamental_2mu2_tau2(n, sf.primes)[0]
+        h4m = matrices.symbol_table(sf).h4(-n)
+        mu = fundamental_2mu2_tau2(n, sf)[0]
         b = {
             "b_even": rep_a2_8b2(n).b % 2 == 0,
             "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n, sf.primes) == 1,
@@ -114,7 +114,7 @@ def _pell_orbit(bound: int):
         if n % 8 != 1 or not sf.eligibility or sf.k == 0 or matrices.s2(sf) != 2:
             continue
         d = criteria.distinguished_divisor(sf)
-        rep = rep_2mu2_tau2(n, d, sf.primes)
+        rep = rep_2mu2_tau2(n, d, sf)
         window_mu = oracles.window_2mu2_tau2(n)[0]
         mu, tau = rep.mu, rep.tau
         symbols = [jacobi(-mu, d)]

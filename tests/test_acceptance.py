@@ -23,7 +23,7 @@ def test_criterion_1_rank_bridge_odd():
             continue
         checked += 1
         lhs = matrices.s2(sf) == 2
-        rhs = matrices.h4(-n, sf.primes) == 1 and matrices.h4(n, sf.primes) == 0
+        rhs = matrices.h4(-n) == 1 and matrices.h4(n) == 0
         assert lhs == rhs, n
     _report("criterion 1: odd rank bridge s2=2 <=> (h4(-n),h4(n))=(1,0)", True, f"{checked} n")
 
@@ -35,7 +35,7 @@ def test_criterion_2_rank_bridge_even():
             continue
         checked += 1
         lhs = matrices.s2(sf) == 2
-        rhs = matrices.h4(-n // 2, sf.primes) == 1
+        rhs = matrices.h4(-n // 2) == 1
         assert lhs == rhs, n
     _report("criterion 2: even rank bridge s2=2 <=> h4(-n/2)=1", True, f"{checked} n")
 

@@ -19,7 +19,9 @@ from noncongruent.arith import (
     legendre,
     quad_jacobi,
     sqrt_mod,
+    squarefree_block,
     squarefree_part,
+    squarefree_upto,
 )
 from noncongruent.errors import (
     IllDefined,
@@ -42,6 +44,19 @@ def test_factor_squarefree_examples():
         factor_squarefree(45)
     with pytest.raises(ZeroOrNegative):
         factor_squarefree(0)
+
+
+def test_squarefree_block_matches_factor_squarefree_exhaustively():
+    want = {}
+    for n in range(1, 20001):
+        try:
+            want[n] = factor_squarefree(n)
+        except NotSquareFree:
+            pass
+    assert dict(squarefree_block(1, 20001)) == want
+    assert dict(squarefree_upto(20000)) == want
+    kept = {n: sf for n, sf in want.items() if n % 8 in (1, 2)}
+    assert dict(squarefree_block(1, 20001, (1, 2))) == kept
 
 
 def test_factor_squarefree_invariants():
@@ -135,16 +150,6 @@ def test_factor_over_known_primes():
     assert factor_over(23, (7, 23)) == [(23, 1)]  # primes may be a superset
     with pytest.raises(ValueError):
         factor_over(7 * 31, (7, 23))
-
-
-def test_factor_squarefree_with_known_primes():
-    assert factor_squarefree(322, (7, 23)) == factor_squarefree(322)
-    with pytest.raises(ValueError):
-        factor_squarefree(322, (7, 29))
-    with pytest.raises(NotSquareFree):
-        factor_squarefree(4 * 7, (7,))
-    with pytest.raises(NotSquareFree):
-        factor_squarefree(2 * 49, (7,))
 
 
 def test_place_rejects_non_primes():

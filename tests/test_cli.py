@@ -1,12 +1,30 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from math import isqrt
 
 import pytest
 
-from noncongruent import arith
+from noncongruent import arith, cli, criteria
 from noncongruent.cli import main
+
+# SHA-256 of the CSV body (header excluded) of
+# `noncongruent scan 1 100000 --eligible --csv`: the scan byte contract,
+# the same digest the benchmark checks.
+SCAN_DIGEST = "8ef720bdee9c2e421a9f3ec7d90179ad974f3ee5be7115ff43b8de2122a9c95d"
+
+# classify JSON of s2 = 2 cases, odd and even, with negative mu and d.
+PINNED_CLASSIFY = [
+    '{"n":17,"verdict":"NonCongruentSha22","s2":2,"h4_minus":1,"h4_plus":0,"d":17,"mu":-3,"pairing_symbol":-1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["h4_plus","redei_rank"],["d","kernel_psi"],["mu","z2_euclid"],["pairing_symbol","jacobi_closed_form"]]}',
+    '{"n":34,"verdict":"CriterionFails","s2":2,"h4_minus":1,"h4_plus":null,"d":17,"mu":null,"pairing_symbol":1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["d","kernel_psi"],["pairing_symbol","quad_jacobi_closed_form"]]}',
+    '{"n":161,"verdict":"CriterionFails","s2":2,"h4_minus":1,"h4_plus":0,"d":23,"mu":-9,"pairing_symbol":1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["h4_plus","redei_rank"],["d","kernel_psi"],["mu","z2_euclid"],["pairing_symbol","jacobi_closed_form"]]}',
+    '{"n":322,"verdict":"NonCongruentSha22","s2":2,"h4_minus":1,"h4_plus":null,"d":-7,"mu":null,"pairing_symbol":-1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["d","kernel_psi"],["pairing_symbol","quad_jacobi_closed_form"]]}',
+    '{"n":3281,"verdict":"CriterionFails","s2":2,"h4_minus":1,"h4_plus":0,"d":3281,"mu":41,"pairing_symbol":1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["h4_plus","redei_rank"],["d","kernel_psi"],["mu","z2_euclid"],["pairing_symbol","jacobi_closed_form"]]}',
+    '{"n":3122,"verdict":"CriterionFails","s2":2,"h4_minus":1,"h4_plus":null,"d":-223,"mu":null,"pairing_symbol":1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["d","kernel_psi"],["pairing_symbol","quad_jacobi_closed_form"]]}',
+    '{"n":2213746,"verdict":"NonCongruentSha22","s2":2,"h4_minus":1,"h4_plus":null,"d":1106873,"mu":null,"pairing_symbol":-1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["d","kernel_psi"],["pairing_symbol","quad_jacobi_closed_form"]]}',
+]
 
 
 def run_cli(*args):
@@ -163,3 +181,34 @@ def test_classify_two_large_primes_finishes():
 def test_tame_rejects_non_squarefree_with_exit_3(capsys):
     assert main(["tame", "12"]) == 3
     assert "square" in capsys.readouterr().err
+
+
+def test_scan_eligible_csv_digest(monkeypatch, capsys):
+    monkeypatch.delenv("NONCONGRUENT_JOBS", raising=False)
+    assert main(["scan", "1", "100000", "--eligible", "--csv"]) == 0
+    body = capsys.readouterr().out.partition("\n")[2]
+    assert body.count("\n") == 6076
+    assert hashlib.sha256(body.encode()).hexdigest() == SCAN_DIGEST
+
+
+@pytest.mark.parametrize("line", PINNED_CLASSIFY, ids=lambda line: json.loads(line)["n"])
+def test_classify_json_pinned(line):
+    v = criteria.classify(json.loads(line)["n"])
+    assert json.dumps(v.to_dict(), separators=(",", ":")) == line
+
+
+def test_scan_worker_count_is_clamped():
+    # Computed only: no pool is started here.
+    cpus = os.cpu_count() or 1
+    assert cli._worker_count(10**6) == cli._worker_count("1000000") == cpus
+    assert cli._worker_count(0) == cli._worker_count(-5) == 1
+    assert cli._worker_count(1) == 1
+    with pytest.raises(ValueError):
+        cli._worker_count("x")
+
+
+def test_scan_rejects_non_integer_jobs_env(monkeypatch, capsys):
+    monkeypatch.setenv("NONCONGRUENT_JOBS", "x")
+    assert main(["scan", "1", "10"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "NONCONGRUENT_JOBS" in out.err

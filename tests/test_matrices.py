@@ -1,9 +1,12 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncongruent import f2linalg
-from noncongruent.arith import additive_jacobi, factor_squarefree, squarefree_part
+from noncongruent.arith import additive_jacobi, factor_squarefree, is_prime, squarefree_part, squarefree_upto
 from noncongruent.errors import EmptyFactorization, NotCoprime, NotSquareFree
 from noncongruent.f2linalg import F2Matrix
 from noncongruent.matrices import (
@@ -15,10 +18,10 @@ from noncongruent.matrices import (
     h4,
     monsky_matrix,
     prime_discriminants,
-    psi,
     redei_matrix,
     s2,
     selmer_elements,
+    symbol_table,
     torsion_triples,
 )
 
@@ -196,24 +199,71 @@ def test_h4_nonnegative():
         assert h4(m) >= 0
 
 
-def test_psi_roundtrip():
-    sf = factor_squarefree(7 * 17 * 23)
-    for bits in range(8):
-        v = f2linalg.F2Vector(bits, 3)
-        d = psi(v, sf.primes)
-        from noncongruent.matrices import psi_inverse
-
-        assert psi_inverse(d, sf.primes) == v
-
-
 def test_redei_helpers_take_known_primes():
-    for n in (17, 161, 7 * 17 * 41, 1009 * 1097):
-        sf = factor_squarefree(n)
+    # The symbol table carries the primes of n into each Redei matrix of +-n', +-2n'.
+    for n in (17, 161, 7 * 17 * 41, 1009 * 1097, 3 * 5 * 7 * 11):
+        table = symbol_table(factor_squarefree(n))
         for m in (n, -n, 2 * n, -2 * n):
-            assert prime_discriminants(m, sf.primes) == prime_discriminants(m)
-            assert redei_matrix(m, sf.primes) == redei_matrix(m)
-            assert h4(m, sf.primes) == h4(m)
+            assert table.redei_matrix(m) == redei_matrix(m)
+            assert table.h4(m) == h4(m)
     with pytest.raises(ValueError):
-        h4(-161, (7, 29))
+        symbol_table(factor_squarefree(161)).h4(-7 * 29)
     with pytest.raises(NotSquareFree):
-        h4(-7 * 7 * 23, (7, 23))
+        h4(-7 * 7 * 23)
+
+
+def _next_prime_pm1_mod8(q):
+    while not (q % 8 in (1, 7) and is_prime(q)):
+        q += 1
+    return q
+
+
+@st.composite
+def eligible_products(draw):
+    """Square-free n from 1-6 primes = +-1 mod 8, odd part up to about 10^12, sometimes doubled."""
+    k = draw(st.integers(1, 6))
+    cap = round(10 ** (12 / k))
+    primes = sorted({_next_prime_pm1_mod8(draw(st.integers(7, cap))) for _ in range(k)})
+    return factor_squarefree(prod(primes) * draw(st.sampled_from((1, 2))))
+
+
+def _table_matches_integer_routes(sf):
+    table = symbol_table(sf)
+    a = build_A(sf)
+    assert table.a_matrix() == a
+    assert table.divisor_matrix() == (a.transpose() if sf.is_even else a + build_D(-1, sf))
+    for m in (-sf.odd_part, sf.odd_part, -2 * sf.odd_part, 2 * sf.odd_part):
+        if m != 1:
+            assert table.redei_matrix(m) == redei_matrix(m), m
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(eligible_products())
+def test_symbol_table_matches_integer_routes(sf):
+    table = _table_matches_integer_routes(sf)
+    assert table.two == 0
+    ps = sf.primes
+    for i, pi in enumerate(ps):
+        assert table.minus_one >> i & 1 == additive_jacobi(-1, pi)
+        for j, pj in enumerate(ps):
+            assert table.rows[i] >> j & 1 == (0 if i == j else additive_jacobi(pj, pi))
+    if not sf.is_even:
+        # Every (2/p) = 1: the odd Monsky matrix is diag(A, A + D_-1).
+        a, zero = table.a_matrix(), F2Matrix((0,) * sf.k, sf.k)
+        assert monsky_matrix(sf) == F2Matrix.block([[a, zero], [zero, table.divisor_matrix()]])
+    assert table.s2() == s2(sf) == 2 * sf.k - f2linalg.rank(monsky_matrix(sf))
+
+
+def test_symbol_table_matches_integer_routes_exhaustively():
+    # Every square-free n <= 3000, eligible or not: A, the divisor matrix and
+    # all four Redei matrices; s2 only where every prime is +-1 mod 8.
+    for n, sf in squarefree_upto(3000):
+        if sf.k == 0:
+            continue
+        table = _table_matches_integer_routes(sf)
+        if sf.eligibility:
+            assert table.s2() == 2 * sf.k - f2linalg.rank(monsky_matrix(sf))
+        else:
+            with pytest.raises(ValueError):
+                table.s2()

@@ -6,7 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noncongruent import oracles
-from noncongruent.arith import factor_squarefree, is_norm, is_prime, squarefree_part, squarefree_upto
+from noncongruent.arith import (
+    SquareFreeN,
+    factor_squarefree,
+    is_norm,
+    is_prime,
+    squarefree_part,
+    squarefree_upto,
+)
 from noncongruent.cassels import two_symbol_check
 from noncongruent.errors import NoRepresentation, NotSquareFree
 from noncongruent.reps import (
@@ -15,7 +22,6 @@ from noncongruent.reps import (
     fundamental_2mu2_tau2,
     linked_u2w,
     orbit_step_2mu2,
-    orbit_step_u2w,
     rep_2mu2_tau2,
     rep_a2_8b2,
     rep_neg,
@@ -71,10 +77,6 @@ def test_orbit_steps_preserve_norms():
     for _ in range(5):
         mu, tau = orbit_step_2mu2(mu, tau)
         assert 2 * mu * mu - tau * tau == 161
-    u, w = rep_u2_2w2(17).u, rep_u2_2w2(17).w
-    for _ in range(5):
-        u, w = orbit_step_u2w(u, w)
-        assert u * u - 2 * w * w == 17
 
 
 def test_fundamental_solution_is_in_search_window():
@@ -132,17 +134,17 @@ def _outcome(solver, *args):
         return NoRepresentation
 
 
-def _assert_matches_window_scans(n, primes):
-    assert _outcome(fundamental_2mu2_tau2, n, primes) == _outcome(oracles.window_2mu2_tau2, n)
-    assert _outcome(rep_u2_2w2, n, primes) == _outcome(oracles.window_u2_2w2, n)
-    assert _outcome(rep_neg, -n, primes) == _outcome(oracles.window_neg, -n)
+def _assert_matches_window_scans(n, sf):
+    assert _outcome(fundamental_2mu2_tau2, n, sf) == _outcome(oracles.window_2mu2_tau2, n)
+    assert _outcome(rep_u2_2w2, n, sf) == _outcome(oracles.window_u2_2w2, n)
+    assert _outcome(rep_neg, -n, sf) == _outcome(oracles.window_neg, -n)
 
 
 def test_solvers_equal_window_scans_exhaustively():
     # Every square-free n <= 2*10^4, odd and even, both signs, n = 1 and 2 included.
     represented = 0
     for n, sf in squarefree_upto(20000):
-        _assert_matches_window_scans(n, sf.primes)
+        _assert_matches_window_scans(n, sf)
         represented += sf.eligibility
     assert represented > 1000
     for n in (1, 2, 17, 34, 161, 322):
@@ -170,8 +172,9 @@ def z2_products(draw):
 @given(z2_products())
 def test_solvers_equal_window_scans_on_prime_products(case):
     n, primes = case
-    _assert_matches_window_scans(n, primes)
-    assert fundamental_2mu2_tau2(n) == fundamental_2mu2_tau2(n, primes)
+    sf = SquareFreeN.from_primes(n, primes)
+    _assert_matches_window_scans(n, sf)
+    assert fundamental_2mu2_tau2(n) == fundamental_2mu2_tau2(n, sf)
 
 
 @given(st.integers(7, 10**12))
@@ -179,6 +182,13 @@ def test_prime_element_has_norm_pm_p(q):
     p = _next_prime_pm1_mod8(q)
     x, y = _prime_element(p)
     assert abs(x * x - 2 * y * y) == p
+
+
+def test_solvers_reject_a_factored_other_n():
+    sf = factor_squarefree(161)
+    for solve, n in ((fundamental_2mu2_tau2, 17), (rep_u2_2w2, 17), (rep_neg, -17)):
+        with pytest.raises(ValueError):
+            solve(n, sf)
 
 
 @pytest.mark.parametrize("n", [18, 50, 98, 3 * 17 * 17])
