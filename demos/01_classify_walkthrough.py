@@ -7,7 +7,7 @@ the normalized Pell representation, and the final Jacobi symbol.
 
 from noncongruent import classify, factor_squarefree, rep_2mu2_tau2
 from noncongruent.criteria import distinguished_divisor
-from noncongruent.matrices import h4, monsky_matrix, s2
+from noncongruent.matrices import h4, s2, symbol_table
 
 for n in (17, 34, 41, 161, 322, 15):
     verdict = classify(n)
@@ -21,7 +21,7 @@ print()
 n = 17
 sf = factor_squarefree(n)
 print(f"Monsky matrix of {n} (rank {2 * sf.k - s2(sf)}):")
-print(monsky_matrix(sf))
+print(symbol_table(sf).monsky_matrix())
 print(f"s2({n}) = {s2(sf)}")
 print(f"h4(-{n}) = {h4(-n)}, h4({n}) = {h4(n)}")
 d = distinguished_divisor(sf)

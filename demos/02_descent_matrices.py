@@ -1,25 +1,19 @@
 """Descent matrices and the rank bridge.
 
-Builds the symbol matrix A, the Monsky matrix and the Redei matrices for a
-composite example, enumerates the pure 2-Selmer representatives, and sweeps
-a range to illustrate that s2(n) = 2 is equivalent to the pair of Redei
-4-rank conditions.
+Reads the symbol matrix A, the Monsky matrix and the Redei matrices of a
+composite example off its symbol table, enumerates the pure 2-Selmer
+representatives, and sweeps a range to illustrate that s2(n) = 2 is
+equivalent to the pair of Redei 4-rank conditions.
 """
 
 from noncongruent.arith import factor_squarefree, squarefree_part
-from noncongruent.matrices import (
-    build_A,
-    h4,
-    monsky_matrix,
-    redei_matrix,
-    s2,
-    selmer_elements,
-)
+from noncongruent.matrices import h4, redei_matrix, s2, selmer_elements, symbol_table
 
 n = 161  # 7 * 23, both -1 mod 8
 sf = factor_squarefree(n)
-print(f"A_{n} =\n{build_A(sf)}")
-print(f"M_{n} =\n{monsky_matrix(sf)}")
+table = symbol_table(sf)
+print(f"A_{n} =\n{table.a_matrix()}")
+print(f"M_{n} =\n{table.monsky_matrix()}")
 print(f"s2({n}) = {s2(sf)}")
 print(f"R_{n} =\n{redei_matrix(n)}")
 print(f"R_-{n} =\n{redei_matrix(-n)}")

@@ -23,16 +23,13 @@ from .criteria import Verdict, VerdictKind, classify, distinguished_divisor
 from .f2linalg import F2Matrix, F2Vector
 from .matrices import (
     SelmerTriple,
-    build_A,
     build_b,
-    build_D,
     h2,
     h4,
-    monsky_matrix,
-    prime_discriminants,
     redei_matrix,
     s2,
     selmer_elements,
+    symbol_table,
 )
 from .oracles import (
     BQForm,
@@ -68,16 +65,13 @@ __all__ = [
     "F2Matrix",
     "F2Vector",
     "SelmerTriple",
-    "build_A",
     "build_b",
-    "build_D",
     "h2",
     "h4",
-    "monsky_matrix",
-    "prime_discriminants",
     "redei_matrix",
     "s2",
     "selmer_elements",
+    "symbol_table",
     "BQForm",
     "ClassGroupReport",
     "CongruentCurve",

@@ -391,11 +391,6 @@ def _hilbert(a: int, b: int, p: int | None) -> int:
     return result
 
 
-def additive_hilbert(a, b, v: Place) -> int:
-    """Image of the Hilbert symbol in F2."""
-    return 0 if hilbert(a, b, v) == 1 else 1
-
-
 def hilbert2_from_parts(val: int, unit: int, b: int) -> int:
     """(2^val * u, b)_2 from the 2-adic valuation and unit of the left side.
 

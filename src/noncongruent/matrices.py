@@ -1,27 +1,22 @@
-"""Builders for the descent matrices and their derived ranks.
+"""The descent matrices and the ranks they give.
 
-Covers the symbol matrix A attached to the odd part of n, the diagonal
-twists D_eps and their diagonals b_eps, the 2k x 2k Monsky matrix (odd and
-even shapes), the pure 2-Selmer rank s2, enumeration of pure Selmer
-representatives, prime-discriminant factorizations, Redei matrices and the
-class-group ranks h2 / h4 they compute; and the per-n symbol table from
-which ``classify`` reads all of these for eligible n.
+Every matrix is read off one per-n ``SymbolTable``: the quadratic symbols
+(p_j / p_i), (-1 / p_i) and (2 / p_i) among the odd primes of n.  From
+these bits come the symbol matrix A, the 2k x 2k Monsky matrix (odd and
+even shapes) and with it the pure 2-Selmer rank s2 and its
+representatives, the matrix whose kernel holds the distinguished divisor,
+and the Redei matrix of Q(sqrt(m)) for every square-free m, with the
+class-group ranks h2 / h4 it gives.  ``build_b`` gives the twist diagonals
+b_eps that ``tame`` solves against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from . import f2linalg
-from .arith import (
-    Place,
-    SquareFreeN,
-    additive_hilbert,
-    additive_jacobi,
-    factor_squarefree,
-    squarefree_part,
-)
+from .arith import SquareFreeN, additive_jacobi, factor_squarefree, squarefree_part
 from .errors import EmptyFactorization, NotCoprime
 from .f2linalg import F2Matrix, F2Vector
 
@@ -43,22 +38,6 @@ class SelmerTriple:
         return f"({self.d1},{self.d2},{self.d3})"
 
 
-@dataclass(frozen=True)
-class DiscriminantFactorization:
-    """Prime-discriminant factorization of disc(Q(sqrt(m)))."""
-
-    prime_discriminants: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.prime_discriminants)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        """Underlying rational primes (2 for the even prime discriminants)."""
-        return tuple(2 if d in (-4, 8, -8) else abs(d) for d in self.prime_discriminants)
-
-
 def _require_factors(sf: SquareFreeN) -> None:
     if sf.k == 0:
         raise EmptyFactorization(f"n = {sf.n} has no odd prime factor")
@@ -73,33 +52,6 @@ def psi(vec: F2Vector, primes: tuple[int, ...]) -> int:
     return out
 
 
-def build_A(sf: SquareFreeN) -> F2Matrix:
-    """k x k additive-symbol matrix of the odd part.
-
-    Off-diagonal entries are the additive Jacobi symbols (p_j / p_i); the
-    diagonal entry is the additive symbol of the complementary divisor, which
-    makes every row sum to zero.
-    """
-    _require_factors(sf)
-    ps = sf.primes
-    rows = []
-    for i, pi in enumerate(ps):
-        bits = 0
-        for j, pj in enumerate(ps):
-            a = additive_jacobi(sf.odd_part // pi if i == j else pj, pi)
-            bits |= a << j
-        rows.append(bits)
-    return F2Matrix(tuple(rows), sf.k)
-
-
-def build_D(eps: int, sf: SquareFreeN) -> F2Matrix:
-    """diag of the additive Jacobi symbols (eps / p_i)."""
-    _require_factors(sf)
-    if gcd(eps, sf.odd_part) != 1:
-        raise NotCoprime(f"eps = {eps} shares a factor with {sf.odd_part}")
-    return F2Matrix.diagonal([additive_jacobi(eps, p) for p in sf.primes])
-
-
 def build_b(eps: int, sf: SquareFreeN) -> F2Vector:
     """The diagonal of D_eps as a column vector."""
     _require_factors(sf)
@@ -108,25 +60,9 @@ def build_b(eps: int, sf: SquareFreeN) -> F2Vector:
     return F2Vector.from_bits([additive_jacobi(eps, p) for p in sf.primes])
 
 
-def monsky_matrix(sf: SquareFreeN) -> F2Matrix:
-    """2k x 2k Monsky matrix whose kernel is the pure 2-Selmer group."""
-    _require_factors(sf)
-    a = build_A(sf)
-    d2 = build_D(2, sf)
-    if not sf.is_even:
-        return F2Matrix.block([[a + d2, d2], [d2, a + build_D(-2, sf)]])
-    return F2Matrix.block(
-        [[a.transpose() + d2, build_D(-1, sf)], [d2, a + d2]]
-    )
-
-
 def s2(sf: SquareFreeN) -> int:
-    """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix (read off
-    the symbol table when n is eligible)."""
-    _require_factors(sf)
-    if sf.eligibility:
-        return symbol_table(sf).s2()
-    return 2 * sf.k - f2linalg.rank(monsky_matrix(sf))
+    """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix."""
+    return symbol_table(sf).s2()
 
 
 def _split(v: F2Vector, k: int) -> tuple[F2Vector, F2Vector]:
@@ -144,9 +80,8 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
     Even n: (x; y) maps to |d3| = psi(x) with the sign fixed by d3 = 1 mod 4,
     d2 = psi(y) > 0, and d1 the signed square-free part of d2*d3.
     """
-    _require_factors(sf)
     out: set[SelmerTriple] = set()
-    for v in f2linalg.kernel(monsky_matrix(sf)):
+    for v in f2linalg.kernel(symbol_table(sf).monsky_matrix()):
         x, y = _split(v, sf.k)
         if not sf.is_even:
             d2 = psi(x, sf.primes)
@@ -176,50 +111,26 @@ def torsion_triples(n: int) -> tuple[SelmerTriple, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_odd_primes(m: int) -> tuple[int, ...]:
-    if m in (0, 1):
-        raise ValueError("m must define a quadratic field")
-    return factor_squarefree(abs(m)).primes
-
-
 def field_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for square-free m != 0, 1."""
-    _squarefree_odd_primes(m)
+    if m in (0, 1):
+        raise ValueError("m must define a quadratic field")
+    factor_squarefree(abs(m))
     return m if m % 4 == 1 else 4 * m
 
 
-def prime_discriminants(m: int) -> DiscriminantFactorization:
-    """Factor disc(Q(sqrt(m))) into prime discriminants.
-
-    Odd prime discriminants p* = (-1)^((p-1)/2) p come first in increasing
-    order of p; the even one (one of -4, 8, -8), when present, comes last.
-    """
-    parts = [p if p % 4 == 1 else -p for p in _squarefree_odd_primes(m)]
-    two_part = (m if m % 4 == 1 else 4 * m) // prod(parts)
-    if two_part != 1:
-        if two_part not in (-4, 8, -8):
-            raise ValueError(f"bad 2-part {two_part} for m = {m}")  # pragma: no cover
-        parts.append(two_part)
-    return DiscriminantFactorization(tuple(parts))
-
-
 def redei_matrix(m: int) -> F2Matrix:
-    """t x t matrix of additive Hilbert symbols [p_j, m] at the places p_i."""
-    fac = prime_discriminants(m)
-    ps = fac.primes
-    rows = []
-    for pi in ps:
-        place = Place(pi)
-        bits = 0
-        for j, pj in enumerate(ps):
-            bits |= additive_hilbert(pj, m, place) << j
-        rows.append(bits)
-    return F2Matrix(tuple(rows), fac.t)
+    """Redei matrix of Q(sqrt(m)) for square-free m != 0, 1: the additive
+    Hilbert symbols (p_j, m) at the places p_i, over the primes that ramify
+    (the odd primes of m, then 2 when m != 1 mod 4)."""
+    if m in (0, 1):
+        raise ValueError("m must define a quadratic field")
+    return symbol_table(factor_squarefree(abs(m))).redei_matrix(m)
 
 
 def h2(m: int) -> int:
-    """2-rank of the narrow class group: one less than the prime-disc count."""
-    return prime_discriminants(m).t - 1
+    """2-rank of the narrow class group: one less than the ramified-prime count."""
+    return redei_matrix(m).ncols - 1
 
 
 def h4(m: int) -> int:
@@ -242,9 +153,9 @@ class SymbolTable:
 
     Bit j of ``rows[i]`` is the additive Legendre symbol (p_j / p_i) for
     j != i (bit i is 0); bit i of ``minus_one`` and of ``two`` is the
-    additive (-1 / p_i) and (2 / p_i).  A, D_(-1), the Monsky matrix of
-    eligible n and the Redei matrices of +-n' and +-2n' (n' the odd part of
-    n) are all read off these bits.
+    additive (-1 / p_i) and (2 / p_i).  A, the diagonals D_(-1) and D_2,
+    the Monsky matrix and the Redei matrices of +-n' and +-2n' (n' the odd
+    part of n) are all read off these bits.
     """
 
     sf: SquareFreeN
@@ -253,35 +164,43 @@ class SymbolTable:
     two: int
 
     def a_matrix(self) -> F2Matrix:
-        """``build_A``: each diagonal entry makes its row sum to zero."""
+        """The k x k matrix A: (p_j / p_i) off the diagonal, and each
+        diagonal entry makes its row sum to zero."""
+        _require_factors(self.sf)
         return F2Matrix(
             tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(self.rows)), self.sf.k
         )
 
-    def _plus_minus_one(self, a: F2Matrix) -> F2Matrix:
-        return F2Matrix(tuple(r ^ (self.minus_one & 1 << i) for i, r in enumerate(a.rows)), a.ncols)
-
     def divisor_matrix(self) -> F2Matrix:
         """The matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T for even n."""
         a = self.a_matrix()
-        return a.transpose() if self.sf.is_even else self._plus_minus_one(a)
+        if self.sf.is_even:
+            return a.transpose()
+        return F2Matrix(tuple(r ^ self.minus_one & 1 << i for i, r in enumerate(a.rows)), a.ncols)
+
+    def monsky_matrix(self) -> F2Matrix:
+        """The 2k x 2k Monsky matrix, whose kernel is the pure 2-Selmer group.
+
+        With D_2 = diag(two), D_(-1) = diag(minus_one) and D_(-2) = D_(-1) +
+        D_2, it is [[A + D_2, D_2], [D_2, A + D_(-2)]] for odd n and
+        [[A^T + D_2, D_(-1)], [D_2, A + D_2]] for even n.
+        """
+        a = self.a_matrix()
+        k, two = a.ncols, self.two
+        if self.sf.is_even:
+            left, right, twist = a.transpose().rows, self.minus_one, two
+        else:
+            left, right, twist = a.rows, two, self.minus_one ^ two
+        top = [(r ^ two & 1 << i) | (right & 1 << i) << k for i, r in enumerate(left)]
+        bottom = [(two & 1 << i) | (r ^ twist & 1 << i) << k for i, r in enumerate(a.rows)]
+        return F2Matrix(tuple(top + bottom), 2 * k)
 
     def s2(self) -> int:
-        """``s2`` for eligible n.  Every (2 / p) = 1 makes D_2 = 0 and
-        D_(-2) = D_(-1), so the Monsky matrix is diag(A, A + D_(-1)) for odd
-        n and [[A^T, D_(-1)], [0, A]] for even n."""
-        _require_factors(self.sf)
-        if self.two:
-            raise ValueError(f"n = {self.sf.n} has a prime +-3 mod 8")
-        k = self.sf.k
-        a = self.a_matrix()
-        if not self.sf.is_even:
-            return 2 * k - f2linalg.rank(a) - f2linalg.rank(self._plus_minus_one(a))
-        top = [r | (self.minus_one & 1 << i) << k for i, r in enumerate(a.transpose().rows)]
-        return 2 * k - f2linalg.rank(F2Matrix(tuple(top + [r << k for r in a.rows]), 2 * k))
+        """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix."""
+        return 2 * self.sf.k - f2linalg.rank(self.monsky_matrix())
 
     def redei_matrix(self, m: int) -> F2Matrix:
-        """``redei_matrix(m)`` for m = +-n' or +-2n'.
+        """The Redei matrix of Q(sqrt(m)) for m = +-n' or +-2n'.
 
         At an odd place p_i, (p_j, m) is (p_j / p_i) for j != i and
         ((-m / p_i) / p_i) on the diagonal, and (2, m) is (2 / p_i).  The

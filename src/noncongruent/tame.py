@@ -22,7 +22,7 @@ from .arith import (
     legendre,
 )
 from .errors import CountNotPowerOfTwo, OutOfRange
-from .f2linalg import F2Vector
+from .f2linalg import F2Matrix, F2Vector
 from .reps import fundamental_2mu2_tau2, rep_neg
 
 
@@ -84,7 +84,8 @@ def _v_sets(m: int, sf: SquareFreeN) -> tuple[frozenset[int], frozenset[int], in
     """``v_sets`` for |m| factored as sf, and the mu it used."""
     primes = sf.primes
     odd = SquareFreeN.from_primes(sf.odd_part, primes)
-    bmat = matrices.build_A(odd) + matrices.build_D(m // odd.n, odd)
+    twist = matrices.build_b(m // odd.n, odd).to_tuple()
+    bmat = matrices.symbol_table(odd).a_matrix() + F2Matrix.diagonal(twist)
 
     def solutions(eps: int) -> set[int]:
         return _solution_values(matrices.build_b(eps, odd), bmat, primes)

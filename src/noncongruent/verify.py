@@ -30,13 +30,14 @@ def _selmer_oracle(bound: int):
 
 
 def _class_oracle(bound: int):
-    for n, _ in squarefree_upto(bound):
+    for n, sf in squarefree_upto(bound):
         if n == 1:
             continue
+        table = matrices.symbol_table(sf)
         for m in (n, -n):
             if abs(matrices.field_discriminant(m)) > 10**6:
                 continue
-            redei, oracle = matrices.h4(m), oracles.h4_oracle(m)
+            redei, oracle = table.h4(m), oracles.h4_oracle(m)
             yield m, redei == oracle, {"redei": redei, "oracle": oracle}
 
 

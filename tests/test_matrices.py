@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncongruent import f2linalg
-from noncongruent.arith import additive_jacobi, factor_squarefree, is_prime, squarefree_part, squarefree_upto
+from noncongruent.arith import (
+    Place,
+    additive_jacobi,
+    factor_squarefree,
+    hilbert,
+    is_prime,
+    squarefree_part,
+    squarefree_upto,
+)
 from noncongruent.errors import EmptyFactorization, NotCoprime, NotSquareFree
 from noncongruent.f2linalg import F2Matrix
 from noncongruent.matrices import (
     SelmerTriple,
-    build_A,
     build_b,
-    build_D,
+    field_discriminant,
     h2,
     h4,
-    monsky_matrix,
-    prime_discriminants,
     redei_matrix,
     s2,
     selmer_elements,
@@ -39,29 +44,39 @@ def _eligible_squarefree(rng, odd=True, max_primes=3, strict=False):
     return factor_squarefree(n if odd else 2 * n)
 
 
+def _a(n):
+    return symbol_table(factor_squarefree(n)).a_matrix()
+
+
+def _d(eps, sf):
+    return F2Matrix.diagonal(build_b(eps, sf).to_tuple())
+
+
 def test_build_A_examples():
-    assert build_A(factor_squarefree(17)).to_lists() == [[0]]
-    assert build_A(factor_squarefree(15)).to_lists() == [[1, 1], [1, 1]]
-    assert build_A(factor_squarefree(161)).to_lists() == [[0, 0], [1, 1]]
+    assert _a(17).to_lists() == [[0]]
+    assert _a(15).to_lists() == [[1, 1], [1, 1]]
+    assert _a(161).to_lists() == [[0, 0], [1, 1]]
     with pytest.raises(EmptyFactorization):
-        build_A(factor_squarefree(2))
+        _a(2)
 
 
 def test_build_D_examples():
-    assert build_D(-1, factor_squarefree(17)).to_lists() == [[0]]
-    assert build_D(2, factor_squarefree(161)).to_lists() == [[0, 0], [0, 0]]
-    assert build_D(-1, factor_squarefree(161)).to_lists() == [[1, 0], [0, 1]]
+    # D_eps is the diagonal matrix of b_eps.
+    assert _d(-1, factor_squarefree(17)).to_lists() == [[0]]
+    assert _d(2, factor_squarefree(161)).to_lists() == [[0, 0], [0, 0]]
+    assert _d(-1, factor_squarefree(161)).to_lists() == [[1, 0], [0, 1]]
     with pytest.raises(NotCoprime):
-        build_D(7, factor_squarefree(161))
+        build_b(7, factor_squarefree(161))
 
 
 def test_monsky_matrix_examples():
-    assert monsky_matrix(factor_squarefree(17)).to_lists() == [[0, 0], [0, 0]]
-    assert monsky_matrix(factor_squarefree(34)).to_lists() == [[0, 0], [0, 0]]
+    assert symbol_table(factor_squarefree(17)).monsky_matrix().to_lists() == [[0, 0], [0, 0]]
+    assert symbol_table(factor_squarefree(34)).monsky_matrix().to_lists() == [[0, 0], [0, 0]]
     sf15 = factor_squarefree(15)
-    top_left = [row[:2] for row in monsky_matrix(sf15).to_lists()[:2]]
-    expected = (build_A(sf15) + build_D(2, sf15)).to_lists()
-    assert top_left == expected
+    top_left = [row[:2] for row in symbol_table(sf15).monsky_matrix().to_lists()[:2]]
+    assert top_left == (_a(15) + _d(2, sf15)).to_lists()
+    with pytest.raises(EmptyFactorization):
+        symbol_table(factor_squarefree(2)).monsky_matrix()
 
 
 def test_s2_examples():
@@ -110,7 +125,7 @@ def test_A_row_sums_vanish():
         sf = factor_squarefree(n)
         if sf.k == 0:
             continue
-        a = build_A(sf)
+        a = symbol_table(sf).a_matrix()
         ones = f2linalg.F2Vector((1 << sf.k) - 1, sf.k)
         assert a.mul_vec(ones).is_zero()
         assert f2linalg.rank(a) <= sf.k - 1
@@ -128,33 +143,18 @@ def test_transpose_relation_column_sums():
         if sf.k == 0:
             continue
         seen += 1
-        a = build_A(sf)
+        a = symbol_table(sf).a_matrix()
         ones = f2linalg.F2Vector((1 << sf.k) - 1, sf.k)
         assert a.transpose().mul_vec(ones) == build_b(-1, sf)
 
 
-def test_prime_discriminants_examples():
-    fac = prime_discriminants(-17)
-    assert fac.prime_discriminants == (17, -4) and fac.t == 2
-    fac = prime_discriminants(17)
-    assert fac.prime_discriminants == (17,) and fac.t == 1
-    fac = prime_discriminants(-34)
-    assert fac.prime_discriminants == (17, -8) and fac.t == 2
-
-
-def test_prime_discriminants_product():
-    rng = random.Random(24)
-    from noncongruent.matrices import field_discriminant
-
-    for _ in range(300):
-        m = rng.choice([-1, 1]) * rng.randrange(2, 5000)
-        if squarefree_part(m) != m or m in (0, 1):
-            continue
-        fac = prime_discriminants(m)
-        prod = 1
-        for d in fac.prime_discriminants:
-            prod *= d
-        assert prod == field_discriminant(m)
+def test_field_discriminant_examples():
+    assert [field_discriminant(m) for m in (17, -17, -34)] == [17, -68, -136]
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            field_discriminant(m)
+    with pytest.raises(NotSquareFree):
+        field_discriminant(-7 * 7 * 23)
 
 
 def test_redei_matrix_matches_block_forms():
@@ -169,8 +169,8 @@ def test_redei_matrix_matches_block_forms():
         if sf.k == 0:
             continue
         seen += 1
-        a = build_A(sf)
-        assert redei_matrix(n).to_lists() == (a + build_D(-1, sf)).to_lists()
+        a = symbol_table(sf).a_matrix()
+        assert redei_matrix(n).to_lists() == (a + _d(-1, sf)).to_lists()
         block = redei_matrix(-n).to_lists()
         b2 = build_b(2, sf).to_tuple()
         bm1 = build_b(-1, sf).to_tuple()
@@ -200,7 +200,7 @@ def test_h4_nonnegative():
 
 
 def test_redei_helpers_take_known_primes():
-    # The symbol table carries the primes of n into each Redei matrix of +-n', +-2n'.
+    # The symbol table of n carries its primes into each Redei matrix of +-n', +-2n'.
     for n in (17, 161, 7 * 17 * 41, 1009 * 1097, 3 * 5 * 7 * 11):
         table = symbol_table(factor_squarefree(n))
         for m in (n, -n, 2 * n, -2 * n):
@@ -210,60 +210,86 @@ def test_redei_helpers_take_known_primes():
         symbol_table(factor_squarefree(161)).h4(-7 * 29)
     with pytest.raises(NotSquareFree):
         h4(-7 * 7 * 23)
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            h4(m)
 
 
-def _next_prime_pm1_mod8(q):
-    while not (q % 8 in (1, 7) and is_prime(q)):
+def _next_prime(q, residues):
+    while not (q % 8 in residues and is_prime(q)):
         q += 1
     return q
 
 
 @st.composite
-def eligible_products(draw):
-    """Square-free n from 1-6 primes = +-1 mod 8, odd part up to about 10^12, sometimes doubled."""
+def squarefree_products(draw):
+    """Square-free n from 1-6 odd primes, odd part up to about 10^12, sometimes
+    doubled; half the draws keep every prime +-1 mod 8, the rest take any."""
     k = draw(st.integers(1, 6))
     cap = round(10 ** (12 / k))
-    primes = sorted({_next_prime_pm1_mod8(draw(st.integers(7, cap))) for _ in range(k)})
+    residues = draw(st.sampled_from(((1, 7), (1, 3, 5, 7))))
+    primes = sorted({_next_prime(draw(st.integers(3, cap)), residues) for _ in range(k)})
     return factor_squarefree(prod(primes) * draw(st.sampled_from((1, 2))))
 
 
-def _table_matches_integer_routes(sf):
+def _redei_by_hilbert(m, odd_primes):
+    """The Redei matrix of Q(sqrt(m)) entry by entry: (p_j, m) at p_i over the
+    ramified primes, 2 last when m != 1 mod 4."""
+    ps = odd_primes + ((2,) if m % 4 != 1 else ())
+    return F2Matrix.from_rows([[int(hilbert(pj, m, Place(pi)) == -1) for pj in ps] for pi in ps])
+
+
+def _monsky_by_symbols(sf):
+    """The Monsky matrix from its block definition, every entry a Jacobi symbol."""
+    ps = sf.primes
+    # A's diagonal entry is the symbol of the complementary divisor n' / p_i.
+    a = F2Matrix.from_rows(
+        [
+            [additive_jacobi(sf.odd_part // pi if i == j else pj, pi) for j, pj in enumerate(ps)]
+            for i, pi in enumerate(ps)
+        ]
+    )
+    d = {eps: F2Matrix.diagonal([additive_jacobi(eps, p) for p in ps]) for eps in (-1, 2, -2)}
+    if not sf.is_even:
+        return F2Matrix.block([[a + d[2], d[2]], [d[2], a + d[-2]]]), a
+    return F2Matrix.block([[a.transpose() + d[2], d[-1]], [d[2], a + d[2]]]), a
+
+
+def _table_matches_definitions(sf):
+    """Every bit and matrix of the table of sf against its definition."""
     table = symbol_table(sf)
-    a = build_A(sf)
-    assert table.a_matrix() == a
-    assert table.divisor_matrix() == (a.transpose() if sf.is_even else a + build_D(-1, sf))
-    for m in (-sf.odd_part, sf.odd_part, -2 * sf.odd_part, 2 * sf.odd_part):
-        if m != 1:
-            assert table.redei_matrix(m) == redei_matrix(m), m
-    return table
-
-
-@settings(max_examples=60, deadline=None)
-@given(eligible_products())
-def test_symbol_table_matches_integer_routes(sf):
-    table = _table_matches_integer_routes(sf)
-    assert table.two == 0
     ps = sf.primes
     for i, pi in enumerate(ps):
         assert table.minus_one >> i & 1 == additive_jacobi(-1, pi)
+        assert table.two >> i & 1 == additive_jacobi(2, pi)
         for j, pj in enumerate(ps):
             assert table.rows[i] >> j & 1 == (0 if i == j else additive_jacobi(pj, pi))
-    if not sf.is_even:
-        # Every (2/p) = 1: the odd Monsky matrix is diag(A, A + D_-1).
-        a, zero = table.a_matrix(), F2Matrix((0,) * sf.k, sf.k)
-        assert monsky_matrix(sf) == F2Matrix.block([[a, zero], [zero, table.divisor_matrix()]])
-    assert table.s2() == s2(sf) == 2 * sf.k - f2linalg.rank(monsky_matrix(sf))
+    monsky, a = _monsky_by_symbols(sf)
+    assert table.a_matrix() == a
+    minus_one = F2Matrix.diagonal([additive_jacobi(-1, p) for p in ps])
+    assert table.divisor_matrix() == (a.transpose() if sf.is_even else a + minus_one)
+    assert table.monsky_matrix() == monsky
+    assert table.s2() == s2(sf) == 2 * sf.k - f2linalg.rank(monsky)
+    for m in (-sf.odd_part, sf.odd_part, -2 * sf.odd_part, 2 * sf.odd_part):
+        if m != 1:
+            redei = _redei_by_hilbert(m, ps)
+            assert table.redei_matrix(m) == redei_matrix(m) == redei, m
+            assert h2(m) == redei.ncols - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_products())
+def test_symbol_table_matches_integer_routes(sf):
+    _table_matches_definitions(sf)
 
 
 def test_symbol_table_matches_integer_routes_exhaustively():
-    # Every square-free n <= 3000, eligible or not: A, the divisor matrix and
-    # all four Redei matrices; s2 only where every prime is +-1 mod 8.
+    # Every square-free n <= 3000: the bits, A, the divisor matrix, the Monsky
+    # matrix and s2, and all four Redei matrices; then the fields of
+    # m = -1, +-2, whose tables have no odd prime.
     for n, sf in squarefree_upto(3000):
-        if sf.k == 0:
-            continue
-        table = _table_matches_integer_routes(sf)
-        if sf.eligibility:
-            assert table.s2() == 2 * sf.k - f2linalg.rank(monsky_matrix(sf))
-        else:
-            with pytest.raises(ValueError):
-                table.s2()
+        if sf.k:
+            _table_matches_definitions(sf)
+    for m in (-1, 2, -2):
+        assert redei_matrix(m) == _redei_by_hilbert(m, ())
+        assert h4(m) == h2(m) == 0

@@ -48,7 +48,7 @@ def test_corollary_formula_equivalence_strict_odd():
     # r4 = 0 <=> rank(A) = k-1 and (mu/n) = -1, both sides independent
     from noncongruent import f2linalg
     from noncongruent.arith import factor_squarefree, jacobi
-    from noncongruent.matrices import build_A
+    from noncongruent.matrices import symbol_table
     from noncongruent.reps import fundamental_2mu2_tau2
 
     checked = 0
@@ -60,7 +60,7 @@ def test_corollary_formula_equivalence_strict_odd():
             continue
         checked += 1
         mu = fundamental_2mu2_tau2(n)[0]
-        rhs = f2linalg.rank(build_A(sf)) == sf.k - 1 and jacobi(mu, n) == -1
+        rhs = f2linalg.rank(symbol_table(sf).a_matrix()) == sf.k - 1 and jacobi(mu, n) == -1
         assert (r4_tame(n) == 0) == rhs, n
     assert checked > 50
 
