@@ -2,30 +2,22 @@
 
 The pairing of the two pure Selmer generators is a product of local factors
 over the places dividing 2n (plus the real place).  The closed form is a
-single Jacobi-type symbol; this demo prints both sides, including n = 322
-where the distinguished divisor is negative and the real place contributes.
+single Jacobi-type symbol, which ``classify`` records in its verdict with d
+and mu; this demo prints both sides, including n = 322 where the
+distinguished divisor is negative and the real place contributes.
 """
 
 from noncongruent.arith import factor_squarefree
-from noncongruent.cassels import (
-    closed_form_pairing,
-    local_pairing,
-    pairing_matrix,
-    pairing_places,
-    pairing_product,
-)
-from noncongruent.criteria import distinguished_divisor
-from noncongruent.reps import rep_2mu2_tau2
+from noncongruent.cassels import local_factors, pairing_matrix, pairing_product
+from noncongruent.criteria import classify
 
 for n in (17, 34, 161, 322):
     sf = factor_squarefree(n)
-    d = distinguished_divisor(sf)
-    mu = None if sf.is_even else rep_2mu2_tau2(n, d).mu
-    factors = {str(v): local_pairing(sf, v) for v in pairing_places(sf)}
-    closed = closed_form_pairing(sf, d, mu)
-    print(f"n = {n}, d = {d}:")
+    v = classify(sf)
+    factors = {str(place): f for place, f in local_factors(sf).items()}
+    print(f"n = {n}, d = {v.d}:")
     print(f"  local factors {factors}")
-    print(f"  product = {pairing_product(sf)}, closed form = {closed}")
+    print(f"  product = {pairing_product(sf)}, closed form = {v.pairing_symbol}")
     gram, nondeg = pairing_matrix(sf)
     print(f"  Gram {gram}, non-degenerate: {nondeg}")
     print()

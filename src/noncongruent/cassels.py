@@ -1,8 +1,10 @@
 """Cassels pairing on the pure 2-Selmer group in the rank-two regime.
 
-The pairing is computed two ways: a closed-form Jacobi symbol, and a product
-of local factors evaluated at explicit local points on the genus-one torsor
-attached to the Selmer basis.  The module also houses a search-based local
+The pairing is computed two ways: the closed-form Jacobi-type symbol that
+``criteria.classify`` records, and here a product of local factors evaluated
+at explicit local points on the genus-one torsor attached to the Selmer
+basis, from the d and mu of that verdict.  Every n whose verdict has no d
+gets ``NotRankTwo``.  The module also houses a search-based local
 solvability decider (with multivariate Hensel certificates) used by the
 descent oracle.
 """
@@ -11,23 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt, prod
 
-from . import criteria, matrices
+from . import criteria
 from .arith import (
     Place,
-    QuadExpr,
     REAL_PLACE,
     SquareFreeN,
     hilbert2_from_parts,
-    jacobi,
     legendre,
-    quad_jacobi,
     split_power,
     sqrt_mod,
 )
+from .criteria import closed_form_pairing  # the one closed form, importable here too
 from .errors import NotRankTwo, PrecisionExhausted
 from .matrices import SelmerTriple
-from .reps import linked_u2w, rep_2mu2_tau2
+from .reps import Rep2MuTau, linked_u2w
 
 
 @dataclass(frozen=True)
@@ -96,28 +97,29 @@ class LocalPoint:
     minor_val: int
 
 
-def torsor(lam: SelmerTriple, n: int) -> TorsorSystem:
-    """Coefficient-exact torsor system for a Selmer representative."""
-    return TorsorSystem(lam, n)
-
-
 # ---------------------------------------------------------------------------
 # the rank-two pairing basis and its tangent data
 # ---------------------------------------------------------------------------
 
 
-def _pairing_inputs(
-    sf: SquareFreeN,
-) -> tuple[int, int | None, tuple[TangentData, TangentData]]:
-    """d, mu (odd n only, from 2mu^2 - tau^2 = n with mu = d mod 4) and the
-    tangent pairs (Q1, L1), (Q3, L3) for the basis element (1, n', n').
+def _rank_two_verdict(sf: SquareFreeN) -> criteria.Verdict:
+    """The verdict of n, which must record a distinguished divisor."""
+    v = criteria.classify(sf)
+    if v.d is None:
+        raise NotRankTwo(f"classify({sf.n}) records no distinguished divisor")
+    return v
 
-    The middle form never enters the pairing because its partner divisor is
-    trivial, so only the first and third tangents are materialized.
+
+def _pairing_inputs(sf: SquareFreeN) -> tuple[int, tuple[TangentData, TangentData]]:
+    """d and the tangent pairs (Q1, L1), (Q3, L3) for the basis element
+    (1, n', n'), with d and mu (odd n) taken from the verdict of n.
+
+    The verdict's pairing symbol is never read here: the local factors built
+    from these inputs are the independent check of it.  The middle form
+    never enters the pairing because its partner divisor is trivial, so
+    only the first and third tangents are materialized.
     """
-    if matrices.s2(sf) != 2:
-        raise NotRankTwo(f"s2({sf.n}) != 2")
-    d = criteria.distinguished_divisor(sf)
+    v = _rank_two_verdict(sf)
     if sf.is_even:
         np_ = sf.odd_part
         t1 = TangentData(form=(-2, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))
@@ -126,42 +128,28 @@ def _pairing_inputs(
             point=(np_ - 1, 4 * np_, 2 * np_ + 2, 0),
             linear=(2 * (np_ - 1), 2, -(np_ + 1), 0),
         )
-        return d, None, (t1, t3)
-    rep = rep_2mu2_tau2(sf.n, d, sf)
-    u2w = linked_u2w(rep)
-    u, w, n = u2w.u, u2w.w, sf.n
+        return v.d, (t1, t3)
+    n, mu = sf.n, v.mu
+    u2w = linked_u2w(Rep2MuTau(mu, isqrt(2 * mu * mu - n), n))
+    u, w = u2w.u, u2w.w
     t1 = TangentData(form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))
     t3 = TangentData(form=(2 * n, 1, -n, 0), point=(w, n, u, 0), linear=(2 * w, 1, -u, 0))
-    return d, rep.mu, (t1, t3)
+    return v.d, (t1, t3)
 
 
 def tangent_data(sf: SquareFreeN) -> tuple[TangentData, TangentData]:
     """The tangent pairs (Q1, L1), (Q3, L3) that the local factors evaluate."""
-    return _pairing_inputs(sf)[2]
-
-
-def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
-    """Closed form of the pairing of the two pure Selmer generators.
-
-    Odd n: the Jacobi symbol (-mu / d).  Even n: the quadratic-field symbol
-    ((2 - sqrt(2)) / |d|).
-    """
-    if not sf.is_even:
-        if mu is None:
-            raise ValueError("odd case needs mu")
-        return jacobi(-mu, d)
-    return quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
+    return _pairing_inputs(sf)[1]
 
 
 def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, int]], bool]:
     """2x2 Gram matrix of the pairing (multiplicative) and non-degeneracy.
 
     The diagonal is trivial and the pairing is symmetric, so the matrix is
-    [[+1, c], [c, +1]] with c the closed-form value; on a two-dimensional
-    space this is non-degenerate exactly when c = -1.
+    [[+1, c], [c, +1]] with c the verdict's closed-form symbol; on a
+    two-dimensional space this is non-degenerate exactly when c = -1.
     """
-    d, mu, _ = _pairing_inputs(sf)
-    c = closed_form_pairing(sf, d, mu)
+    c = _rank_two_verdict(sf).pairing_symbol
     return ((1, c), (c, 1)), c == -1
 
 
@@ -192,55 +180,43 @@ def _hilbert2(a: int, b: int, n: int, d: int) -> int:
     raise PrecisionExhausted(f"2-adic symbol of {a}*sqrt({n}) + {b} stayed ambiguous")
 
 
-def local_pairing(sf: SquareFreeN, v: Place) -> int:
-    """Local Cassels factor (L1*L3, d)_v of the generator pair at v | 2n or oo.
+def local_factors(sf: SquareFreeN) -> dict[Place, int]:
+    """Local Cassels factors (L1*L3, d)_v of the generator pair, at oo, 2 and
+    each p | n in that order; every other place gives +1.
 
     L1 and L3 are the tangent forms of ``tangent_data``, evaluated at the
     explicit local points: for odd n these are (1, 0, sqrt(2), 1) at p | n
     with sqrt(2) = -u/w, and (0, sqrt(n), 1, -1) at p = 2 and the real
     place; the even case uses (1, 0, 2, sqrt(2)) and (0, sqrt(n'), 1, -1).
     """
-    d, _, tangents = _pairing_inputs(sf)
-    return _local_factor(sf, v, d, tangents)
+    d, tangents = _pairing_inputs(sf)
+    # At (0, sqrt(N), 1, -1) each form is a*sqrt(N) + b, and so is L1*L3.
+    big_n = sf.odd_part
+    (a1, b1), (a3, b3) = ((t.linear[1], t.linear[2] - t.linear[3]) for t in tangents)
+    a, b = a1 * b3 + a3 * b1, a1 * a3 * big_n + b1 * b3
+    # Exact sign of a*sqrt(N) + b: when a and b differ in sign, the larger
+    # of a^2*N and b^2 wins.
+    positive = a + b > 0 if a * b >= 0 else (a * a * big_n > b * b) == (a > 0)
+    factors = {REAL_PLACE: 1 if (positive or d > 0) else -1, Place(2): _hilbert2(a, b, big_n, d)}
 
-
-def _local_factor(
-    sf: SquareFreeN, v: Place, d: int, tangents: tuple[TangentData, TangentData]
-) -> int:
-    """``local_pairing`` given d and the tangent data of n."""
-    if v.is_real or v.p == 2:
-        # At (0, sqrt(N), 1, -1) each form is a*sqrt(N) + b, and so is L1*L3.
-        big_n = sf.odd_part
-        (a1, b1), (a3, b3) = ((t.linear[1], t.linear[2] - t.linear[3]) for t in tangents)
-        a, b = a1 * b3 + a3 * b1, a1 * a3 * big_n + b1 * b3
-        if v.p == 2:
-            return _hilbert2(a, b, big_n, d)
-        # Exact sign of a*sqrt(N) + b: when a and b differ in sign, the
-        # larger of a^2*N and b^2 wins.
-        positive = a + b > 0 if a * b >= 0 else (a * a * big_n > b * b) == (a > 0)
-        return 1 if (positive or d > 0) else -1
-
-    p = v.p
-    if sf.n % p != 0:
-        raise ValueError(f"place {p} does not divide 2n")
-    s = sqrt_mod(2, p, 1)
-    if sf.is_even:
-        point = (1, 0, 2, s)
-    else:
-        # sqrt(2) mod p chosen so that it equals -u/w, making L3 a unit.
-        w, _, u, _ = tangents[1].point
-        if (w * s + u) % p != 0:
-            s = p - s
-        if (w * s + u) % p != 0:
-            raise ArithmeticError("no square root of 2 matches -u/w")  # pragma: no cover
-        point = (1, 0, s, 1)
-    l1, l3 = (sum(c * x for c, x in zip(t.linear, point)) for t in tangents)
-    value = l1 * l3 % p
-    if value == 0:
-        raise ArithmeticError("tangent product vanished mod p")  # pragma: no cover
-    if abs(d) % p == 0:
-        return legendre(value, p)
-    return 1
+    for p in sf.primes:
+        s = sqrt_mod(2, p, 1)
+        if sf.is_even:
+            point = (1, 0, 2, s)
+        else:
+            # sqrt(2) mod p chosen so that it equals -u/w, making L3 a unit.
+            w, _, u, _ = tangents[1].point
+            if (w * s + u) % p != 0:
+                s = p - s
+            if (w * s + u) % p != 0:
+                raise ArithmeticError("no square root of 2 matches -u/w")  # pragma: no cover
+            point = (1, 0, s, 1)
+        l1, l3 = (sum(c * x for c, x in zip(t.linear, point)) for t in tangents)
+        value = l1 * l3 % p
+        if value == 0:
+            raise ArithmeticError("tangent product vanished mod p")  # pragma: no cover
+        factors[Place(p)] = legendre(value, p) if abs(d) % p == 0 else 1
+    return factors
 
 
 def two_symbol_check(n: int, u: int, mu: int) -> tuple[list[int], int]:
@@ -249,18 +225,9 @@ def two_symbol_check(n: int, u: int, mu: int) -> tuple[list[int], int]:
     return [_hilbert2(a, -u, n, -1) for a in (1, -1)], rhs
 
 
-def pairing_places(sf: SquareFreeN) -> list[Place]:
-    """All places where the pairing can have a nontrivial local factor."""
-    return [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
-
-
 def pairing_product(sf: SquareFreeN) -> int:
     """Product of all local factors; must agree with the closed form."""
-    d, _, tangents = _pairing_inputs(sf)
-    out = 1
-    for v in pairing_places(sf):
-        out *= _local_factor(sf, v, d, tangents)
-    return out
+    return prod(local_factors(sf).values())
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     }
     if with_oracle and sf.k >= 1:
         m = -n if n % 2 == 1 else -(n // 2)
-        row["h4_agree"] = matrices.h4(m) == oracles.h4_oracle(m)
+        row["h4_agree"] = matrices.symbol_table(sf).h4(m) == oracles.h4_oracle(m)
     return row
 
 

@@ -90,6 +90,17 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
     return d
 
 
+def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
+    """Closed form of the Cassels pairing of the two pure Selmer generators.
+
+    Odd n: the Jacobi symbol (-mu / d).  Even n (mu is None): the
+    quadratic-field symbol ((2 - sqrt(2)) / |d|).
+    """
+    if sf.is_even:
+        return quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
+    return jacobi(-mu, d)
+
+
 def thm_main1_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> tuple[bool, Verdict]:
     """Odd-case criterion: h4(-n) = 1, h4(n) = 0 and (-mu/d) = -1.
 
@@ -108,7 +119,8 @@ def thm_main1_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) ->
         return _settle(v, False)
     d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
     mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf).mu)
-    return _settle(v, v.record("pairing_symbol", "jacobi_closed_form", jacobi(-mu, d)) == -1)
+    symbol = closed_form_pairing(sf, d, mu)
+    return _settle(v, v.record("pairing_symbol", "jacobi_closed_form", symbol) == -1)
 
 
 def thm_main2_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> tuple[bool, Verdict]:
@@ -124,7 +136,7 @@ def thm_main2_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) ->
     if v.record("h4_minus", "redei_rank", table.h4(-sf.odd_part)) != 1:
         return _settle(v, False)
     d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
-    symbol = quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
+    symbol = closed_form_pairing(sf, d, None)
     return _settle(v, v.record("pairing_symbol", "quad_jacobi_closed_form", symbol) == -1)
 
 

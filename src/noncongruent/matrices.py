@@ -13,7 +13,7 @@ b_eps that ``tame`` solves against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from . import f2linalg
 from .arith import SquareFreeN, additive_jacobi, factor_squarefree, squarefree_part
@@ -31,7 +31,7 @@ class SelmerTriple:
 
     def __post_init__(self):
         prod = self.d1 * self.d2 * self.d3
-        if prod <= 0 or squarefree_part(prod) != 1:
+        if prod <= 0 or isqrt(prod) ** 2 != prod:
             raise ValueError(f"{self} is not a square-class triple")
 
     def __str__(self) -> str:

@@ -227,9 +227,9 @@ def _reduced_indefinite_forms(disc: int) -> list[BQForm]:
         if (disc - b * b) % 4:
             continue
         n4 = (disc - b * b) // 4
-        for a_abs in divisors_of(n4):
-            # Reduced window: (sq - b)/2 < |a| <= (sq + b)/2.
-            if 2 * a_abs - b > sq or 2 * a_abs + b <= sq:
+        # Reduced window: (sq - b)/2 < |a| <= (sq + b)/2, with |a| | n4.
+        for a_abs in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
+            if n4 % a_abs:
                 continue
             c_abs = n4 // a_abs
             for a in (a_abs, -a_abs):
@@ -470,7 +470,7 @@ def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
     places = [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
     out = set()
     for lam in _candidate_triples(sf):
-        ts = cassels.torsor(lam, sf.n)
+        ts = cassels.TorsorSystem(lam, sf.n)
         if all(cassels.local_point_search(ts, v) is not None for v in places):
             out.add(lam)
     return out

@@ -7,6 +7,8 @@ the acceptance tests assert on, so every sweep exists once.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from . import cassels, criteria, matrices, oracles, tame
 from .arith import QuadExpr, jacobi, quad_jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
@@ -15,7 +17,6 @@ from .reps import (
     fundamental_2mu2_tau2,
     linked_u2w,
     orbit_step_2mu2,
-    rep_2mu2_tau2,
     rep_a2_8b2,
 )
 
@@ -44,13 +45,10 @@ def _class_oracle(bound: int):
 def _pairing_product(bound: int):
     for n, sf in squarefree_upto(bound):
         v = criteria.classify(sf)
-        if v.s2 != 2:
+        if v.d is None:
             continue
-        closed = cassels.closed_form_pairing(sf, v.d, v.mu)
         product = cassels.pairing_product(sf)
-        _, nondeg = cassels.pairing_matrix(sf)
-        ok = product == closed and nondeg == (closed == -1)
-        yield n, ok, {"closed": closed, "product": product}
+        yield n, product == v.pairing_symbol, {"symbol": v.pairing_symbol, "product": product}
 
 
 def _lemma_2symbol(count: int):
@@ -112,18 +110,20 @@ def _corollaries(bound: int):
 
 def _pell_orbit(bound: int):
     for n, sf in squarefree_upto(bound):
-        if n % 8 != 1 or not sf.eligibility or sf.k == 0 or matrices.s2(sf) != 2:
+        if n % 8 != 1:
             continue
-        d = criteria.distinguished_divisor(sf)
-        rep = rep_2mu2_tau2(n, d, sf)
+        v = criteria.classify(sf)
+        if v.d is None:
+            continue
+        d, mu = v.d, v.mu
+        tau = isqrt(2 * mu * mu - n)
         window_mu = oracles.window_2mu2_tau2(n)[0]
-        mu, tau = rep.mu, rep.tau
-        symbols = [jacobi(-mu, d)]
+        symbols = [v.pairing_symbol]
         for _ in range(3):
             mu, tau = orbit_step_2mu2(mu, tau)
             symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))
-        ok = len(set(symbols)) == 1 and abs(rep.mu) == window_mu
-        yield n, ok, {"symbols": symbols, "mu": rep.mu, "window_mu": window_mu}
+        ok = len(set(symbols)) == 1 and abs(v.mu) == window_mu
+        yield n, ok, {"symbols": symbols, "mu": v.mu, "window_mu": window_mu}
 
 
 SUITES = {

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert, legendre
 from noncongruent.cassels import (
+    TorsorSystem,
     _hilbert2,
     closed_form_pairing,
-    local_pairing,
+    local_factors,
     local_point_search,
     pairing_matrix,
-    pairing_places,
     pairing_product,
     tangent_data,
-    torsor,
 )
 from noncongruent.criteria import distinguished_divisor
 from noncongruent.errors import NotRankTwo, PrecisionExhausted
@@ -23,7 +22,7 @@ from noncongruent.reps import rep_2mu2_tau2
 
 
 def test_torsor_coefficients_exact():
-    ts = torsor(SelmerTriple(17, 1, 17), 17)
+    ts = TorsorSystem(SelmerTriple(17, 1, 17), 17)
     assert ts.h1 == (-17, 0, 1, -17)
     assert ts.h2 == (-17, -17, 0, 17)
     assert ts.h3 == (34, 17, -1, 0)
@@ -33,7 +32,7 @@ def test_torsor_coefficients_exact():
 
 
 def test_trivial_torsor_has_rational_point():
-    ts = torsor(SelmerTriple(1, 1, 1), 17)
+    ts = TorsorSystem(SelmerTriple(1, 1, 1), 17)
     pt = (0, 1, 1, 1)
     for form in ts.forms():
         assert sum(c * x * x for c, x in zip(form, pt)) == 0
@@ -58,18 +57,17 @@ def test_closed_form_examples():
 
 
 def test_local_pairing_examples():
-    sf17 = factor_squarefree(17)
-    assert local_pairing(sf17, Place(17)) == -1  # (3/17)
-    assert local_pairing(sf17, Place(2)) == 1
-    sf34 = factor_squarefree(34)
-    assert local_pairing(sf34, Place(2)) == 1
+    factors17 = local_factors(factor_squarefree(17))
+    assert factors17[Place(17)] == -1  # (3/17)
+    assert factors17[Place(2)] == 1
+    assert local_factors(factor_squarefree(34))[Place(2)] == 1
 
 
 def test_local_pairing_real_place_sign():
     # even case with negative distinguished divisor: the real factor is -1
     sf = factor_squarefree(322)
     assert distinguished_divisor(sf) == -7
-    assert local_pairing(sf, REAL_PLACE) == -1
+    assert local_factors(sf)[REAL_PLACE] == -1
     assert pairing_product(sf) == closed_form_pairing(sf, -7, None) == -1
 
 
@@ -85,11 +83,13 @@ def test_local_pairing_real_place_sign():
     ],
 )
 def test_local_pairing_pinned_per_place(n, d, factors):
-    # Each factor, in pairing_places order (oo, 2, then p | n): a product
-    # check cannot catch two sign errors that cancel, as at 3281 and 3122.
+    # Each factor, in place order (oo, 2, then p | n): a product check
+    # cannot catch two sign errors that cancel, as at 3281 and 3122.
     sf = factor_squarefree(n)
     assert distinguished_divisor(sf) == d
-    assert [local_pairing(sf, v) for v in pairing_places(sf)] == factors
+    got = local_factors(sf)
+    assert list(got) == [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
+    assert list(got.values()) == factors
 
 
 @given(
@@ -110,11 +110,14 @@ def test_two_adic_helper_gives_up_on_unpinned_units():
             _hilbert2(0, x, 1, 5)
 
 
-def test_local_pairing_rejects_good_places():
-    # factors away from 2n are never evaluated (they are +1 by screening)
-    sf = factor_squarefree(17)
-    with pytest.raises(ValueError):
-        local_pairing(sf, Place(5))
+@pytest.mark.parametrize("n", [65, 138, 145, 210])
+def test_pairing_outside_rank_two_is_refused(n):
+    # each has a prime that is not +-1 mod 8, so classify calls it NotEligible
+    # and records no d; every pairing quantity is refused with one error
+    sf = factor_squarefree(n)
+    for fn in (pairing_product, pairing_matrix, tangent_data, local_factors):
+        with pytest.raises(NotRankTwo):
+            fn(sf)
 
 
 def test_pairing_matrix_examples():
@@ -133,15 +136,15 @@ def test_point_search_solvable_matches_selmer_membership():
     pure = selmer_elements(sf)
     places = [REAL_PLACE, Place(2), Place(17)]
     for lam in pure:
-        ts = torsor(lam, 17)
+        ts = TorsorSystem(lam, 17)
         for v in places:
             assert local_point_search(ts, v) is not None
     # torsion translates of pure elements stay everywhere solvable
     translate = SelmerTriple(-1, 17, -17)
-    ts = torsor(translate, 17)
+    ts = TorsorSystem(translate, 17)
     assert all(local_point_search(ts, v) is not None for v in places)
     # a genuinely non-Selmer triple fails 2-adically
-    ts = torsor(SelmerTriple(2, 1, 2), 17)
+    ts = TorsorSystem(SelmerTriple(2, 1, 2), 17)
     assert local_point_search(ts, Place(2)) is None
 
 
@@ -152,7 +155,7 @@ def test_real_place_solvability_is_sign_of_d2():
         (SelmerTriple(1, -1, -1), False),
         (SelmerTriple(-1, -1, 1), False),
     ]:
-        ts = torsor(lam, 17)
+        ts = TorsorSystem(lam, 17)
         assert (local_point_search(ts, REAL_PLACE) is not None) == solvable
 
 
@@ -162,7 +165,7 @@ def test_good_place_spot_check():
     sf = factor_squarefree(17)
     d = distinguished_divisor(sf)
     t1, t3 = tangent_data(sf)
-    ts = torsor(SelmerTriple(1, 17, 17), 17)
+    ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
     good = (3, 5, 7, 11, 13, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
     checked = 0
     for p in good:
@@ -215,12 +218,11 @@ def _factor_at_searched_point(sf, v, d, lam):
     unit class (the caller skips such places).
     """
     from noncongruent.arith import hilbert2_from_parts
-    from noncongruent.cassels import torsor as make_torsor
 
     t1, t3 = tangent_data(sf)
     p = v.p
     margin = 3 if p == 2 else 1
-    for coords, m in _certified_points(make_torsor(lam, sf.n), p, 9 if p == 2 else 4):
+    for coords, m in _certified_points(TorsorSystem(lam, sf.n), p, 9 if p == 2 else 4):
         value = (
             sum(c * x for c, x in zip(t1.linear, coords))
             * sum(c * x for c, x in zip(t3.linear, coords))
@@ -299,7 +301,11 @@ def test_pairing_product_computes_d_once(monkeypatch):
 
     calls = []
     real = criteria.distinguished_divisor
-    monkeypatch.setattr(criteria, "distinguished_divisor", lambda sf: calls.append(sf.n) or real(sf))
+    monkeypatch.setattr(
+        criteria,
+        "distinguished_divisor",
+        lambda sf, table=None: calls.append(sf.n) or real(sf, table),
+    )
     for n in (17, 161, 322):
         calls.clear()
         pairing_product(factor_squarefree(n))
