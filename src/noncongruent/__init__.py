@@ -7,7 +7,6 @@ kernel 4-ranks, all backed by independent brute-force oracles.
 
 from .arith import (
     Place,
-    QuadExpr,
     REAL_PLACE,
     SquareFreeN,
     additive_jacobi,
@@ -16,7 +15,6 @@ from .arith import (
     is_norm,
     jacobi,
     legendre,
-    quad_jacobi,
     sqrt_mod,
 )
 from .criteria import Verdict, VerdictKind, classify, distinguished_divisor
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Place",
-    "QuadExpr",
     "REAL_PLACE",
     "SquareFreeN",
     "additive_jacobi",
@@ -56,7 +53,6 @@ __all__ = [
     "is_norm",
     "jacobi",
     "legendre",
-    "quad_jacobi",
     "sqrt_mod",
     "Verdict",
     "VerdictKind",

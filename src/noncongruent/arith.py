@@ -2,8 +2,7 @@
 
 Everything here is pure integer arithmetic: factorization, Legendre / Jacobi /
 Hilbert symbols, square roots modulo prime powers (including 2-adic roots),
-Jacobi symbols of quadratic-field expressions x + y*sqrt(r), and norm-group
-membership for quadratic fields.
+and norm-group membership for quadratic fields.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .errors import (
-    IllDefined,
     NoRoot,
     NotCoprime,
     NotSquareFree,
@@ -269,14 +267,6 @@ class Place:
         if self.p is not None and (self.p < 2 or not _place_prime(self.p)):
             raise ValueError(f"finite place must carry a prime, got {self.p}")
 
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
-
-    @classmethod
-    def real(cls) -> "Place":
-        return cls(None)
-
     @property
     def is_real(self) -> bool:
         return self.p is None
@@ -286,29 +276,6 @@ class Place:
 
 
 REAL_PLACE = Place(None)
-
-
-@dataclass(frozen=True)
-class QuadExpr:
-    """x + y*sqrt(r) with radicand r in {2, -1} and nonzero norm x^2 - r y^2."""
-
-    x: int
-    y: int
-    r: int
-
-    def __post_init__(self):
-        if self.r not in (2, -1):
-            raise ValueError(f"radicand must be 2 or -1, got {self.r}")
-        if self.norm == 0:
-            raise ValueError("norm x^2 - r*y^2 must be nonzero")
-
-    @property
-    def norm(self) -> int:
-        return self.x * self.x - self.r * self.y * self.y
-
-    def __str__(self) -> str:
-        rad = "sqrt(2)" if self.r == 2 else "sqrt(-1)"
-        return f"{self.x}+{self.y}*{rad}"
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +358,6 @@ def _hilbert(a: int, b: int, p: int | None) -> int:
     return result
 
 
-def hilbert2_from_parts(val: int, unit: int, b: int) -> int:
-    """(2^val * u, b)_2 from the 2-adic valuation and unit of the left side.
-
-    b must be odd; unit only matters mod 8.
-    """
-    exponent = _eps(unit) * _eps(b) + val * _omega(b)
-    return 1 if exponent % 2 == 0 else -1
-
-
 # ---------------------------------------------------------------------------
 # square roots modulo p^e
 # ---------------------------------------------------------------------------
@@ -478,29 +436,8 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quadratic-field Jacobi symbols and norm membership
+# norm membership
 # ---------------------------------------------------------------------------
-
-
-def quad_jacobi(q: QuadExpr, m: int, odd_primes: tuple[int, ...] | None = None) -> int:
-    """Jacobi-style symbol of x + y*sqrt(r) over the odd modulus m > 0.
-
-    For every prime p | m both r and the norm x^2 - r y^2 must be quadratic
-    residues mod p; the per-prime Legendre value is then independent of which
-    square root of r is used, and the result is the product over p | m with
-    multiplicity.  Known ``odd_primes`` of m spare factoring it.
-    """
-    if m <= 0 or m % 2 == 0:
-        raise ValueError(f"modulus must be positive odd, got {m}")
-    result = 1
-    for p, mult in factor_over(m, odd_primes):
-        if legendre(q.r % p, p) != 1:
-            raise IllDefined(f"radicand {q.r} is a non-residue mod {p}")
-        if legendre(q.norm % p, p) != 1:
-            raise IllDefined(f"norm {q.norm} is a non-residue mod {p}")
-        s = sqrt_mod(q.r % p, p, 1)
-        result *= legendre((q.x + q.y * s) % p, p) ** mult
-    return result
 
 
 def is_norm(e: int, m: int, odd_primes: tuple[int, ...] | None = None) -> bool:

@@ -20,7 +20,7 @@ from .arith import (
     Place,
     REAL_PLACE,
     SquareFreeN,
-    hilbert2_from_parts,
+    hilbert,
     legendre,
     split_power,
     sqrt_mod,
@@ -28,7 +28,7 @@ from .arith import (
 from .criteria import closed_form_pairing  # the one closed form, importable here too
 from .errors import NotRankTwo, PrecisionExhausted
 from .matrices import SelmerTriple
-from .reps import Rep2MuTau, linked_u2w
+from .reps import Rep2MuTau, linked_u2w, sqrt2_mod
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,7 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
 # ---------------------------------------------------------------------------
 
 _MAX_RETRIES = 4
+_PLACE_2 = Place(2)
 
 
 def _hilbert2(a: int, b: int, n: int, d: int) -> int:
@@ -172,10 +173,8 @@ def _hilbert2(a: int, b: int, n: int, d: int) -> int:
     for _ in range(_MAX_RETRIES):
         k = e - 1 + extra
         x = (a * sqrt_mod(n, 2, e) + b) % (1 << k)
-        if x:
-            val, unit = split_power(x, 2)
-            if k - val >= 3:
-                return hilbert2_from_parts(val, unit, d)
+        if x and k - split_power(x, 2)[0] >= 3:
+            return hilbert(x, d, _PLACE_2)
         e *= 2
     raise PrecisionExhausted(f"2-adic symbol of {a}*sqrt({n}) + {b} stayed ambiguous")
 
@@ -197,20 +196,16 @@ def local_factors(sf: SquareFreeN) -> dict[Place, int]:
     # Exact sign of a*sqrt(N) + b: when a and b differ in sign, the larger
     # of a^2*N and b^2 wins.
     positive = a + b > 0 if a * b >= 0 else (a * a * big_n > b * b) == (a > 0)
-    factors = {REAL_PLACE: 1 if (positive or d > 0) else -1, Place(2): _hilbert2(a, b, big_n, d)}
+    factors = {REAL_PLACE: 1 if (positive or d > 0) else -1, _PLACE_2: _hilbert2(a, b, big_n, d)}
 
     for p in sf.primes:
-        s = sqrt_mod(2, p, 1)
         if sf.is_even:
-            point = (1, 0, 2, s)
+            point = (1, 0, 2, sqrt2_mod(p))
         else:
-            # sqrt(2) mod p chosen so that it equals -u/w, making L3 a unit.
+            # u^2 - 2w^2 = n with p | n and p not dividing w, so -u/w is a
+            # square root of 2 mod p; it makes L3 a unit.
             w, _, u, _ = tangents[1].point
-            if (w * s + u) % p != 0:
-                s = p - s
-            if (w * s + u) % p != 0:
-                raise ArithmeticError("no square root of 2 matches -u/w")  # pragma: no cover
-            point = (1, 0, s, 1)
+            point = (1, 0, -u * pow(w, -1, p) % p, 1)
         l1, l3 = (sum(c * x for c, x in zip(t.linear, point)) for t in tangents)
         value = l1 * l3 % p
         if value == 0:
@@ -221,7 +216,7 @@ def local_factors(sf: SquareFreeN) -> dict[Place, int]:
 
 def two_symbol_check(n: int, u: int, mu: int) -> tuple[list[int], int]:
     """Both symbols (-u +- sqrt(n), -1)_2 and the target (-mu, -1)_2."""
-    rhs = hilbert2_from_parts(0, (-mu) % 8, -1)
+    rhs = hilbert(-mu, -1, _PLACE_2)
     return [_hilbert2(a, -u, n, -1) for a in (1, -1)], rhs
 
 

@@ -86,11 +86,7 @@ def _emit_rows(rows, fmt: str, out) -> None:
 
 
 def cmd_classify(args) -> int:
-    try:
-        v = criteria.classify(args.n)
-    except NoncongruentError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
+    v = criteria.classify(args.n)
     print(json.dumps(v.to_dict(), separators=(",", ":")))
     return {
         VerdictKind.NON_CONGRUENT_SHA22: 0,
@@ -139,11 +135,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_tame(args) -> int:
-    try:
-        report = tame.tame_report(args.m)
-    except NoncongruentError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
+    report = tame.tame_report(args.m)
     out = asdict(report)
     out["v1"] = sorted(out["v1"])
     out["v2"] = sorted(out["v2"])
@@ -152,11 +144,7 @@ def cmd_tame(args) -> int:
 
 
 def cmd_classgroup(args) -> int:
-    try:
-        report = oracles.class_group(args.disc)
-    except NoncongruentError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
+    report = oracles.class_group(args.disc)
     out = asdict(report)
     out["invariant_factors"] = list(report.invariant_factors)
     print(json.dumps(out, separators=(",", ":")))
@@ -226,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NoncongruentError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 3
     except BrokenPipeError:  # pragma: no cover
         return 0
 

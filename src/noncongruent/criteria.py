@@ -14,21 +14,9 @@ import enum
 from dataclasses import asdict, dataclass, field
 
 from . import f2linalg, matrices
-from .arith import (
-    QuadExpr,
-    SquareFreeN,
-    factor_squarefree,
-    is_norm,
-    jacobi,
-    quad_jacobi,
-)
-from .errors import (
-    NotRankTwo,
-    NotSquareFree,
-    PreconditionFailed,
-    VerificationFailed,
-)
-from .reps import rep_2mu2_tau2
+from .arith import SquareFreeN, factor_squarefree, is_norm, jacobi
+from .errors import NotRankTwo, NotSquareFree, VerificationFailed
+from .reps import rep_2mu2_tau2, z2_jacobi
 
 
 class VerdictKind(enum.Enum):
@@ -94,63 +82,22 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
     """Closed form of the Cassels pairing of the two pure Selmer generators.
 
     Odd n: the Jacobi symbol (-mu / d).  Even n (mu is None): the
-    quadratic-field symbol ((2 - sqrt(2)) / |d|).
+    quadratic-field symbol ((2 - sqrt(2)) / |d|) over the primes of d.
     """
     if sf.is_even:
-        return quad_jacobi(QuadExpr(2, -1, 2), abs(d), sf.primes)
+        return z2_jacobi(2, -1, tuple(p for p in sf.primes if d % p == 0))
     return jacobi(-mu, d)
-
-
-def thm_main1_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> tuple[bool, Verdict]:
-    """Odd-case criterion: h4(-n) = 1, h4(n) = 0 and (-mu/d) = -1.
-
-    Returns whether it holds and the verdict with every value computed on
-    the way (all but s2).  Every rank is read off the symbol table of n,
-    built here unless given.
-    """
-    if sf.is_even or sf.n % 8 != 1 or not sf.eligibility:
-        raise PreconditionFailed(f"n = {sf.n} is not odd eligible 1 mod 8")
-    if table is None:
-        table = matrices.symbol_table(sf)
-    v = Verdict(n=sf.n, verdict=VerdictKind.CRITERION_FAILS)
-    h4m = v.record("h4_minus", "redei_rank", table.h4(-sf.n))
-    h4p = v.record("h4_plus", "redei_rank", table.h4(sf.n))
-    if h4m != 1 or h4p != 0:
-        return _settle(v, False)
-    d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
-    mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf).mu)
-    symbol = closed_form_pairing(sf, d, mu)
-    return _settle(v, v.record("pairing_symbol", "jacobi_closed_form", symbol) == -1)
-
-
-def thm_main2_lhs(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> tuple[bool, Verdict]:
-    """Even-case criterion: h4(-n/2) = 1 and ((2 - sqrt(2)) / |d|) = -1.
-
-    Returns whether it holds and the verdict, as ``thm_main1_lhs`` does.
-    """
-    if not sf.is_even or sf.n % 8 != 2 or not sf.eligibility:
-        raise PreconditionFailed(f"n = {sf.n} is not even eligible 2 mod 8")
-    if table is None:
-        table = matrices.symbol_table(sf)
-    v = Verdict(n=sf.n, verdict=VerdictKind.CRITERION_FAILS)
-    if v.record("h4_minus", "redei_rank", table.h4(-sf.odd_part)) != 1:
-        return _settle(v, False)
-    d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
-    symbol = closed_form_pairing(sf, d, None)
-    return _settle(v, v.record("pairing_symbol", "quad_jacobi_closed_form", symbol) == -1)
-
-
-def _settle(v: Verdict, holds: bool) -> tuple[bool, Verdict]:
-    v.verdict = VerdictKind.NON_CONGRUENT_SHA22 if holds else VerdictKind.CRITERION_FAILS
-    return holds, v
 
 
 def classify(n: int | SquareFreeN) -> Verdict:
     """Classify n; all failure modes become verdict values, never errors.
 
     n is factored once (a ``SquareFreeN`` is taken as already factored),
-    every field is computed once, and every F2 matrix is read off one
-    symbol table of n.
+    every field is recorded once in stage order (s2, the 4-ranks, d, mu,
+    the symbol), and every F2 matrix is read off one symbol table of n.
+    The criterion is Theorem 1 for odd n (h4(-n) = 1, h4(n) = 0 and
+    (-mu/d) = -1) and Theorem 2 for even n (h4(-n/2) = 1 and
+    ((2 - sqrt(2))/|d|) = -1).
     """
     if isinstance(n, SquareFreeN):
         sf = n
@@ -158,18 +105,33 @@ def classify(n: int | SquareFreeN) -> Verdict:
         try:
             sf = factor_squarefree(n)
         except NotSquareFree:
-            return Verdict(n=n, verdict=VerdictKind.NOT_ELIGIBLE, trace=[("n", "not_squarefree")])
-    n = sf.n
-    if not sf.eligibility or n % 8 not in (1, 2):
-        return Verdict(n=n, verdict=VerdictKind.NOT_ELIGIBLE, trace=[("n", "eligibility_sieve")])
+            sf = None
+    v = Verdict(n=n if sf is None else sf.n, verdict=VerdictKind.NOT_ELIGIBLE)
+    if sf is None or not sf.eligibility or sf.n % 8 not in (1, 2):
+        v.record("n", "not_squarefree" if sf is None else "eligibility_sieve", v.n)
+        return v
+    v.verdict = VerdictKind.S2_NOT_TWO
     if sf.k == 0:
         # n = 1 or 2: the pure Selmer group is trivial.
-        return Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO, s2=0, trace=[("s2", "trivial_case")])
+        v.record("s2", "trivial_case", 0)
+        return v
     table = matrices.symbol_table(sf)
-    s2 = table.s2()
-    if s2 != 2:
-        return Verdict(n=n, verdict=VerdictKind.S2_NOT_TWO, s2=s2, trace=[("s2", "monsky_rank")])
-    _, v = (thm_main2_lhs if sf.is_even else thm_main1_lhs)(sf, table)
-    v.s2 = s2
-    v.trace.insert(0, ("s2", "monsky_rank"))
+    if v.record("s2", "monsky_rank", table.s2()) != 2:
+        return v
+    v.verdict = VerdictKind.CRITERION_FAILS
+    # h4(-n) and h4(n) for odd n, h4(-n/2) for even n; both ranks are
+    # recorded even when the first already fails.
+    h4_holds = v.record("h4_minus", "redei_rank", table.h4(-sf.odd_part)) == 1
+    if not sf.is_even:
+        h4_holds &= v.record("h4_plus", "redei_rank", table.h4(sf.n)) == 0
+    if not h4_holds:
+        return v
+    d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
+    if sf.is_even:
+        mu, method = None, "quad_jacobi_closed_form"
+    else:
+        mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf).mu)
+        method = "jacobi_closed_form"
+    if v.record("pairing_symbol", method, closed_form_pairing(sf, d, mu)) == -1:
+        v.verdict = VerdictKind.NON_CONGRUENT_SHA22
     return v

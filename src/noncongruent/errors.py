@@ -53,10 +53,6 @@ class VerificationFailed(NoncongruentError):
     """A posteriori check of a computed quantity failed (internal bug signal)."""
 
 
-class PreconditionFailed(NoncongruentError):
-    """Documented precondition of the operation does not hold."""
-
-
 class PrecisionExhausted(NoncongruentError):
     """Symbol or point evaluation stayed ambiguous after all precision retries."""
 

@@ -125,9 +125,6 @@ class F2Matrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def row(self, i: int) -> F2Vector:
-        return F2Vector(self.rows[i], self.ncols)
-
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("shape mismatch")

@@ -66,9 +66,6 @@ class CongruentCurve:
 
     n: int
 
-    def rhs(self, x: Fraction) -> Fraction:
-        return x * x * x - Fraction(self.n * self.n) * x
-
 
 def is_fundamental(disc: int) -> bool:
     """Field discriminants: squarefree 1 mod 4, or 4m with m squarefree 2,3 mod 4."""

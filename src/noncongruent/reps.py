@@ -10,7 +10,8 @@ Euclid in Z[sqrt(2)] (r^2 = 2 mod p) or its conjugate above odd p.  The
 orbits; 1 + sqrt(2) fixes the sign of the norm, and 3 + 2*sqrt(2) steps each
 product to its smallest coordinate.  The minimum over the orbits is the
 fundamental solution, the same one that the window scans in ``oracles``
-find at small n.
+find at small n.  The prime element above odd p also gives the package's
+one square root of 2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import SquareFreeN, factor_squarefree, sqrt_mod
-from .errors import NoRepresentation
+from .arith import SquareFreeN, factor_squarefree, legendre, sqrt_mod
+from .errors import IllDefined, NoRepresentation
 
 # Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y); coordinate 0 is x, 1 is y.
 _Z2 = tuple[int, int]
@@ -126,6 +127,31 @@ def _prime_element(p: int) -> _Z2:
     if p == 2:
         return 0, 1
     return _smallest(_gcd((p, 0), (sqrt_mod(2, p), 1)), 1)
+
+
+def sqrt2_mod(p: int) -> int:
+    """The square root s = -a/b of 2 mod an odd prime p = +-1 mod 8, where
+    a + b*sqrt(2) is the prime element above p: reduction mod that prime
+    sends sqrt(2) to s and the element to 0."""
+    a, b = _prime_element(p)
+    return -a * pow(b, -1, p) % p
+
+
+def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
+    """The symbol ((x + y*sqrt(2)) / m) for m the product of the distinct odd
+    ``primes``, each +-1 mod 8: the product of the Legendre symbols
+    ((x + y*s) / p) with s = ``sqrt2_mod(p)``.
+
+    The value at p does not depend on the root when the norm x^2 - 2y^2 is
+    a nonzero square mod p, since the other root gives the conjugate; a
+    non-residue norm raises IllDefined.
+    """
+    norm, result = x * x - 2 * y * y, 1
+    for p in primes:
+        if legendre(norm, p) != 1:
+            raise IllDefined(f"norm {norm} is a non-residue mod {p}")
+        result *= legendre(x + y * sqrt2_mod(p), p)
+    return result
 
 
 def _least(n: int, sf: SquareFreeN | None, sign: int, c: int) -> _Z2:

@@ -83,12 +83,11 @@ def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
 def _v_sets(m: int, sf: SquareFreeN) -> tuple[frozenset[int], frozenset[int], int | None]:
     """``v_sets`` for |m| factored as sf, and the mu it used."""
     primes = sf.primes
-    odd = SquareFreeN.from_primes(sf.odd_part, primes)
-    twist = matrices.build_b(m // odd.n, odd).to_tuple()
-    bmat = matrices.symbol_table(odd).a_matrix() + F2Matrix.diagonal(twist)
+    twist = matrices.build_b(m // sf.odd_part, sf).to_tuple()
+    bmat = matrices.symbol_table(sf).a_matrix() + F2Matrix.diagonal(twist)
 
     def solutions(eps: int) -> set[int]:
-        return _solution_values(matrices.build_b(eps, odd), bmat, primes)
+        return _solution_values(matrices.build_b(eps, sf), bmat, primes)
 
     mu = _mu(m, sf)
     if m > 0:

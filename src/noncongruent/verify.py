@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import isqrt
 
 from . import cassels, criteria, matrices, oracles, tame
-from .arith import QuadExpr, jacobi, quad_jacobi, squarefree_block, squarefree_upto
+from .arith import jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .reps import (
     Rep2MuTau,
@@ -18,6 +18,7 @@ from .reps import (
     linked_u2w,
     orbit_step_2mu2,
     rep_a2_8b2,
+    z2_jacobi,
 )
 
 
@@ -85,8 +86,8 @@ def _proposition(bound: int):
         mu = fundamental_2mu2_tau2(n, sf)[0]
         b = {
             "b_even": rep_a2_8b2(n).b % 2 == 0,
-            "one_plus_sqrt2": quad_jacobi(QuadExpr(1, 1, 2), n, sf.primes) == 1,
-            "sqrt2_vs_n": quad_jacobi(QuadExpr(0, 1, 2), n, sf.primes) == (-1) ** ((n - 1) // 8),
+            "one_plus_sqrt2": z2_jacobi(1, 1, sf.primes) == 1,
+            "sqrt2_vs_n": z2_jacobi(0, 1, sf.primes) == (-1) ** ((n - 1) // 8),
             "mu_mod4": abs(mu) % 4 == 1,
             "mu_symbol": jacobi(mu, n) == 1,
         }

@@ -6,7 +6,6 @@ import pytest
 from noncongruent import arith
 from noncongruent.arith import (
     Place,
-    QuadExpr,
     REAL_PLACE,
     additive_jacobi,
     factor_over,
@@ -17,14 +16,12 @@ from noncongruent.arith import (
     is_prime,
     jacobi,
     legendre,
-    quad_jacobi,
     sqrt_mod,
     squarefree_block,
     squarefree_part,
     squarefree_upto,
 )
 from noncongruent.errors import (
-    IllDefined,
     NoRoot,
     NotCoprime,
     NotSquareFree,
@@ -261,48 +258,6 @@ def test_sqrt_mod_2adic_random():
         s = sqrt_mod(a, 2, e)
         assert 1 <= s <= 1 << (e - 1)
         assert (s * s - a) % (1 << e) == 0
-
-
-def test_quad_jacobi_examples():
-    assert quad_jacobi(QuadExpr(2, -1, 2), 17) == 1
-    assert quad_jacobi(QuadExpr(1, 1, 2), 17) == -1
-    assert quad_jacobi(QuadExpr(1, 1, -1), 17) == -1
-    with pytest.raises(IllDefined):
-        quad_jacobi(QuadExpr(1, 1, 2), 5)  # 2 is a non-residue mod 5
-
-
-def test_quad_jacobi_with_known_primes():
-    q = QuadExpr(2, -1, 2)
-    assert quad_jacobi(q, 7 * 23, (7, 23)) == quad_jacobi(q, 7 * 23)
-    assert quad_jacobi(q, 7, (7, 23)) == quad_jacobi(q, 7)
-    with pytest.raises(ValueError):
-        quad_jacobi(q, 7 * 23, (7,))
-
-
-def _quad_jacobi_reference(q, m, root_choice):
-    """Per-prime evaluation with an explicit choice of square root."""
-    value = 1
-    for p, mult in factorize(m):
-        s = sqrt_mod(q.r % p, p, 1)
-        if root_choice(p):
-            s = p - s
-        value *= legendre((q.x + q.y * s) % p, p) ** mult
-    return value
-
-
-def test_quad_jacobi_root_choice_invariance():
-    cases = [
-        (QuadExpr(2, -1, 2), 17 * 41),
-        (QuadExpr(1, 1, 2), 89),
-        (QuadExpr(1, 1, -1), 17 * 73),
-        (QuadExpr(0, 1, 2), 97),
-    ]
-    for q, m in cases:
-        base = quad_jacobi(q, m)
-        primes = [p for p, _ in factorize(m)]
-        for mask in range(1 << len(primes)):
-            flip = {p: bool(mask >> i & 1) for i, p in enumerate(primes)}
-            assert _quad_jacobi_reference(q, m, lambda p: flip[p]) == base
 
 
 def test_is_norm_examples():

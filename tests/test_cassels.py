@@ -217,8 +217,6 @@ def _factor_at_searched_point(sf, v, d, lam):
     Returns None when no certified point determines the tangent product's
     unit class (the caller skips such places).
     """
-    from noncongruent.arith import hilbert2_from_parts
-
     t1, t3 = tangent_data(sf)
     p = v.p
     margin = 3 if p == 2 else 1
@@ -233,8 +231,6 @@ def _factor_at_searched_point(sf, v, d, lam):
             val += 1
         if m - val < margin:
             continue
-        if p == 2:
-            return hilbert2_from_parts(val, value % 8, d)
         return hilbert(p**val * value, d, v)
     return None
 

@@ -15,8 +15,14 @@ from noncongruent.cli import main
 # the same digest the benchmark checks.
 SCAN_DIGEST = "8ef720bdee9c2e421a9f3ec7d90179ad974f3ee5be7115ff43b8de2122a9c95d"
 
-# classify JSON of s2 = 2 cases, odd and even, with negative mu and d.
+# classify JSON of s2 = 2 cases, odd and even, with negative mu and d, and
+# of each early exit: trivial Selmer group, not square-free, not eligible,
+# and an eligible n with s2 = 4.
 PINNED_CLASSIFY = [
+    '{"n":1,"verdict":"S2NotTwo","s2":0,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["s2","trivial_case"]]}',
+    '{"n":12,"verdict":"NotEligible","s2":null,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["n","not_squarefree"]]}',
+    '{"n":15,"verdict":"NotEligible","s2":null,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["n","eligibility_sieve"]]}',
+    '{"n":1513,"verdict":"S2NotTwo","s2":4,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["s2","monsky_rank"]]}',
     '{"n":17,"verdict":"NonCongruentSha22","s2":2,"h4_minus":1,"h4_plus":0,"d":17,"mu":-3,"pairing_symbol":-1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["h4_plus","redei_rank"],["d","kernel_psi"],["mu","z2_euclid"],["pairing_symbol","jacobi_closed_form"]]}',
     '{"n":34,"verdict":"CriterionFails","s2":2,"h4_minus":1,"h4_plus":null,"d":17,"mu":null,"pairing_symbol":1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["d","kernel_psi"],["pairing_symbol","quad_jacobi_closed_form"]]}',
     '{"n":161,"verdict":"CriterionFails","s2":2,"h4_minus":1,"h4_plus":0,"d":23,"mu":-9,"pairing_symbol":1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["h4_plus","redei_rank"],["d","kernel_psi"],["mu","z2_euclid"],["pairing_symbol","jacobi_closed_form"]]}',
@@ -181,6 +187,11 @@ def test_classify_two_large_primes_finishes():
 def test_tame_rejects_non_squarefree_with_exit_3(capsys):
     assert main(["tame", "12"]) == 3
     assert "square" in capsys.readouterr().err
+
+
+def test_classgroup_rejects_non_fundamental_with_exit_3(capsys):
+    assert main(["classgroup", "20"]) == 3
+    assert capsys.readouterr().err == '{"error": "20 is not a fundamental discriminant"}\n'
 
 
 def test_scan_eligible_csv_digest(monkeypatch, capsys):

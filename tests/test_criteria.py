@@ -4,14 +4,7 @@ import pytest
 
 from noncongruent import arith, cli
 from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert
-from noncongruent.criteria import (
-    VerdictKind,
-    classify,
-    distinguished_divisor,
-    thm_main1_lhs,
-    thm_main2_lhs,
-)
-from noncongruent.errors import PreconditionFailed
+from noncongruent.criteria import VerdictKind, classify, distinguished_divisor
 
 
 def test_distinguished_divisor_examples():
@@ -34,20 +27,18 @@ def test_distinguished_divisor_is_unique_brute_force():
 
 
 def test_thm_main1_examples():
-    ok, v = thm_main1_lhs(factor_squarefree(17))
-    assert ok
+    v = classify(factor_squarefree(17))
+    assert v.verdict == VerdictKind.NON_CONGRUENT_SHA22
     assert (v.h4_minus, v.h4_plus, v.d, v.mu, v.pairing_symbol) == (1, 0, 17, -3, -1)
-    ok, _ = thm_main1_lhs(factor_squarefree(161))
-    assert not ok
-    with pytest.raises(PreconditionFailed):
-        thm_main1_lhs(factor_squarefree(15))
+    assert classify(factor_squarefree(161)).verdict == VerdictKind.CRITERION_FAILS
+    assert classify(factor_squarefree(15)).verdict == VerdictKind.NOT_ELIGIBLE
 
 
 def test_thm_main2_examples():
-    ok, _ = thm_main2_lhs(factor_squarefree(34))
-    assert not ok
-    ok, _ = thm_main2_lhs(factor_squarefree(322))
-    assert ok  # h4(-161) = 1 and ((2-sqrt(2))/7) = -1
+    assert classify(factor_squarefree(34)).verdict == VerdictKind.CRITERION_FAILS
+    v = classify(factor_squarefree(322))
+    assert v.verdict == VerdictKind.NON_CONGRUENT_SHA22
+    assert (v.h4_minus, v.d, v.pairing_symbol) == (1, -7, -1)  # h4(-161) = 1 and ((2-sqrt(2))/7) = -1
 
 
 def test_classify_examples():

@@ -9,13 +9,16 @@ from noncongruent import oracles
 from noncongruent.arith import (
     SquareFreeN,
     factor_squarefree,
+    factorize,
     is_norm,
     is_prime,
+    legendre,
+    sqrt_mod,
     squarefree_part,
     squarefree_upto,
 )
 from noncongruent.cassels import two_symbol_check
-from noncongruent.errors import NoRepresentation, NotSquareFree
+from noncongruent.errors import IllDefined, NoRepresentation, NoRoot, NotSquareFree
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
@@ -26,6 +29,8 @@ from noncongruent.reps import (
     rep_a2_8b2,
     rep_neg,
     rep_u2_2w2,
+    sqrt2_mod,
+    z2_jacobi,
 )
 
 
@@ -182,6 +187,61 @@ def test_prime_element_has_norm_pm_p(q):
     p = _next_prime_pm1_mod8(q)
     x, y = _prime_element(p)
     assert abs(x * x - 2 * y * y) == p
+    s = sqrt2_mod(p)
+    assert (s * s - 2) % p == 0 and (x + y * s) % p == 0
+
+
+def _quad_jacobi_reference(x, y, m, root_choice):
+    """((x + y*sqrt(2)) / m) prime by prime, each p | m taking the root of 2
+    that sqrt_mod gives, or the other one where root_choice(p)."""
+    value = 1
+    for p, mult in factorize(m):
+        s = sqrt_mod(2, p, 1)
+        if root_choice(p):
+            s = p - s
+        value *= legendre((x + y * s) % p, p) ** mult
+    return value
+
+
+def test_z2_jacobi_examples():
+    assert z2_jacobi(2, -1, (17,)) == 1
+    assert z2_jacobi(1, 1, (17,)) == -1
+    assert z2_jacobi(0, 1, (17,)) == -1  # neither root 6, 11 of 2 is a square mod 17
+    with pytest.raises(IllDefined):
+        z2_jacobi(1, 1, (7,))  # the norm -1 is a non-residue mod 7
+    with pytest.raises(NoRoot):
+        z2_jacobi(1, 1, (5,))  # 2 is a non-residue mod 5
+
+
+def test_z2_jacobi_is_multiplicative_over_primes():
+    for x, y in ((2, -1), (1, 1), (0, 1)):
+        whole = z2_jacobi(x, y, (17, 41, 73))
+        assert whole == prod(z2_jacobi(x, y, (p,)) for p in (17, 41, 73))
+        assert whole == _quad_jacobi_reference(x, y, 17 * 41 * 73, lambda p: False)
+    assert z2_jacobi(2, -1, (7, 23)) == z2_jacobi(2, -1, (7,)) * z2_jacobi(2, -1, (23,))
+    assert z2_jacobi(2, -1, ()) == 1
+
+
+def test_z2_jacobi_root_choice_invariance():
+    cases = [((2, -1), 17 * 41), ((2, -1), 7 * 23), ((1, 1), 89), ((0, 1), 97)]
+    for (x, y), m in cases:
+        primes = tuple(p for p, _ in factorize(m))
+        base = z2_jacobi(x, y, primes)
+        for mask in range(1 << len(primes)):
+            flip = {p: bool(mask >> i & 1) for i, p in enumerate(primes)}
+            assert _quad_jacobi_reference(x, y, m, lambda p: flip[p]) == base
+
+
+def test_z2_jacobi_matches_reference_on_eligible_n():
+    # 2 - sqrt(2) has norm 2, a square mod every eligible prime; 1 + sqrt(2)
+    # and sqrt(2) have norms -1 and -2, squares mod primes 1 mod 8.
+    for n, sf in squarefree_upto(5000):
+        if not sf.eligibility or sf.k == 0:
+            continue
+        elements = ((2, -1), (1, 1), (0, 1)) if sf.strict_eligibility else ((2, -1),)
+        for x, y in elements:
+            want = _quad_jacobi_reference(x, y, sf.odd_part, lambda p: False)
+            assert z2_jacobi(x, y, sf.primes) == want, (n, x, y)
 
 
 def test_solvers_reject_a_factored_other_n():
