@@ -24,6 +24,11 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 _TRIAL_BOUND = 10**3
+# The primes the trial loop can find: a cofactor prime to their product
+# skips the loop.
+_TRIAL_PRODUCT = prod(
+    d for d in range(7, _TRIAL_BOUND, 2) if all(d % q for q in range(3, isqrt(d) + 1, 2))
+)
 
 # Witnesses making Miller-Rabin deterministic below psi_13 (Sorenson-Webster);
 # without 41 only below psi_12 = 318665857834031151167461.
@@ -75,7 +80,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -83,7 +88,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
     raise TooLarge(f"Pollard rho found no factor of {n}")
@@ -98,12 +103,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    while d * d <= n and d < _TRIAL_BOUND:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
+    if gcd(n, _TRIAL_PRODUCT) > 1:
+        d = 7
+        while d * d <= n and d < _TRIAL_BOUND:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -353,35 +353,27 @@ def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
     vp4n2 = 2 * split_power(n, p)[0] + (2 if p == 2 else 0)
     depth = 2 * vp4n2 + 1 + 4
 
-    def report(x, m, cert_val):
-        coords = tuple(
-            (x[i] * p ** scales[i]) % p**m for i in range(4)
-        )
-        return LocalPoint(v, coords, m, cert_val)
-
+    # At p = 2 every 2x2 Jacobian minor is 4*c_ij*x_i*x_j (the gradient
+    # rows are 2*c*x), so its valuation e is at least 2 and a certificate
+    # needs m >= 2e + 1 >= 5: shallower levels are lifted but not scanned.
+    first_scan = 5 if p == 2 else 1
     frontier = _level_one(h1, h3, p)
-    if not frontier:
-        return None
-    cert = _scan_certificates(h1, h3, frontier, p, 1)
-    if cert is not None:
-        return report(cert[0], 1, cert[1])
-
-    mod = p
-    for m in range(1, depth + 1):
-        nxt: list[tuple[int, int, int, int]] = []
-        for x in frontier:
-            nxt.extend(_lift_children(h1, h3, x, p, mod))
-            if len(nxt) > _FRONTIER_CAP:
-                raise PrecisionExhausted(
-                    f"frontier blow-up at p = {p}, level {m + 1}"
-                )
-        frontier = list(dict.fromkeys(nxt))
+    for m in range(1, depth + 2):
+        if m > 1:
+            nxt: list[tuple[int, int, int, int]] = []
+            for x in frontier:
+                nxt.extend(_lift_children(h1, h3, x, p, p ** (m - 1)))
+                if len(nxt) > _FRONTIER_CAP:
+                    raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")
+            frontier = list(dict.fromkeys(nxt))
         if not frontier:
             return None
-        cert = _scan_certificates(h1, h3, frontier, p, m + 1)
-        if cert is not None:
-            return report(cert[0], m + 1, cert[1])
-        mod *= p
+        if m >= first_scan:
+            cert = _scan_certificates(h1, h3, frontier, p, m)
+            if cert is not None:
+                x, e = cert
+                coords = tuple((x[i] * p ** scales[i]) % p**m for i in range(4))
+                return LocalPoint(v, coords, m, e)
     raise PrecisionExhausted(
         f"no certificate and live frontier at p = {p}, depth {depth}"
     )
@@ -390,11 +382,12 @@ def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
 def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
     """All projective solutions mod p, one affine patch per unit coordinate.
 
-    Both forms are diagonal, so once every free coordinate but the last is
-    fixed, each form pins the last coordinate's square by a linear
-    condition mod p; its roots come from a table of square roots.  That is
-    O(p^2) time and O(p) memory, and the solutions come out in the order of
-    an exhaustive lexicographic scan.
+    Both forms are diagonal.  With (a, b) the coefficients of x3, the
+    combination e = a*h3 - b*h1 has no x3 term (e is h1 or h3 when both
+    vanish), so once x1 is fixed e pins x2^2 by a linear condition; then
+    each form pins x3^2 the same way.  Every square's roots come from a
+    table, which makes it O(p) time and memory, and the solutions come out
+    in the order of an exhaustive lexicographic scan.
     """
     if p == 2:
         return [
@@ -405,34 +398,46 @@ def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
     roots: list[list[int]] = [[] for _ in range(p)]
     for x in range(p):
         roots[x * x % p].append(x)
-    every = list(range(p))
+    every = range(p)
+    a, b = h1[3] % p, h3[3] % p
+    if a or b:
+        e = [(a * g - b * f) % p for f, g in zip(h1, h3)]
+    else:
+        e = [c % p for c in (h1 if h1[2] % p else h3)]
+    inv_a = pow(a or b or 1, -1, p)
+    inv_e = pow(e[2] or 1, -1, p)
+
+    def mids(r):
+        """The x2 with r + e2*x2^2 = 0 (mod p)."""
+        if e[2]:
+            return roots[-r * inv_e % p]
+        return every if r % p == 0 else ()
+
+    def lasts(r1, r3):
+        """The x3 with r1 + a*x3^2 = r3 + b*x3^2 = 0 (mod p)."""
+        if a:
+            s = -r1 * inv_a % p
+            return roots[s] if (r3 + b * s) % p == 0 else ()
+        if b:
+            return roots[-r3 * inv_a % p] if r1 % p == 0 else ()
+        return every if r1 % p == 0 and r3 % p == 0 else ()
+
+    # The first unit coordinate is 1 and those before it are 0, which picks
+    # a unique representative of every projective point.
     sols: list[tuple[int, int, int, int]] = []
-    for patch in range(4):
-        # Coordinates before `patch` are zero and coordinate `patch` is 1,
-        # which picks a unique representative of every projective point.
-        lead = (0,) * patch + (1,)
-        if patch == 3:
-            if h1[3] % p == 0 and h3[3] % p == 0:
-                sols.append(lead)
-            continue
-        *head, last = range(patch + 1, 4)
-        a, b = h1[last] % p, h3[last] % p
-        inv = pow(a or b or 1, -1, p)
-        for xs in product(range(p), repeat=len(head)):
-            r1, r3 = h1[patch], h3[patch]
-            for c, x in zip(head, xs):
-                r1 += h1[c] * x * x
-                r3 += h3[c] * x * x
-            # r1 + a*s = r3 + b*s = 0 (mod p) for s the last coordinate squared.
-            if a:
-                s = -r1 * inv % p
-                lasts = roots[s] if (r3 + b * s) % p == 0 else ()
-            elif b:
-                lasts = roots[-r3 * inv % p] if r1 % p == 0 else ()
-            else:
-                lasts = every if r1 % p == 0 and r3 % p == 0 else ()
-            for x in lasts:
-                sols.append(lead + xs + (x,))
+    for x1 in every:
+        s1 = x1 * x1
+        for x2 in mids(e[0] + e[1] * s1):
+            s2 = x2 * x2
+            r1 = h1[0] + h1[1] * s1 + h1[2] * s2
+            r3 = h3[0] + h3[1] * s1 + h3[2] * s2
+            sols.extend((1, x1, x2, x3) for x3 in lasts(r1, r3))
+    for x2 in mids(e[1]):
+        s2 = x2 * x2
+        sols.extend((0, 1, x2, x3) for x3 in lasts(h1[1] + h1[2] * s2, h3[1] + h3[2] * s2))
+    sols.extend((0, 0, 1, x3) for x3 in lasts(h1[2], h3[2]))
+    if not (a or b):
+        sols.append((0, 0, 0, 1))
     return sols
 
 

@@ -237,9 +237,12 @@ def _reduced_indefinite_forms(disc: int) -> list[BQForm]:
 
 
 class _FormGroup:
-    """Finite abelian group of form classes with canonical representatives."""
+    """Finite abelian group of form classes with canonical representatives,
+    for |disc| <= _DISC_CAP."""
 
     def __init__(self, disc: int):
+        if abs(disc) > _DISC_CAP:
+            raise TooLarge(f"|disc| = {abs(disc)} exceeds {_DISC_CAP}")
         self.disc = disc
         if disc < 0:
             self.elements = sorted(_reduced_definite_forms(disc), key=BQForm.key)
@@ -280,13 +283,15 @@ class _FormGroup:
         return self.canon(compose(f, g))
 
     def power(self, f: BQForm, e: int) -> BQForm:
-        out = self.identity
-        base = f
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
+        """f^e for a canonical f, left to right: one composition per bit
+        below the top one, and one more per set bit."""
+        if e == 0:
+            return self.identity
+        out = f
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, f)
         return out
 
     @property
@@ -312,8 +317,11 @@ def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
     """r_{q^a} for a = 1, 2, ... : log_q of successive image-size ratios.
 
     Stops once the image stabilizes (the q-part is exhausted; what remains
-    is the prime-to-q part, on which q-th powering is a bijection).
+    is the prime-to-q part, on which q-th powering is a bijection), and
+    at once when q does not divide the order.
     """
+    if group.order % q:
+        return []
     current = set(group.elements)
     ranks = []
     while True:
@@ -334,11 +342,9 @@ def class_group(disc: int) -> ClassGroupReport:
     """Narrow class group of the fundamental discriminant via form classes."""
     if not is_fundamental(disc):
         raise NotFundamental(f"{disc} is not a fundamental discriminant")
-    if abs(disc) > _DISC_CAP:
-        raise TooLarge(f"|disc| = {abs(disc)} exceeds {_DISC_CAP}")
     group = _FormGroup(disc)
     h = group.order
-    two_chain = _q_rank_chain(group, 2) if h % 2 == 0 else []
+    two_chain = _q_rank_chain(group, 2)
     r2 = two_chain[0] if len(two_chain) > 0 else 0
     r4 = two_chain[1] if len(two_chain) > 1 else 0
     r8 = two_chain[2] if len(two_chain) > 2 else 0
@@ -368,8 +374,14 @@ def class_group(disc: int) -> ClassGroupReport:
 
 
 def h4_oracle(m: int) -> int:
-    """4-rank of the narrow class group of Q(sqrt(m)), by composition."""
-    return class_group(field_discriminant(m)).r4
+    """4-rank of the narrow class group of Q(sqrt(m)), by composition.
+
+    Only the squaring chain runs, not the odd-q chains of ``class_group``;
+    ``field_discriminant`` has already checked that m is square-free, so
+    the discriminant is fundamental.
+    """
+    two_chain = _q_rank_chain(_FormGroup(field_discriminant(m)), 2)
+    return two_chain[1] if len(two_chain) > 1 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from math import isqrt
 from . import cassels, criteria, matrices, oracles, tame
 from .arith import jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
+from .errors import TooLarge
 from .reps import (
     Rep2MuTau,
     fundamental_2mu2_tau2,
@@ -37,9 +38,11 @@ def _class_oracle(bound: int):
             continue
         table = matrices.symbol_table(sf)
         for m in (n, -n):
-            if abs(matrices.field_discriminant(m)) > 10**6:
-                continue
-            redei, oracle = table.h4(m), oracles.h4_oracle(m)
+            try:
+                oracle = oracles.h4_oracle(m)
+            except TooLarge:
+                continue  # the form class group is capped at |disc| <= 10^6
+            redei = table.h4(m)
             yield m, redei == oracle, {"redei": redei, "oracle": oracle}
 
 

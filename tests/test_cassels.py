@@ -284,12 +284,42 @@ def test_level_one_matches_naive_enumeration():
                     out.append(pt)
         return out
 
+    def coeff(rng, p):
+        return rng.choice((0, p, rng.randrange(-99, 100)))
+
     rng = random.Random(7)
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        for _ in range(40):
-            # zero coefficients mod p exercise every branch of the last coordinate
-            h1, h3 = ([rng.choice((0, p, rng.randrange(-99, 100))) for _ in range(4)] for _ in "13")
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for draw in range(60):
+            # zero coefficients mod p exercise every branch of both eliminations
+            h1 = [coeff(rng, p) for _ in range(4)]
+            if draw % 3 == 1:
+                # h3 = c*h1 (mod p): the combination free of x3 vanishes identically
+                c = rng.randrange(p)
+                h3 = [c * x + p * rng.randrange(-3, 4) for x in h1]
+            else:
+                h3 = [coeff(rng, p) for _ in range(4)]
+            if draw % 3 == 2:
+                # no x3 term in either form: x2 is pinned by h1 or h3 itself
+                h1[3], h3[3] = p * rng.randrange(-3, 4), p * rng.randrange(-3, 4)
             assert _level_one(h1, h3, p) == naive(h1, h3, p), (h1, h3, p)
+
+
+def test_no_two_adic_certificate_below_level_five():
+    # every 2x2 Jacobian minor is 4*c_ij*x_i*x_j at p = 2, which is why
+    # local_point_search scans no certificates below level 5
+    from noncongruent.oracles import _candidate_triples
+
+    levels = set()
+    for n in (17, 34, 41, 82):
+        sf = factor_squarefree(n)
+        for lam in _candidate_triples(sf):
+            ts = TorsorSystem(lam, n)
+            found = [m for _, m in _certified_points(ts, 2, 7)]
+            if found:
+                # the search still reports the first level with a certificate
+                assert local_point_search(ts, Place(2)).precision == min(found), (n, lam)
+            levels.update(found)
+    assert levels and min(levels) == 5
 
 
 def test_pairing_product_computes_d_once(monkeypatch):

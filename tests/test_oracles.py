@@ -89,6 +89,29 @@ def test_group_closure_on_spot_discriminants():
             assert group.identity in {group.mul(f, g) for g in group.elements}
 
 
+def test_power_equals_repeated_multiplication():
+    from noncongruent.oracles import _FormGroup
+
+    # Z/3 x Z/9 (definite) and Z/2 x Z/2 x Z/4 (indefinite)
+    for disc in (-3299, 1785):
+        group = _FormGroup(disc)
+        for f in group.elements:
+            out = group.identity
+            for e in range(9):
+                assert group.power(f, e) == out, (disc, f, e)
+                out = group.mul(out, f)
+
+
+def test_h4_oracle_matches_class_group():
+    from noncongruent.matrices import field_discriminant
+
+    for a in range(2, 501):
+        if squarefree_part(a) != a:
+            continue
+        for m in (a, -a):
+            assert h4_oracle(m) == class_group(field_discriminant(m)).r4, m
+
+
 def test_h4_oracle_matches_redei_small():
     for a in range(2, 300):
         if squarefree_part(a) != a:
