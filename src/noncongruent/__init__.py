@@ -21,7 +21,6 @@ from .criteria import Verdict, VerdictKind, classify, distinguished_divisor
 from .f2linalg import F2Matrix, F2Vector
 from .matrices import (
     SelmerTriple,
-    build_b,
     h2,
     h4,
     redei_matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "F2Matrix",
     "F2Vector",
     "SelmerTriple",
-    "build_b",
     "h2",
     "h4",
     "redei_matrix",

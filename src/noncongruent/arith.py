@@ -160,14 +160,6 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-def divisors_of(n: int) -> list[int]:
-    """Sorted positive divisors of a positive integer."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -207,6 +199,13 @@ class SquareFreeN:
     @property
     def k(self) -> int:
         return len(self.primes)
+
+    def odd_divisors(self) -> list[int]:
+        """Sorted positive divisors of the odd part: the subset products of ``primes``."""
+        divs = [1]
+        for p in self.primes:
+            divs += [d * p for d in divs]
+        return sorted(divs)
 
 
 def factor_squarefree(n: int) -> SquareFreeN:

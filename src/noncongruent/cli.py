@@ -97,8 +97,8 @@ def cmd_classify(args) -> int:
 
 
 def _worker_count(jobs: int | str) -> int:
-    """Scan worker processes for --jobs or NONCONGRUENT_JOBS: an integer,
-    clamped to [1, cpu count]; ValueError for anything else."""
+    """Scan worker processes for --jobs: an integer, clamped to
+    [1, cpu count]; ValueError for anything else."""
     return max(1, min(int(jobs), os.cpu_count() or 1))
 
 
@@ -106,12 +106,7 @@ def cmd_scan(args) -> int:
     if not 1 <= args.min <= args.max <= 10**8:
         print("scan range must satisfy 1 <= min <= max <= 10^8", file=sys.stderr)
         return 3
-    try:
-        jobs = _worker_count(os.environ.get("NONCONGRUENT_JOBS", args.jobs))
-    except ValueError:
-        print("NONCONGRUENT_JOBS must be an integer", file=sys.stderr)
-        return 3
-    lo = max(args.min, args.start or args.min)
+    jobs = _worker_count(args.jobs)
     opts = {
         "parity": "odd" if args.odd else "even" if args.even else "all",
         "filter": "strict" if args.strict else "eligible" if args.eligible else "all",
@@ -122,7 +117,7 @@ def cmd_scan(args) -> int:
         sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
     blocks = [
         (b, min(b + _BLOCK, args.max + 1), opts)
-        for b in range(lo, args.max + 1, _BLOCK)
+        for b in range(args.min, args.max + 1, _BLOCK)
     ]
     if jobs > 1 and len(blocks) > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -186,12 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     elig = p.add_mutually_exclusive_group()
     elig.add_argument("--eligible", action="store_true")
     elig.add_argument("--strict", action="store_true")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true")
-    fmt.add_argument("--json", action="store_true")
+    p.add_argument("--csv", action="store_true", help="CSV rows instead of JSON lines")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--oracle", action="store_true", help="add class-group oracle agreement flags")
-    p.add_argument("--from", dest="start", type=int, default=None, help="resume from this n")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -224,10 +224,3 @@ def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
             bits |= 1 << pc
     return F2Vector(bits, m.ncols)
 
-
-def solution_set(m: F2Matrix, b: F2Vector) -> list[F2Vector]:
-    """All solutions of M x = b (empty list when inconsistent)."""
-    part = solve(m, b)
-    if part is None:
-        return []
-    return [part + v for v in kernel(m)]

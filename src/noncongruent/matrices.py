@@ -6,8 +6,7 @@ these bits come the symbol matrix A, the 2k x 2k Monsky matrix (odd and
 even shapes) and with it the pure 2-Selmer rank s2 and its
 representatives, the matrix whose kernel holds the distinguished divisor,
 and the Redei matrix of Q(sqrt(m)) for every square-free m, with the
-class-group ranks h2 / h4 it gives.  ``build_b`` gives the twist diagonals
-b_eps that ``tame`` solves against.
+class-group ranks h2 / h4 it gives.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from math import gcd, isqrt
 
 from . import f2linalg
 from .arith import SquareFreeN, additive_jacobi, factor_squarefree, squarefree_part
-from .errors import EmptyFactorization, NotCoprime
+from .errors import EmptyFactorization
 from .f2linalg import F2Matrix, F2Vector
 
 
@@ -47,17 +46,9 @@ def psi(vec: F2Vector, primes: tuple[int, ...]) -> int:
     """Product of the primes selected by the bit vector."""
     out = 1
     for i, p in enumerate(primes):
-        if vec[i]:
+        if vec.bits >> i & 1:
             out *= p
     return out
-
-
-def build_b(eps: int, sf: SquareFreeN) -> F2Vector:
-    """The diagonal of D_eps as a column vector."""
-    _require_factors(sf)
-    if gcd(eps, sf.odd_part) != 1:
-        raise NotCoprime(f"eps = {eps} shares a factor with {sf.odd_part}")
-    return F2Vector.from_bits([additive_jacobi(eps, p) for p in sf.primes])
 
 
 def s2(sf: SquareFreeN) -> int:
@@ -79,6 +70,8 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
 
     Even n: (x; y) maps to |d3| = psi(x) with the sign fixed by d3 = 1 mod 4,
     d2 = psi(y) > 0, and d1 the signed square-free part of d2*d3.
+
+    The square-free part of d*e for square-free d, e is d*e / gcd(d, e)^2.
     """
     out: set[SelmerTriple] = set()
     for v in f2linalg.kernel(symbol_table(sf).monsky_matrix()):
@@ -86,13 +79,13 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
         if not sf.is_even:
             d2 = psi(x, sf.primes)
             d1 = psi(y, sf.primes)
-            out.add(SelmerTriple(d1, d2, squarefree_part(d1 * d2)))
+            out.add(SelmerTriple(d1, d2, d1 * d2 // gcd(d1, d2) ** 2))
         else:
             d3 = psi(x, sf.primes)
             if d3 % 4 == 3:
                 d3 = -d3
             d2 = psi(y, sf.primes)
-            out.add(SelmerTriple(squarefree_part(d2 * d3), d2, d3))
+            out.add(SelmerTriple(d2 * d3 // gcd(d2, d3) ** 2, d2, d3))
     return out
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import cassels
-from .arith import Place, REAL_PLACE, SquareFreeN, divisors_of, is_norm, squarefree_part
+from .arith import Place, REAL_PLACE, SquareFreeN, is_norm, squarefree_part
 from .errors import NoRepresentation, NotFundamental, TooLarge
 from .matrices import SelmerTriple, field_discriminant
 from .reps import RepNeg, RepU2W
@@ -449,20 +449,21 @@ def window_neg(m: int) -> RepNeg:
 
 
 def _candidate_triples(sf: SquareFreeN) -> list[SelmerTriple]:
+    """The representative grid: divisors are subset products of the primes
+    of n, and the square-free part of d*e for square-free d, e is
+    d*e / gcd(d, e)^2."""
+    divs = sf.odd_divisors()
     if not sf.is_even:
-        divs = divisors_of(sf.n)
         return [
-            SelmerTriple(d1, d2, squarefree_part(d1 * d2))
+            SelmerTriple(d1, d2, d1 * d2 // gcd(d1, d2) ** 2)
             for d1 in divs
             for d2 in divs
         ]
-    divs = divisors_of(sf.odd_part)
     out = []
     for d2 in divs:
         for d3_abs in divs:
             d3 = d3_abs if d3_abs % 4 == 1 else -d3_abs
-            sign = 1 if d3 > 0 else -1
-            out.append(SelmerTriple(sign * squarefree_part(d2 * d3_abs), d2, d3))
+            out.append(SelmerTriple(d2 * d3 // gcd(d2, d3) ** 2, d2, d3))
     return out
 
 
@@ -474,8 +475,6 @@ def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
     2 and at every odd prime dividing n.  Good places are skipped (smooth
     reduction plus the Hasse bound guarantees points there).
     """
-    if sf.n > 500:
-        raise TooLarge("descent oracle is desk-scale: n <= 500")
     places = [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
     out = set()
     for lam in _candidate_triples(sf):

@@ -1,8 +1,9 @@
 """2-rank and 4-rank of the tame kernel K2 of quadratic integer rings.
 
-The 2-rank comes from counting which of +-1, +-2 are norms; the 4-rank comes
-from the divisor-counting sets V1 and V2, realized two independent ways: as
-solution sets of F2 linear systems attached to the symbol matrix B, and (for
+Both ranks are read off the symbol table of |m|.  The 2-rank counts which
+of +-1, +-2 are norms from Q(sqrt(m)); the 4-rank comes from the
+divisor-counting sets V1 and V2, realized two independent ways: as solution
+sets of F2 linear systems attached to the symbol matrix B, and (for
 cross-checking) by testing the defining Hilbert-symbol conditions divisor by
 divisor.
 """
@@ -15,10 +16,9 @@ from . import f2linalg, matrices
 from .arith import (
     Place,
     SquareFreeN,
-    divisors_of,
+    additive_jacobi,
     factor_squarefree,
     hilbert,
-    is_norm,
     legendre,
 )
 from .errors import CountNotPowerOfTwo, OutOfRange
@@ -47,25 +47,27 @@ def _factored(m: int) -> SquareFreeN:
 
 def r2_tame(m: int) -> int:
     """2-rank of the tame kernel of Q(sqrt(m))."""
-    return _r2(m, _factored(m))
+    return _r2(m, matrices.symbol_table(_factored(m)))
 
 
-def _r2(m: int, sf: SquareFreeN) -> int:
-    if m > 2:
-        norms = sum(1 for e in (1, -1, 2, -2) if is_norm(e, m, sf.primes))
-        return sf.k + norms.bit_length() - 1
-    norms = sum(1 for e in (1, 2) if is_norm(e, m, sf.primes))
-    return sf.k - 1 + norms.bit_length() - 1
-
-
-def _solution_values(b_target: F2Vector, bmat, primes) -> set[int]:
-    return {matrices.psi(x, primes) for x in f2linalg.solution_set(bmat, b_target)}
+def _r2(m: int, table: matrices.SymbolTable) -> int:
+    """e in {+-1, +-2} is a norm from Q(sqrt(m)) exactly when (e > 0 or
+    m > 0) and (e / p) = 1 at every odd p | m: the symbol at 2 then follows
+    by Hilbert reciprocity.  The norms among them form a group of order 1,
+    2 or 4."""
+    k = table.sf.k
+    if m > 0:
+        norms = 1 + (table.minus_one == 0) + (table.two == 0) + (table.minus_one == table.two)
+        return k + norms.bit_length() - 1
+    norms = 1 + (table.two == 0)
+    return k - 1 + norms.bit_length() - 1
 
 
 def _mu(m: int, sf: SquareFreeN) -> int | None:
     """mu of the fundamental 2*mu^2 - tau^2 = m (or - lam^2 for m < 0), or
-    None when 2 is not a norm from Q(sqrt(m)); sf is |m| factored."""
-    if not is_norm(2, m, sf.primes):
+    None when 2 is not a norm from Q(sqrt(m)), that is when some odd prime
+    of m is not +-1 mod 8; sf is |m| factored."""
+    if not sf.eligibility:
         return None
     return fundamental_2mu2_tau2(m, sf)[0] if m > 0 else rep_neg(m, sf).mu
 
@@ -77,29 +79,41 @@ def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
     m < 0 they are signed, with solutions of the targets b_(-eps) contributing
     negative divisors.  V2 is empty when 2 is not a norm from Q(sqrt(m)).
     """
-    return _v_sets(m, _factored(m))[:2]
+    return _v_sets(m, matrices.symbol_table(_factored(m)))[:2]
 
 
-def _v_sets(m: int, sf: SquareFreeN) -> tuple[frozenset[int], frozenset[int], int | None]:
-    """``v_sets`` for |m| factored as sf, and the mu it used."""
-    primes = sf.primes
-    twist = matrices.build_b(m // sf.odd_part, sf).to_tuple()
-    bmat = matrices.symbol_table(sf).a_matrix() + F2Matrix.diagonal(twist)
+def _v_sets(
+    m: int, table: matrices.SymbolTable
+) -> tuple[frozenset[int], frozenset[int], int | None]:
+    """``v_sets`` from the symbol table of |m|, and the mu it used.
 
-    def solutions(eps: int) -> set[int]:
-        return _solution_values(matrices.build_b(eps, sf), bmat, primes)
+    Bit i of the target b_eps is the additive (eps / p_i): 0, ``minus_one``,
+    ``two`` and their sum for eps = 1, -1, 2, -2, one Jacobi row for mu,
+    and b_(-mu) = b_mu + b_(-1).  The kernel of B is taken once and each
+    target costs one particular solution.
+    """
+    sf = table.sf
+    k, minus_one, two = sf.k, table.minus_one, table.two
+    twist = {1: 0, -1: minus_one, 2: two, -2: minus_one ^ two}[m // sf.odd_part]
+    bmat = table.a_matrix() + F2Matrix(tuple(twist & 1 << i for i in range(k)), k)
+    kern = f2linalg.kernel(bmat)
+
+    def solutions(target: int) -> set[int]:
+        x = f2linalg.solve(bmat, F2Vector(target, k))
+        if x is None:
+            return set()
+        return {matrices.psi(x + v, sf.primes) for v in kern}
 
     mu = _mu(m, sf)
+    b_mu = 0 if mu is None else sum(additive_jacobi(mu, p) << i for i, p in enumerate(sf.primes))
     if m > 0:
-        v1 = set()
-        for eps in (1, -1, 2, -2):
-            v1 |= solutions(eps)
-        v2 = set() if mu is None else solutions(mu) | solutions(-mu)
+        v1 = solutions(0) | solutions(minus_one) | solutions(two) | solutions(minus_one ^ two)
+        v2 = set() if mu is None else solutions(b_mu) | solutions(b_mu ^ minus_one)
         return frozenset(v1), frozenset(v2), mu
 
-    v1 = solutions(1) | solutions(2)
-    v1 |= {-d for d in solutions(-1) | solutions(-2)}
-    v2 = set() if mu is None else solutions(mu) | {-d for d in solutions(-mu)}
+    v1 = solutions(0) | solutions(two)
+    v1 |= {-d for d in solutions(minus_one) | solutions(minus_one ^ two)}
+    v2 = set() if mu is None else solutions(b_mu) | {-d for d in solutions(b_mu ^ minus_one)}
     return frozenset(v1), frozenset(v2), mu
 
 
@@ -111,7 +125,7 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
     """
     sf = _factored(m)
     primes = sf.primes
-    candidates = divisors_of(sf.odd_part)
+    candidates = sf.odd_divisors()
     if m < 0:
         candidates = candidates + [-d for d in candidates]
 
@@ -153,13 +167,13 @@ def _r4_from_counts(m: int, v1: frozenset[int], v2: frozenset[int]) -> int:
 def tame_report(m: int) -> TameKernelReport:
     """Full report: r2, r4, the V sets and the mu that was used (if any).
 
-    m is factored once and mu computed once.
+    m is factored once, its symbol table built once and mu computed once.
     """
-    sf = _factored(m)
-    v1, v2, mu = _v_sets(m, sf)
+    table = matrices.symbol_table(_factored(m))
+    v1, v2, mu = _v_sets(m, table)
     return TameKernelReport(
         m=m,
-        r2=_r2(m, sf),
+        r2=_r2(m, table),
         r4=_r4_from_counts(m, v1, v2),
         v1=v1,
         v2=v2,

@@ -24,7 +24,7 @@ from .reps import (
 
 
 def _selmer_oracle(bound: int):
-    for n, sf in squarefree_upto(min(bound, 500)):
+    for n, sf in squarefree_upto(bound):
         if sf.k == 0:
             continue
         got = oracles.selmer_oracle(sf)

@@ -93,7 +93,7 @@ def test_scan_deterministic_and_parallel_consistent():
 
 def test_scan_resume_from():
     full = run_cli("scan", 1, 300, "--eligible").stdout.splitlines()
-    tail = run_cli("scan", 1, 300, "--eligible", "--from", 100).stdout.splitlines()
+    tail = run_cli("scan", 100, 300, "--eligible").stdout.splitlines()
     expected = [line for line in full if json.loads(line)["n"] >= 100]
     assert tail == expected
 
@@ -194,8 +194,7 @@ def test_classgroup_rejects_non_fundamental_with_exit_3(capsys):
     assert capsys.readouterr().err == '{"error": "20 is not a fundamental discriminant"}\n'
 
 
-def test_scan_eligible_csv_digest(monkeypatch, capsys):
-    monkeypatch.delenv("NONCONGRUENT_JOBS", raising=False)
+def test_scan_eligible_csv_digest(capsys):
     assert main(["scan", "1", "100000", "--eligible", "--csv"]) == 0
     body = capsys.readouterr().out.partition("\n")[2]
     assert body.count("\n") == 6076
@@ -217,9 +216,3 @@ def test_scan_worker_count_is_clamped():
     with pytest.raises(ValueError):
         cli._worker_count("x")
 
-
-def test_scan_rejects_non_integer_jobs_env(monkeypatch, capsys):
-    monkeypatch.setenv("NONCONGRUENT_JOBS", "x")
-    assert main(["scan", "1", "10"]) == 3
-    out = capsys.readouterr()
-    assert out.out == "" and "NONCONGRUENT_JOBS" in out.err

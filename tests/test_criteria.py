@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from noncongruent import arith, cli
+from noncongruent import arith, cli, verify
 from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert
 from noncongruent.criteria import VerdictKind, classify, distinguished_divisor
 
@@ -102,3 +102,11 @@ def test_scan_block_never_factorizes(monkeypatch):
     opts = {"parity": "all", "filter": "eligible", "oracle": False}
     rows = cli._scan_block((99329, 100353, opts))
     assert rows and calls == []
+
+
+def test_selmer_oracle_sweep_never_factorizes(monkeypatch):
+    # The sieve hands each n factored; divisors and square-free parts come from its primes.
+    calls = _count_factorize(monkeypatch)
+    report = verify.run("selmer-oracle", 300)
+    assert report["passed"] > 0 and report["failed"] == 0
+    assert calls == []

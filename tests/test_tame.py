@@ -1,6 +1,6 @@
 import pytest
 
-from noncongruent.arith import squarefree_part
+from noncongruent.arith import factor_squarefree, is_norm, squarefree_part
 from noncongruent.errors import OutOfRange
 from noncongruent.tame import r2_tame, r4_tame, tame_report, v_sets, v_sets_direct
 
@@ -11,6 +11,22 @@ def test_r2_examples():
     assert r2_tame(-17) == 1
     with pytest.raises(OutOfRange):
         r2_tame(2)
+
+
+def _r2_hilbert(m):
+    """r2 by the Hilbert-symbol route: k plus log2 of the number of norms from
+    Q(sqrt(m)) among +-1, +-2 (among 1, 2, less one, for m < 0)."""
+    k = factor_squarefree(abs(m)).k
+    norms = sum(1 for e in ((1, -1, 2, -2) if m > 0 else (1, 2)) if is_norm(e, m))
+    return k - (m < 0) + norms.bit_length() - 1
+
+
+def test_r2_matches_hilbert_route_sweep():
+    for a in range(3, 5001):
+        if squarefree_part(a) != a:
+            continue
+        for m in (a, -a):
+            assert r2_tame(m) == _r2_hilbert(m), m
 
 
 def test_v_sets_examples():
@@ -80,10 +96,15 @@ def test_count_power_of_two_sweep():
 def test_tame_report_factors_once_and_solves_once(monkeypatch):
     import sys
 
-    from noncongruent import arith, reps
+    from noncongruent import arith, f2linalg, reps
 
-    calls = {"factorize": [], "mu": []}
-    for name, real in (("factorize", arith.factorize), ("mu", reps.fundamental_2mu2_tau2)):
+    calls = {"factorize": [], "mu": [], "is_norm": [], "kernel": []}
+    for name, real in (
+        ("factorize", arith.factorize),
+        ("mu", reps.fundamental_2mu2_tau2),
+        ("is_norm", arith.is_norm),
+        ("kernel", f2linalg.kernel),
+    ):
 
         def counting(n, *args, _real=real, _name=name):
             calls[_name].append(n)
@@ -96,4 +117,5 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
                         monkeypatch.setattr(module, attr, counting)
     rep = tame_report(161)
     assert rep.mu_used == 9 and rep.r4 == 1
-    assert calls == {"factorize": [161], "mu": [161]}
+    assert calls["factorize"] == calls["mu"] == [161]
+    assert calls["is_norm"] == [] and len(calls["kernel"]) == 1
