@@ -18,7 +18,7 @@ from dataclasses import asdict
 from . import criteria, matrices, oracles, tame, verify
 from .arith import SquareFreeN, squarefree_block
 from .criteria import VerdictKind
-from .errors import NoncongruentError
+from .errors import NoncongruentError, TooLarge
 
 _BLOCK = 1024
 
@@ -55,7 +55,10 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     }
     if with_oracle and sf.k >= 1:
         m = -n if n % 2 == 1 else -(n // 2)
-        row["h4_agree"] = matrices.symbol_table(sf).h4(m) == oracles.h4_oracle(m)
+        try:
+            row["h4_agree"] = matrices.symbol_table(sf).h4(m) == oracles.h4_oracle(m)
+        except TooLarge:
+            pass  # past the form class group's cap the field stays empty
     return row
 
 
@@ -96,10 +99,9 @@ def cmd_classify(args) -> int:
     }[v.verdict]
 
 
-def _worker_count(jobs: int | str) -> int:
-    """Scan worker processes for --jobs: an integer, clamped to
-    [1, cpu count]; ValueError for anything else."""
-    return max(1, min(int(jobs), os.cpu_count() or 1))
+def _worker_count(jobs: int) -> int:
+    """Scan worker processes for --jobs, clamped to [1, cpu count]."""
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def cmd_scan(args) -> int:

@@ -8,20 +8,20 @@ counting images of iterated squaring, never from Redei theory, so they can
 cross-check it.  The Selmer oracle re-derives the pure 2-Selmer set from
 local solvability searches alone, never from the Monsky kernel.  The
 norm-form window scans find the fundamental solutions that ``reps`` builds
-by Euclid in Z[sqrt(2)], by trying every coordinate in a window.
+by Euclid in Z[sqrt(+-2)], by trying every coordinate in a window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import cassels
 from .arith import Place, REAL_PLACE, SquareFreeN, is_norm, squarefree_part
 from .errors import NoRepresentation, NotFundamental, TooLarge
 from .matrices import SelmerTriple, field_discriminant
-from .reps import RepNeg, RepU2W
+from .reps import Rep2MuTau, RepA8B, RepU2W
 
 _DISC_CAP = 10**6
 
@@ -236,13 +236,18 @@ def _reduced_indefinite_forms(disc: int) -> list[BQForm]:
     return out
 
 
+def _within_cap(disc: int) -> int:
+    """disc, or TooLarge above the cap on form class groups, before anything factors."""
+    if abs(disc) > _DISC_CAP:
+        raise TooLarge(f"|disc| = {abs(disc)} exceeds {_DISC_CAP}")
+    return disc
+
+
 class _FormGroup:
     """Finite abelian group of form classes with canonical representatives,
-    for |disc| <= _DISC_CAP."""
+    for |disc| <= _DISC_CAP (``_within_cap``)."""
 
     def __init__(self, disc: int):
-        if abs(disc) > _DISC_CAP:
-            raise TooLarge(f"|disc| = {abs(disc)} exceeds {_DISC_CAP}")
         self.disc = disc
         if disc < 0:
             self.elements = sorted(_reduced_definite_forms(disc), key=BQForm.key)
@@ -340,29 +345,22 @@ def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
 
 def class_group(disc: int) -> ClassGroupReport:
     """Narrow class group of the fundamental discriminant via form classes."""
-    if not is_fundamental(disc):
+    if not is_fundamental(_within_cap(disc)):
         raise NotFundamental(f"{disc} is not a fundamental discriminant")
     group = _FormGroup(disc)
     h = group.order
     two_chain = _q_rank_chain(group, 2)
-    r2 = two_chain[0] if len(two_chain) > 0 else 0
-    r4 = two_chain[1] if len(two_chain) > 1 else 0
-    r8 = two_chain[2] if len(two_chain) > 2 else 0
+    r2, r4, r8 = (two_chain + [0, 0, 0])[:3]
     # Invariant factors, assembled prime by prime from the rank chains.
     per_prime: dict[int, list[int]] = {}
     for q in _prime_factors(h):
         chain = two_chain if q == 2 else _q_rank_chain(group, q)
         count = chain[0] if chain else 0
-        exps = [sum(1 for r in chain if r > i) for i in range(count)]
-        per_prime[q] = exps
+        per_prime[q] = [sum(1 for r in chain if r > i) for i in range(count)]
     width = max((len(v) for v in per_prime.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for q, exps in per_prime.items():
-            if i < len(exps):
-                d *= q ** exps[i]
-        factors.append(d)
+    factors = [
+        prod(q ** exps[i] for q, exps in per_prime.items() if i < len(exps)) for i in range(width)
+    ]
     return ClassGroupReport(
         disc=disc,
         order=h,
@@ -377,9 +375,10 @@ def h4_oracle(m: int) -> int:
     """4-rank of the narrow class group of Q(sqrt(m)), by composition.
 
     Only the squaring chain runs, not the odd-q chains of ``class_group``;
-    ``field_discriminant`` has already checked that m is square-free, so
-    the discriminant is fundamental.
+    ``field_discriminant`` checks that m is square-free, so the
+    discriminant is fundamental, once the cap has passed it unfactored.
     """
+    _within_cap(m if m % 4 == 1 else 4 * m)
     two_chain = _q_rank_chain(_FormGroup(field_discriminant(m)), 2)
     return two_chain[1] if len(two_chain) > 1 else 0
 
@@ -429,18 +428,30 @@ def window_u2_2w2(n: int) -> RepU2W:
     raise NoRepresentation(f"{n} != u^2 - 2*w^2 for any integers")
 
 
-def window_neg(m: int) -> RepNeg:
-    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for m < 0."""
+def window_neg(m: int) -> Rep2MuTau:
+    """Representation m = 2*mu^2 - tau^2 with minimal mu >= 1, for m < 0."""
     if m >= 0:
         raise ValueError("m must be negative")
     if not is_norm(2, m):
         raise NoRepresentation(f"2 is not a norm from Q(sqrt({m}))")
     for mu in range(1, 2 * isqrt(-m) + 3):
-        l2 = 2 * mu * mu - m
-        lam = isqrt(l2)
-        if lam * lam == l2:
-            return RepNeg(mu, lam, m)
-    raise NoRepresentation(f"{m} != 2*mu^2 - lam^2 for any integers")
+        t2 = 2 * mu * mu - m
+        tau = isqrt(t2)
+        if tau * tau == t2:
+            return Rep2MuTau(mu, tau, m)
+    raise NoRepresentation(f"{m} != 2*mu^2 - tau^2 for any integers")
+
+
+def window_a2_8b2(n: int) -> RepA8B:
+    """Representation n = a^2 + 8*b^2 with smallest b >= 0, a odd positive."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("n must be positive odd")
+    for b in range(isqrt(n // 8) + 1):
+        a2 = n - 8 * b * b
+        a = isqrt(a2)
+        if a * a == a2:
+            return RepA8B(a, b, n)
+    raise NoRepresentation(f"{n} != a^2 + 8*b^2 for any integers")
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,39 @@
-"""Integer representation solvers for the norm forms 2x^2 - y^2 and x^2 - 2y^2.
+"""Integer representation solvers for the norm forms x^2 - 2y^2 and x^2 + 2y^2.
 
-The solutions of 2*mu^2 - tau^2 = n, u^2 - 2*w^2 = n and 2*mu^2 - lam^2 = m
-are the elements tau + mu*sqrt(2), u + w*sqrt(2) and lam + mu*sqrt(2) of
-Z[sqrt(2)] with norm -n, n and -m.  For square-free n such elements exist
-iff every odd p | n is +-1 mod 8, and each is a unit times a product of one
-prime element above every p | n: sqrt(2) above 2, and gcd(p, r + sqrt(2)) by
-Euclid in Z[sqrt(2)] (r^2 = 2 mod p) or its conjugate above odd p.  The
-2^(k-1) conjugate choices, up to conjugating the whole product, are the unit
-orbits; 1 + sqrt(2) fixes the sign of the norm, and 3 + 2*sqrt(2) steps each
-product to its smallest coordinate.  The minimum over the orbits is the
-fundamental solution, the same one that the window scans in ``oracles``
-find at small n.  The prime element above odd p also gives the package's
-one square root of 2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
+The solutions of 2*mu^2 - tau^2 = n (either sign) and u^2 - 2*w^2 = n are
+the elements tau + mu*sqrt(2) and u + w*sqrt(2) of Z[sqrt(2)] with norm -n
+and n; those of a^2 + 8*b^2 = n are the elements a + 2b*sqrt(-2) of
+Z[sqrt(-2)].  Both rings are norm-Euclidean, and one set of routines, given
+the radicand r, serves both.  For square-free n such elements exist iff
+every odd p | n splits (p = +-1 mod 8 for r = 2, 1 or 3 mod 8 for r = -2),
+and each is a unit times a product of one prime element above every p | n:
+sqrt(r) above 2, and gcd(p, s + sqrt(r)) by Euclid (s^2 = r mod p) or its
+conjugate above odd p.  The 2^(k-1) conjugate choices, up to conjugating the
+whole product, are the unit orbits.  In Z[sqrt(2)], 1 + sqrt(2) fixes the
+sign of the norm and 3 + 2*sqrt(2) steps each product to its smallest
+coordinate; Z[sqrt(-2)] has positive norms and the units +-1 only.  The
+minimum over the orbits is the fundamental solution, the one that the window
+scans in ``oracles`` find.  The prime element above odd p in Z[sqrt(2)] also
+gives the package's one square root of 2 mod p, and with it the symbol
+((x + y*sqrt(2)) / m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 from .arith import SquareFreeN, factor_squarefree, legendre, sqrt_mod
-from .errors import IllDefined, NoRepresentation
+from .errors import IllDefined, NoRepresentation, NoRoot
 
-# Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y); coordinate 0 is x, 1 is y.
+# Elements x + y*sqrt(r) of Z[sqrt(r)], r = +-2, are pairs (x, y): coordinate 0 is x.
 _Z2 = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Rep2MuTau:
-    """n = 2*mu^2 - tau^2 with the sign of mu normalized mod 4."""
+    """n = 2*mu^2 - tau^2: for n > 0 the sign of mu is normalized mod 4
+    (``rep_2mu2_tau2``), for n < 0 mu and tau are positive (``rep_neg``)."""
 
     mu: int
     tau: int
@@ -66,74 +70,64 @@ class RepA8B:
             raise ValueError("not a representation")
 
 
-@dataclass(frozen=True)
-class RepNeg:
-    """m = 2*mu^2 - lam^2 for m < 0, with mu, lam positive."""
-
-    mu: int
-    lam: int
-    m: int
-
-    def __post_init__(self):
-        if 2 * self.mu * self.mu - self.lam * self.lam != self.m:
-            raise ValueError("not a representation")
-
-
 def orbit_step_2mu2(mu: int, tau: int) -> tuple[int, int]:
     """Action of the fundamental unit 3 + 2*sqrt(2) on 2*mu^2 - tau^2 = n."""
     return 3 * mu + 2 * tau, 4 * mu + 3 * tau
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in Z[sqrt(2)]
+# arithmetic in Z[sqrt(2)] and Z[sqrt(-2)]
 # ---------------------------------------------------------------------------
 
+# Per radicand, the units that step along an orbit: Z[sqrt(-2)] has only +-1.
+_STEPS = {2: ((3, 2), (3, -2)), -2: ()}
 
-def _mul(a: _Z2, b: _Z2) -> _Z2:
-    return a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+def _mul(a: _Z2, b: _Z2, r: int) -> _Z2:
+    return a[0] * b[0] + r * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _smallest(a: _Z2, c: int) -> _Z2:
-    """The element of a's orbit under 3 + 2*sqrt(2) with the least |coordinate c|.
+def _smallest(a: _Z2, c: int, r: int) -> _Z2:
+    """The element of a's orbit under the units of Z[sqrt(r)] with the least |coordinate c|.
 
-    Along the orbit the coordinate is A*e^j + B*e^-j (e = 3 + 2*sqrt(2)), whose
-    absolute value falls and then rises, so stepping while it falls ends at
-    the minimum.
+    Along the orbit under e = 3 + 2*sqrt(2) the coordinate is A*e^j + B*e^-j,
+    whose absolute value falls and then rises, so stepping while it falls
+    ends at the minimum.  Z[sqrt(-2)] has no step: a is returned.
     """
-    for unit in ((3, 2), (3, -2)):
-        b = _mul(a, unit)
+    for unit in _STEPS[r]:
+        b = _mul(a, unit, r)
         while abs(b[c]) < abs(a[c]):
-            a, b = b, _mul(b, unit)
+            a, b = b, _mul(b, unit, r)
     return a
 
 
-def _gcd(a: _Z2, b: _Z2) -> _Z2:
-    """A gcd by Euclid: Z[sqrt(2)] is norm-Euclidean, since the rounded
-    quotient leaves a remainder of at most half the divisor's |norm|."""
+def _gcd(a: _Z2, b: _Z2, r: int) -> _Z2:
+    """A gcd by Euclid: both rings are norm-Euclidean, since the rounded quotient
+    leaves a remainder of at most 1/2 (r = 2) or 3/4 (r = -2) of the divisor's |norm|."""
     while b != (0, 0):
-        nb = b[0] * b[0] - 2 * b[1] * b[1]
+        nb = b[0] * b[0] - r * b[1] * b[1]
         # a / b = a * conj(b) / N(b), rounded coordinate by coordinate.
-        x, y = a[0] * b[0] - 2 * a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        x, y = a[0] * b[0] - r * a[1] * b[1], a[1] * b[0] - a[0] * b[1]
         if nb < 0:
             x, y, nb = -x, -y, -nb
-        qb = _mul(((2 * x + nb) // (2 * nb), (2 * y + nb) // (2 * nb)), b)
+        qb = _mul(((2 * x + nb) // (2 * nb), (2 * y + nb) // (2 * nb)), b, r)
         a, b = b, (a[0] - qb[0], a[1] - qb[1])
     return a
 
 
 @lru_cache(maxsize=4096)
-def _prime_element(p: int) -> _Z2:
-    """An element of norm +-p, for p = 2 or a prime p = +-1 mod 8."""
+def _prime_element(p: int, r: int) -> _Z2:
+    """An element of Z[sqrt(r)] of norm +-p, for p = 2 or an odd prime that splits."""
     if p == 2:
         return 0, 1
-    return _smallest(_gcd((p, 0), (sqrt_mod(2, p), 1)), 1)
+    return _smallest(_gcd((p, 0), (sqrt_mod(r, p), 1), r), 1, r)
 
 
 def sqrt2_mod(p: int) -> int:
     """The square root s = -a/b of 2 mod an odd prime p = +-1 mod 8, where
     a + b*sqrt(2) is the prime element above p: reduction mod that prime
     sends sqrt(2) to s and the element to 0."""
-    a, b = _prime_element(p)
+    a, b = _prime_element(p, 2)
     return -a * pow(b, -1, p) % p
 
 
@@ -154,31 +148,33 @@ def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     return result
 
 
-def _least(n: int, sf: SquareFreeN | None, sign: int, c: int) -> _Z2:
-    """The element of norm sign*n with the least |coordinate c|, for square-free n > 0.
+def _least(n: int, sf: SquareFreeN | None, sign: int, c: int, r: int) -> _Z2:
+    """The element of Z[sqrt(r)] of norm sign*n with the least |coordinate c|,
+    for square-free n > 0.
 
     ``sf`` is n factored, or None to factor it here.  Raises NotSquareFree for
-    non-square-free n, and NoRepresentation when some odd prime of n is not
-    +-1 mod 8.  The minimum can be 0 only at n = 1.
+    non-square-free n, and NoRepresentation when some odd prime of n does not
+    split.  The minimum can be 0 only at n = 1.
     """
     if sf is None:
         sf = factor_squarefree(n)
     elif sf.n != n:
         raise ValueError(f"the factored {sf.n} is not {n}")
-    if not sf.eligibility:
-        raise NoRepresentation(f"no element of Z[sqrt(2)] has norm +-{n}: a prime is not +-1 mod 8")
-    elements = [_prime_element(p) for p in ((2,) if sf.is_even else ()) + sf.primes]
+    try:
+        elements = [_prime_element(p, r) for p in ((2,) if sf.is_even else ()) + sf.primes]
+    except NoRoot:
+        raise NoRepresentation(f"a prime of {n} does not split in Z[sqrt({r})]") from None
     norm = 1
     for x, y in elements:
-        norm *= x * x - 2 * y * y
+        norm *= x * x - r * y * y
     # Conjugates share a norm, so one factor 1 + sqrt(2) (norm -1) fixes every sign.
     products = [(1, 0) if norm == sign * n else (1, 1)]
     for i, (x, y) in enumerate(elements):
         # Conjugating the whole product keeps |coordinates|, and the conjugate
-        # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
+        # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
         choices = ((x, y), (x, -y)) if i > sf.is_even else ((x, y),)
-        products = [_smallest(_mul(a, e), 1) for a in products for e in choices]
-    return min((_smallest(a, c) for a in products), key=lambda a: abs(a[c]))
+        products = [_smallest(_mul(a, e, r), 1, r) for a in products for e in choices]
+    return min((_smallest(a, c, r) for a in products), key=lambda a: abs(a[c]))
 
 
 def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, int]:
@@ -188,7 +184,7 @@ def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, i
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    tau, mu = _least(n, sf, -1, 1)
+    tau, mu = _least(n, sf, -1, 1, 2)
     return abs(mu), abs(tau)
 
 
@@ -211,32 +207,33 @@ def rep_u2_2w2(n: int, sf: SquareFreeN | None = None) -> RepU2W:
     """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0 square-free."""
     if n <= 0:
         raise ValueError("n must be positive")
-    u, w = _least(n, sf, 1, 0)
+    u, w = _least(n, sf, 1, 0, 2)
     return RepU2W(abs(u), abs(w), n)
 
 
-def rep_a2_8b2(n: int) -> RepA8B:
-    """Representation n = a^2 + 8*b^2 with smallest b >= 0, a odd positive."""
+def rep_a2_8b2(n: int, sf: SquareFreeN | None = None) -> RepA8B:
+    """Representation n = a^2 + 8*b^2 with smallest b >= 0, a odd positive, for
+    square-free odd n: a + y*sqrt(-2) of norm n with the least |y|, b = |y|/2.
+    Odd a gives n = 1 + 2*y^2 mod 8, so y is odd exactly when n = 3 mod 8.
+    ``sf``, n factored, when known, spares factoring n."""
     if n <= 0 or n % 2 == 0:
         raise ValueError("n must be positive odd")
-    for b in range(isqrt(n // 8) + 1):
-        a2 = n - 8 * b * b
-        a = isqrt(a2)
-        if a * a == a2:
-            return RepA8B(a, b, n)
-    raise NoRepresentation(f"{n} != a^2 + 8*b^2 for any integers")
+    a, y = _least(n, sf, 1, 1, -2)
+    if y % 2:
+        raise NoRepresentation(f"{n} = 3 mod 8 is not a^2 + 8*b^2")
+    return RepA8B(abs(a), abs(y) // 2, n)
 
 
-def rep_neg(m: int, sf: SquareFreeN | None = None) -> RepNeg:
-    """Representation m = 2*mu^2 - lam^2 with minimal mu >= 1, for square-free
-    m < 0; ``sf`` is -m factored, when known."""
+def rep_neg(m: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
+    """Representation m = 2*mu^2 - tau^2 with minimal mu >= 1 and tau > 0, for
+    square-free m < 0; ``sf`` is -m factored, when known."""
     if m >= 0:
         raise ValueError("m must be negative")
-    lam, mu = _least(-m, sf, 1, 1)
+    tau, mu = _least(-m, sf, 1, 1, 2)
     if mu == 0:
         # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
-        lam, mu = 3, 2
-    return RepNeg(abs(mu), abs(lam), m)
+        tau, mu = 3, 2
+    return Rep2MuTau(abs(mu), abs(tau), m)
 
 
 def linked_u2w(rep: Rep2MuTau) -> RepU2W:

@@ -64,7 +64,7 @@ def _r2(m: int, table: matrices.SymbolTable) -> int:
 
 
 def _mu(m: int, sf: SquareFreeN) -> int | None:
-    """mu of the fundamental 2*mu^2 - tau^2 = m (or - lam^2 for m < 0), or
+    """mu of the fundamental 2*mu^2 - tau^2 = m (least mu >= 1 for m < 0), or
     None when 2 is not a norm from Q(sqrt(m)), that is when some odd prime
     of m is not +-1 mod 8; sf is |m| factored."""
     if not sf.eligibility:

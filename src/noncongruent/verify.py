@@ -88,7 +88,7 @@ def _proposition(bound: int):
         h4m = matrices.symbol_table(sf).h4(-n)
         mu = fundamental_2mu2_tau2(n, sf)[0]
         b = {
-            "b_even": rep_a2_8b2(n).b % 2 == 0,
+            "b_even": rep_a2_8b2(n, sf).b % 2 == 0,
             "one_plus_sqrt2": z2_jacobi(1, 1, sf.primes) == 1,
             "sqrt2_vs_n": z2_jacobi(0, 1, sf.primes) == (-1) ** ((n - 1) // 8),
             "mu_mod4": abs(mu) % 4 == 1,

@@ -210,9 +210,16 @@ def test_classify_json_pinned(line):
 def test_scan_worker_count_is_clamped():
     # Computed only: no pool is started here.
     cpus = os.cpu_count() or 1
-    assert cli._worker_count(10**6) == cli._worker_count("1000000") == cpus
+    assert cli._worker_count(10**6) == cpus
     assert cli._worker_count(0) == cli._worker_count(-5) == 1
     assert cli._worker_count(1) == 1
-    with pytest.raises(ValueError):
-        cli._worker_count("x")
+
+
+def test_scan_oracle_leaves_h4_agree_empty_past_the_cap(capsys):
+    # Odd n > 250000 have |disc(-n)| = 4n above the class-group cap of 10^6;
+    # even n check -n/2, which stays below it.
+    assert main(["scan", "249990", "250100", "--eligible", "--oracle", "--csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(row[-1] == ("True" if int(row[0]) % 2 == 0 else "") for row in rows)
 

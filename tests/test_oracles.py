@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from noncongruent import arith
 from noncongruent.arith import factor_squarefree, squarefree_part
 from noncongruent.errors import NotFundamental, TooLarge
 from noncongruent.matrices import h4, selmer_elements
@@ -32,6 +33,17 @@ def test_class_group_examples():
         class_group(-32)
     with pytest.raises(TooLarge):
         class_group(-(10**6) - 3)
+
+
+def test_cap_is_checked_before_anything_factors(monkeypatch):
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    n = 3239999999499600000007657  # a product of two 13-digit primes
+    for oracle, arg in ((class_group, n), (h4_oracle, -n), (h4_oracle, -250001)):
+        with pytest.raises(TooLarge, match="exceeds 1000000"):
+            oracle(arg)
+    assert calls == []
 
 
 def test_class_group_known_values():

@@ -55,7 +55,14 @@ def test_rep_u2_2w2_and_a2_8b2_examples():
     assert (rep_a2_8b2(17).a, rep_a2_8b2(17).b) == (3, 1)
     assert (rep_a2_8b2(41).a, rep_a2_8b2(41).b) == (3, 2)
     r = rep_neg(-34)
-    assert (r.mu, r.lam) == (1, 6)
+    assert (r.mu, r.tau) == (1, 6)
+
+
+def test_rep_a2_8b2_beyond_any_scan():
+    # 1799999999969 * 1799999999753: the scan over b would take about 6.4e11 steps.
+    n = 3239999999499600000007657
+    r = rep_a2_8b2(n)
+    assert (r.a, r.b) == (1066927588943, 512550670599)
 
 
 def test_representations_reproduce_target():
@@ -73,8 +80,8 @@ def test_representations_reproduce_target():
             count += 1
         if is_norm(2, -n):
             r = rep_neg(-n)
-            assert 2 * r.mu * r.mu - r.lam * r.lam == -n
-            assert r.mu >= 1 and r.lam >= 1
+            assert 2 * r.mu * r.mu - r.tau * r.tau == -n
+            assert r.mu >= 1 and r.tau >= 1
 
 
 def test_orbit_steps_preserve_norms():
@@ -143,6 +150,8 @@ def _assert_matches_window_scans(n, sf):
     assert _outcome(fundamental_2mu2_tau2, n, sf) == _outcome(oracles.window_2mu2_tau2, n)
     assert _outcome(rep_u2_2w2, n, sf) == _outcome(oracles.window_u2_2w2, n)
     assert _outcome(rep_neg, -n, sf) == _outcome(oracles.window_neg, -n)
+    if n % 2:
+        assert _outcome(rep_a2_8b2, n, sf) == _outcome(oracles.window_a2_8b2, n)
 
 
 def test_solvers_equal_window_scans_exhaustively():
@@ -156,8 +165,10 @@ def test_solvers_equal_window_scans_exhaustively():
         _assert_matches_window_scans(n, None)
 
 
-def _next_prime_pm1_mod8(q):
-    while not (q % 8 in (1, 7) and is_prime(q)):
+def _next_split_prime(q, residues=(1, 7)):
+    """The least prime >= q whose residue mod 8 is among ``residues``: +-1
+    for Z[sqrt(2)], 1 and 3 for Z[sqrt(-2)]."""
+    while not (q % 8 in residues and is_prime(q)):
         q += 1
     return q
 
@@ -167,7 +178,7 @@ def z2_products(draw):
     """Square-free n <= 10^10 from 2-4 primes = +-1 mod 8, sometimes doubled."""
     k = draw(st.integers(2, 4))
     cap = round((10**10 / 2) ** (1 / k))
-    primes = sorted({_next_prime_pm1_mod8(draw(st.integers(7, cap))) for _ in range(k)})
+    primes = sorted({_next_split_prime(draw(st.integers(7, cap))) for _ in range(k)})
     n = prod(primes) * draw(st.sampled_from((1, 2)))
     assume(len(primes) >= 2 and n <= 10**10)
     return n, tuple(primes)
@@ -184,11 +195,14 @@ def test_solvers_equal_window_scans_on_prime_products(case):
 
 @given(st.integers(7, 10**12))
 def test_prime_element_has_norm_pm_p(q):
-    p = _next_prime_pm1_mod8(q)
-    x, y = _prime_element(p)
+    p = _next_split_prime(q)
+    x, y = _prime_element(p, 2)
     assert abs(x * x - 2 * y * y) == p
     s = sqrt2_mod(p)
     assert (s * s - 2) % p == 0 and (x + y * s) % p == 0
+    p = _next_split_prime(q, (1, 3))
+    x, y = _prime_element(p, -2)
+    assert x * x + 2 * y * y == p
 
 
 def _quad_jacobi_reference(x, y, m, root_choice):
@@ -246,13 +260,20 @@ def test_z2_jacobi_matches_reference_on_eligible_n():
 
 def test_solvers_reject_a_factored_other_n():
     sf = factor_squarefree(161)
-    for solve, n in ((fundamental_2mu2_tau2, 17), (rep_u2_2w2, 17), (rep_neg, -17)):
+    for solve, n in (
+        (fundamental_2mu2_tau2, 17),
+        (rep_u2_2w2, 17),
+        (rep_neg, -17),
+        (rep_a2_8b2, 17),
+    ):
         with pytest.raises(ValueError):
             solve(n, sf)
 
 
-@pytest.mark.parametrize("n", [18, 50, 98, 3 * 17 * 17])
+@pytest.mark.parametrize("n", [9, 18, 50, 98, 3 * 17 * 17])
 def test_solvers_reject_non_squarefree(n):
+    with pytest.raises(NotSquareFree if n % 2 else ValueError):
+        rep_a2_8b2(n)  # odd n only
     with pytest.raises(NotSquareFree):
         fundamental_2mu2_tau2(n)
     with pytest.raises(NotSquareFree):
