@@ -12,7 +12,6 @@ descent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import isqrt, prod
 
 from . import criteria
@@ -386,15 +385,9 @@ def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
     combination e = a*h3 - b*h1 has no x3 term (e is h1 or h3 when both
     vanish), so once x1 is fixed e pins x2^2 by a linear condition; then
     each form pins x3^2 the same way.  Every square's roots come from a
-    table, which makes it O(p) time and memory, and the solutions come out
-    in the order of an exhaustive lexicographic scan.
+    table: O(p) time and memory at every p, 2 included.  The solutions come
+    out in the order of an exhaustive lexicographic scan.
     """
-    if p == 2:
-        return [
-            pt
-            for pt in product(range(2), repeat=4)
-            if any(pt) and _eval_form(h1, pt) % 2 == 0 and _eval_form(h3, pt) % 2 == 0
-        ]
     roots: list[list[int]] = [[] for _ in range(p)]
     for x in range(p):
         roots[x * x % p].append(x)

@@ -54,11 +54,15 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
         "h4_agree": None,
     }
     if with_oracle and sf.k >= 1:
-        m = -n if n % 2 == 1 else -(n // 2)
+        # h4(-n) for odd n, h4(-n/2) for even n: classify's h4_minus where
+        # it recorded one (every s2 = 2 row), else read off a new table.
+        m = -sf.odd_part
         try:
-            row["h4_agree"] = matrices.symbol_table(sf).h4(m) == oracles.h4_oracle(m)
+            oracle = oracles.h4_oracle(m)
         except TooLarge:
-            pass  # past the form class group's cap the field stays empty
+            return row  # past the form class group's cap the field stays empty
+        h4 = v.h4_minus if v.h4_minus is not None else matrices.symbol_table(sf).h4(m)
+        row["h4_agree"] = h4 == oracle
     return row
 
 

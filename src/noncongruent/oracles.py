@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from . import cassels
-from .arith import Place, REAL_PLACE, SquareFreeN, is_norm, squarefree_part
+from .arith import Place, REAL_PLACE, SquareFreeN, factorize, squarefree_part
 from .errors import NoRepresentation, NotFundamental, TooLarge
 from .matrices import SelmerTriple, field_discriminant
 from .reps import Rep2MuTau, RepA8B, RepU2W
@@ -26,7 +26,7 @@ from .reps import Rep2MuTau, RepA8B, RepU2W
 _DISC_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BQForm:
     """Primitive integral binary quadratic form a x^2 + b xy + c y^2."""
 
@@ -40,9 +40,6 @@ class BQForm:
 
     def is_primitive(self) -> bool:
         return gcd(gcd(self.a, self.b), self.c) == 1
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
     def __str__(self) -> str:
         return f"({self.a},{self.b},{self.c})"
@@ -96,58 +93,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x0, y0, a
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Chinese remainder for possibly non-coprime moduli (must be consistent)."""
-    g = gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ArithmeticError("inconsistent congruences")
-    lcm = m1 // g * m2
-    x, _, _ = _xgcd(m1 // g, m2 // g)
-    return (r1 + m1 * ((r2 - r1) // g) * x) % lcm
-
-
-def _transform_to_coprime(g: BQForm, other_a: int) -> BQForm:
-    """Equivalent form whose leading coefficient is coprime to other_a.
-
-    Walks primitive vectors (x, y) in an expanding box until g(x, y) is
-    nonzero and coprime to other_a, then changes basis by an SL2 matrix
-    sending (1, 0) to (x, y).
-    """
-    a, b, c = g.a, g.b, g.c
-    for bound in range(1, 64):
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                m = a * x * x + b * x * y + c * y * y
-                if m == 0 or gcd(m, other_a) != 1:
-                    continue
-                r, s, _ = _xgcd(x, y)
-                # Basis matrix [[x, r'], [y, s']] with det x*s' - y*r' = 1.
-                rp, sp = -s, r
-                b2 = 2 * (a * x * rp + c * y * sp) + b * (x * sp + y * rp)
-                c2 = a * rp * rp + b * rp * sp + c * sp * sp
-                return BQForm(m, b2, c2)
-    raise ArithmeticError("no coprime representative found")  # pragma: no cover
-
-
 def compose(f: BQForm, g: BQForm) -> BQForm:
-    """Dirichlet composition of primitive forms of one discriminant.
+    """Composition of primitive forms of one discriminant (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 5.4.7).
 
-    g is first replaced by an equivalent form whose leading coefficient is
-    coprime to f's, after which both are brought to a common middle
-    coefficient and multiplied.  Sign-agnostic in the discriminant; the
-    result is generally unreduced.
+    With d = gcd(a1, a2) = y1*a2 + v*a1, s = (b1 + b2)/2 and
+    d1 = gcd(s, d) = x2*s - y2*d, the result is (a1*a2/d1^2, b2 + 2*(a2/d1)*r, c)
+    with r = y1*y2*(b2 - s) - x2*c2 mod a1/d1: two extended gcds and no
+    search, for either sign of the discriminant.  It is generally unreduced.
     """
     disc = f.disc
     if disc != g.disc:
         raise ValueError("discriminants differ")
-    if gcd(f.a, g.a) != 1:
-        g = _transform_to_coprime(g, f.a)
-    a1, b1 = f.a, f.b
-    a2, b2 = g.a, g.b
-    b = _crt(b1, 2 * a1, b2, 2 * a2)
-    a = a1 * a2
+    s = (f.b + g.b) // 2
+    y1, _, d = _xgcd(g.a, f.a)
+    x2, y2, d1 = _xgcd(s, d)
+    y2 = -y2
+    v1, v2 = f.a // d1, g.a // d1
+    r = (y1 * y2 * (g.b - s) - x2 * g.c) % v1
+    b = g.b + 2 * v2 * r
+    a = v1 * v2
     return BQForm(a, b, (b * b - disc) // (4 * a))
 
 
@@ -250,16 +215,16 @@ class _FormGroup:
     def __init__(self, disc: int):
         self.disc = disc
         if disc < 0:
-            self.elements = sorted(_reduced_definite_forms(disc), key=BQForm.key)
+            self.elements = sorted(_reduced_definite_forms(disc))
             self._rep = None
             b0 = disc % 2
             self.identity = BQForm(1, b0, (b0 * b0 - disc) // 4)
         else:
             self.sq = isqrt(disc)
             reduced = _reduced_indefinite_forms(disc)
-            rep: dict[tuple[int, int, int], BQForm] = {}
+            rep: dict[BQForm, BQForm] = {}
             for f in reduced:
-                if f.key() in rep:
+                if f in rep:
                     continue
                 cycle = [f]
                 g = indef_rho(f, self.sq)
@@ -270,11 +235,11 @@ class _FormGroup:
                     guard += 1
                     if guard > 100_000:
                         raise ArithmeticError("cycle did not close")
-                best = min(cycle, key=BQForm.key)
+                best = min(cycle)
                 for h in cycle:
-                    rep[h.key()] = best
+                    rep[h] = best
             self._rep = rep
-            self.elements = sorted(set(rep.values()), key=BQForm.key)
+            self.elements = sorted(set(rep.values()))
             b0 = self.sq if (self.sq - disc) % 2 == 0 else self.sq - 1
             self.identity = self.canon(BQForm(1, b0, (b0 * b0 - disc) // 4))
 
@@ -282,7 +247,7 @@ class _FormGroup:
         if self.disc < 0:
             return reduce_definite(f)
         g = indef_reduce(f, self.sq)
-        return self._rep[g.key()]
+        return self._rep[g]
 
     def mul(self, f: BQForm, g: BQForm) -> BQForm:
         return self.canon(compose(f, g))
@@ -302,20 +267,6 @@ class _FormGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
@@ -353,7 +304,7 @@ def class_group(disc: int) -> ClassGroupReport:
     r2, r4, r8 = (two_chain + [0, 0, 0])[:3]
     # Invariant factors, assembled prime by prime from the rank chains.
     per_prime: dict[int, list[int]] = {}
-    for q in _prime_factors(h):
+    for q, _ in factorize(h):
         chain = two_chain if q == 2 else _q_rank_chain(group, q)
         count = chain[0] if chain else 0
         per_prime[q] = [sum(1 for r in chain if r > i) for i in range(count)]
@@ -412,8 +363,6 @@ def window_u2_2w2(n: int) -> RepU2W:
     """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if not is_norm(2, n):
-        raise NoRepresentation(f"2 is not a norm from Q(sqrt({n}))")
     lo = isqrt(n)
     if lo * lo < n:
         lo += 1
@@ -432,8 +381,6 @@ def window_neg(m: int) -> Rep2MuTau:
     """Representation m = 2*mu^2 - tau^2 with minimal mu >= 1, for m < 0."""
     if m >= 0:
         raise ValueError("m must be negative")
-    if not is_norm(2, m):
-        raise NoRepresentation(f"2 is not a norm from Q(sqrt({m}))")
     for mu in range(1, 2 * isqrt(-m) + 3):
         t2 = 2 * mu * mu - m
         tau = isqrt(t2)

@@ -7,7 +7,7 @@ from math import isqrt
 
 import pytest
 
-from noncongruent import arith, cli, criteria
+from noncongruent import arith, cli, criteria, matrices
 from noncongruent.cli import main
 
 # SHA-256 of the CSV body (header excluded) of
@@ -223,3 +223,20 @@ def test_scan_oracle_leaves_h4_agree_empty_past_the_cap(capsys):
     assert len(rows) == 8
     assert all(row[-1] == ("True" if int(row[0]) % 2 == 0 else "") for row in rows)
 
+
+def test_scan_oracle_builds_one_symbol_table_per_rank_two_row(monkeypatch):
+    # --oracle checks the h4_minus that classify recorded on every s2 = 2
+    # row; only the rows without one build a second table
+    builds = []
+    real = matrices.symbol_table
+    monkeypatch.setattr(matrices, "symbol_table", lambda sf: builds.append(sf.n) or real(sf))
+    rank_two = 0
+    for n, sf in arith.squarefree_block(1, 3000, (1, 2)):
+        if sf.k == 0 or not sf.eligibility:
+            continue
+        builds.clear()
+        row = cli._scan_row(sf, True)
+        assert row["h4_agree"] is True, n
+        assert builds == ([n] if row["s2"] == 2 else [n, n]), n
+        rank_two += row["s2"] == 2
+    assert rank_two > 100

@@ -2,9 +2,10 @@ import sys
 
 import pytest
 
-from noncongruent import arith, cli, verify
+from noncongruent import arith, cli, matrices, verify
 from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert
 from noncongruent.criteria import VerdictKind, classify, distinguished_divisor
+from noncongruent.errors import VerificationFailed
 
 
 def test_distinguished_divisor_examples():
@@ -12,6 +13,15 @@ def test_distinguished_divisor_examples():
     assert distinguished_divisor(factor_squarefree(161)) == 23
     assert distinguished_divisor(factor_squarefree(34)) == 17
     assert distinguished_divisor(factor_squarefree(322)) == -7
+
+
+@pytest.mark.parametrize("n, wrong", [(161, 7), (322, 23)])
+def test_distinguished_divisor_rechecks_the_kernel(monkeypatch, n, wrong):
+    # a kernel vector that names another divisor must fail the Hilbert
+    # re-verification (for 322, -23 is 1 mod 8 but not a norm)
+    monkeypatch.setattr(matrices, "psi", lambda vec, primes: wrong)
+    with pytest.raises(VerificationFailed, match=f"d = -?{wrong}, n = {n}"):
+        distinguished_divisor(factor_squarefree(n))
 
 
 def test_distinguished_divisor_is_unique_brute_force():

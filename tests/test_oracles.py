@@ -99,6 +99,13 @@ def test_group_closure_on_spot_discriminants():
             row = {group.mul(f, g) for g in group.elements}
             assert row == elems  # each row of the Cayley table is a permutation
             assert group.identity in {group.mul(f, g) for g in group.elements}
+            # the raw composite is integral of discriminant disc, and the law
+            # is commutative with the principal form as identity and the
+            # opposite form (a, -b, c) as inverse
+            assert all(compose(f, g).disc == disc for g in group.elements)
+            assert all(group.mul(f, g) == group.mul(g, f) for g in group.elements)
+            assert group.mul(f, group.identity) == f
+            assert group.mul(f, BQForm(f.a, -f.b, f.c)) == group.identity
 
 
 def test_power_equals_repeated_multiplication():

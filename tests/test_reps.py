@@ -148,8 +148,13 @@ def _outcome(solver, *args):
 
 def _assert_matches_window_scans(n, sf):
     assert _outcome(fundamental_2mu2_tau2, n, sf) == _outcome(oracles.window_2mu2_tau2, n)
-    assert _outcome(rep_u2_2w2, n, sf) == _outcome(oracles.window_u2_2w2, n)
-    assert _outcome(rep_neg, -n, sf) == _outcome(oracles.window_neg, -n)
+    u2w = _outcome(oracles.window_u2_2w2, n)
+    neg = _outcome(oracles.window_neg, -n)
+    assert _outcome(rep_u2_2w2, n, sf) == u2w
+    assert _outcome(rep_neg, -n, sf) == neg
+    # the complete windows represent exactly where 2 is a norm from Q(sqrt(+-n))
+    assert (u2w is not NoRepresentation) == is_norm(2, n)
+    assert (neg is not NoRepresentation) == is_norm(2, -n)
     if n % 2:
         assert _outcome(rep_a2_8b2, n, sf) == _outcome(oracles.window_a2_8b2, n)
 
