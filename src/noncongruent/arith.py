@@ -110,12 +110,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 out[d] = out.get(d, 0) + 1
                 n //= d
             d += 2
+    # No prime below the trial bound is left in n or in its factors, so one
+    # below the bound's square is prime without a Miller-Rabin test.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         g = _pollard_rho(m)

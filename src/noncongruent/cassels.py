@@ -329,42 +329,40 @@ def _choose_pair(forms: list[list[int]], p: int) -> tuple[list[int], list[int]]:
     return forms[0], forms[2]
 
 
+def _local_model(ts: TorsorSystem, p: int) -> tuple[list[int], list[int], list[int]]:
+    """The two forms the search at p lifts, and the exponents that scale
+    their coordinates back to the torsor's: H1 and H3 at 2, a p-minimal
+    pair at odd p."""
+    if p == 2:
+        return list(ts.h1), list(ts.h3), [0, 0, 0, 0]
+    forms, scales = _minimize_at_p(ts, p)
+    return *_choose_pair(forms, p), scales
+
+
 def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
     """Search for a certified local point on the torsor at the place v.
 
-    Finite places run a breadth-first lift over residues modulo p^m on a
-    p-minimized model: level one is enumerated exhaustively (see _level_one),
-    later levels lift solutions while checking the Hensel certificate.
-    Returns None only when some level has no solutions at all, which soundly
-    certifies insolvability.  The certificate depth is the sufficient bound
+    Finite places lift a frontier level by level (see _levels) on a
+    p-minimized model and scan it for a Hensel certificate.  Returns None
+    only when some level has no solutions at all, which soundly certifies
+    insolvability.  The certificate depth is the sufficient bound
     2*v_p(4n^2) + 1 plus slack.
     """
     if v.is_real:
         return _real_point(ts)
     p = v.p
-    n = ts.n
-    if p == 2:
-        h1, h3 = list(ts.h1), list(ts.h3)
-        scales = [0, 0, 0, 0]
-    else:
-        forms, scales = _minimize_at_p(ts, p)
-        h1, h3 = _choose_pair(forms, p)
-    vp4n2 = 2 * split_power(n, p)[0] + (2 if p == 2 else 0)
+    h1, h3, scales = _local_model(ts, p)
+    vp4n2 = 2 * split_power(ts.n, p)[0] + (2 if p == 2 else 0)
     depth = 2 * vp4n2 + 1 + 4
 
     # At p = 2 every 2x2 Jacobian minor is 4*c_ij*x_i*x_j (the gradient
     # rows are 2*c*x), so its valuation e is at least 2 and a certificate
     # needs m >= 2e + 1 >= 5: shallower levels are lifted but not scanned.
+    # A certificate needs e <= (m - 1)/2, so shifting a coordinate by
+    # 2^(m-1) moves no minor that could certify: the class decides for all
+    # eight of its residues mod 2^m, and the class itself is the first.
     first_scan = 5 if p == 2 else 1
-    frontier = _level_one(h1, h3, p)
-    for m in range(1, depth + 2):
-        if m > 1:
-            nxt: list[tuple[int, int, int, int]] = []
-            for x in frontier:
-                nxt.extend(_lift_children(h1, h3, x, p, p ** (m - 1)))
-                if len(nxt) > _FRONTIER_CAP:
-                    raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")
-            frontier = list(dict.fromkeys(nxt))
+    for m, frontier in _levels(h1, h3, p, depth + 1):
         if not frontier:
             return None
         if m >= first_scan:
@@ -376,6 +374,35 @@ def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
     raise PrecisionExhausted(
         f"no certificate and live frontier at p = {p}, depth {depth}"
     )
+
+
+def _levels(h1, h3, p: int, last: int):
+    """(m, frontier) for each level m up to last, the frontier standing for
+    the points with both forms 0 mod p^m.
+
+    At odd p the frontier holds the residues x mod p^m.  At p = 2,
+    (x + 2^k*y)^2 = x^2 (mod 2^(k+1)), so x mod 2^k already decides both
+    forms mod 2^(k+1): the frontier at level m holds the classes x mod
+    2^(m-1), each standing for its eight residues mod 2^m.  Level one's
+    points mod 2 that stay 0 mod 4 are the classes of level 2, where the
+    frontier at p = 2 starts.  The cap counts residues.  Nothing repeats:
+    a child is congruent to its parent, and the parents are distinct.
+    """
+    frontier = _level_one(h1, h3, p)
+    first, fan = 1, 1
+    if p == 2:
+        frontier = [x for x in frontier if _eval_form(h1, x) % 4 == _eval_form(h3, x) % 4 == 0]
+        first, fan = 2, 8
+    yield first, frontier
+    for m in range(first + 1, last + 1):
+        mod = p ** (m - first)
+        nxt: list[tuple[int, int, int, int]] = []
+        for x in frontier:
+            nxt.extend(_lift_children(h1, h3, x, p, mod))
+            if fan * len(nxt) > _FRONTIER_CAP:
+                raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")
+        frontier = nxt
+        yield m, frontier
 
 
 def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
@@ -445,45 +472,79 @@ def _scan_certificates(h1, h3, frontier, p, m):
 
 
 def _lift_children(h1, h3, x, p: int, mod: int):
-    """Solutions mod p*mod lying over x (all coordinates shifted by mod*y).
+    """The children of x one level up: x + mod*y, with y on the three
+    coordinates other than the patch, from one affine system over F_p.
 
-    For odd p the conditions are linear in the shift y.  For p = 2 the forms
-    are diagonal and mod is even, so (x + mod*y)^2 = x^2 mod 2*mod: either
-    all eight shifts lift or none does.
+    h(x + mod*y) = h(x) + 2*mod*sum(c*x*y) + mod^2*sum(c*y^2).  At odd p, x
+    is a residue mod `mod` with h(x) = 0 mod `mod`, and the children are the
+    residues mod p*mod with h(x)/mod + sum(2*c*x*y) = 0 (mod p).  At p = 2, x
+    is a class mod `mod` with h(x) = 0 mod 2*mod, and the children are the
+    classes mod 2*mod with h(x)/(2*mod) + sum(c*(x + [mod = 2])*y) = 0 (mod 2):
+    the mod^2 term still counts at mod = 2, where y^2 = y.  The coordinates
+    of x lie in [0, mod), so the children's lie in [0, p*mod).
     """
-    new_mod = mod * p
     # The patch coordinate is the first one equal to 1 with only multiples
     # of p before it; it was frozen at level one and never shifts.
     patch = next(i for i in range(4) if x[i] == 1 and all(x[j] % p == 0 for j in range(i)))
     free = [i for i in range(4) if i != patch]
-
     if p == 2:
-        if _eval_form(h1, x) % new_mod or _eval_form(h3, x) % new_mod:
-            return []
-        out = []
-        for bits in range(8):
-            y = [0, 0, 0, 0]
-            for axis, coord in enumerate(free):
-                y[coord] = (bits >> axis) & 1
-            out.append(tuple((x[i] + mod * y[i]) % new_mod for i in range(4)))
-        return out
-
-    r1 = (_eval_form(h1, x) // mod) % p
-    r3 = (_eval_form(h3, x) // mod) % p
-    g1 = [(2 * c * xi) % p for c, xi in zip(h1, x)]
-    g3 = [(2 * c * xi) % p for c, xi in zip(h3, x)]
-    rows = [
-        [g1[free[0]], g1[free[1]], g1[free[2]], (-r1) % p],
-        [g3[free[0]], g3[free[1]], g3[free[2]], (-r3) % p],
-    ]
-    sols = _solve_mod_p(rows, p)
+        # Bit `axis` of a mask is the shift of free[axis]; the shifts come in
+        # increasing order, as the eight residues of a class do.
+        bump = mod == 2
+        eqs = []
+        for h in (h1, h3):
+            mask = 0
+            for axis, i in enumerate(free):
+                if h[i] * (x[i] + bump) & 1:
+                    mask |= 1 << axis
+            eqs.append((mask, _eval_form(h, x) // (2 * mod) & 1))
+        shifts = [(y & 1, y >> 1 & 1, y >> 2) for y in _solve_f2(eqs)]
+    else:
+        rows = [
+            [2 * h[i] * x[i] % p for i in free] + [-(_eval_form(h, x) // mod) % p]
+            for h in (h1, h3)
+        ]
+        shifts = _solve_mod_p(rows, p)
     out = []
-    for y in sols:
+    for y in shifts:
         cand = list(x)
         for axis, coord in enumerate(free):
-            cand[coord] = (cand[coord] + mod * y[axis]) % new_mod
+            cand[coord] += mod * y[axis]
         out.append(tuple(cand))
     return out
+
+
+def _solve_f2(eqs):
+    """The solutions y in F_2^3 of the system popcount(a & y) = b (mod 2)
+    over (a, b) in eqs, as bit masks (bit i is y_i) in increasing order."""
+    rows: list[tuple[int, int, int]] = []  # (pivot bit, a, b); no pivot bit in another row
+    for a, b in eqs:
+        for bit, ra, rb in rows:
+            if a & bit:
+                a, b = a ^ ra, b ^ rb
+        if not a:
+            if b:
+                return []
+            continue
+        bit = a & -a
+        rows = [(rbit, ra ^ a, rb ^ b) if ra & bit else (rbit, ra, rb) for rbit, ra, rb in rows]
+        rows.append((bit, a, b))
+    free = 7
+    for bit, _, _ in rows:
+        free ^= bit
+    # Each subset f of the free bits, taken in increasing order, fixes
+    # every pivot bit.
+    out = []
+    f = 0
+    while True:
+        y = f
+        for bit, a, b in rows:
+            if ((a & f).bit_count() ^ b) & 1:
+                y |= bit
+        out.append(y)
+        if f == free:
+            return sorted(out)
+        f = (f - free) & free
 
 
 def _solve_mod_p(rows, p: int):

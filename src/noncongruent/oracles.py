@@ -252,6 +252,33 @@ class _FormGroup:
     def mul(self, f: BQForm, g: BQForm) -> BQForm:
         return self.canon(compose(f, g))
 
+    def h4(self) -> int:
+        """The 4-rank, from the squaring chain alone: not the odd-q chains
+        of ``class_group``."""
+        two_chain = _q_rank_chain(self, 2)
+        return two_chain[1] if len(two_chain) > 1 else 0
+
+    def composes_distinct(self) -> bool:
+        """Whether mul(f, g) = mul(g, f) and mul(mul(f, g), g^-1) = f for the
+        first two non-principal classes f, g (f = g when there is only one).
+
+        The squaring chain composes each class only with itself, so this is
+        where distinct classes meet.  A composite that is no primitive form
+        of the discriminant fails the check instead of reaching ``canon``.
+        """
+        classes = [f for f in self.elements if f != self.identity][:2]
+        if not classes:
+            return True
+        f, g = classes[0], classes[-1]
+
+        def mul(x: BQForm, y: BQForm) -> BQForm | None:
+            h = compose(x, y)
+            return self.canon(h) if h.disc == self.disc and h.is_primitive() else None
+
+        fg = mul(f, g)
+        g_inverse = self.canon(BQForm(g.a, -g.b, g.c))  # the opposite form
+        return fg is not None and fg == mul(g, f) and mul(fg, g_inverse) == f
+
     def power(self, f: BQForm, e: int) -> BQForm:
         """f^e for a canonical f, left to right: one composition per bit
         below the top one, and one more per set bit."""
@@ -322,16 +349,19 @@ def class_group(disc: int) -> ClassGroupReport:
     )
 
 
-def h4_oracle(m: int) -> int:
-    """4-rank of the narrow class group of Q(sqrt(m)), by composition.
+def form_group(m: int) -> _FormGroup:
+    """The form class group of Q(sqrt(m)).
 
-    Only the squaring chain runs, not the odd-q chains of ``class_group``;
     ``field_discriminant`` checks that m is square-free, so the
     discriminant is fundamental, once the cap has passed it unfactored.
     """
     _within_cap(m if m % 4 == 1 else 4 * m)
-    two_chain = _q_rank_chain(_FormGroup(field_discriminant(m)), 2)
-    return two_chain[1] if len(two_chain) > 1 else 0
+    return _FormGroup(field_discriminant(m))
+
+
+def h4_oracle(m: int) -> int:
+    """4-rank of the narrow class group of Q(sqrt(m)), by composition."""
+    return form_group(m).h4()
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,13 @@ def _class_oracle(bound: int):
         table = matrices.symbol_table(sf)
         for m in (n, -n):
             try:
-                oracle = oracles.h4_oracle(m)
+                group = oracles.form_group(m)
             except TooLarge:
                 continue  # the form class group is capped at |disc| <= 10^6
-            redei = table.h4(m)
-            yield m, redei == oracle, {"redei": redei, "oracle": oracle}
+            redei, oracle = table.h4(m), group.h4()
+            composes = group.composes_distinct()
+            ok = redei == oracle and composes
+            yield m, ok, {"redei": redei, "oracle": oracle, "composes": composes}
 
 
 def _pairing_product(bound: int):

@@ -142,6 +142,34 @@ def test_factorize_squares_above_trial_bound(n, fac):
         factor_squarefree(n)
 
 
+def _trial_division(n):
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + ([(n, 1)] if n > 1 else [])
+
+
+def test_factorize_matches_trial_division_and_skips_primality_below_bound_squared(
+    monkeypatch,
+):
+    # no prime below 1000 survives the trial loop, so a cofactor or rho
+    # factor below 10^6 is prime without a Miller-Rabin test; above it the
+    # test still runs
+    cases = [*range(1, 20000), 999983, 7 * 999983, 997 * 997, 997 * 1009, 1000003, 1009**2]
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: calls.append(m) or real(m))
+    for n in cases:
+        assert factorize(n) == _trial_division(n), n
+    assert calls == [1000003, 1009**2]
+
+
 def test_factor_over_known_primes():
     assert factor_over(2 * 7 * 7 * 23, (7, 23)) == [(2, 1), (7, 2), (23, 1)]
     assert factor_over(23, (7, 23)) == [(23, 1)]  # primes may be a superset

@@ -1,11 +1,20 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert, legendre
+from noncongruent.arith import (
+    Place,
+    REAL_PLACE,
+    factor_squarefree,
+    hilbert,
+    legendre,
+    squarefree_upto,
+)
 from noncongruent.cassels import (
+    LocalPoint,
     TorsorSystem,
     _hilbert2,
     closed_form_pairing,
@@ -181,34 +190,45 @@ def test_good_place_spot_check():
     assert checked >= 15
 
 
-def _certified_points(ts, p, max_level):
-    """All Hensel-certified points mod p^m for m <= max_level (white box)."""
-    from noncongruent.cassels import (
-        _certified,
-        _choose_pair,
-        _level_one,
-        _lift_children,
-        _minimize_at_p,
-    )
+def _brute_levels(ts, p, max_level):
+    """(m, residues mod p^m with both forms 0 mod p^m) for m <= max_level.
 
-    if p == 2:
-        h1, h3 = list(ts.h1), list(ts.h3)
-        scales = [0, 0, 0, 0]
-    else:
-        forms, scales = _minimize_at_p(ts, p)
-        h1, h3 = _choose_pair(forms, p)
+    Each level lifts the one below by every shift by p^(m-1) of the three
+    coordinates other than the patch (the first coordinate prime to p),
+    kept when both forms vanish mod p^m: p^3 trials per residue, in the
+    order of the shift's base-p digits, the first coordinate lowest.
+    """
+    from noncongruent.cassels import _level_one, _local_model
+
+    h1, h3, _ = _local_model(ts, p)
     frontier = _level_one(h1, h3, p)
-    mod = p
     for m in range(1, max_level + 1):
+        if m > 1:
+            mod, nxt = p ** (m - 1), []
+            for x in frontier:
+                patch = next(i for i, c in enumerate(x) if c % p)
+                free = [i for i in range(4) if i != patch]
+                for shift in range(p**3):
+                    y = list(x)
+                    for axis, i in enumerate(free):
+                        y[i] += mod * (shift // p**axis % p)
+                    if all(sum(c * v * v for c, v in zip(h, y)) % p**m == 0 for h in (h1, h3)):
+                        nxt.append(tuple(y))
+            frontier = nxt
+        yield m, frontier
+
+
+def _certified_points(ts, p, max_level):
+    """All Hensel-certified points mod p^m for m <= max_level, with their
+    minor valuation, in the brute lift's order (white box)."""
+    from noncongruent.cassels import _certified, _local_model
+
+    h1, h3, scales = _local_model(ts, p)
+    for m, frontier in _brute_levels(ts, p, max_level):
         for x in frontier:
-            if _certified(h1, h3, x, p, m) is not None:
-                coords = tuple((x[i] * p ** scales[i]) % p**m for i in range(4))
-                yield coords, m
-        nxt = []
-        for x in frontier:
-            nxt.extend(_lift_children(h1, h3, x, p, mod))
-        frontier = list(dict.fromkeys(nxt))
-        mod *= p
+            e = _certified(h1, h3, x, p, m)
+            if e is not None:
+                yield tuple((x[i] * p ** scales[i]) % p**m for i in range(4)), m, e
 
 
 def _factor_at_searched_point(sf, v, d, lam):
@@ -220,7 +240,7 @@ def _factor_at_searched_point(sf, v, d, lam):
     t1, t3 = tangent_data(sf)
     p = v.p
     margin = 3 if p == 2 else 1
-    for coords, m in _certified_points(TorsorSystem(lam, sf.n), p, 9 if p == 2 else 4):
+    for coords, m, _ in _certified_points(TorsorSystem(lam, sf.n), p, 9 if p == 2 else 4):
         value = (
             sum(c * x for c, x in zip(t1.linear, coords))
             * sum(c * x for c, x in zip(t3.linear, coords))
@@ -314,12 +334,82 @@ def test_no_two_adic_certificate_below_level_five():
         sf = factor_squarefree(n)
         for lam in _candidate_triples(sf):
             ts = TorsorSystem(lam, n)
-            found = [m for _, m in _certified_points(ts, 2, 7)]
+            found = [m for _, m, _ in _certified_points(ts, 2, 7)]
             if found:
                 # the search still reports the first level with a certificate
                 assert local_point_search(ts, Place(2)).precision == min(found), (n, lam)
             levels.update(found)
     assert levels and min(levels) == 5
+
+
+def _brute_search_at_2(ts):
+    """What local_point_search at 2 must return, from the brute lift: None
+    at the first empty level, else the first certified residue, up to the
+    last level 2*v_2(4n^2) + 6; PrecisionExhausted past it."""
+    from noncongruent.cassels import _certified
+
+    h1, h3 = ts.h1, ts.h3
+    last = 2 * (2 + 2 * (ts.n % 2 == 0)) + 6  # n is square-free
+    for m, frontier in _brute_levels(ts, 2, last):
+        if not frontier:
+            return None
+        for x in frontier:
+            e = _certified(h1, h3, x, 2, m)
+            if e is not None:
+                return LocalPoint(Place(2), x, m, e)
+    return PrecisionExhausted
+
+
+def test_two_adic_search_matches_brute_lift():
+    # One F_2 solve per class must find what trying all eight shifts of
+    # every residue finds: the same point, precision and minor, or None.
+    from noncongruent.oracles import _candidate_triples
+
+    outcomes = set()
+    for n, sf in squarefree_upto(150):
+        for lam in _candidate_triples(sf):
+            ts = TorsorSystem(lam, n)
+            want = _brute_search_at_2(ts)
+            try:
+                got = local_point_search(ts, Place(2))
+            except PrecisionExhausted:
+                got = PrecisionExhausted
+            assert got == want, (n, lam)
+            outcomes.add(type(got))
+    assert outcomes == {LocalPoint, type(None)}
+
+
+def test_solve_f2_lists_every_solution_in_order():
+    from noncongruent.cassels import _solve_f2
+
+    for a1, b1, a3, b3 in itertools.product(range(8), range(2), range(8), range(2)):
+        want = [
+            y
+            for y in range(8)
+            if (a1 & y).bit_count() % 2 == b1 and (a3 & y).bit_count() % 2 == b3
+        ]
+        assert _solve_f2([(a1, b1), (a3, b3)]) == want, (a1, b1, a3, b3)
+
+
+def test_frontiers_list_each_residue_once():
+    # a child is congruent to its parent and the parents are distinct, so
+    # no level repeats a residue (or, at p = 2, a class)
+    from noncongruent.cassels import _levels, _local_model
+    from noncongruent.oracles import _candidate_triples
+
+    levels = 0
+    for n in (17, 34, 41, 82, 105, 161):
+        sf = factor_squarefree(n)
+        for lam in _candidate_triples(sf):
+            ts = TorsorSystem(lam, n)
+            for p in (2, *sf.primes):
+                h1, h3, _ = _local_model(ts, p)
+                for _, frontier in _levels(h1, h3, p, 12):
+                    assert len(set(frontier)) == len(frontier), (n, lam, p)
+                    levels += 1
+                    if not frontier or len(frontier) > 1000:
+                        break
+    assert levels > 300
 
 
 def test_pairing_product_computes_d_once(monkeypatch):

@@ -108,6 +108,20 @@ def test_group_closure_on_spot_discriminants():
             assert group.mul(f, BQForm(f.a, -f.b, f.c)) == group.identity
 
 
+def test_composes_distinct_catches_a_wrong_law(monkeypatch):
+    # the h4 chain only squares, so verify's class-oracle suite checks the
+    # law on two distinct classes; composing with g^-1 in place of g must
+    # fail there (f*g^-1 = g*f^-1 needs (f*g^-1)^2 = 1, and -3299 has odd h)
+    from noncongruent import oracles
+    from noncongruent.oracles import _FormGroup
+
+    for disc in (-3299, 1785, -56, -4, 5):
+        assert _FormGroup(disc).composes_distinct(), disc
+    real = oracles.compose
+    monkeypatch.setattr(oracles, "compose", lambda f, g: real(f, BQForm(g.a, -g.b, g.c)))
+    assert not _FormGroup(-3299).composes_distinct()
+
+
 def test_power_equals_repeated_multiplication():
     from noncongruent.oracles import _FormGroup
 
