@@ -12,7 +12,8 @@ descent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from itertools import product
+from math import gcd, isqrt, prod
 
 from . import criteria
 from .arith import (
@@ -25,7 +26,7 @@ from .arith import (
     sqrt_mod,
 )
 from .criteria import closed_form_pairing  # the one closed form, importable here too
-from .errors import NotRankTwo, PrecisionExhausted
+from .errors import NotRankTwo, PrecisionExhausted, VerificationFailed
 from .matrices import SelmerTriple
 from .reps import Rep2MuTau, linked_u2w, sqrt2_mod
 
@@ -239,21 +240,16 @@ def _eval_form(coeffs, x) -> int:
 
 
 def _jacobian_minor_val(h1, h3, x, p: int, cap: int) -> int:
-    """Min p-valuation over the 2x2 minors of the Jacobian at x, capped."""
+    """Min p-valuation over the 2x2 minors of the Jacobian at x, capped:
+    that of their gcd, which is 0 (valuation cap) when every minor is."""
     g1 = [2 * c * xi for c, xi in zip(h1, x)]
     g3 = [2 * c * xi for c, xi in zip(h3, x)]
-    best = cap
-    for i in range(4):
-        for j in range(i + 1, 4):
-            det = g1[i] * g3[j] - g1[j] * g3[i]
-            if det == 0:
-                continue
-            val = 0
-            while det % p == 0 and val < best:
-                det //= p
-                val += 1
-            best = min(best, val)
-    return best
+    det = gcd(*(g1[i] * g3[j] - g1[j] * g3[i] for i in range(4) for j in range(i + 1, 4)))
+    val = 0
+    while val < cap and det % p == 0:
+        det //= p
+        val += 1
+    return val
 
 
 def _certified(h1, h3, x, p: int, m: int) -> int | None:
@@ -342,11 +338,10 @@ def _local_model(ts: TorsorSystem, p: int) -> tuple[list[int], list[int], list[i
 def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
     """Search for a certified local point on the torsor at the place v.
 
-    Finite places lift a frontier level by level (see _levels) on a
-    p-minimized model and scan it for a Hensel certificate.  Returns None
-    only when some level has no solutions at all, which soundly certifies
-    insolvability.  The certificate depth is the sufficient bound
-    2*v_p(4n^2) + 1 plus slack.
+    Finite places lift a p-minimized model level by level (see _levels) and
+    certify each point as it is made.  Returns None only when some level has
+    no solutions at all, which soundly certifies insolvability.  The
+    certificate depth is the sufficient bound 2*v_p(4n^2) + 1 plus slack.
     """
     if v.is_real:
         return _real_point(ts)
@@ -354,59 +349,62 @@ def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
     h1, h3, scales = _local_model(ts, p)
     vp4n2 = 2 * split_power(ts.n, p)[0] + (2 if p == 2 else 0)
     depth = 2 * vp4n2 + 1 + 4
-
-    # At p = 2 every 2x2 Jacobian minor is 4*c_ij*x_i*x_j (the gradient
-    # rows are 2*c*x), so its valuation e is at least 2 and a certificate
-    # needs m >= 2e + 1 >= 5: shallower levels are lifted but not scanned.
-    # A certificate needs e <= (m - 1)/2, so shifting a coordinate by
-    # 2^(m-1) moves no minor that could certify: the class decides for all
-    # eight of its residues mod 2^m, and the class itself is the first.
+    # No point certifies below level 5 at p = 2 (see _levels).
     first_scan = 5 if p == 2 else 1
-    for m, frontier in _levels(h1, h3, p, depth + 1):
-        if not frontier:
-            return None
-        if m >= first_scan:
-            cert = _scan_certificates(h1, h3, frontier, p, m)
-            if cert is not None:
-                x, e = cert
-                coords = tuple((x[i] * p ** scales[i]) % p**m for i in range(4))
-                return LocalPoint(v, coords, m, e)
-    raise PrecisionExhausted(
-        f"no certificate and live frontier at p = {p}, depth {depth}"
-    )
+    for m, x in _levels(h1, h3, p, depth + 1):
+        if _eval_form(h1, x) % p**m or _eval_form(h3, x) % p**m:
+            raise VerificationFailed(f"{x} is off the torsor mod {p}^{m}")
+        e = _certified(h1, h3, x, p, m) if m >= first_scan else None
+        if e is not None:
+            coords = tuple((x[i] * p ** scales[i]) % p**m for i in range(4))
+            return LocalPoint(v, coords, m, e)
+    return None
 
 
 def _levels(h1, h3, p: int, last: int):
-    """(m, frontier) for each level m up to last, the frontier standing for
-    the points with both forms 0 mod p^m.
+    """(m, x) for each point x of each level m up to last, as it is made.
 
-    At odd p the frontier holds the residues x mod p^m.  At p = 2,
-    (x + 2^k*y)^2 = x^2 (mod 2^(k+1)), so x mod 2^k already decides both
-    forms mod 2^(k+1): the frontier at level m holds the classes x mod
-    2^(m-1), each standing for its eight residues mod 2^m.  Level one's
-    points mod 2 that stay 0 mod 4 are the classes of level 2, where the
-    frontier at p = 2 starts.  The cap counts residues.  Nothing repeats:
-    a child is congruent to its parent, and the parents are distinct.
+    With g = 2 at p = 2 and g = 1 otherwise, level m holds the classes
+    x mod p^m/g with both forms 0 mod p^m, each standing for its g^3
+    residues mod p^m: (x + 2^k*y)^2 = x^2 (mod 2^(k+1)), so at p = 2, x mod
+    2^k already decides both forms mod 2^(k+1).  Every 2x2 Jacobian minor is
+    4*c_ij*x_i*x_j (the gradient rows are 2*c*x), of valuation e >= 2 at
+    p = 2, so no point certifies below level 5 there.  A certificate needs
+    e <= (m - 1)/2, so shifting a coordinate by 2^(m-1) moves no minor that
+    could certify: the class decides for its eight residues, and the class
+    itself is the first.
+
+    The first level, g, keeps the points mod p of _level_one with both
+    forms 0 mod g*p; each later level lifts the finished one below.  Stops
+    after an empty level and raises PrecisionExhausted after the last.  The
+    cap counts residues.  Nothing repeats: a child is congruent to its
+    parent, and the parents are distinct.
     """
-    frontier = _level_one(h1, h3, p)
-    first, fan = 1, 1
-    if p == 2:
-        frontier = [x for x in frontier if _eval_form(h1, x) % 4 == _eval_form(h3, x) % 4 == 0]
-        first, fan = 2, 8
-    yield first, frontier
-    for m in range(first + 1, last + 1):
-        mod = p ** (m - first)
-        nxt: list[tuple[int, int, int, int]] = []
+    g = 2 if p == 2 else 1
+    frontier = []
+    for x in _level_one(h1, h3, p):
+        if _eval_form(h1, x) % (g * p) == _eval_form(h3, x) % (g * p) == 0:
+            frontier.append(x)
+            yield g, x
+    for m in range(g + 1, last + 1):
+        if not frontier:
+            return
+        mod, nxt = p ** (m - 1) // g, []
         for x in frontier:
-            nxt.extend(_lift_children(h1, h3, x, p, mod))
-            if fan * len(nxt) > _FRONTIER_CAP:
+            children = _lift_children(h1, h3, x, p, mod, g)
+            nxt += children
+            if g**3 * len(nxt) > _FRONTIER_CAP:
                 raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")
+            for child in children:
+                yield m, child
         frontier = nxt
-        yield m, frontier
+    if frontier:
+        raise PrecisionExhausted(f"no certificate and live frontier at p = {p}, level {last}")
 
 
-def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
-    """All projective solutions mod p, one affine patch per unit coordinate.
+def _level_one(h1, h3, p: int):
+    """Every projective solution mod p, one affine patch per unit coordinate,
+    made lazily.
 
     Both forms are diagonal.  With (a, b) the coefficients of x3, the
     combination e = a*h3 - b*h1 has no x3 term (e is h1 or h3 when both
@@ -444,69 +442,47 @@ def _level_one(h1, h3, p: int) -> list[tuple[int, int, int, int]]:
 
     # The first unit coordinate is 1 and those before it are 0, which picks
     # a unique representative of every projective point.
-    sols: list[tuple[int, int, int, int]] = []
     for x1 in every:
         s1 = x1 * x1
         for x2 in mids(e[0] + e[1] * s1):
             s2 = x2 * x2
             r1 = h1[0] + h1[1] * s1 + h1[2] * s2
             r3 = h3[0] + h3[1] * s1 + h3[2] * s2
-            sols.extend((1, x1, x2, x3) for x3 in lasts(r1, r3))
+            for x3 in lasts(r1, r3):
+                yield 1, x1, x2, x3
     for x2 in mids(e[1]):
         s2 = x2 * x2
-        sols.extend((0, 1, x2, x3) for x3 in lasts(h1[1] + h1[2] * s2, h3[1] + h3[2] * s2))
-    sols.extend((0, 0, 1, x3) for x3 in lasts(h1[2], h3[2]))
+        for x3 in lasts(h1[1] + h1[2] * s2, h3[1] + h3[2] * s2):
+            yield 0, 1, x2, x3
+    for x3 in lasts(h1[2], h3[2]):
+        yield 0, 0, 1, x3
     if not (a or b):
-        sols.append((0, 0, 0, 1))
-    return sols
+        yield 0, 0, 0, 1
 
 
-def _scan_certificates(h1, h3, frontier, p, m):
-    for x in frontier:
-        if _eval_form(h1, x) % p**m or _eval_form(h3, x) % p**m:
-            continue  # pragma: no cover - frontier invariant
-        cert = _certified(h1, h3, x, p, m)
-        if cert is not None:
-            return x, cert
-    return None
+def _lift_children(h1, h3, x, p: int, mod: int, g: int):
+    """The children of the class x mod `mod` one level up: x + mod*y, with
+    y on the three coordinates other than the patch, from one affine system
+    over F_p.
 
-
-def _lift_children(h1, h3, x, p: int, mod: int):
-    """The children of x one level up: x + mod*y, with y on the three
-    coordinates other than the patch, from one affine system over F_p.
-
-    h(x + mod*y) = h(x) + 2*mod*sum(c*x*y) + mod^2*sum(c*y^2).  At odd p, x
-    is a residue mod `mod` with h(x) = 0 mod `mod`, and the children are the
-    residues mod p*mod with h(x)/mod + sum(2*c*x*y) = 0 (mod p).  At p = 2, x
-    is a class mod `mod` with h(x) = 0 mod 2*mod, and the children are the
-    classes mod 2*mod with h(x)/(2*mod) + sum(c*(x + [mod = 2])*y) = 0 (mod 2):
-    the mod^2 term still counts at mod = 2, where y^2 = y.  The coordinates
-    of x lie in [0, mod), so the children's lie in [0, p*mod).
+    x stands for the points mod g*mod (see _levels) and has both forms 0
+    there.  h(x + mod*y) = h(x) + mod*sum(c*y*(2*x + mod*y)), and
+    y*(2*x + mod*y) = y*(2*x + mod) (mod g*p): y^2 = y for y in {0, 1} at
+    p = 2, and p | mod at odd p.  So the children are the classes mod
+    p*mod with h(x)/(g*mod) + sum(c*(2*x + mod)/g*y) = 0 (mod p); at p = 2
+    the mod term counts only at mod = 2.  The coordinates of x lie in
+    [0, mod), so the children's lie in [0, p*mod).
     """
     # The patch coordinate is the first one equal to 1 with only multiples
     # of p before it; it was frozen at level one and never shifts.
     patch = next(i for i in range(4) if x[i] == 1 and all(x[j] % p == 0 for j in range(i)))
     free = [i for i in range(4) if i != patch]
-    if p == 2:
-        # Bit `axis` of a mask is the shift of free[axis]; the shifts come in
-        # increasing order, as the eight residues of a class do.
-        bump = mod == 2
-        eqs = []
-        for h in (h1, h3):
-            mask = 0
-            for axis, i in enumerate(free):
-                if h[i] * (x[i] + bump) & 1:
-                    mask |= 1 << axis
-            eqs.append((mask, _eval_form(h, x) // (2 * mod) & 1))
-        shifts = [(y & 1, y >> 1 & 1, y >> 2) for y in _solve_f2(eqs)]
-    else:
-        rows = [
-            [2 * h[i] * x[i] % p for i in free] + [-(_eval_form(h, x) // mod) % p]
-            for h in (h1, h3)
-        ]
-        shifts = _solve_mod_p(rows, p)
+    rows = [
+        [h[i] * (2 * x[i] + mod) // g for i in free] + [-_eval_form(h, x) // (g * mod)]
+        for h in (h1, h3)
+    ]
     out = []
-    for y in shifts:
+    for y in _solve_mod_p(rows, p):
         cand = list(x)
         for axis, coord in enumerate(free):
             cand[coord] += mod * y[axis]
@@ -514,87 +490,37 @@ def _lift_children(h1, h3, x, p: int, mod: int):
     return out
 
 
-def _solve_f2(eqs):
-    """The solutions y in F_2^3 of the system popcount(a & y) = b (mod 2)
-    over (a, b) in eqs, as bit masks (bit i is y_i) in increasing order."""
-    rows: list[tuple[int, int, int]] = []  # (pivot bit, a, b); no pivot bit in another row
-    for a, b in eqs:
-        for bit, ra, rb in rows:
-            if a & bit:
-                a, b = a ^ ra, b ^ rb
-        if not a:
-            if b:
+def _solve_mod_p(rows, p: int) -> list[tuple[int, int, int]]:
+    """The solutions y in F_p^3 of a0*y0 + a1*y1 + a2*y2 = b (mod p) over
+    the rows (a0, a1, a2, b), in increasing y0 + p*y1 + p^2*y2.
+
+    Elimination runs row by row, and each pivot row is 0 to the left of its
+    pivot, so a pivot coordinate depends only on higher ones: running the
+    free coordinates with the highest one outermost lists the solutions in
+    order.
+    """
+    pivots: list[tuple[int, list[int]]] = []  # (column, row scaled to 1 there)
+    for row in rows:
+        row = [c % p for c in row]
+        for col, piv in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, piv)]
+        col = next((i for i in range(3) if row[i]), None)
+        if col is None:
+            if row[3]:
                 return []
             continue
-        bit = a & -a
-        rows = [(rbit, ra ^ a, rb ^ b) if ra & bit else (rbit, ra, rb) for rbit, ra, rb in rows]
-        rows.append((bit, a, b))
-    free = 7
-    for bit, _, _ in rows:
-        free ^= bit
-    # Each subset f of the free bits, taken in increasing order, fixes
-    # every pivot bit.
+        inv = pow(row[col], -1, p)
+        pivots.append((col, [c * inv % p for c in row]))
+    pivots.sort(reverse=True)
+    free = [i for i in (2, 1, 0) if all(i != col for col, _ in pivots)]
     out = []
-    f = 0
-    while True:
-        y = f
-        for bit, a, b in rows:
-            if ((a & f).bit_count() ^ b) & 1:
-                y |= bit
-        out.append(y)
-        if f == free:
-            return sorted(out)
-        f = (f - free) & free
-
-
-def _solve_mod_p(rows, p: int):
-    """All solutions of a 2x3 affine system over F_p (may be empty or large)."""
-    # Gaussian elimination on the 2x4 augmented matrix.
-    mat = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(3):
-        piv = None
-        for r in range(rank, 2):
-            if mat[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(2):
-            if r != rank and mat[r][col] % p:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, 2):
-        if mat[r][3] % p:
-            return []
-    free_cols = [c for c in range(3) if c not in pivots]
-    sols = []
-
-    def emit(assignment):
+    for values in product(range(p), repeat=len(free)):
         y = [0, 0, 0]
-        for c, val in assignment.items():
-            y[c] = val
-        for r, pc in enumerate(pivots):
-            val = mat[r][3]
-            for c in free_cols:
-                val -= mat[r][c] * y[c]
-            y[pc] = val % p
-        sols.append(tuple(y))
-
-    def rec(idx, assignment):
-        if idx == len(free_cols):
-            emit(assignment)
-            return
-        for val in range(p):
-            assignment[free_cols[idx]] = val
-            rec(idx + 1, assignment)
-        del assignment[free_cols[idx]]
-
-    rec(0, {})
-    return sols
+        for i, value in zip(free, values):
+            y[i] = value
+        for col, row in pivots:
+            y[col] = (row[3] - row[0] * y[0] - row[1] * y[1] - row[2] * y[2]) % p
+        out.append(tuple(y))
+    return out

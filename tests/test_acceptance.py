@@ -53,7 +53,7 @@ def test_criterion_3_h4_oracle_agreement():
 
 
 def test_criterion_4_selmer_anti_circularity():
-    _sweep("selmer-oracle", 1500, 913, "criterion 4: local-solvability oracle = Monsky kernel")
+    _sweep("selmer-oracle", 2000, 1213, "criterion 4: local-solvability oracle = Monsky kernel")
 
 
 def test_criterion_5_pairing_product():

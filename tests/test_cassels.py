@@ -25,7 +25,7 @@ from noncongruent.cassels import (
     tangent_data,
 )
 from noncongruent.criteria import distinguished_divisor
-from noncongruent.errors import NotRankTwo, PrecisionExhausted
+from noncongruent.errors import NotRankTwo, PrecisionExhausted, VerificationFailed
 from noncongruent.matrices import SelmerTriple, selmer_elements
 from noncongruent.reps import rep_2mu2_tau2
 
@@ -201,7 +201,7 @@ def _brute_levels(ts, p, max_level):
     from noncongruent.cassels import _level_one, _local_model
 
     h1, h3, _ = _local_model(ts, p)
-    frontier = _level_one(h1, h3, p)
+    frontier = list(_level_one(h1, h3, p))
     for m in range(1, max_level + 1):
         if m > 1:
             mod, nxt = p ** (m - 1), []
@@ -321,7 +321,7 @@ def test_level_one_matches_naive_enumeration():
             if draw % 3 == 2:
                 # no x3 term in either form: x2 is pinned by h1 or h3 itself
                 h1[3], h3[3] = p * rng.randrange(-3, 4), p * rng.randrange(-3, 4)
-            assert _level_one(h1, h3, p) == naive(h1, h3, p), (h1, h3, p)
+            assert list(_level_one(h1, h3, p)) == naive(h1, h3, p), (h1, h3, p)
 
 
 def test_no_two_adic_certificate_below_level_five():
@@ -342,53 +342,122 @@ def test_no_two_adic_certificate_below_level_five():
     assert levels and min(levels) == 5
 
 
-def _brute_search_at_2(ts):
-    """What local_point_search at 2 must return, from the brute lift: None
+def _brute_search(ts, p):
+    """What local_point_search at p must return, from the brute lift: None
     at the first empty level, else the first certified residue, up to the
-    last level 2*v_2(4n^2) + 6; PrecisionExhausted past it."""
-    from noncongruent.cassels import _certified
+    last level 2*v_p(4n^2) + 6; PrecisionExhausted past it."""
+    from noncongruent.cassels import _certified, _local_model
 
-    h1, h3 = ts.h1, ts.h3
-    last = 2 * (2 + 2 * (ts.n % 2 == 0)) + 6  # n is square-free
-    for m, frontier in _brute_levels(ts, 2, last):
+    h1, h3, scales = _local_model(ts, p)
+    last = 2 * (2 * (ts.n % p == 0) + 2 * (p == 2)) + 6  # n is square-free
+    for m, frontier in _brute_levels(ts, p, last):
         if not frontier:
             return None
         for x in frontier:
-            e = _certified(h1, h3, x, 2, m)
+            e = _certified(h1, h3, x, p, m)
             if e is not None:
-                return LocalPoint(Place(2), x, m, e)
+                coords = tuple(x[i] * p ** scales[i] % p**m for i in range(4))
+                return LocalPoint(Place(p), coords, m, e)
     return PrecisionExhausted
 
 
-def test_two_adic_search_matches_brute_lift():
-    # One F_2 solve per class must find what trying all eight shifts of
-    # every residue finds: the same point, precision and minor, or None.
+def test_search_matches_brute_lift():
+    # One F_p solve per point (per class at 2) must find what trying every
+    # shift of every residue finds: the same point, precision and minor, or
+    # None, at 2 and at the odd places p <= 13.
     from noncongruent.oracles import _candidate_triples
 
     outcomes = set()
     for n, sf in squarefree_upto(150):
         for lam in _candidate_triples(sf):
             ts = TorsorSystem(lam, n)
-            want = _brute_search_at_2(ts)
-            try:
-                got = local_point_search(ts, Place(2))
-            except PrecisionExhausted:
-                got = PrecisionExhausted
-            assert got == want, (n, lam)
-            outcomes.add(type(got))
-    assert outcomes == {LocalPoint, type(None)}
+            for p in (2, *(q for q in sf.primes if q <= 13)):
+                want = _brute_search(ts, p)
+                try:
+                    got = local_point_search(ts, Place(p))
+                except PrecisionExhausted:
+                    got = PrecisionExhausted
+                assert got == want, (n, lam, p)
+                outcomes.add((p > 2, type(got)))
+    assert outcomes == {(odd, kind) for odd in (False, True) for kind in (LocalPoint, type(None))}
 
 
-def test_solve_f2_lists_every_solution_in_order():
-    from noncongruent.cassels import _solve_f2
+def test_solve_mod_p_lists_every_solution_in_order():
+    from noncongruent.cassels import _solve_mod_p
 
-    for a1, b1, a3, b3 in itertools.product(range(8), range(2), range(8), range(2)):
-        want = [
-            y
-            for y in range(8)
-            if (a1 & y).bit_count() % 2 == b1 and (a3 & y).bit_count() % 2 == b3
+    def brute(rows, p):
+        """Every y in F_p^3 solving the rows, in increasing y0 + p*y1 + p^2*y2."""
+        return [
+            (y0, y1, y2)
+            for y2 in range(p)
+            for y1 in range(p)
+            for y0 in range(p)
+            if all((a0 * y0 + a1 * y1 + a2 * y2 - b) % p == 0 for a0, a1, a2, b in rows)
         ]
-        assert _solve_f2([(a1, b1), (a3, b3)]) == want, (a1, b1, a3, b3)
+
+    for rows in itertools.product(itertools.product(range(2), repeat=4), repeat=2):
+        assert _solve_mod_p(rows, 2) == brute(rows, 2), rows
+    rng = random.Random(15)
+    for p in (3, 5, 7):
+        sizes = set()
+        for draw in range(240):
+            # rank 2, rank 1 (the second row a multiple of the first) and
+            # rank 0 (coefficients all 0 mod p); a shifted right side makes
+            # the lower ranks inconsistent
+            r1 = [rng.randrange(-3 * p, 3 * p) for _ in range(4)]
+            r2 = [rng.randrange(-3 * p, 3 * p) for _ in range(4)]
+            rank = draw % 3
+            if rank < 2:
+                c = rng.randrange(p)
+                r2 = [c * a + p * rng.randrange(-2, 3) for a in r1]
+                if rank == 0:
+                    r1[:3] = [p * rng.randrange(-2, 3) for _ in range(3)]
+                    r1[3] *= p * (draw % 2)
+                    r2[:3] = [p * rng.randrange(-2, 3) for _ in range(3)]
+                if draw % 4 == 1:
+                    r2[3] += rng.randrange(1, p)
+            rows = [r1, r2]
+            want = brute(rows, p)
+            assert _solve_mod_p(rows, p) == want, (rows, p)
+            sizes.add(len(want))
+        assert sizes == {0, p, p * p, p**3}, p
+
+
+def test_search_draws_level_one_lazily(monkeypatch):
+    # At a large place the first level-one point usually certifies: the
+    # search must not make the other ~4p points first.
+    from noncongruent import cassels
+    from noncongruent.oracles import _candidate_triples
+
+    drawn = []
+    real = cassels._level_one
+
+    def counted(h1, h3, p):
+        points = real(h1, h3, p)
+        assert iter(points) is points  # made as drawn, not listed first
+        for x in points:
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(cassels, "_level_one", counted)
+    sf = factor_squarefree(10009)
+    found = 0
+    for lam in _candidate_triples(sf):
+        drawn.clear()
+        point = local_point_search(TorsorSystem(lam, sf.n), Place(10009))
+        found += point is not None
+        assert len(drawn) <= 4, (lam, len(drawn))
+    assert found
+
+
+def test_point_off_the_torsor_is_an_error(monkeypatch):
+    # a lift that leaves the torsor is a bug, never a point skipped in silence
+    from noncongruent import cassels
+
+    monkeypatch.setattr(cassels, "_lift_children", lambda *args: [(1, 1, 0, 0)])
+    ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
+    with pytest.raises(VerificationFailed):
+        local_point_search(ts, Place(2))
 
 
 def test_frontiers_list_each_residue_once():
@@ -404,12 +473,17 @@ def test_frontiers_list_each_residue_once():
             ts = TorsorSystem(lam, n)
             for p in (2, *sf.primes):
                 h1, h3, _ = _local_model(ts, p)
-                for _, frontier in _levels(h1, h3, p, 12):
-                    assert len(set(frontier)) == len(frontier), (n, lam, p)
-                    levels += 1
-                    if not frontier or len(frontier) > 1000:
-                        break
-    assert levels > 300
+                seen = set()
+                try:
+                    for point in _levels(h1, h3, p, 12):
+                        assert point not in seen, (n, lam, p, point)
+                        seen.add(point)
+                        if len(seen) > 1000:
+                            break
+                except PrecisionExhausted:
+                    pass
+                levels += len({m for m, _ in seen})
+    assert levels > 300, levels
 
 
 def test_pairing_product_computes_d_once(monkeypatch):
