@@ -18,7 +18,7 @@ from .arith import (
     sqrt_mod,
 )
 from .criteria import Verdict, VerdictKind, classify, distinguished_divisor
-from .f2linalg import F2Matrix, F2Vector
+from .f2linalg import F2Matrix
 from .matrices import (
     SelmerTriple,
     h2,
@@ -58,7 +58,6 @@ __all__ = [
     "classify",
     "distinguished_divisor",
     "F2Matrix",
-    "F2Vector",
     "SelmerTriple",
     "h2",
     "h4",

@@ -1,67 +1,19 @@
-"""Dense linear algebra over F2 with int bitsets as rows.
+"""Dense linear algebra over F2 with int bitsets as rows and vectors.
 
 Row i of a matrix is a Python int whose bit j is the entry in column j, so
-row addition is a single XOR regardless of width.  Elimination pivots on the
-first nonzero column with the lowest available row, which makes ranks,
-kernel bases and particular solutions reproducible across runs.
+row addition is a single XOR regardless of width.  A vector is likewise an
+int whose bit j is coordinate j: addition is XOR and the dot product is the
+parity of AND.  Elimination pivots on the first nonzero column with the
+lowest available row, which makes ranks, kernels and particular solutions
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch
-
-
-@dataclass(frozen=True)
-class F2Vector:
-    """Fixed-length bit vector; addition is XOR, dot is parity of AND."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bits exceed the declared length")
-
-    @classmethod
-    def from_bits(cls, entries: Iterable[int]) -> "F2Vector":
-        bits = 0
-        n = 0
-        for e in entries:
-            if e & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(bits, n)
-
-    @classmethod
-    def zero(cls, n: int) -> "F2Vector":
-        return cls(0, n)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.n != other.n:
-            raise DimensionMismatch(f"lengths {self.n} != {other.n}")
-        return F2Vector(self.bits ^ other.bits, self.n)
-
-    def dot(self, other: "F2Vector") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch(f"lengths {self.n} != {other.n}")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(b) for b in self.to_tuple()) + ")"
 
 
 @dataclass(frozen=True)
@@ -88,10 +40,6 @@ class F2Matrix:
                     bits |= 1 << j
             rows.append(bits)
         return cls(tuple(rows), ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(tuple(1 << i for i in range(n)), n)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "F2Matrix":
@@ -122,9 +70,6 @@ class F2Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("shape mismatch")
@@ -139,13 +84,13 @@ class F2Matrix:
             cols.append(bits)
         return F2Matrix(tuple(cols), self.nrows)
 
-    def mul_vec(self, v: F2Vector) -> F2Vector:
-        if v.n != self.ncols:
-            raise DimensionMismatch(f"vector length {v.n} != ncols {self.ncols}")
+    def mul_vec(self, v: int) -> int:
+        if v < 0 or v >> self.ncols:
+            raise DimensionMismatch(f"vector {v:#b} is longer than ncols {self.ncols}")
         bits = 0
         for i, r in enumerate(self.rows):
-            bits |= ((r & v.bits).bit_count() & 1) << i
-        return F2Vector(bits, self.nrows)
+            bits |= ((r & v).bit_count() & 1) << i
+        return bits
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
@@ -181,46 +126,32 @@ def rank(m: F2Matrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """Basis of the right null space, ordered by increasing free column."""
+def kernel(m: F2Matrix) -> list[int]:
+    """All 2^dim right kernel vectors: zero first, then the span doubled by
+    one basis vector at a time, in increasing free column."""
     rows, pivots = _echelon(list(m.rows), m.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
+    out = [0]
+    for free in sorted(set(range(m.ncols)) - set(pivots)):
+        b = 1 << free
         for r, pc in enumerate(pivots):
-            if (rows[r] >> free) & 1:
-                bits |= 1 << pc
-        basis.append(F2Vector(bits, m.ncols))
-    return basis
-
-
-def kernel(m: F2Matrix) -> list[F2Vector]:
-    """All kernel vectors (size 2^dim), zero vector first, reproducible order."""
-    basis = kernel_basis(m)
-    out = [F2Vector.zero(m.ncols)]
-    for b in basis:
-        out.extend(v + b for v in list(out))
+            b |= (rows[r] >> free & 1) << pc
+        out.extend([v ^ b for v in out])
     return out
 
 
-def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
+def solve(m: F2Matrix, b: int) -> int | None:
     """A particular solution of M x = b, or None when b is not in the image.
 
-    The full solution set is the returned vector plus the kernel span; free
+    The full solution set is the returned vector plus the kernel; free
     variables are set to zero for reproducibility.
     """
-    if b.n != m.nrows:
-        raise DimensionMismatch(f"rhs length {b.n} != nrows {m.nrows}")
-    aug = [r | (((b.bits >> i) & 1) << m.ncols) for i, r in enumerate(m.rows)]
+    if b < 0 or b >> m.nrows:
+        raise DimensionMismatch(f"rhs {b:#b} is longer than nrows {m.nrows}")
+    aug = [r | (b >> i & 1) << m.ncols for i, r in enumerate(m.rows)]
     rows, pivots = _echelon(aug, m.ncols + 1)
     if m.ncols in pivots:
         return None
-    bits = 0
+    x = 0
     for r, pc in enumerate(pivots):
-        if (rows[r] >> m.ncols) & 1:
-            bits |= 1 << pc
-    return F2Vector(bits, m.ncols)
-
+        x |= (rows[r] >> m.ncols & 1) << pc
+    return x

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from . import f2linalg
 from .arith import SquareFreeN, additive_jacobi, factor_squarefree, squarefree_part
 from .errors import EmptyFactorization
-from .f2linalg import F2Matrix, F2Vector
+from .f2linalg import F2Matrix
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,23 @@ def _require_factors(sf: SquareFreeN) -> None:
         raise EmptyFactorization(f"n = {sf.n} has no odd prime factor")
 
 
-def psi(vec: F2Vector, primes: tuple[int, ...]) -> int:
+def psi(bits: int, primes: tuple[int, ...]) -> int:
     """Product of the primes selected by the bit vector."""
     out = 1
     for i, p in enumerate(primes):
-        if vec.bits >> i & 1:
+        if bits >> i & 1:
             out *= p
     return out
+
+
+def plus_diagonal(rows: tuple[int, ...], bits: int) -> tuple[int, ...]:
+    """The rows with bit i of ``bits`` added to entry (i, i)."""
+    return tuple(r ^ bits & 1 << i for i, r in enumerate(rows))
 
 
 def s2(sf: SquareFreeN) -> int:
     """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix."""
     return symbol_table(sf).s2()
-
-
-def _split(v: F2Vector, k: int) -> tuple[F2Vector, F2Vector]:
-    top = F2Vector(v.bits & ((1 << k) - 1), k)
-    bottom = F2Vector(v.bits >> k, k)
-    return top, bottom
 
 
 def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
@@ -74,8 +73,9 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
     The square-free part of d*e for square-free d, e is d*e / gcd(d, e)^2.
     """
     out: set[SelmerTriple] = set()
+    low = (1 << sf.k) - 1
     for v in f2linalg.kernel(symbol_table(sf).monsky_matrix()):
-        x, y = _split(v, sf.k)
+        x, y = v & low, v >> sf.k
         if not sf.is_even:
             d2 = psi(x, sf.primes)
             d1 = psi(y, sf.primes)
@@ -144,32 +144,30 @@ def _h4(redei: F2Matrix) -> int:
 class SymbolTable:
     """The quadratic symbols among the odd primes p_0 < ... < p_(k-1) of n.
 
-    Bit j of ``rows[i]`` is the additive Legendre symbol (p_j / p_i) for
-    j != i (bit i is 0); bit i of ``minus_one`` and of ``two`` is the
-    additive (-1 / p_i) and (2 / p_i).  A, the diagonals D_(-1) and D_2,
-    the Monsky matrix and the Redei matrices of +-n' and +-2n' (n' the odd
-    part of n) are all read off these bits.
+    ``a`` holds the rows of the symbol matrix A: bit j of ``a[i]`` is the
+    additive Legendre symbol (p_j / p_i) for j != i, and bit i makes the row
+    sum to zero.  Bit i of ``minus_one`` and of ``two`` is the additive
+    (-1 / p_i) and (2 / p_i), the diagonals of D_(-1) and D_2.  The divisor
+    matrix, the Monsky matrix and the Redei matrices of +-n' and +-2n' (n'
+    the odd part of n) are all A or A^T plus diagonals.
     """
 
     sf: SquareFreeN
-    rows: tuple[int, ...]
+    a: tuple[int, ...]
     minus_one: int
     two: int
 
     def a_matrix(self) -> F2Matrix:
-        """The k x k matrix A: (p_j / p_i) off the diagonal, and each
-        diagonal entry makes its row sum to zero."""
+        """The k x k symbol matrix A."""
         _require_factors(self.sf)
-        return F2Matrix(
-            tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(self.rows)), self.sf.k
-        )
+        return F2Matrix(self.a, self.sf.k)
 
     def divisor_matrix(self) -> F2Matrix:
         """The matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T for even n."""
         a = self.a_matrix()
         if self.sf.is_even:
             return a.transpose()
-        return F2Matrix(tuple(r ^ self.minus_one & 1 << i for i, r in enumerate(a.rows)), a.ncols)
+        return F2Matrix(plus_diagonal(self.a, self.minus_one), a.ncols)
 
     def monsky_matrix(self) -> F2Matrix:
         """The 2k x 2k Monsky matrix, whose kernel is the pure 2-Selmer group.
@@ -183,9 +181,9 @@ class SymbolTable:
         if self.sf.is_even:
             left, right, twist = a.transpose().rows, self.minus_one, two
         else:
-            left, right, twist = a.rows, two, self.minus_one ^ two
-        top = [(r ^ two & 1 << i) | (right & 1 << i) << k for i, r in enumerate(left)]
-        bottom = [(two & 1 << i) | (r ^ twist & 1 << i) << k for i, r in enumerate(a.rows)]
+            left, right, twist = self.a, two, self.minus_one ^ two
+        top = [r | (right & 1 << i) << k for i, r in enumerate(plus_diagonal(left, two))]
+        bottom = [(two & 1 << i) | r << k for i, r in enumerate(plus_diagonal(self.a, twist))]
         return F2Matrix(tuple(top + bottom), 2 * k)
 
     def s2(self) -> int:
@@ -208,10 +206,9 @@ class SymbolTable:
         k = self.sf.k
         two = self.two if even else 0
         # (-m / p_i) / p_i = (-1 / p_i)^[m > 0] (2 / p_i)^[m even] prod_(j != i) (p_j / p_i)
-        diag = (self.minus_one if m > 0 else 0) ^ two
-        rows = [r | ((r.bit_count() ^ diag >> i) & 1) << i for i, r in enumerate(self.rows)]
+        rows = plus_diagonal(self.a, (self.minus_one if m > 0 else 0) ^ two)
         if m % 4 == 1:
-            return F2Matrix(tuple(rows), k)
+            return F2Matrix(rows, k)
         rows = [r | (self.two >> i & 1) << k for i, r in enumerate(rows)]
         last = ((self.minus_one if q % 4 == 3 else 0) ^ two) | (q % 8 in (3, 5)) << k
         return F2Matrix(tuple(rows + [last]), k + 1)
@@ -234,4 +231,5 @@ def symbol_table(sf: SquareFreeN) -> SymbolTable:
             s = additive_jacobi(ps[j], p)
             rows[i] |= s << j
             rows[j] |= (s ^ (p % 4 == 3 and ps[j] % 4 == 3)) << i
-    return SymbolTable(sf, tuple(rows), minus_one, two)
+    a = tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(rows))
+    return SymbolTable(sf, a, minus_one, two)

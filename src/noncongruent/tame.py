@@ -22,7 +22,7 @@ from .arith import (
     legendre,
 )
 from .errors import CountNotPowerOfTwo, OutOfRange
-from .f2linalg import F2Matrix, F2Vector
+from .f2linalg import F2Matrix
 from .reps import fundamental_2mu2_tau2, rep_neg
 
 
@@ -95,14 +95,14 @@ def _v_sets(
     sf = table.sf
     k, minus_one, two = sf.k, table.minus_one, table.two
     twist = {1: 0, -1: minus_one, 2: two, -2: minus_one ^ two}[m // sf.odd_part]
-    bmat = table.a_matrix() + F2Matrix(tuple(twist & 1 << i for i in range(k)), k)
+    bmat = F2Matrix(matrices.plus_diagonal(table.a, twist), k)
     kern = f2linalg.kernel(bmat)
 
     def solutions(target: int) -> set[int]:
-        x = f2linalg.solve(bmat, F2Vector(target, k))
+        x = f2linalg.solve(bmat, target)
         if x is None:
             return set()
-        return {matrices.psi(x + v, sf.primes) for v in kern}
+        return {matrices.psi(x ^ v, sf.primes) for v in kern}
 
     mu = _mu(m, sf)
     b_mu = 0 if mu is None else sum(additive_jacobi(mu, p) << i for i, p in enumerate(sf.primes))

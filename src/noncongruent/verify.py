@@ -12,7 +12,7 @@ from math import isqrt
 from . import cassels, criteria, matrices, oracles, tame
 from .arith import jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
-from .errors import TooLarge
+from .errors import OutOfRange, TooLarge
 from .reps import (
     Rep2MuTau,
     fundamental_2mu2_tau2,
@@ -144,7 +144,11 @@ SUITES = {
 
 
 def run(suite: str, bound: int) -> dict:
-    """Run one suite: pass and fail counts, plus the first failing case."""
+    """Run one suite: pass and fail counts, plus the first failing case.
+
+    A bound that leaves the suite no case raises ``OutOfRange``: a report
+    of no passes and no failures would check nothing.
+    """
     passed = failed = 0
     first_bad = None
     for case, ok, detail in SUITES[suite](bound):
@@ -154,6 +158,8 @@ def run(suite: str, bound: int) -> dict:
             failed += 1
             if first_bad is None:
                 first_bad = {"case": case, "detail": detail}
+    if passed + failed == 0:
+        raise OutOfRange(f"suite {suite} has no case for bound {bound}")
     report = {"suite": suite, "bound": bound, "passed": passed, "failed": failed}
     if first_bad is not None:
         report["first_counterexample"] = first_bad

@@ -293,15 +293,19 @@ def test_level_one_matches_naive_enumeration():
     from noncongruent.cassels import _level_one
 
     def naive(h1, h3, p):
+        # every x3, listed under its two terms (h1[3] x3^2, h3[3] x3^2) mod p
+        last = {}
+        for x in range(p):
+            last.setdefault((h1[3] * x * x % p, h3[3] * x * x % p), []).append(x)
         out = []
-        for patch in range(4):
-            free = range(patch + 1, 4)
-            for xs in product(range(p), repeat=len(free)):
-                pt = (0,) * patch + (1,) + xs
-                if sum(c * x * x for c, x in zip(h1, pt)) % p == 0 == sum(
-                    c * x * x for c, x in zip(h3, pt)
-                ) % p:
-                    out.append(pt)
+        for patch in range(3):
+            for xs in product(range(p), repeat=2 - patch):
+                head = (0,) * patch + (1,) + xs
+                s1 = sum(c * x * x for c, x in zip(h1, head))
+                s3 = sum(c * x * x for c, x in zip(h3, head))
+                out.extend(head + (x,) for x in last.get((-s1 % p, -s3 % p), ()))
+        if h1[3] % p == 0 == h3[3] % p:
+            out.append((0, 0, 0, 1))
         return out
 
     def coeff(rng, p):

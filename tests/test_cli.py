@@ -132,6 +132,17 @@ def test_verify_suites_pass_small():
         assert report["failed"] == 0 and report["passed"] >= 1, (suite, report)
 
 
+@pytest.mark.parametrize(
+    "suite, bound",
+    [("corollaries", 0), ("lemma-2symbol", -5), ("selmer-oracle", 2)],
+)
+def test_verify_exits_3_when_the_bound_leaves_no_case(suite, bound):
+    # n = 1 and 2 have no odd prime, so selmer-oracle 2 has no case either.
+    proc = run_cli("verify", suite, bound)
+    assert proc.returncode == 3 and proc.stdout == "", (suite, proc.stdout)
+    assert "no case" in json.loads(proc.stderr)["error"]
+
+
 def test_main_entrypoint_in_process(capsys):
     assert main(["classify", "17"]) == 0
     out = json.loads(capsys.readouterr().out)

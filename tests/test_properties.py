@@ -14,7 +14,7 @@ from noncongruent.arith import (
     jacobi,
     sqrt_mod,
 )
-from noncongruent.f2linalg import F2Matrix, F2Vector, kernel_basis, rank, solve
+from noncongruent.f2linalg import F2Matrix, kernel, rank, solve
 
 ODD_PRIMES = [p for p in range(3, 200) if is_prime(p)]
 
@@ -63,36 +63,42 @@ def test_sqrt_mod_two_adic(e, k):
 
 
 @st.composite
-def f2_matrices(draw):
-    ncols = draw(st.integers(1, 12))
+def f2_matrices(draw, max_cols=12):
+    ncols = draw(st.integers(1, max_cols))
     rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=1, max_size=12))
     return F2Matrix(tuple(rows), ncols)
 
 
 @given(f2_matrices())
 def test_f2_rank_nullity(m):
-    basis = kernel_basis(m)
-    assert rank(m) + len(basis) == m.ncols
-    assert all(m.mul_vec(v).is_zero() for v in basis)
+    vecs = kernel(m)
+    nullity = m.ncols - rank(m)
+    assert len(vecs) == 1 << nullity
+    basis = [vecs[1 << i] for i in range(nullity)]
+    assert rank(F2Matrix(tuple(basis), m.ncols)) == nullity
+    assert all(m.mul_vec(v) == 0 for v in basis)
     assert rank(m) == rank(m.transpose())
+
+
+@given(f2_matrices(max_cols=10))
+def test_f2_kernel_is_the_brute_null_space(m):
+    vecs = kernel(m)
+    assert vecs[0] == 0 and len(set(vecs)) == len(vecs)
+    assert set(vecs) == {v for v in range(1 << m.ncols) if m.mul_vec(v) == 0}
 
 
 @given(f2_matrices(), st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1))
 def test_f2_solve_and_kernel_agree(m, x_bits, b_bits):
-    x = F2Vector(x_bits % (1 << m.ncols), m.ncols)
+    x = x_bits % (1 << m.ncols)
     target = m.mul_vec(x)
     y = solve(m, target)
     assert y is not None and m.mul_vec(y) == target
-    # any two solutions differ by a vector in the span of the kernel basis
-    basis = kernel_basis(m)
-    span = F2Matrix(tuple(v.bits for v in basis) + ((x + y).bits,), m.ncols)
-    assert rank(span) == len(basis)
-    b = F2Vector(b_bits % (1 << m.nrows), m.nrows)
+    # any two solutions differ by a vector in the kernel
+    assert x ^ y in kernel(m)
+    b = b_bits % (1 << m.nrows)
     z = solve(m, b)
     if z is None:
         # b outside the column space: no vector hits it
-        assert m.ncols > 10 or all(
-            m.mul_vec(F2Vector(bits, m.ncols)) != b for bits in range(1 << m.ncols)
-        )
+        assert m.ncols > 10 or all(m.mul_vec(v) != b for v in range(1 << m.ncols))
     else:
         assert m.mul_vec(z) == b
