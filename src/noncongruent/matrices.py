@@ -146,14 +146,16 @@ class SymbolTable:
 
     ``a`` holds the rows of the symbol matrix A: bit j of ``a[i]`` is the
     additive Legendre symbol (p_j / p_i) for j != i, and bit i makes the row
-    sum to zero.  Bit i of ``minus_one`` and of ``two`` is the additive
-    (-1 / p_i) and (2 / p_i), the diagonals of D_(-1) and D_2.  The divisor
-    matrix, the Monsky matrix and the Redei matrices of +-n' and +-2n' (n'
-    the odd part of n) are all A or A^T plus diagonals.
+    sum to zero; ``a_t`` holds the rows of A^T.  Bit i of ``minus_one`` and
+    of ``two`` is the additive (-1 / p_i) and (2 / p_i), the diagonals of
+    D_(-1) and D_2.  The divisor matrix, the Monsky matrix and the Redei
+    matrices of +-n' and +-2n' (n' the odd part of n) are all A or A^T plus
+    diagonals.
     """
 
     sf: SquareFreeN
     a: tuple[int, ...]
+    a_t: tuple[int, ...]
     minus_one: int
     two: int
 
@@ -164,10 +166,10 @@ class SymbolTable:
 
     def divisor_matrix(self) -> F2Matrix:
         """The matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T for even n."""
-        a = self.a_matrix()
+        _require_factors(self.sf)
         if self.sf.is_even:
-            return a.transpose()
-        return F2Matrix(plus_diagonal(self.a, self.minus_one), a.ncols)
+            return F2Matrix(self.a_t, self.sf.k)
+        return F2Matrix(plus_diagonal(self.a, self.minus_one), self.sf.k)
 
     def monsky_matrix(self) -> F2Matrix:
         """The 2k x 2k Monsky matrix, whose kernel is the pure 2-Selmer group.
@@ -176,10 +178,10 @@ class SymbolTable:
         D_2, it is [[A + D_2, D_2], [D_2, A + D_(-2)]] for odd n and
         [[A^T + D_2, D_(-1)], [D_2, A + D_2]] for even n.
         """
-        a = self.a_matrix()
-        k, two = a.ncols, self.two
+        _require_factors(self.sf)
+        k, two = self.sf.k, self.two
         if self.sf.is_even:
-            left, right, twist = a.transpose().rows, self.minus_one, two
+            left, right, twist = self.a_t, self.minus_one, two
         else:
             left, right, twist = self.a, two, self.minus_one ^ two
         top = [r | (right & 1 << i) << k for i, r in enumerate(plus_diagonal(left, two))]
@@ -220,7 +222,9 @@ class SymbolTable:
 
 def symbol_table(sf: SquareFreeN) -> SymbolTable:
     """The table of sf from its k(k-1)/2 symbols (p_j / p_i), i < j; by
-    reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4."""
+    reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4, so
+    row i of A^T is row i of A with the bits of the other primes 3 mod 4
+    flipped when p_i is 3 mod 4."""
     ps = sf.primes
     rows = [0] * len(ps)
     minus_one = two = 0
@@ -232,4 +236,5 @@ def symbol_table(sf: SquareFreeN) -> SymbolTable:
             rows[i] |= s << j
             rows[j] |= (s ^ (p % 4 == 3 and ps[j] % 4 == 3)) << i
     a = tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(rows))
-    return SymbolTable(sf, a, minus_one, two)
+    a_t = tuple(r ^ minus_one ^ 1 << i if minus_one >> i & 1 else r for i, r in enumerate(a))
+    return SymbolTable(sf, a, a_t, minus_one, two)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from . import cassels
 from .arith import Place, REAL_PLACE, SquareFreeN, factorize, squarefree_part
@@ -26,9 +27,8 @@ from .reps import Rep2MuTau, RepA8B, RepU2W
 _DISC_CAP = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class BQForm:
-    """Primitive integral binary quadratic form a x^2 + b xy + c y^2."""
+class BQForm(NamedTuple):
+    """Primitive integral binary quadratic form a x^2 + b xy + c y^2, a tuple (a, b, c)."""
 
     a: int
     b: int
@@ -166,19 +166,20 @@ def indef_reduce(f: BQForm, sq: int) -> BQForm:
 
 
 def _reduced_definite_forms(disc: int) -> list[BQForm]:
+    """Reduced primitive forms |b| <= a <= c (b >= 0 if |b| = a or a = c), by b
+    and then by the divisors a <= sqrt(ac) of ac = (b^2 - disc)/4 (Cohen, A Course
+    in Computational Algebraic Number Theory, 5.3); 3b^2 <= 4ac - b^2 = |disc|."""
     out = []
-    for a in range(1, isqrt(-disc // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - disc) % (4 * a):
+    for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
+        ac = (b * b - disc) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            if ac % a:
                 continue
-            c = (b * b - disc) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (a == c or -b == a):
-                continue
-            form = BQForm(a, b, c)
-            if form.is_primitive():
-                out.append(form)
+            c = ac // a
+            if gcd(gcd(a, b), c) == 1:
+                out.append(BQForm(a, b, c))
+                if 0 < b < a < c:
+                    out.append(BQForm(a, -b, c))
     return out
 
 

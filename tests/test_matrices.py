@@ -150,6 +150,29 @@ def test_transpose_relation_column_sums():
         assert a.transpose().mul_vec(ones) == sum(b << i for i, b in enumerate(_b(-1, sf)))
 
 
+def test_table_transpose_matches_reference():
+    # the table derives A^T's rows from A by reciprocity; F2Matrix.transpose
+    # is the reference
+    for n, sf in squarefree_upto(10**4):
+        if sf.k:
+            table = symbol_table(sf)
+            assert table.a_t == table.a_matrix().transpose().rows, n
+
+
+def test_even_classify_transposes_nothing(monkeypatch):
+    # even n with s2 = 2 read A^T twice (Monsky and divisor matrix), both
+    # times from the table
+    from noncongruent import criteria
+
+    calls = []
+    real = F2Matrix.transpose
+    monkeypatch.setattr(F2Matrix, "transpose", lambda m: calls.append(m) or real(m))
+    for n in (322, 3122, 2213746):
+        assert s2(factor_squarefree(n)) == 2
+        criteria.classify(n)
+    assert calls == []
+
+
 def test_field_discriminant_examples():
     assert [field_discriminant(m) for m in (17, -17, -34)] == [17, -68, -136]
     for m in (0, 1):

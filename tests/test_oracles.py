@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,6 +12,7 @@ from noncongruent.matrices import h4, selmer_elements
 from noncongruent.oracles import (
     BQForm,
     CongruentCurve,
+    _reduced_definite_forms,
     class_group,
     compose,
     h4_oracle,
@@ -54,6 +56,69 @@ def test_class_group_known_values():
     assert class_group(12).order == 2  # narrow class group of Q(sqrt(3))
     assert class_group(40).order == 2
     assert class_group(5).order == 1
+
+
+def _reduced_definite_by_a_b(disc):
+    """The reference enumeration: every (a, b) with |b| <= a <= sqrt(|disc|/3)."""
+    out = []
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - disc) % (4 * a):
+                continue
+            c = (b * b - disc) // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (a == c or -b == a):
+                continue
+            form = BQForm(a, b, c)
+            if form.is_primitive():
+                out.append(form)
+    return out
+
+
+def test_reduced_definite_forms_match_the_a_b_loop():
+    # non-fundamental discriminants too, so that imprimitive forms turn up
+    discs = [d for d in range(-4999, 0) if d % 4 in (0, 1)]
+    for disc in discs + [-999995, -999991, -999988]:
+        assert sorted(_reduced_definite_forms(disc)) == _reduced_definite_by_a_b(disc), disc
+
+
+def _kronecker_sum(disc, upto):
+    """(sum of chi(a) for 1 <= a <= upto, chi(2)) for the Kronecker symbol
+    chi(a) = (disc / a): Euler's criterion at odd primes, disc mod 8 at 2,
+    extended multiplicatively through a smallest-prime-factor sieve."""
+    spf = list(range(upto + 1))
+    for p in range(2, isqrt(upto) + 1):
+        if spf[p] == p:
+            for q in range(p * p, upto + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    chi2 = 0 if disc % 2 == 0 else (1 if disc % 8 in (1, 7) else -1)
+    chi = [0, 1] + [0] * (upto - 1)
+    for a in range(2, upto + 1):
+        p = spf[a]
+        if p < a:
+            chi[a] = chi[p] * chi[a // p]
+        elif p == 2:
+            chi[a] = chi2
+        else:
+            r = pow(disc, (p - 1) // 2, p)
+            chi[a] = 1 if r == 1 else -1 if r else 0
+    return sum(chi[1:]), chi2
+
+
+def test_definite_class_number_matches_dirichlet():
+    # h(D) = (2 - chi(2))^-1 sum_(1 <= a < |D|/2) chi(a) for fundamental
+    # D < -4: a route that shares no code with the form enumeration
+    checked = 0
+    for disc in range(-2999, -4):
+        if not is_fundamental(disc):
+            continue
+        total, chi2 = _kronecker_sum(disc, (-disc - 1) // 2)
+        h, rest = divmod(total, 2 - chi2)
+        assert rest == 0 and h == len(_reduced_definite_forms(disc)) == class_group(disc).order, disc
+        checked += 1
+    assert checked == 909
 
 
 def test_h4_h8_oracle_examples():
