@@ -2,8 +2,8 @@
 
 For strictly eligible n (all odd prime factors 1 mod 8) the classification
 is equivalent to vanishing of the 4-rank of the tame kernel of Q(sqrt(n))
-(odd n) or Q(sqrt(-n)) (even n).  The V-sets are also computed twice: by F2
-solves and by literal per-divisor Hilbert-symbol checks.
+(odd n) or Q(sqrt(-n)) (even n).  The V-sets are also computed twice: from
+one F2 kernel and by literal per-divisor Hilbert-symbol checks.
 """
 
 from noncongruent import classify

@@ -65,9 +65,9 @@ class TorsorSystem:
 class TangentData:
     """A rational point on one quadric plus the tangent plane there.
 
-    ``point`` lists the nonzero coordinates of Q in the quadric's three
-    active variables; ``linear`` holds the tangent-form coefficients over
-    (t, u1, u2, u3).
+    ``point`` is a zero Q of ``form``, the full 4-tuple over (t, u1, u2, u3)
+    with its zeros included, e.g. (0, 0, 1, 1); ``linear`` holds the
+    tangent-form coefficients at Q over the same four variables.
     """
 
     form: tuple[int, int, int, int]

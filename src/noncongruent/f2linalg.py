@@ -4,7 +4,7 @@ Row i of a matrix is a Python int whose bit j is the entry in column j, so
 row addition is a single XOR regardless of width.  A vector is likewise an
 int whose bit j is coordinate j: addition is XOR and the dot product is the
 parity of AND.  Elimination pivots on the first nonzero column with the
-lowest available row, which makes ranks, kernels and particular solutions
+lowest available row, which makes ranks and the order of kernel vectors
 reproducible across runs.
 """
 
@@ -137,21 +137,3 @@ def kernel(m: F2Matrix) -> list[int]:
             b |= (rows[r] >> free & 1) << pc
         out.extend([v ^ b for v in out])
     return out
-
-
-def solve(m: F2Matrix, b: int) -> int | None:
-    """A particular solution of M x = b, or None when b is not in the image.
-
-    The full solution set is the returned vector plus the kernel; free
-    variables are set to zero for reproducibility.
-    """
-    if b < 0 or b >> m.nrows:
-        raise DimensionMismatch(f"rhs {b:#b} is longer than nrows {m.nrows}")
-    aug = [r | (b >> i & 1) << m.ncols for i, r in enumerate(m.rows)]
-    rows, pivots = _echelon(aug, m.ncols + 1)
-    if m.ncols in pivots:
-        return None
-    x = 0
-    for r, pc in enumerate(pivots):
-        x |= (rows[r] >> m.ncols & 1) << pc
-    return x

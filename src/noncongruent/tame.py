@@ -2,8 +2,8 @@
 
 Both ranks are read off the symbol table of |m|.  The 2-rank counts which
 of +-1, +-2 are norms from Q(sqrt(m)); the 4-rank comes from the
-divisor-counting sets V1 and V2, realized two independent ways: as solution
-sets of F2 linear systems attached to the symbol matrix B, and (for
+divisor-counting sets V1 and V2, realized two independent ways: read off
+one kernel of the symbol matrix B with its targets appended, and (for
 cross-checking) by testing the defining Hilbert-symbol conditions divisor by
 divisor.
 """
@@ -45,24 +45,6 @@ def _factored(m: int) -> SquareFreeN:
     return factor_squarefree(abs(m))
 
 
-def r2_tame(m: int) -> int:
-    """2-rank of the tame kernel of Q(sqrt(m))."""
-    return _r2(m, matrices.symbol_table(_factored(m)))
-
-
-def _r2(m: int, table: matrices.SymbolTable) -> int:
-    """e in {+-1, +-2} is a norm from Q(sqrt(m)) exactly when (e > 0 or
-    m > 0) and (e / p) = 1 at every odd p | m: the symbol at 2 then follows
-    by Hilbert reciprocity.  The norms among them form a group of order 1,
-    2 or 4."""
-    k = table.sf.k
-    if m > 0:
-        norms = 1 + (table.minus_one == 0) + (table.two == 0) + (table.minus_one == table.two)
-        return k + norms.bit_length() - 1
-    norms = 1 + (table.two == 0)
-    return k - 1 + norms.bit_length() - 1
-
-
 def _mu(m: int, sf: SquareFreeN) -> int | None:
     """mu of the fundamental 2*mu^2 - tau^2 = m (least mu >= 1 for m < 0), or
     None when 2 is not a norm from Q(sqrt(m)), that is when some odd prime
@@ -72,49 +54,73 @@ def _mu(m: int, sf: SquareFreeN) -> int | None:
     return fundamental_2mu2_tau2(m, sf)[0] if m > 0 else rep_neg(m, sf).mu
 
 
-def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The divisor sets V1 and V2 via F2 solves against B = A + D_(m/m').
+def tame_report(m: int) -> TameKernelReport:
+    """Full report: r2, r4, the V sets and the mu that was used (if any).
 
-    For m > 0 both sets consist of positive divisors of the odd part m'; for
-    m < 0 they are signed, with solutions of the targets b_(-eps) contributing
-    negative divisors.  V2 is empty when 2 is not a norm from Q(sqrt(m)).
+    |m| is factored once and read through one symbol table.  e in {+-1, +-2}
+    is a norm from Q(sqrt(m)) exactly when (e > 0 or m > 0) and (e / p) = 1
+    at every odd p | m (the symbol at 2 follows by Hilbert reciprocity); the
+    norms among them form a group of order 1, 2 or 4, which gives r2.
+
+    V1 and V2 hold psi(x) for the x with B x = b_eps, B = A + D_(m/m') and
+    bit i of b_eps the additive (eps / p_i), so b_(eps eps') = b_eps + b_eps'.  One
+    kernel of [B | b_(-1) | b_2 | b_mu] holds every such x: a kernel vector
+    (x, alpha, beta, gamma) has B x = alpha b_(-1) + beta b_2 + gamma b_mu.
+    gamma = 0 puts psi(x) in V1 (eps in {+-1, +-2}), gamma = 1 with beta = 0
+    in V2 (eps = +-mu), and for m < 0 alpha = 1 makes the divisor negative.
+    V2 is empty when 2 is not a norm from Q(sqrt(m)).
     """
-    return _v_sets(m, matrices.symbol_table(_factored(m)))[:2]
-
-
-def _v_sets(
-    m: int, table: matrices.SymbolTable
-) -> tuple[frozenset[int], frozenset[int], int | None]:
-    """``v_sets`` from the symbol table of |m|, and the mu it used.
-
-    Bit i of the target b_eps is the additive (eps / p_i): 0, ``minus_one``,
-    ``two`` and their sum for eps = 1, -1, 2, -2, one Jacobi row for mu,
-    and b_(-mu) = b_mu + b_(-1).  The kernel of B is taken once and each
-    target costs one particular solution.
-    """
-    sf = table.sf
+    sf = _factored(m)
+    table = matrices.symbol_table(sf)
     k, minus_one, two = sf.k, table.minus_one, table.two
-    twist = {1: 0, -1: minus_one, 2: two, -2: minus_one ^ two}[m // sf.odd_part]
-    bmat = F2Matrix(matrices.plus_diagonal(table.a, twist), k)
-    kern = f2linalg.kernel(bmat)
-
-    def solutions(target: int) -> set[int]:
-        x = f2linalg.solve(bmat, target)
-        if x is None:
-            return set()
-        return {matrices.psi(x ^ v, sf.primes) for v in kern}
+    if m > 0:
+        norms = 1 + (minus_one == 0) + (two == 0) + (minus_one == two)
+    else:
+        norms = 1 + (two == 0)
+    r2 = k - (m < 0) + norms.bit_length() - 1
 
     mu = _mu(m, sf)
     b_mu = 0 if mu is None else sum(additive_jacobi(mu, p) << i for i, p in enumerate(sf.primes))
-    if m > 0:
-        v1 = solutions(0) | solutions(minus_one) | solutions(two) | solutions(minus_one ^ two)
-        v2 = set() if mu is None else solutions(b_mu) | solutions(b_mu ^ minus_one)
-        return frozenset(v1), frozenset(v2), mu
+    twist = {1: 0, -1: minus_one, 2: two, -2: minus_one ^ two}[m // sf.odd_part]
+    rows = tuple(
+        r | (minus_one >> i & 1 | (two >> i & 1) << 1 | (b_mu >> i & 1) << 2) << k
+        for i, r in enumerate(matrices.plus_diagonal(table.a, twist))
+    )
+    v1: set[int] = set()
+    v2: set[int] = set()
+    for v in f2linalg.kernel(F2Matrix(rows, k + 3)):
+        alpha, beta, gamma = v >> k & 1, v >> k + 1 & 1, v >> k + 2 & 1
+        d = matrices.psi(v, sf.primes)  # psi reads only the k bits of x
+        d = -d if m < 0 and alpha else d
+        if not gamma:
+            v1.add(d)
+        elif mu is not None and not beta:
+            v2.add(d)
 
-    v1 = solutions(0) | solutions(two)
-    v1 |= {-d for d in solutions(minus_one) | solutions(minus_one ^ two)}
-    v2 = set() if mu is None else solutions(b_mu) | {-d for d in solutions(b_mu ^ minus_one)}
-    return frozenset(v1), frozenset(v2), mu
+    count = len(v1) + len(v2)
+    if count & (count - 1):
+        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} for m = {m}")
+    r4 = count.bit_length() - 2 - (m < 0)
+    if r4 < 0:
+        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} too small for m = {m}")
+    return TameKernelReport(m, r2, r4, frozenset(v1), frozenset(v2), mu)
+
+
+def r2_tame(m: int) -> int:
+    """2-rank of the tame kernel of Q(sqrt(m))."""
+    return tame_report(m).r2
+
+
+def r4_tame(m: int) -> int:
+    """4-rank of the tame kernel from the V-set counts."""
+    return tame_report(m).r4
+
+
+def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The divisor sets V1 and V2 of ``tame_report``: divisors of the odd
+    part m', positive for m > 0 and signed for m < 0."""
+    report = tame_report(m)
+    return report.v1, report.v2
 
 
 def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -146,36 +152,3 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
     else:
         v2 = frozenset(d for d in candidates if matches(d, mu))
     return v1, v2
-
-
-def r4_tame(m: int) -> int:
-    """4-rank of the tame kernel from the V-set counts."""
-    return _r4_from_counts(m, *v_sets(m))
-
-
-def _r4_from_counts(m: int, v1: frozenset[int], v2: frozenset[int]) -> int:
-    count = len(v1) + len(v2)
-    if count & (count - 1):
-        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} for m = {m}")
-    log = count.bit_length() - 1
-    r4 = log - 1 if m > 0 else log - 2
-    if r4 < 0:
-        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} too small for m = {m}")
-    return r4
-
-
-def tame_report(m: int) -> TameKernelReport:
-    """Full report: r2, r4, the V sets and the mu that was used (if any).
-
-    m is factored once, its symbol table built once and mu computed once.
-    """
-    table = matrices.symbol_table(_factored(m))
-    v1, v2, mu = _v_sets(m, table)
-    return TameKernelReport(
-        m=m,
-        r2=_r2(m, table),
-        r4=_r4_from_counts(m, v1, v2),
-        v1=v1,
-        v2=v2,
-        mu_used=mu,
-    )

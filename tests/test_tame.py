@@ -52,12 +52,45 @@ def test_report_fields():
 
 
 def test_dual_route_agreement_sweep():
-    # F2-solve route vs literal per-divisor Hilbert checks, |m| <= 5000
+    # one augmented kernel vs literal per-divisor Hilbert checks, |m| <= 5000
     for a in range(3, 5001):
         if squarefree_part(a) != a:
             continue
         for m in (a, -a):
             assert v_sets(m) == v_sets_direct(m), m
+
+
+def test_dual_route_agreement_at_large_k():
+    # |m| <= 5000 has k <= 4; here k runs 5..9, so [B | b_-1 | b_2 | b_mu]
+    # has 8 to 12 columns
+    import math
+    import random
+
+    odd_primes = [p for p in range(3, 400) if all(p % q for q in range(2, p))]
+    plus_minus_one = [p for p in odd_primes if p % 8 in (1, 7)]
+    rng = random.Random(18)
+    with_v2 = 0
+    for i in range(100):
+        pool = plus_minus_one if i % 2 else odd_primes
+        a = math.prod(rng.sample(pool, rng.randrange(5, 10)))
+        if rng.random() < 0.3:
+            a *= 2
+        for m in (a, -a):
+            v1, v2 = v_sets(m)
+            assert (v1, v2) == v_sets_direct(m), m
+            count = len(v1) + len(v2)
+            assert count & (count - 1) == 0 and count >= (2 if m > 0 else 4), m
+            with_v2 += bool(v2)
+    assert with_v2 >= 50
+
+
+def test_k8_reports():
+    rep = tame_report(1694842751854)
+    assert (rep.r2, rep.r4, rep.mu_used) == (9, 1, 920555)
+    assert sorted(rep.v1) == [1, 847421375927] and sorted(rep.v2) == [860591, 984697]
+    rep = tame_report(-847421375927)
+    assert (rep.r2, rep.r4, rep.mu_used) == (8, 0, 257)
+    assert sorted(rep.v1) == [-847421375927, 1] and sorted(rep.v2) == [-14185871, 59737]
 
 
 def test_corollary_formula_equivalence_strict_odd():
@@ -96,26 +129,31 @@ def test_count_power_of_two_sweep():
 def test_tame_report_factors_once_and_solves_once(monkeypatch):
     import sys
 
-    from noncongruent import arith, f2linalg, reps
+    from noncongruent import arith, f2linalg, reps, tame
 
-    calls = {"factorize": [], "mu": [], "is_norm": [], "kernel": []}
+    calls = dict.fromkeys(("factorize", "mu", "is_norm", "_echelon"), 0)
     for name, real in (
         ("factorize", arith.factorize),
         ("mu", reps.fundamental_2mu2_tau2),
         ("is_norm", arith.is_norm),
-        ("kernel", f2linalg.kernel),
+        ("_echelon", f2linalg._echelon),
     ):
 
-        def counting(n, *args, _real=real, _name=name):
-            calls[_name].append(n)
-            return _real(n, *args)
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
 
         for mod_name, module in list(sys.modules.items()):
             if mod_name == "noncongruent" or mod_name.startswith("noncongruent."):
                 for attr, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, attr, counting)
+    # every reader is one report: one factorization and one elimination
+    for m in (161, -161, -34):
+        for reader in (tame.tame_report, tame.r2_tame, tame.r4_tame, tame.v_sets):
+            calls.update(dict.fromkeys(calls, 0))
+            reader(m)
+            expected = {"factorize": 1, "mu": int(m > 0), "is_norm": 0, "_echelon": 1}
+            assert calls == expected, (reader.__name__, m)
     rep = tame_report(161)
     assert rep.mu_used == 9 and rep.r4 == 1
-    assert calls["factorize"] == calls["mu"] == [161]
-    assert calls["is_norm"] == [] and len(calls["kernel"]) == 1
