@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, field
 
-from . import f2linalg, matrices
+from . import matrices
 from .arith import SquareFreeN, factor_squarefree, is_norm, jacobi
 from .errors import NotRankTwo, NotSquareFree, VerificationFailed
 from .reps import rep_2mu2_tau2, z2_jacobi
@@ -58,13 +58,13 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
 
     Odd n: d is the positive divisor read off the one-dimensional kernel of
     A + D_(-1).  Even n: |d| comes from the kernel of A^T and the sign is
-    fixed by d = 1 mod 8.  Both matrices come from the symbol table of n
-    (built here unless given).  The Hilbert conditions are re-verified
-    before returning.
+    fixed by d = 1 mod 8.  The kernel is read off the echelon of that
+    matrix that the symbol table of n (built here unless given) keeps.  The
+    Hilbert conditions are re-verified before returning.
     """
     if table is None:
         table = matrices.symbol_table(sf)
-    ker = f2linalg.kernel(table.divisor_matrix())
+    ker = table.divisor_kernel()
     if len(ker) != 2:
         raise NotRankTwo(f"kernel size {len(ker)} != 2 for n = {sf.n}")
     d = matrices.psi(ker[1], sf.primes)
@@ -95,6 +95,8 @@ def classify(n: int | SquareFreeN) -> Verdict:
     n is factored once (a ``SquareFreeN`` is taken as already factored),
     every field is recorded once in stage order (s2, the 4-ranks, d, mu,
     the symbol), and every F2 matrix is read off one symbol table of n.
+    Every n past the eligibility gate has D_2 = 0, so the table eliminates
+    A and A + D_(-1) for odd n, and the Monsky matrix, A and A^T for even n.
     The criterion is Theorem 1 for odd n (h4(-n) = 1, h4(n) = 0 and
     (-mu/d) = -1) and Theorem 2 for even n (h4(-n/2) = 1 and
     ((2 - sqrt(2))/|d|) = -1).

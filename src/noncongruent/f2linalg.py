@@ -129,11 +129,17 @@ def rank(m: F2Matrix) -> int:
 def kernel(m: F2Matrix) -> list[int]:
     """All 2^dim right kernel vectors: zero first, then the span doubled by
     one basis vector at a time, in increasing free column."""
-    rows, pivots = _echelon(list(m.rows), m.ncols)
+    return echelon_kernel(*_echelon(list(m.rows), m.ncols), m.ncols)
+
+
+def echelon_kernel(rows: list[int], pivots: list[int], ncols: int) -> list[int]:
+    """``kernel`` of a matrix from its ``_echelon`` (rows, pivots)."""
     out = [0]
-    for free in sorted(set(range(m.ncols)) - set(pivots)):
+    for free in range(ncols):
+        if free in pivots:
+            continue
         b = 1 << free
-        for r, pc in enumerate(pivots):
-            b |= (rows[r] >> free & 1) << pc
+        for r, pc in zip(rows, pivots):
+            b |= (r >> free & 1) << pc
         out.extend([v ^ b for v in out])
     return out

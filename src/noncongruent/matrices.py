@@ -7,6 +7,9 @@ even shapes) and with it the pure 2-Selmer rank s2 and its
 representatives, the matrix whose kernel holds the distinguished divisor,
 and the Redei matrix of Q(sqrt(m)) for every square-free m, with the
 class-group ranks h2 / h4 it gives.
+
+For eligible n, D_2 = 0: the table eliminates A and the divisor matrix
+once each, and s2, h4(+-n) and the kernel behind d are read off them.
 """
 
 from __future__ import annotations
@@ -140,36 +143,80 @@ def _h4(redei: F2Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _once:
+    """``functools.cached_property`` without its lock: in Python 3.11 the
+    lock taken on each first read costs more than eliminating a 2 x 2."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, table, owner=None):
+        value = table.__dict__[self.name] = self.method(table)
+        return value
+
+
 @dataclass(frozen=True)
 class SymbolTable:
     """The quadratic symbols among the odd primes p_0 < ... < p_(k-1) of n.
 
     ``a`` holds the rows of the symbol matrix A: bit j of ``a[i]`` is the
     additive Legendre symbol (p_j / p_i) for j != i, and bit i makes the row
-    sum to zero; ``a_t`` holds the rows of A^T.  Bit i of ``minus_one`` and
-    of ``two`` is the additive (-1 / p_i) and (2 / p_i), the diagonals of
-    D_(-1) and D_2.  The divisor matrix, the Monsky matrix and the Redei
-    matrices of +-n' and +-2n' (n' the odd part of n) are all A or A^T plus
-    diagonals.
+    sum to zero.  Bit i of ``minus_one`` and of ``two`` is the additive
+    (-1 / p_i) and (2 / p_i), the diagonals of D_(-1) and D_2.  The divisor
+    matrix, the Monsky matrix and the Redei matrices of +-n' and +-2n' (n'
+    the odd part of n) are all A or A^T plus diagonals.  A^T and the
+    echelons of A and of the divisor matrix are made on first use and kept
+    on the table.
     """
 
     sf: SquareFreeN
     a: tuple[int, ...]
-    a_t: tuple[int, ...]
     minus_one: int
     two: int
+
+    @_once
+    def a_t(self) -> tuple[int, ...]:
+        """The rows of A^T.  By reciprocity (p_i / p_j) = (p_j / p_i) unless
+        both primes are 3 mod 4, so row i of A^T is row i of A with the bits
+        of the other primes 3 mod 4 flipped when p_i is 3 mod 4."""
+        m = self.minus_one
+        return tuple(r ^ m ^ 1 << i if m >> i & 1 else r for i, r in enumerate(self.a))
 
     def a_matrix(self) -> F2Matrix:
         """The k x k symbol matrix A."""
         _require_factors(self.sf)
         return F2Matrix(self.a, self.sf.k)
 
+    def _divisor_rows(self) -> tuple[int, ...]:
+        return self.a_t if self.sf.is_even else plus_diagonal(self.a, self.minus_one)
+
     def divisor_matrix(self) -> F2Matrix:
         """The matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T for even n."""
         _require_factors(self.sf)
+        return F2Matrix(self._divisor_rows(), self.sf.k)
+
+    @_once
+    def _a_echelon(self) -> tuple[list[int], list[int]]:
+        return f2linalg._echelon(list(self.a), self.sf.k)
+
+    @_once
+    def _divisor_echelon(self) -> tuple[list[int], list[int]]:
+        return f2linalg._echelon(list(self._divisor_rows()), self.sf.k)
+
+    def divisor_kernel(self) -> list[int]:
+        """``f2linalg.kernel(self.divisor_matrix())``, from the cached echelon."""
+        _require_factors(self.sf)
+        return f2linalg.echelon_kernel(*self._divisor_echelon, self.sf.k)
+
+    def _monsky_rows(self) -> list[int]:
+        _require_factors(self.sf)
+        k, two = self.sf.k, self.two
         if self.sf.is_even:
-            return F2Matrix(self.a_t, self.sf.k)
-        return F2Matrix(plus_diagonal(self.a, self.minus_one), self.sf.k)
+            left, right, twist = self.a_t, self.minus_one, two
+        else:
+            left, right, twist = self.a, two, self.minus_one ^ two
+        top = [r | (right & 1 << i) << k for i, r in enumerate(plus_diagonal(left, two))]
+        return top + [(two & 1 << i) | r << k for i, r in enumerate(plus_diagonal(self.a, twist))]
 
     def monsky_matrix(self) -> F2Matrix:
         """The 2k x 2k Monsky matrix, whose kernel is the pure 2-Selmer group.
@@ -178,19 +225,16 @@ class SymbolTable:
         D_2, it is [[A + D_2, D_2], [D_2, A + D_(-2)]] for odd n and
         [[A^T + D_2, D_(-1)], [D_2, A + D_2]] for even n.
         """
-        _require_factors(self.sf)
-        k, two = self.sf.k, self.two
-        if self.sf.is_even:
-            left, right, twist = self.a_t, self.minus_one, two
-        else:
-            left, right, twist = self.a, two, self.minus_one ^ two
-        top = [r | (right & 1 << i) << k for i, r in enumerate(plus_diagonal(left, two))]
-        bottom = [(two & 1 << i) | r << k for i, r in enumerate(plus_diagonal(self.a, twist))]
-        return F2Matrix(tuple(top + bottom), 2 * k)
+        return F2Matrix(tuple(self._monsky_rows()), 2 * self.sf.k)
 
     def s2(self) -> int:
-        """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix."""
-        return 2 * self.sf.k - f2linalg.rank(self.monsky_matrix())
+        """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix, which
+        is diag(A, A + D_(-1)) for odd n with D_2 = 0."""
+        _require_factors(self.sf)
+        k = self.sf.k
+        if self.sf.is_even or self.two:
+            return 2 * k - len(f2linalg._echelon(self._monsky_rows(), 2 * k)[1])
+        return 2 * k - len(self._a_echelon[1]) - len(self._divisor_echelon[1])
 
     def redei_matrix(self, m: int) -> F2Matrix:
         """The Redei matrix of Q(sqrt(m)) for m = +-n' or +-2n'.
@@ -216,15 +260,25 @@ class SymbolTable:
         return F2Matrix(tuple(rows + [last]), k + 1)
 
     def h4(self, m: int) -> int:
-        """``h4(m)`` for m = +-n' or +-2n', from the table's Redei matrix."""
+        """``h4(m)`` for m = +-n' or +-2n', from the table's Redei matrix.
+
+        For odd n = 1 mod 4 that of n is A + D_(-1).  With D_2 = 0 and n' = 1
+        mod 8 that of -n' is A with the D_(-1) row and a zero column added,
+        and the row adds no rank: x in ker A makes d = psi(x) and e = n'/d
+        squares mod each other's primes, so (d/e)(e/d) = 1 and reciprocity
+        puts an even number of primes 3 mod 4 in d.
+        """
+        k = self.sf.k
+        if m == self.sf.n and m % 4 == 1:
+            return k - 1 - len(self._divisor_echelon[1])
+        if m == -self.sf.odd_part and not self.two and self.sf.odd_part % 8 == 1:
+            return k - len(self._a_echelon[1])
         return _h4(self.redei_matrix(m))
 
 
 def symbol_table(sf: SquareFreeN) -> SymbolTable:
     """The table of sf from its k(k-1)/2 symbols (p_j / p_i), i < j; by
-    reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4, so
-    row i of A^T is row i of A with the bits of the other primes 3 mod 4
-    flipped when p_i is 3 mod 4."""
+    reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4."""
     ps = sf.primes
     rows = [0] * len(ps)
     minus_one = two = 0
@@ -236,5 +290,4 @@ def symbol_table(sf: SquareFreeN) -> SymbolTable:
             rows[i] |= s << j
             rows[j] |= (s ^ (p % 4 == 3 and ps[j] % 4 == 3)) << i
     a = tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(rows))
-    a_t = tuple(r ^ minus_one ^ 1 << i if minus_one >> i & 1 else r for i, r in enumerate(a))
-    return SymbolTable(sf, a, a_t, minus_one, two)
+    return SymbolTable(sf, a, minus_one, two)

@@ -332,8 +332,9 @@ def class_group(disc: int) -> ClassGroupReport:
     r2, r4, r8 = (two_chain + [0, 0, 0])[:3]
     # Invariant factors, assembled prime by prime from the rank chains.
     per_prime: dict[int, list[int]] = {}
-    for q, _ in factorize(h):
-        chain = two_chain if q == 2 else _q_rank_chain(group, q)
+    for q, e in factorize(h):
+        # a q-Sylow subgroup of prime order q is cyclic: no powering needed
+        chain = two_chain if q == 2 else [1] if e == 1 else _q_rank_chain(group, q)
         count = chain[0] if chain else 0
         per_prime[q] = [sum(1 for r in chain if r > i) for i in range(count)]
     width = max((len(v) for v in per_prime.values()), default=0)

@@ -1,11 +1,23 @@
 import sys
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from noncongruent import arith, cli, matrices, verify
-from noncongruent.arith import Place, REAL_PLACE, factor_squarefree, hilbert
+from noncongruent import arith, cli, f2linalg, matrices, verify
+from noncongruent.arith import (
+    REAL_PLACE,
+    Place,
+    SquareFreeN,
+    factor_squarefree,
+    hilbert,
+    is_prime,
+    squarefree_upto,
+)
 from noncongruent.criteria import VerdictKind, classify, distinguished_divisor
 from noncongruent.errors import VerificationFailed
+from noncongruent.f2linalg import F2Matrix
 
 
 def test_distinguished_divisor_examples():
@@ -78,6 +90,15 @@ def test_classify_never_marks_sha_without_symbol():
             assert v.d is not None and v.d != 1
 
 
+def _route(monkeypatch, real, replacement):
+    """Replace ``real`` in every namespace of the package that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "noncongruent" or name.startswith("noncongruent."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _count_factorize(monkeypatch):
     """Route arith.factorize, in every namespace that holds it, through a counter."""
     calls = []
@@ -87,11 +108,7 @@ def _count_factorize(monkeypatch):
         calls.append(n)
         return real(n)
 
-    for name, module in list(sys.modules.items()):
-        if name == "noncongruent" or name.startswith("noncongruent."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    _route(monkeypatch, real, counting)
     return calls
 
 
@@ -120,3 +137,84 @@ def test_selmer_oracle_sweep_never_factorizes(monkeypatch):
     report = verify.run("selmer-oracle", 300)
     assert report["passed"] > 0 and report["failed"] == 0
     assert calls == []
+
+
+def test_classify_shares_its_eliminations(monkeypatch):
+    # D_2 = 0 for eligible n: odd n eliminates A and A + D_(-1) once each,
+    # even n the Monsky matrix, A and A^T; no F2Matrix is built on the way.
+    calls = {"_echelon": 0, "F2Matrix": 0}
+    real = f2linalg._echelon
+
+    def echelon(rows, ncols):
+        calls["_echelon"] += 1
+        return real(rows, ncols)
+
+    def built(matrix):
+        calls["F2Matrix"] += 1
+
+    _route(monkeypatch, real, echelon)
+    monkeypatch.setattr(f2linalg.F2Matrix, "__post_init__", built)
+    for n, most in ((17, 2), (161, 2), (2446197334673, 2), (34, 3), (322, 3), (2213746, 3)):
+        calls.update(_echelon=0, F2Matrix=0)
+        assert classify(n).s2 == 2
+        assert calls["_echelon"] <= most and calls["F2Matrix"] == 0, (n, calls)
+
+
+def _routes_agree(sf):
+    """For an n that classify takes (so D_2 = 0): its s2, h4 and d against
+    the generic eliminations of their matrices, and the table's reads of
+    the kept echelons against the same whether or not classify needs them."""
+    table = matrices.symbol_table(sf)
+    k, odd = sf.k, sf.odd_part
+    kernel = f2linalg.kernel(table.divisor_matrix())
+    assert table.divisor_kernel() == kernel
+    assert table.h4(-odd) == matrices.h4(-odd)
+    if not sf.is_even:
+        assert table.h4(sf.n) == matrices.h4(sf.n)
+        zero = F2Matrix((0,) * k, k)
+        block = F2Matrix.block([[table.a_matrix(), zero], [zero, table.divisor_matrix()]])
+        assert table.monsky_matrix() == block
+    v = classify(sf)
+    assert v.s2 == 2 * k - f2linalg.rank(table.monsky_matrix())
+    if v.h4_minus is not None:
+        assert v.h4_minus == matrices.h4(-odd)
+    if v.h4_plus is not None:
+        assert v.h4_plus == matrices.h4(sf.n)
+    if v.d is not None:
+        assert abs(v.d) == matrices.psi(kernel[1], sf.primes)
+
+
+def _classified(sf):
+    return sf.k >= 1 and sf.eligibility and sf.n % 8 in (1, 2)
+
+
+def test_classify_routes_agree_exhaustively():
+    seen = 0
+    for _, sf in squarefree_upto(20000):
+        if _classified(sf):
+            _routes_agree(sf)
+            seen += 1
+    assert seen > 1000
+
+
+@st.composite
+def eligible_products(draw):
+    """Square-free n = n' or 2n' with n' = 1 mod 8 a product of 1-8 primes
+    +-1 mod 8, each the next such prime after a draw up to 10^(12/k)."""
+    k = draw(st.integers(1, 8))
+    primes = [1]
+    for q in sorted(draw(st.lists(st.integers(7, round(10 ** (12 / k))), min_size=k, max_size=k))):
+        q = max(q, primes[-1] + 1)
+        while not (q % 8 in (1, 7) and is_prime(q)):
+            q += 1
+        primes.append(q)
+    odd = prod(primes)
+    assume(odd % 8 == 1)
+    return SquareFreeN.from_primes(odd * draw(st.sampled_from((1, 2))), tuple(primes[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(eligible_products())
+def test_classify_routes_agree_on_products(sf):
+    assert _classified(sf)
+    _routes_agree(sf)

@@ -37,6 +37,12 @@ def test_class_group_examples():
         class_group(-(10**6) - 3)
 
 
+def test_class_group_runs_the_odd_chain_when_q_squared_divides_h():
+    # v_3(h) >= 2 in each: the 3-part is only known after the powering chain
+    for disc, factors in ((-3299, (3, 9)), (-4027, (3, 3)), (-3896, (3, 12))):
+        assert class_group(disc).invariant_factors == factors, disc
+
+
 def test_cap_is_checked_before_anything_factors(monkeypatch):
     calls = []
     real = arith.factorize
