@@ -7,8 +7,10 @@ and norm-group membership for quadratic fields.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -220,43 +222,85 @@ def factor_squarefree(n: int) -> SquareFreeN:
     return SquareFreeN.from_primes(n, tuple(p for p, _ in fac if p != 2))
 
 
-def squarefree_block(lo: int, hi: int, residues: tuple[int, ...] | None = None):
-    """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
-    sieve; with ``residues``, only for n whose residue mod 8 is among them.
+_base_primes: tuple[int, ...] = ()
+_base_bound = 0
 
-    Each prime p <= sqrt(hi) marks the multiples of p^2 as not square-free
-    and, when odd, joins the prime list of each of its multiples; the odd
-    part of a square-free n over the product of its list is 1 or one prime
-    above sqrt(hi).  The sieve is exact, so nothing is divided again.
+
+def base_primes(bound: int) -> tuple[int, ...]:
+    """The primes up to ``bound``, read off a table that each process sieves
+    once and sieves again, at least twice as far, only when outgrown."""
+    global _base_primes, _base_bound
+    if bound > _base_bound:
+        _base_bound = max(bound, 2 * _base_bound, 1024)
+        is_p = bytearray([0, 0]) + bytearray([1]) * (_base_bound - 1)
+        for p in range(2, isqrt(_base_bound) + 1):
+            if is_p[p]:
+                is_p[p * p :: p] = bytes(len(range(p * p, _base_bound + 1, p)))
+        _base_primes = tuple(compress(range(_base_bound + 1), is_p))
+    return _base_primes[: bisect_right(_base_primes, bound)]
+
+
+def _strike(alive: bytearray, start: int, step: int) -> None:
+    alive[start::step] = bytes(len(range(start, len(alive), step)))
+
+
+# The residues mod 8 that the odd primes of an eligible (strictly eligible)
+# n may have: the two filters of ``squarefree_block``.
+ELIGIBLE = (1, 7)
+STRICT = (1,)
+
+
+def squarefree_block(lo: int, hi: int, allowed: tuple[int, ...] | None = None):
+    """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
+    sieve; with ``allowed``, the residues mod 8 that every odd prime of n
+    must have, only for those n with n = 1, 2 mod 8.
+
+    Each base prime p <= sqrt(hi) strikes the multiples of p^2, and the
+    filter strikes the other residues of n and the multiples of each odd p
+    outside ``allowed``.  Every other odd p then joins the prime list of
+    each multiple still standing; the odd part of such an n over the
+    product of its list is 1 or one prime above sqrt(hi), which the filter
+    may still reject.  The sieve is exact, so nothing is divided again.
     """
     size = hi - lo
-    bound = isqrt(hi - 1)
-    is_p = bytearray([1]) * (bound + 1)
-    square = bytearray(size)
-    primes: list[list[int]] = [[] for _ in range(size)]
-    for p in range(2, bound + 1):
-        if not is_p[p]:
-            continue
-        is_p[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    alive = bytearray([1]) * size
+    if allowed is not None:
+        for r in (0, 3, 4, 5, 6, 7):
+            _strike(alive, (r - lo) % 8, 8)
+    listed = []
+    for p in base_primes(isqrt(hi - 1)):
+        # Past sqrt(size) most squares, and past size most primes, miss the
+        # block: a comparison spares them the slice.
         start = -lo % (p * p)
-        square[start :: p * p] = b"\x01" * len(range(start, size, p * p))
-        if p != 2:
-            for i in range(-lo % p, size, p):
-                primes[i].append(p)
-    for i, ps in enumerate(primes):
-        n = lo + i
-        if square[i] or residues is not None and n % 8 not in residues:
+        if start < size:
+            _strike(alive, start, p * p)
+        if p == 2:
             continue
+        if allowed is None or p % 8 in allowed:
+            listed.append(p)
+        elif -lo % p < size:
+            _strike(alive, -lo % p, p)
+    rows: dict[int, list[int]] = {i: [] for i in compress(range(size), alive)}
+    for p in listed:
+        start = -lo % p
+        if start >= size:
+            continue
+        for i in compress(range(start, size, p), alive[start::p]):
+            rows[i].append(p)
+    for i, ps in rows.items():
+        n = lo + i
         r = (n if n % 2 else n // 2) // prod(ps)
         if r > 1:
+            if allowed is not None and r % 8 not in allowed:
+                continue
             ps.append(r)
         yield n, SquareFreeN.from_primes(n, tuple(ps))
 
 
-def squarefree_upto(bound: int):
-    """(n, SquareFreeN) for each square-free n in [1, bound], sieved in 1024-blocks."""
+def squarefree_upto(bound: int, allowed: tuple[int, ...] | None = None):
+    """``squarefree_block``'s rows for n in [1, bound], sieved in 1024-blocks."""
     for lo in range(1, bound + 1, 1024):
-        yield from squarefree_block(lo, min(lo + 1024, bound + 1))
+        yield from squarefree_block(lo, min(lo + 1024, bound + 1), allowed)
 
 
 @lru_cache(maxsize=4096)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 
 from . import criteria, matrices, oracles, tame, verify
-from .arith import SquareFreeN, squarefree_block
+from .arith import ELIGIBLE, STRICT, SquareFreeN, squarefree_block
 from .criteria import VerdictKind
 from .errors import NoncongruentError, TooLarge
 
@@ -66,17 +66,17 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     return row
 
 
+_ALLOWED = {"all": None, "eligible": ELIGIBLE, "strict": STRICT}
+
+
 def _scan_block(args: tuple[int, int, dict]) -> list[dict]:
     lo, hi, opts = args
     rows = []
-    # Only n = 1, 2 mod 8 pass the eligibility filters: the sieve skips the rest.
-    residues = None if opts["filter"] == "all" else (1, 2)
-    for n, sf in squarefree_block(lo, hi, residues):
+    # The sieve drops every row the filter rejects before building its record.
+    for n, sf in squarefree_block(lo, hi, _ALLOWED[opts["filter"]]):
         if opts["parity"] != "all" and (n % 2 == 0) != (opts["parity"] == "even"):
             continue
-        if opts["filter"] != "all" and not (
-            sf.k >= 1 and (sf.eligibility if opts["filter"] == "eligible" else sf.strict_eligibility)
-        ):
+        if opts["filter"] != "all" and sf.k == 0:
             continue
         rows.append(_scan_row(sf, opts["oracle"]))
     return rows
@@ -208,8 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # One parser per process, built on first use: never at import.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except NoncongruentError as exc:

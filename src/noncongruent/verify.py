@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import isqrt
 
 from . import cassels, criteria, matrices, oracles, tame
-from .arith import jacobi, squarefree_block, squarefree_upto
+from .arith import ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .errors import OutOfRange, TooLarge
 from .reps import (
@@ -49,7 +49,7 @@ def _class_oracle(bound: int):
 
 
 def _pairing_product(bound: int):
-    for n, sf in squarefree_upto(bound):
+    for n, sf in squarefree_upto(bound, ELIGIBLE):
         v = criteria.classify(sf)
         if v.d is None:
             continue
@@ -62,8 +62,8 @@ def _lemma_2symbol(count: int):
     seen = 0
     lo = 17
     while seen < count:
-        for n, sf in squarefree_block(lo, lo + 1024):
-            if n % 8 != 1 or not sf.eligibility or sf.k == 0:
+        for n, sf in squarefree_block(lo, lo + 1024, ELIGIBLE):
+            if n % 8 != 1 or sf.k == 0:
                 continue
             mu, tau = fundamental_2mu2_tau2(n, sf)
             u = linked_u2w(Rep2MuTau(mu, tau, n)).u
@@ -84,8 +84,8 @@ def _proposition(bound: int):
     (i) b even <=> (ii) ((1+sqrt 2)/n) = 1 <=> (iv) (sqrt 2/n) = (-1)^((n-1)/8)
     for n = a^2 + 8b^2, and (vi) |mu| = 1 mod 4 <=> (viii) (mu/n) = 1.
     """
-    for n, sf in squarefree_upto(bound):
-        if sf.is_even or not sf.strict_eligibility or sf.k == 0:
+    for n, sf in squarefree_upto(bound, STRICT):
+        if sf.is_even or sf.k == 0:
             continue
         h4m = matrices.symbol_table(sf).h4(-n)
         mu = fundamental_2mu2_tau2(n, sf)[0]
@@ -105,8 +105,8 @@ def _proposition(bound: int):
 
 
 def _corollaries(bound: int):
-    for n, sf in squarefree_upto(bound):
-        if sf.k == 0 or not sf.strict_eligibility or n % 8 not in (1, 2):
+    for n, sf in squarefree_upto(bound, STRICT):
+        if sf.k == 0:
             continue
         v = criteria.classify(sf)
         r4 = tame.r4_tame(n if n % 2 == 1 else -n)
@@ -115,7 +115,7 @@ def _corollaries(bound: int):
 
 
 def _pell_orbit(bound: int):
-    for n, sf in squarefree_upto(bound):
+    for n, sf in squarefree_upto(bound, ELIGIBLE):
         if n % 8 != 1:
             continue
         v = criteria.classify(sf)

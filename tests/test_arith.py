@@ -52,8 +52,21 @@ def test_squarefree_block_matches_factor_squarefree_exhaustively():
             pass
     assert dict(squarefree_block(1, 20001)) == want
     assert dict(squarefree_upto(20000)) == want
-    kept = {n: sf for n, sf in want.items() if n % 8 in (1, 2)}
-    assert dict(squarefree_block(1, 20001, (1, 2))) == kept
+    for allowed, flag in ((arith.ELIGIBLE, "eligibility"), (arith.STRICT, "strict_eligibility")):
+        kept = {n: sf for n, sf in want.items() if n % 8 in (1, 2) and getattr(sf, flag)}
+        assert dict(squarefree_block(1, 20001, allowed)) == kept, allowed
+        assert dict(squarefree_upto(20000, allowed)) == kept, allowed
+
+
+def test_base_primes_are_sieved_once_per_bound_outgrown():
+    want = [p for p in range(2, 5000) if all(p % q for q in range(2, isqrt(p) + 1))]
+    assert arith.base_primes(4999) == tuple(want)
+    assert arith.base_primes(100) == tuple(p for p in want if p <= 100)
+    assert arith.base_primes(1) == ()
+    table = arith._base_primes
+    for _ in squarefree_upto(20000, arith.ELIGIBLE):
+        pass
+    assert arith._base_primes is table  # no block sieved its own primes
 
 
 def test_factor_squarefree_invariants():

@@ -149,15 +149,42 @@ def test_main_entrypoint_in_process(capsys):
     assert out["n"] == 17
 
 
+def test_main_reuses_one_parser_and_carries_no_option_over(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    calls = [["scan", "1", "3000", "--odd", "--eligible"], ["scan", "1", "3000"], ["classify", "17"]]
+    reused = []
+    for argv in calls:
+        reused.append((main(argv), capsys.readouterr().out))
+        assert vars(cli._parser.parse_args(argv)) == vars(build().parse_args(argv)), argv
+    for argv in (["scan", "1"], ["classify", "garbage"], ["scan", "1", "9", "--odd", "--even"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+        capsys.readouterr()
+    assert main(["classify", "17"]) == 0 and capsys.readouterr().out == reused[2][1]
+    assert len(builds) == 1
+    for argv, got in zip(calls, reused):
+        monkeypatch.setattr(cli, "_parser", None)  # a freshly built parser
+        assert (main(argv), capsys.readouterr().out) == got, argv
+    assert reused[0][1] != reused[1][1]
+    # The parser is built on first use, never at import.
+    probe = "from noncongruent import cli; assert cli._parser is None"
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+
 @pytest.mark.parametrize("lo, hi", [(1, 1025), (1, 3), (2, 6), (99329, 100353), (10**8 - 1023, 10**8 + 1)])
 def test_sieve_block_matches_factorize(lo, hi):
-    sieved = dict(arith.squarefree_block(lo, hi))
+    want = {}
     for n in range(lo, hi):
-        fac = arith.factorize(n)
-        if any(e > 1 for _, e in fac):
-            assert n not in sieved
-        else:
-            assert sieved[n] == arith.factor_squarefree(n)
+        if all(e == 1 for _, e in arith.factorize(n)):
+            want[n] = arith.factor_squarefree(n)
+    assert dict(arith.squarefree_block(lo, hi)) == want
+    for allowed, flag in ((arith.ELIGIBLE, "eligibility"), (arith.STRICT, "strict_eligibility")):
+        kept = {n: sf for n, sf in want.items() if n % 8 in (1, 2) and getattr(sf, flag)}
+        assert dict(arith.squarefree_block(lo, hi, allowed)) == kept, allowed
 
 
 def test_classify_exits_3_when_rho_gives_up(monkeypatch, capsys):
@@ -242,8 +269,8 @@ def test_scan_oracle_builds_one_symbol_table_per_rank_two_row(monkeypatch):
     real = matrices.symbol_table
     monkeypatch.setattr(matrices, "symbol_table", lambda sf: builds.append(sf.n) or real(sf))
     rank_two = 0
-    for n, sf in arith.squarefree_block(1, 3000, (1, 2)):
-        if sf.k == 0 or not sf.eligibility:
+    for n, sf in arith.squarefree_block(1, 3000, arith.ELIGIBLE):
+        if sf.k == 0:
             continue
         builds.clear()
         row = cli._scan_row(sf, True)
