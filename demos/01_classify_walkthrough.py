@@ -9,6 +9,11 @@ from noncongruent import classify, factor_squarefree, rep_2mu2_tau2
 from noncongruent.criteria import distinguished_divisor
 from noncongruent.matrices import h4, s2, symbol_table
 
+
+def show(rows):
+    return "\n".join("".join(str(r >> j & 1) for j in range(len(rows))) for r in rows)
+
+
 for n in (17, 34, 41, 161, 322, 15):
     verdict = classify(n)
     print(f"n = {n}: {verdict.verdict.value}")
@@ -21,7 +26,7 @@ print()
 n = 17
 sf = factor_squarefree(n)
 print(f"Monsky matrix of {n} (rank {2 * sf.k - s2(sf)}):")
-print(symbol_table(sf).monsky_matrix())
+print(show(symbol_table(sf).monsky_matrix()))
 print(f"s2({n}) = {s2(sf)}")
 print(f"h4(-{n}) = {h4(-n)}, h4({n}) = {h4(n)}")
 d = distinguished_divisor(sf)

@@ -9,14 +9,19 @@ equivalent to the pair of Redei 4-rank conditions.
 from noncongruent.arith import factor_squarefree, squarefree_part
 from noncongruent.matrices import h4, redei_matrix, s2, selmer_elements, symbol_table
 
+
+def show(rows):
+    return "\n".join("".join(str(r >> j & 1) for j in range(len(rows))) for r in rows)
+
+
 n = 161  # 7 * 23, both -1 mod 8
 sf = factor_squarefree(n)
 table = symbol_table(sf)
-print(f"A_{n} =\n{table.a_matrix()}")
-print(f"M_{n} =\n{table.monsky_matrix()}")
+print(f"A_{n} =\n{show(table.a)}")
+print(f"M_{n} =\n{show(table.monsky_matrix())}")
 print(f"s2({n}) = {s2(sf)}")
-print(f"R_{n} =\n{redei_matrix(n)}")
-print(f"R_-{n} =\n{redei_matrix(-n)}")
+print(f"R_{n} =\n{show(redei_matrix(n))}")
+print(f"R_-{n} =\n{show(redei_matrix(-n))}")
 print(f"h4({n}) = {h4(n)}, h4(-{n}) = {h4(-n)}")
 print("pure 2-Selmer representatives:")
 for t in sorted(selmer_elements(sf), key=str):

@@ -90,7 +90,12 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
 
 
 def classify(n: int | SquareFreeN) -> Verdict:
-    """Classify n; all failure modes become verdict values, never errors.
+    """Classify n: one verdict for every n that factors.
+
+    ``CriterionFails`` means exactly that the pairing symbol is +1.  For
+    eligible n, s2 = 2 holds exactly when the Redei 4-rank conditions do, so
+    a 4-rank that fails at s2 = 2 is a bug and raises VerificationFailed,
+    as does a distinguished divisor that fails its re-check.
 
     n is factored once (a ``SquareFreeN`` is taken as already factored),
     every field is recorded once in stage order (s2, the 4-ranks, d, mu,
@@ -122,12 +127,12 @@ def classify(n: int | SquareFreeN) -> Verdict:
         return v
     v.verdict = VerdictKind.CRITERION_FAILS
     # h4(-n) and h4(n) for odd n, h4(-n/2) for even n; both ranks are
-    # recorded even when the first already fails.
+    # recorded before they are checked.
     h4_holds = v.record("h4_minus", "redei_rank", table.h4(-sf.odd_part)) == 1
     if not sf.is_even:
         h4_holds &= v.record("h4_plus", "redei_rank", table.h4(sf.n)) == 0
     if not h4_holds:
-        return v
+        raise VerificationFailed(f"s2 = 2 but h4 = ({v.h4_minus}, {v.h4_plus}) for n = {sf.n}")
     d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
     if sf.is_even:
         mu, method = None, "quad_jacobi_closed_form"

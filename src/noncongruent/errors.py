@@ -25,10 +25,6 @@ class IllDefined(NoncongruentError):
     """Quadratic-field residue symbol is not well defined for these arguments."""
 
 
-class DimensionMismatch(NoncongruentError):
-    """Vector length does not match the matrix shape."""
-
-
 class EmptyFactorization(NoncongruentError):
     """Operation needs at least one odd prime factor (n = 1, 2 rejected)."""
 

@@ -6,7 +6,8 @@ these bits come the symbol matrix A, the 2k x 2k Monsky matrix (odd and
 even shapes) and with it the pure 2-Selmer rank s2 and its
 representatives, the matrix whose kernel holds the distinguished divisor,
 and the Redei matrix of Q(sqrt(m)) for every square-free m, with the
-class-group ranks h2 / h4 it gives.
+class-group ranks h2 / h4 it gives.  Each matrix is square and a tuple of
+row ints (bit j of row i is entry (i, j)), as ``f2linalg`` takes them.
 
 For eligible n, D_2 = 0: the table eliminates A and the divisor matrix
 once each, and s2, h4(+-n) and the kernel behind d are read off them.
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from . import f2linalg
-from .arith import SquareFreeN, additive_jacobi, factor_squarefree, squarefree_part
+from .arith import SquareFreeN, additive_jacobi, factor_squarefree
 from .errors import EmptyFactorization
-from .f2linalg import F2Matrix
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
     """
     out: set[SelmerTriple] = set()
     low = (1 << sf.k) - 1
-    for v in f2linalg.kernel(symbol_table(sf).monsky_matrix()):
+    for v in f2linalg.kernel(symbol_table(sf).monsky_matrix(), 2 * sf.k):
         x, y = v & low, v >> sf.k
         if not sf.is_even:
             d2 = psi(x, sf.primes)
@@ -90,16 +90,6 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
             d2 = psi(y, sf.primes)
             out.add(SelmerTriple(d2 * d3 // gcd(d2, d3) ** 2, d2, d3))
     return out
-
-
-def torsion_triples(n: int) -> tuple[SelmerTriple, ...]:
-    """Images of the rational 2-torsion inside the full 2-Selmer group."""
-    return (
-        SelmerTriple(1, 1, 1),
-        SelmerTriple(2, squarefree_part(2 * n), squarefree_part(n)),
-        SelmerTriple(squarefree_part(-2 * n), 2, squarefree_part(-n)),
-        SelmerTriple(squarefree_part(-n), squarefree_part(n), -1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +105,10 @@ def field_discriminant(m: int) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-def redei_matrix(m: int) -> F2Matrix:
-    """Redei matrix of Q(sqrt(m)) for square-free m != 0, 1: the additive
-    Hilbert symbols (p_j, m) at the places p_i, over the primes that ramify
-    (the odd primes of m, then 2 when m != 1 mod 4)."""
+def redei_matrix(m: int) -> tuple[int, ...]:
+    """Rows of the Redei matrix of Q(sqrt(m)) for square-free m != 0, 1: the
+    additive Hilbert symbols (p_j, m) at the places p_i, over the primes that
+    ramify (the odd primes of m, then 2 when m != 1 mod 4).  It is square."""
     if m in (0, 1):
         raise ValueError("m must define a quadratic field")
     return symbol_table(factor_squarefree(abs(m))).redei_matrix(m)
@@ -126,7 +116,7 @@ def redei_matrix(m: int) -> F2Matrix:
 
 def h2(m: int) -> int:
     """2-rank of the narrow class group: one less than the ramified-prime count."""
-    return redei_matrix(m).ncols - 1
+    return len(redei_matrix(m)) - 1
 
 
 def h4(m: int) -> int:
@@ -134,8 +124,8 @@ def h4(m: int) -> int:
     return _h4(redei_matrix(m))
 
 
-def _h4(redei: F2Matrix) -> int:
-    return redei.ncols - 1 - f2linalg.rank(redei)
+def _h4(redei: tuple[int, ...]) -> int:
+    return len(redei) - 1 - f2linalg.rank(redei, len(redei))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +172,11 @@ class SymbolTable:
         m = self.minus_one
         return tuple(r ^ m ^ 1 << i if m >> i & 1 else r for i, r in enumerate(self.a))
 
-    def a_matrix(self) -> F2Matrix:
-        """The k x k symbol matrix A."""
+    def divisor_matrix(self) -> tuple[int, ...]:
+        """The k x k matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T
+        for even n."""
         _require_factors(self.sf)
-        return F2Matrix(self.a, self.sf.k)
-
-    def _divisor_rows(self) -> tuple[int, ...]:
         return self.a_t if self.sf.is_even else plus_diagonal(self.a, self.minus_one)
-
-    def divisor_matrix(self) -> F2Matrix:
-        """The matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T for even n."""
-        _require_factors(self.sf)
-        return F2Matrix(self._divisor_rows(), self.sf.k)
 
     @_once
     def _a_echelon(self) -> tuple[list[int], list[int]]:
@@ -201,31 +184,29 @@ class SymbolTable:
 
     @_once
     def _divisor_echelon(self) -> tuple[list[int], list[int]]:
-        return f2linalg._echelon(list(self._divisor_rows()), self.sf.k)
+        return f2linalg._echelon(list(self.divisor_matrix()), self.sf.k)
 
     def divisor_kernel(self) -> list[int]:
-        """``f2linalg.kernel(self.divisor_matrix())``, from the cached echelon."""
+        """``f2linalg.kernel(self.divisor_matrix(), k)``, from the cached echelon."""
         _require_factors(self.sf)
         return f2linalg.echelon_kernel(*self._divisor_echelon, self.sf.k)
 
-    def _monsky_rows(self) -> list[int]:
-        _require_factors(self.sf)
-        k, two = self.sf.k, self.two
-        if self.sf.is_even:
-            left, right, twist = self.a_t, self.minus_one, two
-        else:
-            left, right, twist = self.a, two, self.minus_one ^ two
-        top = [r | (right & 1 << i) << k for i, r in enumerate(plus_diagonal(left, two))]
-        return top + [(two & 1 << i) | r << k for i, r in enumerate(plus_diagonal(self.a, twist))]
-
-    def monsky_matrix(self) -> F2Matrix:
+    def monsky_matrix(self) -> tuple[int, ...]:
         """The 2k x 2k Monsky matrix, whose kernel is the pure 2-Selmer group.
 
         With D_2 = diag(two), D_(-1) = diag(minus_one) and D_(-2) = D_(-1) +
         D_2, it is [[A + D_2, D_2], [D_2, A + D_(-2)]] for odd n and
         [[A^T + D_2, D_(-1)], [D_2, A + D_2]] for even n.
         """
-        return F2Matrix(tuple(self._monsky_rows()), 2 * self.sf.k)
+        _require_factors(self.sf)
+        k, two = self.sf.k, self.two
+        if self.sf.is_even:
+            left, right, twist = self.a_t, self.minus_one, two
+        else:
+            left, right, twist = self.a, two, self.minus_one ^ two
+        top = (r | (right & 1 << i) << k for i, r in enumerate(plus_diagonal(left, two)))
+        bottom = ((two & 1 << i) | r << k for i, r in enumerate(plus_diagonal(self.a, twist)))
+        return (*top, *bottom)
 
     def s2(self) -> int:
         """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix, which
@@ -233,10 +214,10 @@ class SymbolTable:
         _require_factors(self.sf)
         k = self.sf.k
         if self.sf.is_even or self.two:
-            return 2 * k - len(f2linalg._echelon(self._monsky_rows(), 2 * k)[1])
+            return 2 * k - f2linalg.rank(self.monsky_matrix(), 2 * k)
         return 2 * k - len(self._a_echelon[1]) - len(self._divisor_echelon[1])
 
-    def redei_matrix(self, m: int) -> F2Matrix:
+    def redei_matrix(self, m: int) -> tuple[int, ...]:
         """The Redei matrix of Q(sqrt(m)) for m = +-n' or +-2n'.
 
         At an odd place p_i, (p_j, m) is (p_j / p_i) for j != i and
@@ -254,10 +235,9 @@ class SymbolTable:
         # (-m / p_i) / p_i = (-1 / p_i)^[m > 0] (2 / p_i)^[m even] prod_(j != i) (p_j / p_i)
         rows = plus_diagonal(self.a, (self.minus_one if m > 0 else 0) ^ two)
         if m % 4 == 1:
-            return F2Matrix(rows, k)
-        rows = [r | (self.two >> i & 1) << k for i, r in enumerate(rows)]
+            return rows
         last = ((self.minus_one if q % 4 == 3 else 0) ^ two) | (q % 8 in (3, 5)) << k
-        return F2Matrix(tuple(rows + [last]), k + 1)
+        return tuple(r | (self.two >> i & 1) << k for i, r in enumerate(rows)) + (last,)
 
     def h4(self, m: int) -> int:
         """``h4(m)`` for m = +-n' or +-2n', from the table's Redei matrix.

@@ -22,7 +22,7 @@ from . import cassels
 from .arith import Place, REAL_PLACE, SquareFreeN, factorize, squarefree_part
 from .errors import NoRepresentation, NotFundamental, TooLarge
 from .matrices import SelmerTriple, field_discriminant
-from .reps import Rep2MuTau, RepA8B, RepU2W
+from .reps import Rep2MuTau, RepA8B
 
 _DISC_CAP = 10**6
 
@@ -389,24 +389,6 @@ def window_2mu2_tau2(n: int) -> tuple[int, int]:
         if tau * tau == t2:
             return mu, tau
     raise NoRepresentation(f"{n} != 2*mu^2 - tau^2 for any integers")
-
-
-def window_u2_2w2(n: int) -> RepU2W:
-    """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    lo = isqrt(n)
-    if lo * lo < n:
-        lo += 1
-    hi = isqrt(n) + isqrt(2 * n) + 2
-    for u in range(lo, hi + 1):
-        w2, rem = divmod(u * u - n, 2)
-        if rem:
-            continue
-        w = isqrt(w2)
-        if w * w == w2:
-            return RepU2W(u, w, n)
-    raise NoRepresentation(f"{n} != u^2 - 2*w^2 for any integers")
 
 
 def window_neg(m: int) -> Rep2MuTau:

@@ -1,21 +1,20 @@
 """Integer representation solvers for the norm forms x^2 - 2y^2 and x^2 + 2y^2.
 
-The solutions of 2*mu^2 - tau^2 = n (either sign) and u^2 - 2*w^2 = n are
-the elements tau + mu*sqrt(2) and u + w*sqrt(2) of Z[sqrt(2)] with norm -n
-and n; those of a^2 + 8*b^2 = n are the elements a + 2b*sqrt(-2) of
-Z[sqrt(-2)].  Both rings are norm-Euclidean, and one set of routines, given
-the radicand r, serves both.  For square-free n such elements exist iff
-every odd p | n splits (p = +-1 mod 8 for r = 2, 1 or 3 mod 8 for r = -2),
-and each is a unit times a product of one prime element above every p | n:
-sqrt(r) above 2, and gcd(p, s + sqrt(r)) by Euclid (s^2 = r mod p) or its
-conjugate above odd p.  The 2^(k-1) conjugate choices, up to conjugating the
-whole product, are the unit orbits.  In Z[sqrt(2)], 1 + sqrt(2) fixes the
-sign of the norm and 3 + 2*sqrt(2) steps each product to its smallest
-coordinate; Z[sqrt(-2)] has positive norms and the units +-1 only.  The
-minimum over the orbits is the fundamental solution, the one that the window
-scans in ``oracles`` find.  The prime element above odd p in Z[sqrt(2)] also
-gives the package's one square root of 2 mod p, and with it the symbol
-((x + y*sqrt(2)) / m).
+The solutions of 2*mu^2 - tau^2 = n (either sign) are the elements tau +
+mu*sqrt(2) of Z[sqrt(2)] with norm -n; those of a^2 + 8*b^2 = n are the
+elements a + 2b*sqrt(-2) of Z[sqrt(-2)].  Both rings are norm-Euclidean, and
+one set of routines, given the radicand r, serves both.  For square-free n
+such elements exist iff every odd p | n splits (p = +-1 mod 8 for r = 2, 1
+or 3 mod 8 for r = -2), and each is a unit times a product of one prime
+element above every p | n: sqrt(r) above 2, and gcd(p, s + sqrt(r)) by
+Euclid (s^2 = r mod p) or its conjugate above odd p.  The 2^(k-1) conjugate
+choices, up to conjugating the whole product, are the unit orbits.  In
+Z[sqrt(2)], 1 + sqrt(2) fixes the sign of the norm and 3 + 2*sqrt(2) steps
+each product to its smallest sqrt(2) coordinate; Z[sqrt(-2)] has positive
+norms and the units +-1 only.  The minimum over the orbits is the
+fundamental solution, the one that the window scans in ``oracles`` find.
+The prime element above odd p in Z[sqrt(2)] also gives the package's one
+square root of 2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
 """
 
 from __future__ import annotations
@@ -87,8 +86,9 @@ def _mul(a: _Z2, b: _Z2, r: int) -> _Z2:
     return a[0] * b[0] + r * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _smallest(a: _Z2, c: int, r: int) -> _Z2:
-    """The element of a's orbit under the units of Z[sqrt(r)] with the least |coordinate c|.
+def _smallest(a: _Z2, r: int) -> _Z2:
+    """The element of a's orbit under the units of Z[sqrt(r)] with the least
+    |coordinate 1|, the coefficient of sqrt(r).
 
     Along the orbit under e = 3 + 2*sqrt(2) the coordinate is A*e^j + B*e^-j,
     whose absolute value falls and then rises, so stepping while it falls
@@ -96,7 +96,7 @@ def _smallest(a: _Z2, c: int, r: int) -> _Z2:
     """
     for unit in _STEPS[r]:
         b = _mul(a, unit, r)
-        while abs(b[c]) < abs(a[c]):
+        while abs(b[1]) < abs(a[1]):
             a, b = b, _mul(b, unit, r)
     return a
 
@@ -120,7 +120,7 @@ def _prime_element(p: int, r: int) -> _Z2:
     """An element of Z[sqrt(r)] of norm +-p, for p = 2 or an odd prime that splits."""
     if p == 2:
         return 0, 1
-    return _smallest(_gcd((p, 0), (sqrt_mod(r, p), 1), r), 1, r)
+    return _smallest(_gcd((p, 0), (sqrt_mod(r, p), 1), r), r)
 
 
 def sqrt2_mod(p: int) -> int:
@@ -148,8 +148,8 @@ def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     return result
 
 
-def _least(n: int, sf: SquareFreeN | None, sign: int, c: int, r: int) -> _Z2:
-    """The element of Z[sqrt(r)] of norm sign*n with the least |coordinate c|,
+def _least(n: int, sf: SquareFreeN | None, sign: int, r: int) -> _Z2:
+    """The element of Z[sqrt(r)] of norm sign*n with the least |coordinate 1|,
     for square-free n > 0.
 
     ``sf`` is n factored, or None to factor it here.  Raises NotSquareFree for
@@ -173,8 +173,8 @@ def _least(n: int, sf: SquareFreeN | None, sign: int, c: int, r: int) -> _Z2:
         # Conjugating the whole product keeps |coordinates|, and the conjugate
         # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
         choices = ((x, y), (x, -y)) if i > sf.is_even else ((x, y),)
-        products = [_smallest(_mul(a, e, r), 1, r) for a in products for e in choices]
-    return min((_smallest(a, c, r) for a in products), key=lambda a: abs(a[c]))
+        products = [_smallest(_mul(a, e, r), r) for a in products for e in choices]
+    return min(products, key=lambda a: abs(a[1]))
 
 
 def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, int]:
@@ -184,7 +184,7 @@ def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, i
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    tau, mu = _least(n, sf, -1, 1, 2)
+    tau, mu = _least(n, sf, -1, 2)
     return abs(mu), abs(tau)
 
 
@@ -203,14 +203,6 @@ def rep_2mu2_tau2(n: int, d: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
     return Rep2MuTau(mu, tau, n)
 
 
-def rep_u2_2w2(n: int, sf: SquareFreeN | None = None) -> RepU2W:
-    """Fundamental representation n = u^2 - 2*w^2 (minimal u > 0), n > 0 square-free."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    u, w = _least(n, sf, 1, 0, 2)
-    return RepU2W(abs(u), abs(w), n)
-
-
 def rep_a2_8b2(n: int, sf: SquareFreeN | None = None) -> RepA8B:
     """Representation n = a^2 + 8*b^2 with smallest b >= 0, a odd positive, for
     square-free odd n: a + y*sqrt(-2) of norm n with the least |y|, b = |y|/2.
@@ -218,7 +210,7 @@ def rep_a2_8b2(n: int, sf: SquareFreeN | None = None) -> RepA8B:
     ``sf``, n factored, when known, spares factoring n."""
     if n <= 0 or n % 2 == 0:
         raise ValueError("n must be positive odd")
-    a, y = _least(n, sf, 1, 1, -2)
+    a, y = _least(n, sf, 1, -2)
     if y % 2:
         raise NoRepresentation(f"{n} = 3 mod 8 is not a^2 + 8*b^2")
     return RepA8B(abs(a), abs(y) // 2, n)
@@ -229,7 +221,7 @@ def rep_neg(m: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
     square-free m < 0; ``sf`` is -m factored, when known."""
     if m >= 0:
         raise ValueError("m must be negative")
-    tau, mu = _least(-m, sf, 1, 1, 2)
+    tau, mu = _least(-m, sf, 1, 2)
     if mu == 0:
         # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
         tau, mu = 3, 2

@@ -22,7 +22,6 @@ from .arith import (
     legendre,
 )
 from .errors import CountNotPowerOfTwo, OutOfRange
-from .f2linalg import F2Matrix
 from .reps import fundamental_2mu2_tau2, rep_neg
 
 
@@ -88,7 +87,7 @@ def tame_report(m: int) -> TameKernelReport:
     )
     v1: set[int] = set()
     v2: set[int] = set()
-    for v in f2linalg.kernel(F2Matrix(rows, k + 3)):
+    for v in f2linalg.kernel(rows, k + 3):
         alpha, beta, gamma = v >> k & 1, v >> k + 1 & 1, v >> k + 2 & 1
         d = matrices.psi(v, sf.primes)  # psi reads only the k bits of x
         d = -d if m < 0 and alpha else d
@@ -106,28 +105,16 @@ def tame_report(m: int) -> TameKernelReport:
     return TameKernelReport(m, r2, r4, frozenset(v1), frozenset(v2), mu)
 
 
-def r2_tame(m: int) -> int:
-    """2-rank of the tame kernel of Q(sqrt(m))."""
-    return tame_report(m).r2
-
-
 def r4_tame(m: int) -> int:
     """4-rank of the tame kernel from the V-set counts."""
     return tame_report(m).r4
-
-
-def v_sets(m: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The divisor sets V1 and V2 of ``tame_report``: divisors of the odd
-    part m', positive for m > 0 and signed for m < 0."""
-    report = tame_report(m)
-    return report.v1, report.v2
 
 
 def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
     """V1 and V2 by brute per-divisor Hilbert-symbol checks (dual route).
 
     Tests the defining condition (d, -m)_p = (eps/p) for all p | m' directly,
-    without any linear algebra; used to cross-check v_sets.
+    without any linear algebra; used to cross-check ``tame_report``.
     """
     sf = _factored(m)
     primes = sf.primes

@@ -85,8 +85,9 @@ def test_criterion_9_pinned_values():
     assert tame.r4_tame(17) == 0
 
     # r4 values double-checked against the literal divisor-condition route
-    assert tame.v_sets(17) == tame.v_sets_direct(17)
-    assert tame.v_sets(-34) == tame.v_sets_direct(-34)
+    for m in (17, -34):
+        report = tame.tame_report(m)
+        assert (report.v1, report.v2) == tame.v_sets_direct(m)
     assert tame.r4_tame(-34) == 1
 
     # h4(-17) by Redei rank and by form-class-group composition

@@ -1,3 +1,4 @@
+import json
 import sys
 from math import prod
 
@@ -17,7 +18,6 @@ from noncongruent.arith import (
 )
 from noncongruent.criteria import VerdictKind, classify, distinguished_divisor
 from noncongruent.errors import VerificationFailed
-from noncongruent.f2linalg import F2Matrix
 
 
 def test_distinguished_divisor_examples():
@@ -34,6 +34,24 @@ def test_distinguished_divisor_rechecks_the_kernel(monkeypatch, n, wrong):
     monkeypatch.setattr(matrices, "psi", lambda vec, primes: wrong)
     with pytest.raises(VerificationFailed, match=f"d = -?{wrong}, n = {n}"):
         distinguished_divisor(factor_squarefree(n))
+
+
+@pytest.mark.parametrize("n", [161, 322])
+def test_failed_4rank_gate_is_an_error(monkeypatch, capsys, n):
+    # For eligible n, s2 = 2 forces h4(-n') = 1 (and h4(n) = 0 for odd n),
+    # so a wrong 4-rank is a bug to report, not a CriterionFails verdict.
+    real = matrices.SymbolTable.h4
+
+    def wrong(table, m):
+        return real(table, m) + (m == -161)
+
+    monkeypatch.setattr(matrices.SymbolTable, "h4", wrong)
+    with pytest.raises(VerificationFailed, match=f"s2 = 2 but h4 = .* for n = {n}"):
+        classify(n)
+    assert cli.main(["classify", str(n)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert json.loads(err) == {"error": f"s2 = 2 but h4 = (2, {0 if n % 2 else None}) for n = {n}"}
 
 
 def test_distinguished_divisor_is_unique_brute_force():
@@ -141,23 +159,19 @@ def test_selmer_oracle_sweep_never_factorizes(monkeypatch):
 
 def test_classify_shares_its_eliminations(monkeypatch):
     # D_2 = 0 for eligible n: odd n eliminates A and A + D_(-1) once each,
-    # even n the Monsky matrix, A and A^T; no F2Matrix is built on the way.
-    calls = {"_echelon": 0, "F2Matrix": 0}
+    # even n the Monsky matrix, A and A^T.
+    calls = []
     real = f2linalg._echelon
 
     def echelon(rows, ncols):
-        calls["_echelon"] += 1
+        calls.append(ncols)
         return real(rows, ncols)
 
-    def built(matrix):
-        calls["F2Matrix"] += 1
-
     _route(monkeypatch, real, echelon)
-    monkeypatch.setattr(f2linalg.F2Matrix, "__post_init__", built)
     for n, most in ((17, 2), (161, 2), (2446197334673, 2), (34, 3), (322, 3), (2213746, 3)):
-        calls.update(_echelon=0, F2Matrix=0)
+        calls.clear()
         assert classify(n).s2 == 2
-        assert calls["_echelon"] <= most and calls["F2Matrix"] == 0, (n, calls)
+        assert len(calls) <= most, (n, calls)
 
 
 def _routes_agree(sf):
@@ -166,16 +180,15 @@ def _routes_agree(sf):
     the kept echelons against the same whether or not classify needs them."""
     table = matrices.symbol_table(sf)
     k, odd = sf.k, sf.odd_part
-    kernel = f2linalg.kernel(table.divisor_matrix())
+    kernel = f2linalg.kernel(table.divisor_matrix(), k)
     assert table.divisor_kernel() == kernel
     assert table.h4(-odd) == matrices.h4(-odd)
     if not sf.is_even:
         assert table.h4(sf.n) == matrices.h4(sf.n)
-        zero = F2Matrix((0,) * k, k)
-        block = F2Matrix.block([[table.a_matrix(), zero], [zero, table.divisor_matrix()]])
-        assert table.monsky_matrix() == block
+        # diag(A, A + D_(-1))
+        assert table.monsky_matrix() == table.a + tuple(r << k for r in table.divisor_matrix())
     v = classify(sf)
-    assert v.s2 == 2 * k - f2linalg.rank(table.monsky_matrix())
+    assert v.s2 == 2 * k - f2linalg.rank(table.monsky_matrix(), 2 * k)
     if v.h4_minus is not None:
         assert v.h4_minus == matrices.h4(-odd)
     if v.h4_plus is not None:

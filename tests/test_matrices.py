@@ -2,6 +2,7 @@ import random
 from math import prod
 
 import pytest
+from f2rows import add, beside, diagonal, from_lists, mul_vec, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from noncongruent.arith import (
     squarefree_upto,
 )
 from noncongruent.errors import EmptyFactorization, NotSquareFree
-from noncongruent.f2linalg import F2Matrix
 from noncongruent.matrices import (
     SelmerTriple,
     field_discriminant,
@@ -26,7 +26,6 @@ from noncongruent.matrices import (
     s2,
     selmer_elements,
     symbol_table,
-    torsion_triples,
 )
 
 
@@ -44,7 +43,7 @@ def _eligible_squarefree(rng, odd=True, max_primes=3, strict=False):
 
 
 def _a(n):
-    return symbol_table(factor_squarefree(n)).a_matrix()
+    return symbol_table(factor_squarefree(n)).a
 
 
 def _b(eps, sf):
@@ -53,30 +52,30 @@ def _b(eps, sf):
 
 
 def _d(eps, sf):
-    return F2Matrix.diagonal(_b(eps, sf))
+    return diagonal(_b(eps, sf))
 
 
 def test_build_A_examples():
-    assert _a(17).to_lists() == [[0]]
-    assert _a(15).to_lists() == [[1, 1], [1, 1]]
-    assert _a(161).to_lists() == [[0, 0], [1, 1]]
+    assert _a(17) == from_lists([[0]])
+    assert _a(15) == from_lists([[1, 1], [1, 1]])
+    assert _a(161) == from_lists([[0, 0], [1, 1]])
     with pytest.raises(EmptyFactorization):
-        _a(2)
+        symbol_table(factor_squarefree(2)).divisor_matrix()
 
 
 def test_build_D_examples():
     # D_eps is the diagonal matrix of b_eps.
-    assert _d(-1, factor_squarefree(17)).to_lists() == [[0]]
-    assert _d(2, factor_squarefree(161)).to_lists() == [[0, 0], [0, 0]]
-    assert _d(-1, factor_squarefree(161)).to_lists() == [[1, 0], [0, 1]]
+    assert _d(-1, factor_squarefree(17)) == from_lists([[0]])
+    assert _d(2, factor_squarefree(161)) == from_lists([[0, 0], [0, 0]])
+    assert _d(-1, factor_squarefree(161)) == from_lists([[1, 0], [0, 1]])
 
 
 def test_monsky_matrix_examples():
-    assert symbol_table(factor_squarefree(17)).monsky_matrix().to_lists() == [[0, 0], [0, 0]]
-    assert symbol_table(factor_squarefree(34)).monsky_matrix().to_lists() == [[0, 0], [0, 0]]
+    assert symbol_table(factor_squarefree(17)).monsky_matrix() == (0, 0)
+    assert symbol_table(factor_squarefree(34)).monsky_matrix() == (0, 0)
     sf15 = factor_squarefree(15)
-    top_left = [row[:2] for row in symbol_table(sf15).monsky_matrix().to_lists()[:2]]
-    assert top_left == (_a(15) + _d(2, sf15)).to_lists()
+    top_left = [row & 0b11 for row in symbol_table(sf15).monsky_matrix()[:2]]
+    assert top_left == list(add(_a(15), _d(2, sf15)))
     with pytest.raises(EmptyFactorization):
         symbol_table(factor_squarefree(2)).monsky_matrix()
 
@@ -104,13 +103,6 @@ def test_selmer_elements_examples():
     }
 
 
-def test_torsion_triples_not_in_pure_set():
-    for n in (17, 34, 161):
-        pure = selmer_elements(factor_squarefree(n))
-        for t in torsion_triples(n)[1:]:
-            assert t not in pure
-
-
 def test_selmer_count_matches_rank():
     rng = random.Random(21)
     for _ in range(60):
@@ -127,10 +119,10 @@ def test_A_row_sums_vanish():
         sf = factor_squarefree(n)
         if sf.k == 0:
             continue
-        a = symbol_table(sf).a_matrix()
+        a = symbol_table(sf).a
         ones = (1 << sf.k) - 1
-        assert a.mul_vec(ones) == 0
-        assert f2linalg.rank(a) <= sf.k - 1
+        assert mul_vec(a, ones) == 0
+        assert f2linalg.rank(a, sf.k) <= sf.k - 1
 
 
 def test_transpose_relation_column_sums():
@@ -145,32 +137,18 @@ def test_transpose_relation_column_sums():
         if sf.k == 0:
             continue
         seen += 1
-        a = symbol_table(sf).a_matrix()
+        a = symbol_table(sf).a
         ones = (1 << sf.k) - 1
-        assert a.transpose().mul_vec(ones) == sum(b << i for i, b in enumerate(_b(-1, sf)))
+        assert mul_vec(transpose(a, sf.k), ones) == sum(b << i for i, b in enumerate(_b(-1, sf)))
 
 
 def test_table_transpose_matches_reference():
-    # the table derives A^T's rows from A by reciprocity; F2Matrix.transpose
-    # is the reference
+    # the table derives A^T's rows from A by reciprocity; the bitwise
+    # transpose is the reference
     for n, sf in squarefree_upto(10**4):
         if sf.k:
             table = symbol_table(sf)
-            assert table.a_t == table.a_matrix().transpose().rows, n
-
-
-def test_even_classify_transposes_nothing(monkeypatch):
-    # even n with s2 = 2 read A^T twice (Monsky and divisor matrix), both
-    # times from the table
-    from noncongruent import criteria
-
-    calls = []
-    real = F2Matrix.transpose
-    monkeypatch.setattr(F2Matrix, "transpose", lambda m: calls.append(m) or real(m))
-    for n in (322, 3122, 2213746):
-        assert s2(factor_squarefree(n)) == 2
-        criteria.classify(n)
-    assert calls == []
+            assert table.a_t == transpose(table.a, sf.k), n
 
 
 def test_field_discriminant_examples():
@@ -194,17 +172,11 @@ def test_redei_matrix_matches_block_forms():
         if sf.k == 0:
             continue
         seen += 1
-        a = symbol_table(sf).a_matrix()
-        assert redei_matrix(n).to_lists() == (a + _d(-1, sf)).to_lists()
-        block = redei_matrix(-n).to_lists()
-        b2 = _b(2, sf)
-        bm1 = _b(-1, sf)
+        a = symbol_table(sf).a
+        assert redei_matrix(n) == add(a, _d(-1, sf))
         k = sf.k
-        for i in range(k):
-            assert block[i][:k] == a.to_lists()[i]
-            assert block[i][k] == b2[i]
-        assert block[k][:k] == list(bm1)
-        assert block[k][k] == additive_jacobi(2, n)
+        last = from_lists([_b(-1, sf) + [additive_jacobi(2, n)]])
+        assert redei_matrix(-n) == beside(a, k, from_lists([[b] for b in _b(2, sf)])) + last
 
 
 def test_h4_examples():
@@ -261,23 +233,24 @@ def _redei_by_hilbert(m, odd_primes):
     """The Redei matrix of Q(sqrt(m)) entry by entry: (p_j, m) at p_i over the
     ramified primes, 2 last when m != 1 mod 4."""
     ps = odd_primes + ((2,) if m % 4 != 1 else ())
-    return F2Matrix.from_rows([[int(hilbert(pj, m, Place(pi)) == -1) for pj in ps] for pi in ps])
+    return from_lists([[int(hilbert(pj, m, Place(pi)) == -1) for pj in ps] for pi in ps])
 
 
 def _monsky_by_symbols(sf):
     """The Monsky matrix from its block definition, every entry a Jacobi symbol."""
     ps = sf.primes
     # A's diagonal entry is the symbol of the complementary divisor n' / p_i.
-    a = F2Matrix.from_rows(
+    a = from_lists(
         [
             [additive_jacobi(sf.odd_part // pi if i == j else pj, pi) for j, pj in enumerate(ps)]
             for i, pi in enumerate(ps)
         ]
     )
-    d = {eps: F2Matrix.diagonal([additive_jacobi(eps, p) for p in ps]) for eps in (-1, 2, -2)}
+    d = {eps: diagonal([additive_jacobi(eps, p) for p in ps]) for eps in (-1, 2, -2)}
+    k = sf.k
     if not sf.is_even:
-        return F2Matrix.block([[a + d[2], d[2]], [d[2], a + d[-2]]]), a
-    return F2Matrix.block([[a.transpose() + d[2], d[-1]], [d[2], a + d[2]]]), a
+        return beside(add(a, d[2]), k, d[2]) + beside(d[2], k, add(a, d[-2])), a
+    return beside(add(transpose(a, k), d[2]), k, d[-1]) + beside(d[2], k, add(a, d[2])), a
 
 
 def _table_matches_definitions(sf):
@@ -293,16 +266,16 @@ def _table_matches_definitions(sf):
         # A's diagonal is the parity of the rest of its row
         assert table.a[i] >> i & 1 == (table.a[i] & ~(1 << i)).bit_count() & 1
     monsky, a = _monsky_by_symbols(sf)
-    assert table.a_matrix() == a
-    minus_one = F2Matrix.diagonal([additive_jacobi(-1, p) for p in ps])
-    assert table.divisor_matrix() == (a.transpose() if sf.is_even else a + minus_one)
+    assert table.a == a
+    minus_one = diagonal([additive_jacobi(-1, p) for p in ps])
+    assert table.divisor_matrix() == (transpose(a, sf.k) if sf.is_even else add(a, minus_one))
     assert table.monsky_matrix() == monsky
-    assert table.s2() == s2(sf) == 2 * sf.k - f2linalg.rank(monsky)
+    assert table.s2() == s2(sf) == 2 * sf.k - f2linalg.rank(monsky, 2 * sf.k)
     for m in (-sf.odd_part, sf.odd_part, -2 * sf.odd_part, 2 * sf.odd_part):
         if m != 1:
             redei = _redei_by_hilbert(m, ps)
             assert table.redei_matrix(m) == redei_matrix(m) == redei, m
-            assert h2(m) == redei.ncols - 1
+            assert h2(m) == len(redei) - 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 from math import gcd
 
+from f2rows import beside, mul_vec, transpose
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from noncongruent.arith import (
     jacobi,
     sqrt_mod,
 )
-from noncongruent.f2linalg import F2Matrix, kernel, rank
+from noncongruent.f2linalg import kernel, rank
 
 ODD_PRIMES = [p for p in range(3, 200) if is_prime(p)]
 
@@ -66,34 +67,37 @@ def test_sqrt_mod_two_adic(e, k):
 def f2_matrices(draw, max_cols=12):
     ncols = draw(st.integers(1, max_cols))
     rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=1, max_size=12))
-    return F2Matrix(tuple(rows), ncols)
+    return tuple(rows), ncols
 
 
 @given(f2_matrices())
-def test_f2_rank_nullity(m):
-    vecs = kernel(m)
-    nullity = m.ncols - rank(m)
+def test_f2_rank_nullity(matrix):
+    m, ncols = matrix
+    vecs = kernel(m, ncols)
+    nullity = ncols - rank(m, ncols)
     assert len(vecs) == 1 << nullity
     basis = [vecs[1 << i] for i in range(nullity)]
-    assert rank(F2Matrix(tuple(basis), m.ncols)) == nullity
-    assert all(m.mul_vec(v) == 0 for v in basis)
-    assert rank(m) == rank(m.transpose())
+    assert rank(basis, ncols) == nullity
+    assert all(mul_vec(m, v) == 0 for v in basis)
+    assert rank(m, ncols) == rank(transpose(m, ncols), len(m))
 
 
 @given(f2_matrices(max_cols=10))
-def test_f2_kernel_is_the_brute_null_space(m):
-    vecs = kernel(m)
+def test_f2_kernel_is_the_brute_null_space(matrix):
+    m, ncols = matrix
+    vecs = kernel(m, ncols)
     assert vecs[0] == 0 and len(set(vecs)) == len(vecs)
-    assert set(vecs) == {v for v in range(1 << m.ncols) if m.mul_vec(v) == 0}
+    assert set(vecs) == {v for v in range(1 << ncols) if mul_vec(m, v) == 0}
 
 
 @given(f2_matrices(max_cols=10), st.integers(0, (1 << 10) - 1), st.integers(0, (1 << 12) - 1))
-def test_f2_solve_and_kernel_agree(m, x_bits, b_bits):
+def test_f2_solve_and_kernel_agree(matrix, x_bits, b_bits):
     # the kernel vectors of [M | b] with bit ncols set, masked to the first
     # ncols bits, are the solutions of M x = b; b = M x has at least one
-    low = (1 << m.ncols) - 1
-    for b in (m.mul_vec(x_bits & low), b_bits % (1 << m.nrows)):
-        column = F2Matrix(tuple(b >> i & 1 for i in range(m.nrows)), 1)
-        vecs = kernel(F2Matrix.block([[m, column]]))
-        solutions = {v & low for v in vecs if v >> m.ncols}
-        assert solutions == {x for x in range(1 << m.ncols) if m.mul_vec(x) == b}
+    m, ncols = matrix
+    low = (1 << ncols) - 1
+    for b in (mul_vec(m, x_bits & low), b_bits % (1 << len(m))):
+        column = tuple(b >> i & 1 for i in range(len(m)))
+        vecs = kernel(beside(m, ncols, column), ncols + 1)
+        solutions = {v & low for v in vecs if v >> ncols}
+        assert solutions == {x for x in range(1 << ncols) if mul_vec(m, x) == b}

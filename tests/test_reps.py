@@ -28,7 +28,6 @@ from noncongruent.reps import (
     rep_2mu2_tau2,
     rep_a2_8b2,
     rep_neg,
-    rep_u2_2w2,
     sqrt2_mod,
     z2_jacobi,
 )
@@ -50,8 +49,8 @@ def test_rep_2mu2_tau2_norm_obstruction():
 
 
 def test_rep_u2_2w2_and_a2_8b2_examples():
-    r = rep_u2_2w2(17)
-    assert (r.u, r.w) == (5, 2)
+    r = linked_u2w(Rep2MuTau(3, 1, 17))
+    assert (r.u, r.w) == (5, -2)
     assert (rep_a2_8b2(17).a, rep_a2_8b2(17).b) == (3, 1)
     assert (rep_a2_8b2(41).a, rep_a2_8b2(41).b) == (3, 2)
     r = rep_neg(-34)
@@ -75,7 +74,7 @@ def test_representations_reproduce_target():
         if is_norm(2, n):
             mu, tau = fundamental_2mu2_tau2(n)
             assert 2 * mu * mu - tau * tau == n and mu > 0
-            r = rep_u2_2w2(n)
+            r = linked_u2w(Rep2MuTau(mu, tau, n))
             assert r.u * r.u - 2 * r.w * r.w == n
             count += 1
         if is_norm(2, -n):
@@ -147,13 +146,14 @@ def _outcome(solver, *args):
 
 
 def _assert_matches_window_scans(n, sf):
-    assert _outcome(fundamental_2mu2_tau2, n, sf) == _outcome(oracles.window_2mu2_tau2, n)
-    u2w = _outcome(oracles.window_u2_2w2, n)
+    pos = _outcome(oracles.window_2mu2_tau2, n)
     neg = _outcome(oracles.window_neg, -n)
-    assert _outcome(rep_u2_2w2, n, sf) == u2w
+    assert _outcome(fundamental_2mu2_tau2, n, sf) == pos
     assert _outcome(rep_neg, -n, sf) == neg
-    # the complete windows represent exactly where 2 is a norm from Q(sqrt(+-n))
-    assert (u2w is not NoRepresentation) == is_norm(2, n)
+    # the complete windows represent exactly where 2 is a norm from Q(sqrt(+-n)):
+    # 2mu^2 - tau^2 = n says -n is a norm from Z[sqrt(2)], and so is n, since
+    # 1 + sqrt(2) has norm -1
+    assert (pos is not NoRepresentation) == is_norm(2, n)
     assert (neg is not NoRepresentation) == is_norm(2, -n)
     if n % 2:
         assert _outcome(rep_a2_8b2, n, sf) == _outcome(oracles.window_a2_8b2, n)
@@ -267,7 +267,6 @@ def test_solvers_reject_a_factored_other_n():
     sf = factor_squarefree(161)
     for solve, n in (
         (fundamental_2mu2_tau2, 17),
-        (rep_u2_2w2, 17),
         (rep_neg, -17),
         (rep_a2_8b2, 17),
     ):
@@ -281,8 +280,6 @@ def test_solvers_reject_non_squarefree(n):
         rep_a2_8b2(n)  # odd n only
     with pytest.raises(NotSquareFree):
         fundamental_2mu2_tau2(n)
-    with pytest.raises(NotSquareFree):
-        rep_u2_2w2(n)
     with pytest.raises(NotSquareFree):
         rep_neg(-n)
     with pytest.raises(NotSquareFree):

@@ -2,15 +2,20 @@ import pytest
 
 from noncongruent.arith import factor_squarefree, is_norm, squarefree_part
 from noncongruent.errors import OutOfRange
-from noncongruent.tame import r2_tame, r4_tame, tame_report, v_sets, v_sets_direct
+from noncongruent.tame import r4_tame, tame_report, v_sets_direct
+
+
+def v_sets(m):
+    report = tame_report(m)
+    return report.v1, report.v2
 
 
 def test_r2_examples():
-    assert r2_tame(17) == 3
-    assert r2_tame(-34) == 1
-    assert r2_tame(-17) == 1
+    assert tame_report(17).r2 == 3
+    assert tame_report(-34).r2 == 1
+    assert tame_report(-17).r2 == 1
     with pytest.raises(OutOfRange):
-        r2_tame(2)
+        tame_report(2)
 
 
 def _r2_hilbert(m):
@@ -26,7 +31,7 @@ def test_r2_matches_hilbert_route_sweep():
         if squarefree_part(a) != a:
             continue
         for m in (a, -a):
-            assert r2_tame(m) == _r2_hilbert(m), m
+            assert tame_report(m).r2 == _r2_hilbert(m), m
 
 
 def test_v_sets_examples():
@@ -109,7 +114,7 @@ def test_corollary_formula_equivalence_strict_odd():
             continue
         checked += 1
         mu = fundamental_2mu2_tau2(n)[0]
-        rhs = f2linalg.rank(symbol_table(sf).a_matrix()) == sf.k - 1 and jacobi(mu, n) == -1
+        rhs = f2linalg.rank(symbol_table(sf).a, sf.k) == sf.k - 1 and jacobi(mu, n) == -1
         assert (r4_tame(n) == 0) == rhs, n
     assert checked > 50
 
@@ -150,7 +155,7 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
                         monkeypatch.setattr(module, attr, counting)
     # every reader is one report: one factorization and one elimination
     for m in (161, -161, -34):
-        for reader in (tame.tame_report, tame.r2_tame, tame.r4_tame, tame.v_sets):
+        for reader in (tame.tame_report, tame.r4_tame):
             calls.update(dict.fromkeys(calls, 0))
             reader(m)
             expected = {"factorize": 1, "mu": int(m > 0), "is_norm": 0, "_echelon": 1}
