@@ -14,7 +14,7 @@ from noncongruent.criteria import classify
 for n in (17, 34, 161, 322):
     sf = factor_squarefree(n)
     v = classify(sf)
-    factors = {str(place): f for place, f in local_factors(sf).items()}
+    factors = {"oo" if p is None else str(p): f for p, f in local_factors(sf).items()}
     print(f"n = {n}, d = {v.d}:")
     print(f"  local factors {factors}")
     print(f"  product = {pairing_product(sf)}, closed form = {v.pairing_symbol}")

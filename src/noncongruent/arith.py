@@ -1,15 +1,15 @@
 """Exact integer, modular and p-adic primitives.
 
 Everything here is pure integer arithmetic: factorization, Legendre / Jacobi /
-Hilbert symbols, square roots modulo prime powers (including 2-adic roots),
-and norm-group membership for quadratic fields.
+Hilbert symbols, square roots modulo odd primes and in Z_2, and norm-group
+membership for quadratic fields.  A place of Q is its prime, or None for the
+real place.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -134,22 +134,6 @@ def split_power(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
-
-
-def factor_over(m: int, odd_primes: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
-    """``factorize(m)``, or, given increasing ``odd_primes`` that include
-    every odd prime of m, the same pairs found by dividing m by 2 and by
-    them; a cofactor left over means the primes were not those of m."""
-    if odd_primes is None:
-        return factorize(m)
-    out = []
-    for p in (2, *odd_primes):
-        e, m = split_power(m, p)
-        if e:
-            out.append((p, e))
-    if m != 1:
-        raise ValueError(f"the given primes leave the cofactor {m}")
-    return out
 
 
 def squarefree_part(n: int) -> int:
@@ -303,32 +287,6 @@ def squarefree_upto(bound: int, allowed: tuple[int, ...] | None = None):
         yield from squarefree_block(lo, min(lo + 1024, bound + 1), allowed)
 
 
-@lru_cache(maxsize=4096)
-def _place_prime(p: int) -> bool:
-    return is_prime(p)
-
-
-@dataclass(frozen=True)
-class Place:
-    """A place of Q: a finite prime p >= 2 or the real place (p is None)."""
-
-    p: int | None
-
-    def __post_init__(self):
-        if self.p is not None and (self.p < 2 or not _place_prime(self.p)):
-            raise ValueError(f"finite place must carry a prime, got {self.p}")
-
-    @property
-    def is_real(self) -> bool:
-        return self.p is None
-
-    def __str__(self) -> str:
-        return "oo" if self.p is None else str(self.p)
-
-
-REAL_PLACE = Place(None)
-
-
 # ---------------------------------------------------------------------------
 # Legendre / Jacobi symbols
 # ---------------------------------------------------------------------------
@@ -382,14 +340,11 @@ def _omega(u: int) -> int:
     return 0 if u % 8 in (1, 7) else 1
 
 
-def hilbert(a: int, b: int, v: Place) -> int:
-    """Hilbert symbol (a, b)_v for nonzero integers a, b."""
-    return _hilbert(a, b, v.p)
-
-
-def _hilbert(a: int, b: int, p: int | None) -> int:
-    """(a, b)_v at the place v of the prime p, or the real place for None;
-    the caller vouches that p is prime."""
+def hilbert(a: int, b: int, p: int | None) -> int:
+    """Hilbert symbol (a, b)_v of nonzero integers a, b at the place v of the
+    prime p, or at the real place for None.  A place is just its prime:
+    callers pass primes that factorize, the sieve or a ``SquareFreeN`` has
+    already proved, and nothing here tests p again."""
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
     if p is None:
@@ -410,7 +365,7 @@ def _hilbert(a: int, b: int, p: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# square roots modulo p^e
+# square roots modulo p and in Z_2
 # ---------------------------------------------------------------------------
 
 
@@ -442,48 +397,37 @@ def _tonelli_shanks(a: int, p: int) -> int:
     return x
 
 
-def sqrt_mod(a: int, p: int, e: int = 1) -> int:
-    """Square root of a modulo p^e.
-
-    Odd p: requires p not dividing a; Tonelli-Shanks at e = 1 followed by
-    Hensel lifting; the smaller of the two roots is returned.
-
-    p = 2: requires a = 1 mod 8 and e >= 3; the root is only determined mod
-    2^(e-1) up to sign, and the representative in [1, 2^(e-1)] with the
-    smaller residue class is returned.
-
-    Raises NoRoot when a is not a square at the requested modulus.
-    """
-    if e < 1:
-        raise ValueError("precision exponent must be >= 1")
-    if p == 2:
-        if e < 3:
-            raise ValueError("2-adic roots need precision e >= 3")
-        if a % 2 == 0:
-            raise ValueError("2-adic argument must be odd")
-        if a % 8 != 1:
-            raise NoRoot(f"{a} is not a square in Z_2")
-        mod = 1 << e
-        s = 1
-        for j in range(3, e):
-            if (s * s - a) % (1 << (j + 1)):
-                s += 1 << (j - 1)
-        s %= mod >> 1
-        return min(s, (mod >> 1) - s)
+def sqrt_mod(a: int, p: int) -> int:
+    """The smaller square root of a modulo the odd prime p, by Tonelli-Shanks;
+    requires p not dividing a and raises NoRoot when a is not a square mod p."""
     if a % p == 0:
         raise ValueError(f"argument must be a unit mod {p}")
     if legendre(a, p) != 1:
         raise NoRoot(f"{a} is not a quadratic residue mod {p}")
     s = _tonelli_shanks(a % p, p)
-    mod = p
-    while mod < p**e:
-        mod *= p
-        # Newton step doubles the precision at each iteration.
-        inv = pow(2 * s, -1, mod)
-        s = (s - (s * s - a) * inv) % mod
-    mod = p**e
-    s %= mod
-    return min(s, mod - s)
+    return min(s, p - s)
+
+
+def sqrt_2adic(a: int, e: int) -> int:
+    """A square root of a = 1 mod 8 in Z_2 at precision 2^e, e >= 3.
+
+    The root is only determined mod 2^(e-1) up to sign, and the
+    representative in [1, 2^(e-1)] with the smaller residue class is
+    returned.  Raises NoRoot when a is odd but not 1 mod 8.
+    """
+    if e < 3:
+        raise ValueError("2-adic roots need precision e >= 3")
+    if a % 2 == 0:
+        raise ValueError("2-adic argument must be odd")
+    if a % 8 != 1:
+        raise NoRoot(f"{a} is not a square in Z_2")
+    half = 1 << (e - 1)
+    s = 1
+    for j in range(3, e):
+        if (s * s - a) % (1 << (j + 1)):
+            s += 1 << (j - 1)
+    s %= half
+    return min(s, half - s)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +435,13 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_norm(e: int, m: int, odd_primes: tuple[int, ...] | None = None) -> bool:
+def is_norm(e: int, m: int) -> bool:
     """True iff e is a norm from Q(sqrt(m)), i.e. (e, m)_v = +1 everywhere.
 
     Only places dividing 2, infinity, e and m can carry a nontrivial symbol,
-    so the check is finite.  Known ``odd_primes`` of e and m spare factoring.
+    so the check is finite; it factors e and m to find them.
     """
     if e == 0 or m == 0:
         raise ValueError("arguments must be nonzero")
-    # The primes come from factorize or the caller: no Place re-proves them.
-    primes = {p for x in (e, m) for p, _ in factor_over(abs(x), odd_primes) if p != 2}
-    return all(_hilbert(e, m, p) == 1 for p in (None, 2, *sorted(primes)))
+    primes = {p for x in (e, m) for p, _ in factorize(abs(x)) if p != 2}
+    return all(hilbert(e, m, p) == 1 for p in (None, 2, *sorted(primes)))

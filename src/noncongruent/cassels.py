@@ -16,15 +16,7 @@ from itertools import product
 from math import gcd, isqrt, prod
 
 from . import criteria
-from .arith import (
-    Place,
-    REAL_PLACE,
-    SquareFreeN,
-    hilbert,
-    legendre,
-    split_power,
-    sqrt_mod,
-)
+from .arith import SquareFreeN, hilbert, legendre, split_power, sqrt_2adic
 from .criteria import closed_form_pairing  # the one closed form, importable here too
 from .errors import NotRankTwo, PrecisionExhausted, VerificationFailed
 from .matrices import SelmerTriple
@@ -86,12 +78,13 @@ class TangentData:
 class LocalPoint:
     """A certified local point on a torsor (or a real-solvability witness).
 
-    For a finite place the coordinates are integers modulo p^precision with
-    residuals of both forms vanishing there and some 2x2 Jacobian minor of
-    valuation minor_val <= (precision - 1) / 2, which guarantees a lift.
+    ``place`` is the prime p, or None for the real place.  For a finite
+    place the coordinates are integers modulo p^precision with residuals of
+    both forms vanishing there and some 2x2 Jacobian minor of valuation
+    minor_val <= (precision - 1) / 2, which guarantees a lift.
     """
 
-    place: Place
+    place: int | None
     coords: tuple[int, int, int, int] | None
     precision: int
     minor_val: int
@@ -158,7 +151,6 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
 # ---------------------------------------------------------------------------
 
 _MAX_RETRIES = 4
-_PLACE_2 = Place(2)
 
 
 def _hilbert2(a: int, b: int, n: int, d: int) -> int:
@@ -172,16 +164,17 @@ def _hilbert2(a: int, b: int, n: int, d: int) -> int:
     e = 12
     for _ in range(_MAX_RETRIES):
         k = e - 1 + extra
-        x = (a * sqrt_mod(n, 2, e) + b) % (1 << k)
+        x = (a * sqrt_2adic(n, e) + b) % (1 << k)
         if x and k - split_power(x, 2)[0] >= 3:
-            return hilbert(x, d, _PLACE_2)
+            return hilbert(x, d, 2)
         e *= 2
     raise PrecisionExhausted(f"2-adic symbol of {a}*sqrt({n}) + {b} stayed ambiguous")
 
 
-def local_factors(sf: SquareFreeN) -> dict[Place, int]:
-    """Local Cassels factors (L1*L3, d)_v of the generator pair, at oo, 2 and
-    each p | n in that order; every other place gives +1.
+def local_factors(sf: SquareFreeN) -> dict[int | None, int]:
+    """Local Cassels factors (L1*L3, d)_v of the generator pair, keyed by the
+    place: None for the real place, 2, then each p | n in that order; every
+    other place gives +1.
 
     L1 and L3 are the tangent forms of ``tangent_data``, evaluated at the
     explicit local points: for odd n these are (1, 0, sqrt(2), 1) at p | n
@@ -196,7 +189,7 @@ def local_factors(sf: SquareFreeN) -> dict[Place, int]:
     # Exact sign of a*sqrt(N) + b: when a and b differ in sign, the larger
     # of a^2*N and b^2 wins.
     positive = a + b > 0 if a * b >= 0 else (a * a * big_n > b * b) == (a > 0)
-    factors = {REAL_PLACE: 1 if (positive or d > 0) else -1, _PLACE_2: _hilbert2(a, b, big_n, d)}
+    factors = {None: 1 if (positive or d > 0) else -1, 2: _hilbert2(a, b, big_n, d)}
 
     for p in sf.primes:
         if sf.is_even:
@@ -210,13 +203,13 @@ def local_factors(sf: SquareFreeN) -> dict[Place, int]:
         value = l1 * l3 % p
         if value == 0:
             raise ArithmeticError("tangent product vanished mod p")  # pragma: no cover
-        factors[Place(p)] = legendre(value, p) if abs(d) % p == 0 else 1
+        factors[p] = legendre(value, p) if abs(d) % p == 0 else 1
     return factors
 
 
 def two_symbol_check(n: int, u: int, mu: int) -> tuple[list[int], int]:
     """Both symbols (-u +- sqrt(n), -1)_2 and the target (-mu, -1)_2."""
-    rhs = hilbert(-mu, -1, _PLACE_2)
+    rhs = hilbert(-mu, -1, 2)
     return [_hilbert2(a, -u, n, -1) for a in (1, -1)], rhs
 
 
@@ -267,8 +260,8 @@ def _real_point(ts: TorsorSystem) -> LocalPoint | None:
     """
     if ts.lam.d2 > 0:
         if ts.lam == SelmerTriple(1, 1, 1):
-            return LocalPoint(REAL_PLACE, (0, 1, 1, 1), 0, 0)
-        return LocalPoint(REAL_PLACE, None, 0, 0)
+            return LocalPoint(None, (0, 1, 1, 1), 0, 0)
+        return LocalPoint(None, None, 0, 0)
     return None
 
 
@@ -335,17 +328,17 @@ def _local_model(ts: TorsorSystem, p: int) -> tuple[list[int], list[int], list[i
     return *_choose_pair(forms, p), scales
 
 
-def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
-    """Search for a certified local point on the torsor at the place v.
+def local_point_search(ts: TorsorSystem, p: int | None) -> LocalPoint | None:
+    """Search for a certified local point on the torsor at the prime p, or at
+    the real place for None.
 
     Finite places lift a p-minimized model level by level (see _levels) and
     certify each point as it is made.  Returns None only when some level has
     no solutions at all, which soundly certifies insolvability.  The
     certificate depth is the sufficient bound 2*v_p(4n^2) + 1 plus slack.
     """
-    if v.is_real:
+    if p is None:
         return _real_point(ts)
-    p = v.p
     h1, h3, scales = _local_model(ts, p)
     vp4n2 = 2 * split_power(ts.n, p)[0] + (2 if p == 2 else 0)
     depth = 2 * vp4n2 + 1 + 4
@@ -357,7 +350,7 @@ def local_point_search(ts: TorsorSystem, v: Place) -> LocalPoint | None:
         e = _certified(h1, h3, x, p, m) if m >= first_scan else None
         if e is not None:
             coords = tuple((x[i] * p ** scales[i]) % p**m for i in range(4))
-            return LocalPoint(v, coords, m, e)
+            return LocalPoint(p, coords, m, e)
     return None
 
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import asdict, dataclass, field
 
 from . import matrices
-from .arith import SquareFreeN, factor_squarefree, is_norm, jacobi
+from .arith import SquareFreeN, factor_squarefree, hilbert, jacobi
 from .errors import NotRankTwo, NotSquareFree, VerificationFailed
 from .reps import rep_2mu2_tau2, z2_jacobi
 
@@ -59,8 +59,9 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
     Odd n: d is the positive divisor read off the one-dimensional kernel of
     A + D_(-1).  Even n: |d| comes from the kernel of A^T and the sign is
     fixed by d = 1 mod 8.  The kernel is read off the echelon of that
-    matrix that the symbol table of n (built here unless given) keeps.  The
-    Hilbert conditions are re-verified before returning.
+    matrix that the symbol table of n (built here unless given) keeps.
+    Before returning, (d, n)_v is re-checked at oo, 2 and each odd p | n:
+    d | n, so no other place can give -1, and the primes of n are known.
     """
     if table is None:
         table = matrices.symbol_table(sf)
@@ -73,7 +74,7 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
             d = -d
         elif d % 8 != 1:
             raise VerificationFailed(f"|d| = {d} is not +-1 mod 8")
-    if not is_norm(d, sf.n, sf.primes):
+    if any(hilbert(d, sf.n, p) != 1 for p in (None, 2, *sf.primes)):
         raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {sf.n}")
     return d
 

@@ -97,14 +97,6 @@ def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
 # ---------------------------------------------------------------------------
 
 
-def field_discriminant(m: int) -> int:
-    """Discriminant of Q(sqrt(m)) for square-free m != 0, 1."""
-    if m in (0, 1):
-        raise ValueError("m must define a quadratic field")
-    factor_squarefree(abs(m))
-    return m if m % 4 == 1 else 4 * m
-
-
 def redei_matrix(m: int) -> tuple[int, ...]:
     """Rows of the Redei matrix of Q(sqrt(m)) for square-free m != 0, 1: the
     additive Hilbert symbols (p_j, m) at the places p_i, over the primes that

@@ -19,9 +19,9 @@ from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from . import cassels
-from .arith import Place, REAL_PLACE, SquareFreeN, factorize, squarefree_part
+from .arith import SquareFreeN, factorize, squarefree_part
 from .errors import NoRepresentation, NotFundamental, TooLarge
-from .matrices import SelmerTriple, field_discriminant
+from .matrices import SelmerTriple
 from .reps import Rep2MuTau, RepA8B
 
 _DISC_CAP = 10**6
@@ -352,13 +352,15 @@ def class_group(disc: int) -> ClassGroupReport:
 
 
 def form_group(m: int) -> _FormGroup:
-    """The form class group of Q(sqrt(m)).
+    """The form class group of Q(sqrt(m)) for square-free m != 0, 1.
 
-    ``field_discriminant`` checks that m is square-free, so the
-    discriminant is fundamental, once the cap has passed it unfactored.
+    The discriminant passes the cap unfactored, then ``is_fundamental``
+    checks it: NotFundamental when m is not square-free.
     """
-    _within_cap(m if m % 4 == 1 else 4 * m)
-    return _FormGroup(field_discriminant(m))
+    disc = m if m % 4 == 1 else 4 * m
+    if not is_fundamental(_within_cap(disc)):
+        raise NotFundamental(f"{disc} is not a fundamental discriminant")
+    return _FormGroup(disc)
 
 
 def h4_oracle(m: int) -> int:
@@ -447,7 +449,7 @@ def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
     2 and at every odd prime dividing n.  Good places are skipped (smooth
     reduction plus the Hasse bound guarantees points there).
     """
-    places = [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
+    places = (None, 2, *sf.primes)
     out = set()
     for lam in _candidate_triples(sf):
         ts = cassels.TorsorSystem(lam, sf.n)

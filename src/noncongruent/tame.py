@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import f2linalg, matrices
 from .arith import (
-    Place,
     SquareFreeN,
     additive_jacobi,
     factor_squarefree,
@@ -124,7 +123,7 @@ def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:
 
     def matches(d: int, eps: int) -> bool:
         return all(
-            hilbert(d, -m, Place(p)) == legendre(eps, p) for p in primes
+            hilbert(d, -m, p) == legendre(eps, p) for p in primes
         )
 
     eps1 = (1, -1, 2, -2) if m > 0 else (1, 2)

@@ -5,10 +5,7 @@ import pytest
 
 from noncongruent import arith
 from noncongruent.arith import (
-    Place,
-    REAL_PLACE,
     additive_jacobi,
-    factor_over,
     factor_squarefree,
     factorize,
     hilbert,
@@ -16,6 +13,7 @@ from noncongruent.arith import (
     is_prime,
     jacobi,
     legendre,
+    sqrt_2adic,
     sqrt_mod,
     squarefree_block,
     squarefree_part,
@@ -183,20 +181,6 @@ def test_factorize_matches_trial_division_and_skips_primality_below_bound_square
     assert calls == [1000003, 1009**2]
 
 
-def test_factor_over_known_primes():
-    assert factor_over(2 * 7 * 7 * 23, (7, 23)) == [(2, 1), (7, 2), (23, 1)]
-    assert factor_over(23, (7, 23)) == [(23, 1)]  # primes may be a superset
-    with pytest.raises(ValueError):
-        factor_over(7 * 31, (7, 23))
-
-
-def test_place_rejects_non_primes():
-    for p in (1, 4, 91):
-        with pytest.raises(ValueError):
-            Place(p)
-    assert Place(97) == Place(97) and Place(2).p == 2
-
-
 def test_jacobi_examples():
     assert jacobi(1, 15) == 1
     assert jacobi(2, 17) == 1
@@ -226,14 +210,14 @@ def test_jacobi_matches_legendre_euler():
 
 
 def test_hilbert_examples():
-    assert hilbert(-1, -1, REAL_PLACE) == -1
-    assert hilbert(-1, -1, Place(2)) == -1
-    assert hilbert(2, 17, Place(17)) == 1
+    assert hilbert(-1, -1, None) == -1
+    assert hilbert(-1, -1, 2) == -1
+    assert hilbert(2, 17, 17) == 1
 
 
 def test_hilbert_basic_identities():
     rng = random.Random(4)
-    places = [REAL_PLACE] + [Place(p) for p in PRIMES_UNDER_100[:10]]
+    places = [None] + PRIMES_UNDER_100[:10]
     for _ in range(200):
         v = places[rng.randrange(len(places))]
         a = rng.choice([-1, 1]) * rng.randrange(1, 500)
@@ -259,21 +243,21 @@ def test_hilbert_product_formula():
         for x in (a, b):
             for p, _ in factorize(abs(x)):
                 primes.add(p)
-        prod = hilbert(a, b, REAL_PLACE)
+        prod = hilbert(a, b, None)
         for p in primes:
-            prod *= hilbert(a, b, Place(p))
+            prod *= hilbert(a, b, p)
         assert prod == 1, (a, b)
 
 
 def test_sqrt_mod_examples():
-    s = sqrt_mod(2, 17, 1)
+    s = sqrt_mod(2, 17)
     assert s in (6, 11) and (s * s - 2) % 17 == 0
-    s = sqrt_mod(17, 2, 6)
+    s = sqrt_2adic(17, 6)
     assert 1 <= s <= 32 and (s * s - 17) % 64 == 0
     with pytest.raises(NoRoot):
-        sqrt_mod(3, 7, 1)
+        sqrt_mod(3, 7)
     with pytest.raises(NoRoot):
-        sqrt_mod(3, 2, 4)
+        sqrt_2adic(3, 4)
 
 
 def test_sqrt_mod_random():
@@ -282,12 +266,11 @@ def test_sqrt_mod_random():
     checked = 0
     while checked < 1000:
         p = rng.choice(odd_primes)
-        e = rng.randrange(1, 6)
         a = rng.randrange(1, p)
         if legendre(a, p) != 1:
             continue
-        s = sqrt_mod(a, p, e)
-        assert (s * s - a) % p**e == 0
+        s = sqrt_mod(a, p)
+        assert (s * s - a) % p == 0 and s <= p - s
         checked += 1
 
 
@@ -296,7 +279,7 @@ def test_sqrt_mod_2adic_random():
     for _ in range(300):
         e = rng.randrange(3, 16)
         a = 8 * rng.randrange(0, 1 << (e - 3)) + 1
-        s = sqrt_mod(a, 2, e)
+        s = sqrt_2adic(a, e)
         assert 1 <= s <= 1 << (e - 1)
         assert (s * s - a) % (1 << e) == 0
 
@@ -305,12 +288,6 @@ def test_is_norm_examples():
     assert is_norm(-1, 17)
     assert not is_norm(-1, -34)
     assert is_norm(2, 17)
-
-
-def test_is_norm_with_known_primes():
-    for e, m in [(2, 161), (2, 7 * 17 * 41), (-1, 17), (-1, -34), (2, 1394), (3, 5 * 7)]:
-        primes = tuple(sorted({p for x in (e, m) for p, _ in factorize(abs(x)) if p != 2}))
-        assert is_norm(e, m, primes) == is_norm(e, m), (e, m)
 
 
 def test_is_norm_against_bounded_form_search():

@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from noncongruent.arith import (
-    Place,
-    REAL_PLACE,
     factor_squarefree,
     hilbert,
     legendre,
@@ -45,7 +43,7 @@ def test_trivial_torsor_has_rational_point():
     pt = (0, 1, 1, 1)
     for form in ts.forms():
         assert sum(c * x * x for c, x in zip(form, pt)) == 0
-    assert local_point_search(ts, REAL_PLACE).coords == pt
+    assert local_point_search(ts, None).coords == pt
 
 
 def test_tangent_data_vanishing():
@@ -67,16 +65,16 @@ def test_closed_form_examples():
 
 def test_local_pairing_examples():
     factors17 = local_factors(factor_squarefree(17))
-    assert factors17[Place(17)] == -1  # (3/17)
-    assert factors17[Place(2)] == 1
-    assert local_factors(factor_squarefree(34))[Place(2)] == 1
+    assert factors17[17] == -1  # (3/17)
+    assert factors17[2] == 1
+    assert local_factors(factor_squarefree(34))[2] == 1
 
 
 def test_local_pairing_real_place_sign():
     # even case with negative distinguished divisor: the real factor is -1
     sf = factor_squarefree(322)
     assert distinguished_divisor(sf) == -7
-    assert local_factors(sf)[REAL_PLACE] == -1
+    assert local_factors(sf)[None] == -1
     assert pairing_product(sf) == closed_form_pairing(sf, -7, None) == -1
 
 
@@ -97,7 +95,7 @@ def test_local_pairing_pinned_per_place(n, d, factors):
     sf = factor_squarefree(n)
     assert distinguished_divisor(sf) == d
     got = local_factors(sf)
-    assert list(got) == [REAL_PLACE, Place(2)] + [Place(p) for p in sf.primes]
+    assert list(got) == [None, 2, *sf.primes]
     assert list(got.values()) == factors
 
 
@@ -107,13 +105,13 @@ def test_local_pairing_pinned_per_place(n, d, factors):
 )
 def test_two_adic_helper_matches_hilbert(x, d):
     # with a = 0 the value x is exact, whatever root of n = 1 is taken
-    assert _hilbert2(0, x, 1, d) == hilbert(x, d, Place(2))
+    assert _hilbert2(0, x, 1, d) == hilbert(x, d, 2)
 
 
 def test_two_adic_helper_gives_up_on_unpinned_units():
     # the last retry knows values modulo 2^95: the unit of 2^92 * odd is
     # pinned mod 8 there, that of 2^93 is not, and 0 never is
-    assert _hilbert2(0, 3 << 92, 1, 5) == hilbert(3 << 92, 5, Place(2))
+    assert _hilbert2(0, 3 << 92, 1, 5) == hilbert(3 << 92, 5, 2)
     for x in (0, 1 << 93, 1 << 200):
         with pytest.raises(PrecisionExhausted):
             _hilbert2(0, x, 1, 5)
@@ -143,7 +141,7 @@ def test_point_search_solvable_matches_selmer_membership():
     # a non-Selmer triple must fail at some place
     sf = factor_squarefree(17)
     pure = selmer_elements(sf)
-    places = [REAL_PLACE, Place(2), Place(17)]
+    places = [None, 2, 17]
     for lam in pure:
         ts = TorsorSystem(lam, 17)
         for v in places:
@@ -154,7 +152,7 @@ def test_point_search_solvable_matches_selmer_membership():
     assert all(local_point_search(ts, v) is not None for v in places)
     # a genuinely non-Selmer triple fails 2-adically
     ts = TorsorSystem(SelmerTriple(2, 1, 2), 17)
-    assert local_point_search(ts, Place(2)) is None
+    assert local_point_search(ts, 2) is None
 
 
 def test_real_place_solvability_is_sign_of_d2():
@@ -165,7 +163,7 @@ def test_real_place_solvability_is_sign_of_d2():
         (SelmerTriple(-1, -1, 1), False),
     ]:
         ts = TorsorSystem(lam, 17)
-        assert (local_point_search(ts, REAL_PLACE) is not None) == solvable
+        assert (local_point_search(ts, None) is not None) == solvable
 
 
 def test_good_place_spot_check():
@@ -178,14 +176,14 @@ def test_good_place_spot_check():
     good = (3, 5, 7, 11, 13, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
     checked = 0
     for p in good:
-        pt = local_point_search(ts, Place(p))
+        pt = local_point_search(ts, p)
         assert pt is not None  # good reduction is always solvable
         coords = pt.coords
         l1 = sum(c * x for c, x in zip(t1.linear, coords))
         l3 = sum(c * x for c, x in zip(t3.linear, coords))
         if l1 % p == 0 or l3 % p == 0:
             continue  # a tangent vanished at this particular point
-        assert hilbert(l1 * l3, d, Place(p)) == 1
+        assert hilbert(l1 * l3, d, p) == 1
         checked += 1
     assert checked >= 15
 
@@ -231,14 +229,13 @@ def _certified_points(ts, p, max_level):
                 yield tuple((x[i] * p ** scales[i]) % p**m for i in range(4)), m, e
 
 
-def _factor_at_searched_point(sf, v, d, lam):
+def _factor_at_searched_point(sf, p, d, lam):
     """Local factor evaluated at search-found points instead of the proof's.
 
     Returns None when no certified point determines the tangent product's
     unit class (the caller skips such places).
     """
     t1, t3 = tangent_data(sf)
-    p = v.p
     margin = 3 if p == 2 else 1
     for coords, m, _ in _certified_points(TorsorSystem(lam, sf.n), p, 9 if p == 2 else 4):
         value = (
@@ -251,7 +248,7 @@ def _factor_at_searched_point(sf, v, d, lam):
             val += 1
         if m - val < margin:
             continue
-        return hilbert(p**val * value, d, v)
+        return hilbert(p**val * value, d, p)
     return None
 
 
@@ -274,8 +271,8 @@ def test_point_choice_independence_of_product():
         lam = SelmerTriple(1, n, n)
         product = 1
         complete = True
-        for v in [Place(2)] + [Place(p) for p in sf.primes]:
-            factor = _factor_at_searched_point(sf, v, d, lam)
+        for p in (2, *sf.primes):
+            factor = _factor_at_searched_point(sf, p, d, lam)
             if factor is None:
                 complete = False
                 break
@@ -341,7 +338,7 @@ def test_no_two_adic_certificate_below_level_five():
             found = [m for _, m, _ in _certified_points(ts, 2, 7)]
             if found:
                 # the search still reports the first level with a certificate
-                assert local_point_search(ts, Place(2)).precision == min(found), (n, lam)
+                assert local_point_search(ts, 2).precision == min(found), (n, lam)
             levels.update(found)
     assert levels and min(levels) == 5
 
@@ -361,7 +358,7 @@ def _brute_search(ts, p):
             e = _certified(h1, h3, x, p, m)
             if e is not None:
                 coords = tuple(x[i] * p ** scales[i] % p**m for i in range(4))
-                return LocalPoint(Place(p), coords, m, e)
+                return LocalPoint(p, coords, m, e)
     return PrecisionExhausted
 
 
@@ -378,7 +375,7 @@ def test_search_matches_brute_lift():
             for p in (2, *(q for q in sf.primes if q <= 13)):
                 want = _brute_search(ts, p)
                 try:
-                    got = local_point_search(ts, Place(p))
+                    got = local_point_search(ts, p)
                 except PrecisionExhausted:
                     got = PrecisionExhausted
                 assert got == want, (n, lam, p)
@@ -448,7 +445,7 @@ def test_search_draws_level_one_lazily(monkeypatch):
     found = 0
     for lam in _candidate_triples(sf):
         drawn.clear()
-        point = local_point_search(TorsorSystem(lam, sf.n), Place(10009))
+        point = local_point_search(TorsorSystem(lam, sf.n), 10009)
         found += point is not None
         assert len(drawn) <= 4, (lam, len(drawn))
     assert found
@@ -461,7 +458,7 @@ def test_point_off_the_torsor_is_an_error(monkeypatch):
     monkeypatch.setattr(cassels, "_lift_children", lambda *args: [(1, 1, 0, 0)])
     ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
     with pytest.raises(VerificationFailed):
-        local_point_search(ts, Place(2))
+        local_point_search(ts, 2)
 
 
 def test_frontiers_list_each_residue_once():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from noncongruent import f2linalg
 from noncongruent.arith import (
-    Place,
     additive_jacobi,
     factor_squarefree,
     hilbert,
@@ -19,7 +18,6 @@ from noncongruent.arith import (
 from noncongruent.errors import EmptyFactorization, NotSquareFree
 from noncongruent.matrices import (
     SelmerTriple,
-    field_discriminant,
     h2,
     h4,
     redei_matrix,
@@ -151,15 +149,6 @@ def test_table_transpose_matches_reference():
             assert table.a_t == transpose(table.a, sf.k), n
 
 
-def test_field_discriminant_examples():
-    assert [field_discriminant(m) for m in (17, -17, -34)] == [17, -68, -136]
-    for m in (0, 1):
-        with pytest.raises(ValueError):
-            field_discriminant(m)
-    with pytest.raises(NotSquareFree):
-        field_discriminant(-7 * 7 * 23)
-
-
 def test_redei_matrix_matches_block_forms():
     # for odd n = 1 mod 4: R_n = A + D_(-1) and R_(-n) = [[A, b2], [b(-1)^T, (2/n)]]
     rng = random.Random(25)
@@ -233,7 +222,7 @@ def _redei_by_hilbert(m, odd_primes):
     """The Redei matrix of Q(sqrt(m)) entry by entry: (p_j, m) at p_i over the
     ramified primes, 2 last when m != 1 mod 4."""
     ps = odd_primes + ((2,) if m % 4 != 1 else ())
-    return from_lists([[int(hilbert(pj, m, Place(pi)) == -1) for pj in ps] for pi in ps])
+    return from_lists([[int(hilbert(pj, m, pi) == -1) for pj in ps] for pi in ps])
 
 
 def _monsky_by_symbols(sf):

@@ -7,12 +7,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from noncongruent.arith import (
-    Place,
-    REAL_PLACE,
     factorize,
     hilbert,
     is_prime,
     jacobi,
+    sqrt_2adic,
     sqrt_mod,
 )
 from noncongruent.f2linalg import kernel, rank
@@ -27,9 +26,9 @@ odd_positive = st.integers(0, 10**6).map(lambda k: 2 * k + 1)
 @given(nonzero, nonzero)
 def test_hilbert_product_formula(a, b):
     primes = {2} | {p for x in (a, b) for p, _ in factorize(abs(x))}
-    product = hilbert(a, b, REAL_PLACE)
+    product = hilbert(a, b, None)
     for p in primes:
-        product *= hilbert(a, b, Place(p))
+        product *= hilbert(a, b, p)
     assert product == 1
 
 
@@ -48,18 +47,19 @@ def test_jacobi_reciprocity(m, n):
     assert jacobi(2, n) == (-1) ** ((n * n - 1) // 8)
 
 
-@given(st.sampled_from(ODD_PRIMES), st.integers(1, 6), st.integers(1, 10**12))
-def test_sqrt_mod_odd_prime_powers(p, e, x):
+@given(st.sampled_from(ODD_PRIMES), st.integers(1, 10**12))
+def test_sqrt_mod_odd_prime_powers(p, x):
+    # Only the first power: sqrt_mod works modulo the prime itself.
     assume(x % p)
-    a = x * x % p**e
-    s = sqrt_mod(a, p, e)
-    assert 0 < s < p**e and (s * s - a) % p**e == 0
+    a = x * x % p
+    s = sqrt_mod(a, p)
+    assert 0 < s < p and (s * s - a) % p == 0
 
 
 @given(st.integers(3, 40), st.integers(0, 10**12))
 def test_sqrt_mod_two_adic(e, k):
     a = 8 * k + 1
-    s = sqrt_mod(a, 2, e)
+    s = sqrt_2adic(a, e)
     assert (s * s - a) % 2**e == 0
 
 

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public on purpose though only tests call them.
 ALLOWED = {
+    "is_norm",  # arith: the factoring norm check that tests compare the symbol routes with
     "window_neg",  # oracles: the window scan that rep_neg is checked against
     "window_a2_8b2",  # oracles: the window scan that rep_a2_8b2 is checked against
     "tangent_data",  # cassels: the searched pairing of ROADMAP items 5 and 6 reads it

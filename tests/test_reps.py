@@ -215,7 +215,7 @@ def _quad_jacobi_reference(x, y, m, root_choice):
     that sqrt_mod gives, or the other one where root_choice(p)."""
     value = 1
     for p, mult in factorize(m):
-        s = sqrt_mod(2, p, 1)
+        s = sqrt_mod(2, p)
         if root_choice(p):
             s = p - s
         value *= legendre((x + y * s) % p, p) ** mult
