@@ -10,7 +10,6 @@ so on).
 from .arith import factor_squarefree
 from .criteria import classify
 from .matrices import selmer_elements
-from .oracles import selmer_oracle
 from .reps import rep_2mu2_tau2
 
 __version__ = "0.1.0"
@@ -20,5 +19,4 @@ __all__ = [
     "factor_squarefree",
     "rep_2mu2_tau2",
     "selmer_elements",
-    "selmer_oracle",
 ]

@@ -9,7 +9,7 @@ real place.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -153,8 +153,9 @@ def squarefree_part(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareFreeN:
+class SquareFreeN(
+    namedtuple("SquareFreeN", "n odd_part primes is_even eligibility strict_eligibility")
+):
     """A validated positive square-free integer with its odd prime data.
 
     ``primes`` is the strictly increasing tuple of odd prime factors,
@@ -162,12 +163,7 @@ class SquareFreeN:
     record whether every odd prime factor is +-1 (resp. +1) modulo 8.
     """
 
-    n: int
-    odd_part: int
-    primes: tuple[int, ...]
-    is_even: bool
-    eligibility: bool
-    strict_eligibility: bool
+    __slots__ = ()
 
     @classmethod
     def from_primes(cls, n: int, primes: tuple[int, ...]) -> "SquareFreeN":
@@ -228,28 +224,31 @@ def _strike(alive: bytearray, start: int, step: int) -> None:
     alive[start::step] = bytes(len(range(start, len(alive), step)))
 
 
-# The residues mod 8 that the odd primes of an eligible (strictly eligible)
-# n may have: the two filters of ``squarefree_block``.
-ELIGIBLE = (1, 7)
-STRICT = (1,)
+# The filters of ``squarefree_block``: the residues mod 8 allowed to n, and
+# those allowed to each odd prime of n; no filter, eligible and strictly
+# eligible n.
+ANY = (range(8), range(8))
+ELIGIBLE = ((1, 2), (1, 7))
+STRICT = ((1, 2), (1,))
 
 
-def squarefree_block(lo: int, hi: int, allowed: tuple[int, ...] | None = None):
+def squarefree_block(lo: int, hi: int, allowed: tuple = ANY):
     """(n, SquareFreeN) for each square-free n in [lo, hi), by a segmented
-    sieve; with ``allowed``, the residues mod 8 that every odd prime of n
-    must have, only for those n with n = 1, 2 mod 8.
+    sieve, for those n that pass the filter ``allowed``: n mod 8 is among
+    its first residues, and each odd prime of n mod 8 among its second.
 
     Each base prime p <= sqrt(hi) strikes the multiples of p^2, and the
     filter strikes the other residues of n and the multiples of each odd p
-    outside ``allowed``.  Every other odd p then joins the prime list of
-    each multiple still standing; the odd part of such an n over the
-    product of its list is 1 or one prime above sqrt(hi), which the filter
-    may still reject.  The sieve is exact, so nothing is divided again.
+    outside it.  Every other odd p then joins the prime list of each
+    multiple still standing; the odd part of such an n over the product of
+    its list is 1 or one prime above sqrt(hi), which the filter may still
+    reject.  The sieve is exact, so nothing is divided again.
     """
     size = hi - lo
     alive = bytearray([1]) * size
-    if allowed is not None:
-        for r in (0, 3, 4, 5, 6, 7):
+    residues, prime_residues = allowed
+    for r in range(8):
+        if r not in residues:
             _strike(alive, (r - lo) % 8, 8)
     listed = []
     for p in base_primes(isqrt(hi - 1)):
@@ -260,7 +259,7 @@ def squarefree_block(lo: int, hi: int, allowed: tuple[int, ...] | None = None):
             _strike(alive, start, p * p)
         if p == 2:
             continue
-        if allowed is None or p % 8 in allowed:
+        if p % 8 in prime_residues:
             listed.append(p)
         elif -lo % p < size:
             _strike(alive, -lo % p, p)
@@ -275,13 +274,13 @@ def squarefree_block(lo: int, hi: int, allowed: tuple[int, ...] | None = None):
         n = lo + i
         r = (n if n % 2 else n // 2) // prod(ps)
         if r > 1:
-            if allowed is not None and r % 8 not in allowed:
+            if r % 8 not in prime_residues:
                 continue
             ps.append(r)
         yield n, SquareFreeN.from_primes(n, tuple(ps))
 
 
-def squarefree_upto(bound: int, allowed: tuple[int, ...] | None = None):
+def squarefree_upto(bound: int, allowed: tuple = ANY):
     """``squarefree_block``'s rows for n in [1, bound], sieved in 1024-blocks."""
     for lo in range(1, bound + 1, 1024):
         yield from squarefree_block(lo, min(lo + 1024, bound + 1), allowed)

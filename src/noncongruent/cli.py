@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from dataclasses import asdict
 
-from . import criteria, matrices, oracles, tame, verify
-from .arith import ELIGIBLE, STRICT, SquareFreeN, squarefree_block
+from . import criteria, matrices, verify
+from .arith import ANY, ELIGIBLE, STRICT, SquareFreeN, squarefree_block
 from .criteria import VerdictKind
-from .errors import NoncongruentError, TooLarge
+from .errors import NoncongruentError, OutOfRange, TooLarge
 
 _BLOCK = 1024
 
@@ -54,6 +52,8 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
         "h4_agree": None,
     }
     if with_oracle and sf.k >= 1:
+        from . import oracles
+
         # h4(-n) for odd n, h4(-n/2) for even n: classify's h4_minus where
         # it recorded one (every s2 = 2 row), else read off a new table.
         m = -sf.odd_part
@@ -66,16 +66,20 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     return row
 
 
-_ALLOWED = {"all": None, "eligible": ELIGIBLE, "strict": STRICT}
+# The sieve's filter per --eligible / --strict, and the residues mod 8 of n
+# that each of --odd / --even keeps.
+_FILTERS = {"all": ANY, "eligible": ELIGIBLE, "strict": STRICT}
+_PARITIES = {"all": range(8), "odd": range(1, 8, 2), "even": range(0, 8, 2)}
 
 
 def _scan_block(args: tuple[int, int, dict]) -> list[dict]:
     lo, hi, opts = args
+    residues, prime_residues = _FILTERS[opts["filter"]]
+    parity = _PARITIES[opts["parity"]]
+    allowed = (tuple(r for r in residues if r in parity), prime_residues)
     rows = []
-    # The sieve drops every row the filter rejects before building its record.
-    for n, sf in squarefree_block(lo, hi, _ALLOWED[opts["filter"]]):
-        if opts["parity"] != "all" and (n % 2 == 0) != (opts["parity"] == "even"):
-            continue
+    # The sieve drops every row the filters reject before building its record.
+    for _, sf in squarefree_block(lo, hi, allowed):
         if opts["filter"] != "all" and sf.k == 0:
             continue
         rows.append(_scan_row(sf, opts["oracle"]))
@@ -110,8 +114,7 @@ def _worker_count(jobs: int) -> int:
 
 def cmd_scan(args) -> int:
     if not 1 <= args.min <= args.max <= 10**8:
-        print("scan range must satisfy 1 <= min <= max <= 10^8", file=sys.stderr)
-        return 3
+        raise OutOfRange("scan range must satisfy 1 <= min <= max <= 10^8")
     jobs = _worker_count(args.jobs)
     opts = {
         "parity": "odd" if args.odd else "even" if args.even else "all",
@@ -126,6 +129,8 @@ def cmd_scan(args) -> int:
         for b in range(args.min, args.max + 1, _BLOCK)
     ]
     if jobs > 1 and len(blocks) > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             for rows in pool.imap(_scan_block, blocks):
                 _emit_rows(rows, fmt, sys.stdout)
@@ -136,6 +141,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_tame(args) -> int:
+    from dataclasses import asdict
+
+    from . import tame
+
     report = tame.tame_report(args.m)
     out = asdict(report)
     out["v1"] = sorted(out["v1"])
@@ -145,6 +154,10 @@ def cmd_tame(args) -> int:
 
 
 def cmd_classgroup(args) -> int:
+    from dataclasses import asdict
+
+    from . import oracles
+
     report = oracles.class_group(args.disc)
     out = asdict(report)
     out["invariant_factors"] = list(report.invariant_factors)

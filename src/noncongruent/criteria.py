@@ -11,7 +11,6 @@ criterion only means the sufficient condition does not hold.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
 
 from . import matrices
 from .arith import SquareFreeN, factor_squarefree, hilbert, jacobi
@@ -26,19 +25,17 @@ class VerdictKind(enum.Enum):
     NOT_ELIGIBLE = "NotEligible"
 
 
-@dataclass
 class Verdict:
     """Full classification record with per-field provenance trace."""
 
-    n: int
-    verdict: VerdictKind
-    s2: int | None = None
-    h4_minus: int | None = None
-    h4_plus: int | None = None
-    d: int | None = None
-    mu: int | None = None
-    pairing_symbol: int | None = None
-    trace: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self, n: int, verdict: VerdictKind):
+        # Set in the key order of ``to_dict``; ``record`` only overwrites.
+        self.n, self.verdict = n, verdict
+        self.s2 = self.h4_minus = self.h4_plus = self.d = self.mu = self.pairing_symbol = None
+        self.trace: list[tuple[str, str]] = []
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if isinstance(other, Verdict) else NotImplemented
 
     def record(self, name: str, method: str, value):
         """Set one field, note in the trace how it was computed, return it."""
@@ -47,7 +44,7 @@ class Verdict:
         return value
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         out["verdict"] = self.verdict.value
         out["trace"] = [list(t) for t in self.trace]
         return out

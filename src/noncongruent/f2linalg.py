@@ -10,7 +10,7 @@ makes ranks and the order of kernel vectors reproducible across runs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def _echelon(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:

@@ -15,7 +15,7 @@ once each, and s2, h4(+-n) and the kernel behind d are read off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from . import f2linalg
@@ -23,18 +23,16 @@ from .arith import SquareFreeN, additive_jacobi, factor_squarefree
 from .errors import EmptyFactorization
 
 
-@dataclass(frozen=True)
-class SelmerTriple:
+class SelmerTriple(namedtuple("SelmerTriple", "d1 d2 d3")):
     """Square-free triple (d1, d2, d3) with d1*d2*d3 a perfect square."""
 
-    d1: int
-    d2: int
-    d3: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        prod = self.d1 * self.d2 * self.d3
+    def __new__(cls, d1: int, d2: int, d3: int):
+        prod = d1 * d2 * d3
         if prod <= 0 or isqrt(prod) ** 2 != prod:
-            raise ValueError(f"{self} is not a square-class triple")
+            raise ValueError(f"({d1},{d2},{d3}) is not a square-class triple")
+        return super().__new__(cls, d1, d2, d3)
 
     def __str__(self) -> str:
         return f"({self.d1},{self.d2},{self.d3})"
@@ -137,7 +135,6 @@ class _once:
         return value
 
 
-@dataclass(frozen=True)
 class SymbolTable:
     """The quadratic symbols among the odd primes p_0 < ... < p_(k-1) of n.
 
@@ -151,10 +148,8 @@ class SymbolTable:
     on the table.
     """
 
-    sf: SquareFreeN
-    a: tuple[int, ...]
-    minus_one: int
-    two: int
+    def __init__(self, sf: SquareFreeN, a: tuple[int, ...], minus_one: int, two: int):
+        self.sf, self.a, self.minus_one, self.two = sf, a, minus_one, two
 
     @_once
     def a_t(self) -> tuple[int, ...]:

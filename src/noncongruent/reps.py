@@ -19,7 +19,7 @@ square root of 2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arith import SquareFreeN, factor_squarefree, legendre, sqrt_mod
@@ -29,44 +29,38 @@ from .errors import IllDefined, NoRepresentation, NoRoot
 _Z2 = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Rep2MuTau:
+class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
     """n = 2*mu^2 - tau^2: for n > 0 the sign of mu is normalized mod 4
     (``rep_2mu2_tau2``), for n < 0 mu and tau are positive (``rep_neg``)."""
 
-    mu: int
-    tau: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if 2 * self.mu * self.mu - self.tau * self.tau != self.n:
+    def __new__(cls, mu: int, tau: int, n: int):
+        if 2 * mu * mu - tau * tau != n:
             raise ValueError("not a representation")
+        return super().__new__(cls, mu, tau, n)
 
 
-@dataclass(frozen=True)
-class RepU2W:
+class RepU2W(namedtuple("RepU2W", "u w n")):
     """n' = u^2 - 2*w^2."""
 
-    u: int
-    w: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u * self.u - 2 * self.w * self.w != self.n:
+    def __new__(cls, u: int, w: int, n: int):
+        if u * u - 2 * w * w != n:
             raise ValueError("not a representation")
+        return super().__new__(cls, u, w, n)
 
 
-@dataclass(frozen=True)
-class RepA8B:
+class RepA8B(namedtuple("RepA8B", "a b n")):
     """n = a^2 + 8*b^2 with a odd positive."""
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.a + 8 * self.b * self.b != self.n or self.a <= 0 or self.a % 2 == 0:
+    def __new__(cls, a: int, b: int, n: int):
+        if a * a + 8 * b * b != n or a <= 0 or a % 2 == 0:
             raise ValueError("not a representation")
+        return super().__new__(cls, a, b, n)
 
 
 def orbit_step_2mu2(mu: int, tau: int) -> tuple[int, int]:

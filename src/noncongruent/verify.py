@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from . import cassels, criteria, matrices, oracles, tame
+from . import criteria, matrices
 from .arith import ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .errors import OutOfRange, TooLarge
@@ -22,8 +22,13 @@ from .reps import (
     z2_jacobi,
 )
 
+# Eligible n = 1 mod 8: the odd half of ``ELIGIBLE``.
+_ODD_ELIGIBLE = ((1,), ELIGIBLE[1])
+
 
 def _selmer_oracle(bound: int):
+    from . import oracles
+
     for n, sf in squarefree_upto(bound):
         if sf.k == 0:
             continue
@@ -33,6 +38,8 @@ def _selmer_oracle(bound: int):
 
 
 def _class_oracle(bound: int):
+    from . import oracles
+
     for n, sf in squarefree_upto(bound):
         if n == 1:
             continue
@@ -49,6 +56,8 @@ def _class_oracle(bound: int):
 
 
 def _pairing_product(bound: int):
+    from . import cassels
+
     for n, sf in squarefree_upto(bound, ELIGIBLE):
         v = criteria.classify(sf)
         if v.d is None:
@@ -59,11 +68,13 @@ def _pairing_product(bound: int):
 
 def _lemma_2symbol(count: int):
     """The first ``count`` square-free eligible n = 1 mod 8 with k >= 1."""
+    from . import cassels
+
     seen = 0
     lo = 17
     while seen < count:
-        for n, sf in squarefree_block(lo, lo + 1024, ELIGIBLE):
-            if n % 8 != 1 or sf.k == 0:
+        for n, sf in squarefree_block(lo, lo + 1024, _ODD_ELIGIBLE):
+            if sf.k == 0:
                 continue
             mu, tau = fundamental_2mu2_tau2(n, sf)
             u = linked_u2w(Rep2MuTau(mu, tau, n)).u
@@ -84,8 +95,8 @@ def _proposition(bound: int):
     (i) b even <=> (ii) ((1+sqrt 2)/n) = 1 <=> (iv) (sqrt 2/n) = (-1)^((n-1)/8)
     for n = a^2 + 8b^2, and (vi) |mu| = 1 mod 4 <=> (viii) (mu/n) = 1.
     """
-    for n, sf in squarefree_upto(bound, STRICT):
-        if sf.is_even or sf.k == 0:
+    for n, sf in squarefree_upto(bound, ((1,), STRICT[1])):
+        if sf.k == 0:
             continue
         h4m = matrices.symbol_table(sf).h4(-n)
         mu = fundamental_2mu2_tau2(n, sf)[0]
@@ -105,6 +116,8 @@ def _proposition(bound: int):
 
 
 def _corollaries(bound: int):
+    from . import tame
+
     for n, sf in squarefree_upto(bound, STRICT):
         if sf.k == 0:
             continue
@@ -115,9 +128,9 @@ def _corollaries(bound: int):
 
 
 def _pell_orbit(bound: int):
-    for n, sf in squarefree_upto(bound, ELIGIBLE):
-        if n % 8 != 1:
-            continue
+    from . import oracles
+
+    for n, sf in squarefree_upto(bound, _ODD_ELIGIBLE):
         v = criteria.classify(sf)
         if v.d is None:
             continue

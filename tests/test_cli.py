@@ -71,9 +71,25 @@ def test_scan_even_includes_two():
 
 
 def test_scan_range_preconditions():
-    assert run_cli("scan", 10, 5).returncode == 3
-    assert run_cli("scan", 0, 10).returncode == 3
-    assert run_cli("scan", 1, 10**8 + 1).returncode == 3
+    for lo, hi in ((10, 5), (0, 10), (1, 10**8 + 1)):
+        proc = run_cli("scan", lo, hi)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": "scan range must satisfy 1 <= min <= max <= 10^8"}
+
+
+def test_parity_scan_builds_only_the_records_it_prints(monkeypatch, capsys):
+    # The sieve strikes the other parity: a record for each printed row,
+    # and one for n = 1 or 2, which has no odd prime and is not printed.
+    built = []
+    real = arith.SquareFreeN.from_primes
+    counting = staticmethod(lambda n, ps: built.append(n) or real(n, ps))
+    monkeypatch.setattr(arith.SquareFreeN, "from_primes", counting)
+    for parity, printed in (("--even", 4015), ("--odd", 7812)):
+        built.clear()
+        assert main(["scan", "1", "200000", "--eligible", parity, "--csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + printed
+        assert len(built) == printed + 1
+        assert {n % 2 for n in built} == {parity == "--odd"}
 
 
 def test_scan_skips_non_squarefree():

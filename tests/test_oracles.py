@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -222,16 +223,27 @@ def test_h4_oracle_matches_redei_small():
             assert h4(m) == h4_oracle(m), m
 
 
-def test_runs_without_numpy():
+def test_classify_and_scan_load_no_oracle():
+    # A fresh interpreter runs classify and an eligible scan, then lists the
+    # modules they must not load; those a bare interpreter loads (site hooks)
+    # are not counted.  The oracle still loads on demand and agrees.
+    heavy = [f"noncongruent.{m}" for m in ("oracles", "cassels", "tame")]
+    heavy += ["dataclasses", "fractions", "multiprocessing"]
+    listed = f"import json, sys; print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
     code = (
-        "import sys; sys.modules['numpy'] = None\n"
-        "import noncongruent\n"
-        "from noncongruent import factor_squarefree, selmer_elements, selmer_oracle\n"
+        "from noncongruent.cli import main\n"
+        "assert main(['classify', '17']) == 0\n"
+        "assert main(['scan', '1', '3000', '--eligible', '--csv']) == 0\n"
+        + listed
+        + "from noncongruent import factor_squarefree, selmer_elements\n"
+        "from noncongruent.oracles import selmer_oracle\n"
         "sf = factor_squarefree(161)\n"
         "assert selmer_oracle(sf) == selmer_elements(sf)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    runs = [subprocess.run([sys.executable, "-c", c], capture_output=True, text=True) for c in (listed, code)]
+    assert [p.returncode for p in runs] == [0, 0], runs[1].stderr
+    bare, loaded = (json.loads(p.stdout.splitlines()[-1]) for p in runs)
+    assert set(loaded) <= set(bare), loaded
 
 
 def test_selmer_oracle_examples():

@@ -57,5 +57,4 @@ def test_package_exports_what_the_demos_import():
         "factor_squarefree",
         "rep_2mu2_tau2",
         "selmer_elements",
-        "selmer_oracle",
     ]
