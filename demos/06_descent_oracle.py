@@ -8,7 +8,7 @@ points (Hensel-lift certificates) and real points at all bad places.
 
 from noncongruent.arith import factor_squarefree
 from noncongruent.matrices import selmer_elements
-from noncongruent.oracles import point_search, selmer_oracle, CongruentCurve
+from noncongruent.oracles import point_search, selmer_oracle
 
 for n in (17, 34, 105, 161):
     sf = factor_squarefree(n)
@@ -19,7 +19,7 @@ print()
 
 print("rational point search on the congruent-number curves:")
 for n in (5, 6, 7, 17):
-    pts = point_search(CongruentCurve(n), 2000)
+    pts = point_search(n, 2000)
     if pts:
         x, y = pts[0]
         print(f"  n = {n}: found ({x}, {y}) -> {n} is congruent")

@@ -11,7 +11,7 @@ descent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -23,8 +23,7 @@ from .matrices import SelmerTriple
 from .reps import Rep2MuTau, linked_u2w, sqrt2_mod
 
 
-@dataclass(frozen=True)
-class TorsorSystem:
+class TorsorSystem(namedtuple("TorsorSystem", "lam n")):
     """Three diagonal quadrics in (t, u1, u2, u3) cutting out the torsor.
 
     Stored as coefficient 4-tuples over (t, u1, u2, u3):
@@ -34,8 +33,7 @@ class TorsorSystem:
     H1 + H2 + H3 = 0, so the torsor is the intersection of any two.
     """
 
-    lam: SelmerTriple
-    n: int
+    __slots__ = ()
 
     @property
     def h1(self) -> tuple[int, int, int, int]:
@@ -49,12 +47,8 @@ class TorsorSystem:
     def h3(self) -> tuple[int, int, int, int]:
         return (2 * self.n, self.lam.d1, -self.lam.d2, 0)
 
-    def forms(self) -> tuple[tuple[int, int, int, int], ...]:
-        return (self.h1, self.h2, self.h3)
 
-
-@dataclass(frozen=True)
-class TangentData:
+class TangentData(namedtuple("TangentData", "form point linear")):
     """A rational point on one quadric plus the tangent plane there.
 
     ``point`` is a zero Q of ``form``, the full 4-tuple over (t, u1, u2, u3)
@@ -62,20 +56,17 @@ class TangentData:
     tangent-form coefficients at Q over the same four variables.
     """
 
-    form: tuple[int, int, int, int]
-    point: tuple[int, int, int, int]
-    linear: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        value = sum(c * x * x for c, x in zip(self.form, self.point))
-        if value != 0:
+    def __new__(cls, form: tuple[int, ...], point: tuple[int, ...], linear: tuple[int, ...]):
+        if sum(c * x * x for c, x in zip(form, point)) != 0:
             raise ValueError("point does not lie on the quadric")
-        if sum(c * x for c, x in zip(self.linear, self.point)) != 0:
+        if sum(c * x for c, x in zip(linear, point)) != 0:
             raise ValueError("linear form does not vanish at the point")
+        return super().__new__(cls, form, point, linear)
 
 
-@dataclass(frozen=True)
-class LocalPoint:
+class LocalPoint(namedtuple("LocalPoint", "place coords precision minor_val")):
     """A certified local point on a torsor (or a real-solvability witness).
 
     ``place`` is the prime p, or None for the real place.  For a finite
@@ -84,10 +75,7 @@ class LocalPoint:
     minor_val <= (precision - 1) / 2, which guarantees a lift.
     """
 
-    place: int | None
-    coords: tuple[int, int, int, int] | None
-    precision: int
-    minor_val: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

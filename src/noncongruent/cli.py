@@ -141,12 +141,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_tame(args) -> int:
-    from dataclasses import asdict
-
     from . import tame
 
-    report = tame.tame_report(args.m)
-    out = asdict(report)
+    out = tame.tame_report(args.m)._asdict()
     out["v1"] = sorted(out["v1"])
     out["v2"] = sorted(out["v2"])
     print(json.dumps(out, separators=(",", ":")))
@@ -154,14 +151,9 @@ def cmd_tame(args) -> int:
 
 
 def cmd_classgroup(args) -> int:
-    from dataclasses import asdict
-
     from . import oracles
 
-    report = oracles.class_group(args.disc)
-    out = asdict(report)
-    out["invariant_factors"] = list(report.invariant_factors)
-    print(json.dumps(out, separators=(",", ":")))
+    print(json.dumps(oracles.class_group(args.disc)._asdict(), separators=(",", ":")))
     return 0
 
 

@@ -104,11 +104,6 @@ def redei_matrix(m: int) -> tuple[int, ...]:
     return symbol_table(factor_squarefree(abs(m))).redei_matrix(m)
 
 
-def h2(m: int) -> int:
-    """2-rank of the narrow class group: one less than the ramified-prime count."""
-    return len(redei_matrix(m)) - 1
-
-
 def h4(m: int) -> int:
     """4-rank of the narrow class group via the Redei rank formula."""
     return _h4(redei_matrix(m))

@@ -13,10 +13,8 @@ by Euclid in Z[sqrt(+-2)], by trying every coordinate in a window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import gcd, isqrt, prod
-from typing import NamedTuple
 
 from . import cassels
 from .arith import SquareFreeN, factorize, squarefree_part
@@ -27,12 +25,10 @@ from .reps import Rep2MuTau, RepA8B
 _DISC_CAP = 10**6
 
 
-class BQForm(NamedTuple):
+class BQForm(namedtuple("BQForm", "a b c")):
     """Primitive integral binary quadratic form a x^2 + b xy + c y^2, a tuple (a, b, c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     @property
     def disc(self) -> int:
@@ -45,23 +41,10 @@ class BQForm(NamedTuple):
         return f"({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
-class ClassGroupReport:
+class ClassGroupReport(namedtuple("ClassGroupReport", "disc order invariant_factors r2 r4 r8")):
     """Order, cyclic structure and 2-power ranks of a form class group."""
 
-    disc: int
-    order: int
-    invariant_factors: tuple[int, ...]
-    r2: int
-    r4: int
-    r8: int
-
-
-@dataclass(frozen=True)
-class CongruentCurve:
-    """The curve y^2 = x^3 - n^2 x attached to n."""
-
-    n: int
+    __slots__ = ()
 
 
 def is_fundamental(disc: int) -> bool:
@@ -463,15 +446,18 @@ def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
 # ---------------------------------------------------------------------------
 
 
-def point_search(curve: CongruentCurve, height: int) -> list[tuple[Fraction, Fraction]]:
-    """All nontrivial points with x = u/v^2, |u| <= height, v <= sqrt(height).
+def point_search(n: int, height: int) -> list[tuple[Fraction, Fraction]]:
+    """All nontrivial points on y^2 = x^3 - n^2 x with x = u/v^2, |u| <= height,
+    v <= sqrt(height).
 
     Exact integer arithmetic throughout; 2-torsion is excluded and the
     representative with y > 0 is reported for each x.
     """
+    from fractions import Fraction
+
     if height > 10**6:
         raise TooLarge("height bound above 10^6")
-    n2 = curve.n * curve.n
+    n2 = n * n
     found = []
     for v in range(1, isqrt(height) + 1):
         v4 = v * v * v * v

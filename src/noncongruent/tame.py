@@ -10,7 +10,7 @@ divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import f2linalg, matrices
 from .arith import (
@@ -24,16 +24,10 @@ from .errors import CountNotPowerOfTwo, OutOfRange
 from .reps import fundamental_2mu2_tau2, rep_neg
 
 
-@dataclass(frozen=True)
-class TameKernelReport:
+class TameKernelReport(namedtuple("TameKernelReport", "m r2 r4 v1 v2 mu_used")):
     """Ranks of the 2-primary part of the tame kernel of Q(sqrt(m))."""
 
-    m: int
-    r2: int
-    r4: int
-    v1: frozenset[int]
-    v2: frozenset[int]
-    mu_used: int | None
+    __slots__ = ()
 
 
 def _factored(m: int) -> SquareFreeN:

@@ -40,7 +40,8 @@ def _selmer_oracle(bound: int):
 def _class_oracle(bound: int):
     from . import oracles
 
-    for n, sf in squarefree_upto(bound):
+    # Past the cap on |disc| both n and -n are refused, so the sweep stops there.
+    for n, sf in squarefree_upto(min(bound, oracles._DISC_CAP)):
         if n == 1:
             continue
         table = matrices.symbol_table(sf)
@@ -48,7 +49,7 @@ def _class_oracle(bound: int):
             try:
                 group = oracles.form_group(m)
             except TooLarge:
-                continue  # the form class group is capped at |disc| <= 10^6
+                continue  # |disc| = 4n is above the cap
             redei, oracle = table.h4(m), group.h4()
             composes = group.composes_distinct()
             ok = redei == oracle and composes

@@ -115,8 +115,8 @@ def test_criterion_10_pell_orbit_invariance():
 def test_noncongruent_verdicts_have_no_small_points():
     # classify = NonCongruentSha22 implies rank 0, so bounded point search
     # must come back empty; a found point would falsify the theorem chain.
-    assert oracles.point_search(oracles.CongruentCurve(17), 10**4) == []
+    assert oracles.point_search(17, 10**4) == []
     for n in (73, 89, 97, 113, 322):
         if criteria.classify(n).verdict == VerdictKind.NON_CONGRUENT_SHA22:
-            assert oracles.point_search(oracles.CongruentCurve(n), 2000) == [], n
+            assert oracles.point_search(n, 2000) == [], n
     _report("bonus: no rational points below height bound on classified curves", True)

@@ -18,7 +18,6 @@ from noncongruent.arith import (
 from noncongruent.errors import EmptyFactorization, NotSquareFree
 from noncongruent.matrices import (
     SelmerTriple,
-    h2,
     h4,
     redei_matrix,
     s2,
@@ -173,7 +172,7 @@ def test_h4_examples():
     assert h4(17) == 0
     assert h4(-161) == 1
     assert h4(161) == 0
-    assert h2(-17) == 1 and h2(17) == 0
+    assert len(redei_matrix(-17)) - 1 == 1 and len(redei_matrix(17)) - 1 == 0  # h2
 
 
 def test_h4_nonnegative():
@@ -264,7 +263,6 @@ def _table_matches_definitions(sf):
         if m != 1:
             redei = _redei_by_hilbert(m, ps)
             assert table.redei_matrix(m) == redei_matrix(m) == redei, m
-            assert h2(m) == len(redei) - 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,4 +280,4 @@ def test_symbol_table_matches_integer_routes_exhaustively():
             _table_matches_definitions(sf)
     for m in (-1, 2, -2):
         assert redei_matrix(m) == _redei_by_hilbert(m, ())
-        assert h4(m) == h2(m) == 0
+        assert h4(m) == len(redei_matrix(m)) - 1 == 0

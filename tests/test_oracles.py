@@ -6,13 +6,12 @@ from math import isqrt
 
 import pytest
 
-from noncongruent import arith
+from noncongruent import arith, matrices, oracles, verify
 from noncongruent.arith import factor_squarefree, squarefree_part
 from noncongruent.errors import NotFundamental, TooLarge
 from noncongruent.matrices import h4, selmer_elements
 from noncongruent.oracles import (
     BQForm,
-    CongruentCurve,
     _reduced_definite_forms,
     class_group,
     compose,
@@ -184,7 +183,6 @@ def test_composes_distinct_catches_a_wrong_law(monkeypatch):
     # the h4 chain only squares, so verify's class-oracle suite checks the
     # law on two distinct classes; composing with g^-1 in place of g must
     # fail there (f*g^-1 = g*f^-1 needs (f*g^-1)^2 = 1, and -3299 has odd h)
-    from noncongruent import oracles
     from noncongruent.oracles import _FormGroup
 
     for disc in (-3299, 1785, -56, -4, 5):
@@ -246,6 +244,48 @@ def test_classify_and_scan_load_no_oracle():
     assert set(loaded) <= set(bare), loaded
 
 
+def test_no_command_loads_dataclasses_or_fractions():
+    # The reports of tame and classgroup, and every record the verify suites
+    # build, are named tuples; only point_search, which no command calls,
+    # loads fractions.
+    heavy = ["dataclasses", "fractions"]
+    listed = f"import json, sys; print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
+    commands = [
+        ["tame", "--", "-34"],
+        ["classgroup", "--", "-68"],
+        ["verify", "selmer-oracle", "40"],
+        ["verify", "class-oracle", "60"],
+        ["verify", "pairing-product", "300"],
+        ["verify", "lemma-2symbol", "25"],
+        ["verify", "proposition", "2000"],
+        ["verify", "corollaries", "1500"],
+        ["verify", "pell-orbit", "600"],
+    ]
+    assert sorted(c[1] for c in commands if c[0] == "verify") == sorted(verify.SUITES)
+    code = "from noncongruent.cli import main\n" + "".join(
+        f"assert main({c!r}) == 0\n" for c in commands
+    ) + listed
+    runs = [subprocess.run([sys.executable, "-c", c], capture_output=True, text=True) for c in (listed, code)]
+    assert [p.returncode for p in runs] == [0, 0], runs[1].stderr
+    bare, loaded = (json.loads(p.stdout.splitlines()[-1]) for p in runs)
+    assert set(loaded) <= set(bare), loaded
+
+
+def test_class_oracle_sweeps_no_n_past_the_cap(monkeypatch):
+    # Past the cap both n and -n are refused, so a larger bound builds no
+    # further symbol table and gives the same cases.
+    tables = []
+    real = matrices.symbol_table
+    monkeypatch.setattr(matrices, "symbol_table", lambda sf: tables.append(sf.n) or real(sf))
+    monkeypatch.setattr(oracles, "_DISC_CAP", 300)
+    at_cap = verify.run("class-oracle", 300)
+    at_cap_tables, tables[:] = tables[:], []
+    past_cap = verify.run("class-oracle", 5000)
+    assert max(tables) <= 300
+    assert tables == at_cap_tables
+    assert {**past_cap, "bound": 300} == at_cap
+
+
 def test_selmer_oracle_examples():
     for n in (17, 34, 5):
         sf = factor_squarefree(n)
@@ -253,16 +293,16 @@ def test_selmer_oracle_examples():
 
 
 def test_point_search_examples():
-    pts = point_search(CongruentCurve(5), 100)
+    pts = point_search(5, 100)
     assert (Fraction(-4), Fraction(6)) in pts
-    pts = point_search(CongruentCurve(6), 100)
+    pts = point_search(6, 100)
     assert (Fraction(-3), Fraction(9)) in pts
-    assert point_search(CongruentCurve(17), 10**4) == []
+    assert point_search(17, 10**4) == []
 
 
 def test_point_search_triangle_correspondence():
     for n, height in ((5, 100), (6, 100), (7, 500), (34, 3000)):
-        for x, y in point_search(CongruentCurve(n), height):
+        for x, y in point_search(n, height):
             rhs = x**3 - n * n * x
             assert y * y == rhs
             # The right triangle of area n attached to a non-torsion point.

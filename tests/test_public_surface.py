@@ -1,12 +1,14 @@
 """The package keeps no public code that nothing calls.
 
 A public module-level function, or a public method of a public class, must
-be referenced in ``src/noncongruent`` other than by its own definition, or
-be named in a Python file under ``demos/`` or ``bench/`` (read as text).
+be referenced by the code in ``src/noncongruent``, ``demos`` or ``bench``,
+read as syntax trees so that docstrings and comments do not count.  A method
+counts through any attribute access ``.name``.  A module-level function
+counts through ``module.name``, through an import of it from its module, or
+through a bare name inside its own module.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import noncongruent
@@ -15,40 +17,54 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public on purpose though only tests call them.
 ALLOWED = {
-    "is_norm",  # arith: the factoring norm check that tests compare the symbol routes with
-    "window_neg",  # oracles: the window scan that rep_neg is checked against
-    "window_a2_8b2",  # oracles: the window scan that rep_a2_8b2 is checked against
-    "tangent_data",  # cassels: the searched pairing of ROADMAP items 5 and 6 reads it
+    "arith.is_norm",  # the factoring norm check that tests compare the symbol routes with
+    "oracles.window_neg",  # the window scan that rep_neg is checked against
+    "oracles.window_a2_8b2",  # the window scan that rep_a2_8b2 is checked against
+    "cassels.tangent_data",  # the searched pairing of ROADMAP items 5 and 6 reads it
 }
 
 
-def _public_defs(tree):
+def _public_defs(module, tree):
+    """(qualified name, the reference that uses it) of each public function
+    and each public method of a public class."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", f"{module}.{node.name}"
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            yield from (m.name for m in node.body if isinstance(m, ast.FunctionDef))
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield f"{module}.{node.name}.{m.name}", f".{m.name}"
 
 
-def _referenced(tree):
+def _references(module, tree):
+    """What the tree references: ``.name`` for each attribute access, and
+    ``module.name`` for each function reached through its module."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
+        if isinstance(node, ast.Attribute):
+            yield f".{node.attr}"
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                yield f"{owner.id}.{node.attr}"
+            elif isinstance(owner, ast.Attribute):
+                yield f"{owner.attr}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.rpartition(".")[2]
+            yield from (f"{source}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Name) and module is not None:
+            yield f"{module}.{node.id}"
 
 
 def test_every_public_function_has_a_caller():
-    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "noncongruent").glob("*.py"))]
-    used = {name for tree in trees for name in _referenced(tree)}
+    package = ROOT / "src" / "noncongruent"
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    used = {ref for module, tree in trees.items() for ref in _references(module, tree)}
     for folder in ("demos", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
-            used.update(re.findall(r"\w+", path.read_text()))
-    public = {name for tree in trees for name in _public_defs(tree) if not name.startswith("_")}
-    assert sorted(public - used - ALLOWED) == []
-    assert ALLOWED <= public  # an allowed name that is gone should leave the list
+            used.update(_references(None, ast.parse(path.read_text())))
+    public = dict(d for module, tree in trees.items() for d in _public_defs(module, tree))
+    unused = {name for name, use in public.items() if use not in used}
+    assert sorted(unused - ALLOWED) == []
+    assert ALLOWED <= set(public)  # an allowed name that is gone should leave the list
 
 
 def test_package_exports_what_the_demos_import():
