@@ -56,16 +56,22 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
     Odd n: d is the positive divisor read off the one-dimensional kernel of
     A + D_(-1).  Even n: |d| comes from the kernel of A^T and the sign is
     fixed by d = 1 mod 8.  The kernel is read off the echelon of that
-    matrix that the symbol table of n (built here unless given) keeps.
-    Before returning, (d, n)_v is re-checked at oo, 2 and each odd p | n:
-    d | n, so no other place can give -1, and the primes of n are known.
+    matrix that the symbol table of n (built here unless given) keeps, and
+    d is re-checked before it is returned.
     """
     if table is None:
         table = matrices.symbol_table(sf)
-    ker = table.divisor_kernel()
-    if len(ker) != 2:
-        raise NotRankTwo(f"kernel size {len(ker)} != 2 for n = {sf.n}")
-    d = matrices.psi(ker[1], sf.primes)
+    return _checked_divisor(sf, table.divisor_kernel())
+
+
+def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> int:
+    """d = psi of the nonzero vector of the divisor kernel, sign-fixed for
+    even n.  Before returning, (d, n)_v is re-checked at oo, 2 and each odd
+    p | n: d | n, so no other place can give -1, and the primes of n are
+    known."""
+    if len(kernel) != 2:
+        raise NotRankTwo(f"kernel size {len(kernel)} != 2 for n = {sf.n}")
+    d = matrices.psi(kernel[1], sf.primes)
     if sf.is_even:
         if d % 8 == 7:
             d = -d
@@ -74,6 +80,32 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
     if any(hilbert(d, sf.n, p) != 1 for p in (None, 2, *sf.primes)):
         raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {sf.n}")
     return d
+
+
+# The F2 part of classify for each table shape seen in this process: s2,
+# h4(-n'), h4(n) for odd n and the divisor kernel, keyed by (parity of n,
+# A, D_(-1)).  Past the gate D_2 = 0 and n' = 1 mod 8, so the Monsky and
+# divisor matrices and the Redei matrices of -n' and n are A, A^T and
+# D_(-1) alone, and k = len(A): the key is complete.  Only k <= 4 is kept:
+# n' = 1 mod 8 puts an even number of primes 7 mod 8 in n, so there are
+# 2^(k(k-1)/2) * 2^(k-1) tables of each parity and k, at most
+# 2 * (1 + 4 + 32 + 512) = 1098 keys.
+_SHAPES: dict = {}
+
+
+def _shape(sf: SquareFreeN, table: matrices.SymbolTable) -> tuple:
+    """(s2, h4_minus, h4_plus, divisor kernel) of an n past the gate; the
+    last three are None unless s2 = 2, and h4_plus is None for even n."""
+    key = (sf.is_even, table.a, table.minus_one)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = (table.s2(), None, None, None)
+        if shape[0] == 2:
+            h4_plus = None if sf.is_even else table.h4(sf.n)
+            shape = (2, table.h4(-sf.odd_part), h4_plus, tuple(table.divisor_kernel()))
+        if sf.k <= 4:
+            _SHAPES[key] = shape
+    return shape
 
 
 def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
@@ -99,7 +131,9 @@ def classify(n: int | SquareFreeN) -> Verdict:
     every field is recorded once in stage order (s2, the 4-ranks, d, mu,
     the symbol), and every F2 matrix is read off one symbol table of n.
     Every n past the eligibility gate has D_2 = 0, so the table eliminates
-    A and A + D_(-1) for odd n, and the Monsky matrix, A and A^T for even n.
+    A and A + D_(-1) for odd n, and the Monsky matrix, A and A^T for even n,
+    once per table shape with k <= 4 in each process (``_SHAPES``); d, mu
+    and the symbol read the primes and are made and checked for each n.
     The criterion is Theorem 1 for odd n (h4(-n) = 1, h4(n) = 0 and
     (-mu/d) = -1) and Theorem 2 for even n (h4(-n/2) = 1 and
     ((2 - sqrt(2))/|d|) = -1).
@@ -120,18 +154,18 @@ def classify(n: int | SquareFreeN) -> Verdict:
         # n = 1 or 2: the pure Selmer group is trivial.
         v.record("s2", "trivial_case", 0)
         return v
-    table = matrices.symbol_table(sf)
-    if v.record("s2", "monsky_rank", table.s2()) != 2:
+    s2, h4_minus, h4_plus, kernel = _shape(sf, matrices.symbol_table(sf))
+    if v.record("s2", "monsky_rank", s2) != 2:
         return v
     v.verdict = VerdictKind.CRITERION_FAILS
     # h4(-n) and h4(n) for odd n, h4(-n/2) for even n; both ranks are
     # recorded before they are checked.
-    h4_holds = v.record("h4_minus", "redei_rank", table.h4(-sf.odd_part)) == 1
+    h4_holds = v.record("h4_minus", "redei_rank", h4_minus) == 1
     if not sf.is_even:
-        h4_holds &= v.record("h4_plus", "redei_rank", table.h4(sf.n)) == 0
+        h4_holds &= v.record("h4_plus", "redei_rank", h4_plus) == 0
     if not h4_holds:
         raise VerificationFailed(f"s2 = 2 but h4 = ({v.h4_minus}, {v.h4_plus}) for n = {sf.n}")
-    d = v.record("d", "kernel_psi", distinguished_divisor(sf, table))
+    d = v.record("d", "kernel_psi", _checked_divisor(sf, kernel))
     if sf.is_even:
         mu, method = None, "quad_jacobi_closed_form"
     else:

@@ -491,11 +491,11 @@ def test_pairing_product_computes_d_once(monkeypatch):
     from noncongruent import cassels, criteria
 
     calls = []
-    real = criteria.distinguished_divisor
+    real = criteria._checked_divisor
     monkeypatch.setattr(
         criteria,
-        "distinguished_divisor",
-        lambda sf, table=None: calls.append(sf.n) or real(sf, table),
+        "_checked_divisor",
+        lambda sf, kernel: calls.append(sf.n) or real(sf, kernel),
     )
     for n in (17, 161, 322):
         calls.clear()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noncongruent import arith, cli, f2linalg, matrices, verify
+from noncongruent import arith, cli, criteria, f2linalg, matrices, verify
 from noncongruent.arith import (
     SquareFreeN,
     factor_squarefree,
@@ -38,6 +38,8 @@ def test_distinguished_divisor_rechecks_the_kernel(monkeypatch, n, wrong):
 def test_failed_4rank_gate_is_an_error(monkeypatch, capsys, n):
     # For eligible n, s2 = 2 forces h4(-n') = 1 (and h4(n) = 0 for odd n),
     # so a wrong 4-rank is a bug to report, not a CriterionFails verdict.
+    # An empty memo: a shape classified earlier would never call h4.
+    monkeypatch.setattr(criteria, "_SHAPES", {})
     real = matrices.SymbolTable.h4
 
     def wrong(table, m):
@@ -156,15 +158,9 @@ def test_selmer_oracle_sweep_never_factorizes(monkeypatch):
 
 def test_classify_shares_its_eliminations(monkeypatch):
     # D_2 = 0 for eligible n: odd n eliminates A and A + D_(-1) once each,
-    # even n the Monsky matrix, A and A^T.
-    calls = []
-    real = f2linalg._echelon
-
-    def echelon(rows, ncols):
-        calls.append(ncols)
-        return real(rows, ncols)
-
-    _route(monkeypatch, real, echelon)
+    # even n the Monsky matrix, A and A^T, on a memo miss.
+    monkeypatch.setattr(criteria, "_SHAPES", {})
+    calls = _counting_echelon(monkeypatch)
     for n, most in ((17, 2), (161, 2), (2446197334673, 2), (34, 3), (322, 3), (2213746, 3)):
         calls.clear()
         assert classify(n).s2 == 2
@@ -198,20 +194,68 @@ def _classified(sf):
     return sf.k >= 1 and sf.eligibility and sf.n % 8 in (1, 2)
 
 
-def test_classify_routes_agree_exhaustively():
-    seen = 0
-    for _, sf in squarefree_upto(20000):
+def test_classify_routes_agree_exhaustively(monkeypatch):
+    # From an empty memo: a row misses when it adds a shape or has k > 4,
+    # and every row's fields, hit or miss, agree with the generic routes.
+    monkeypatch.setattr(criteria, "_SHAPES", {})
+    seen = misses = 0
+    for _, sf in squarefree_upto(200000, arith.ELIGIBLE):
         if _classified(sf):
+            shapes = len(criteria._SHAPES)
             _routes_agree(sf)
             seen += 1
-    assert seen > 1000
+            misses += len(criteria._SHAPES) > shapes or sf.k > 4
+    assert seen > 10000 and misses <= seen // 100
+
+
+def _counting_echelon(monkeypatch):
+    calls = []
+    real = f2linalg._echelon
+
+    def echelon(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    _route(monkeypatch, real, echelon)
+    return calls
+
+
+@pytest.mark.parametrize("first, second", [(161, 497), (322, 994)])  # 7 * 23, 7 * 71 (times 2)
+def test_a_shape_is_eliminated_once(monkeypatch, first, second):
+    monkeypatch.setattr(criteria, "_SHAPES", {})
+    calls = _counting_echelon(monkeypatch)
+    assert classify(first).s2 == 2 and calls
+    calls.clear()
+    v = classify(second)
+    assert calls == [] and v.s2 == 2
+    assert len(criteria._SHAPES) == 1
+    monkeypatch.setattr(criteria, "_SHAPES", {})
+    assert classify(second) == v
+    _routes_agree(factor_squarefree(second))
+
+
+def _memo_is_bounded():
+    assert all(len(a) <= 4 for _, a, _ in criteria._SHAPES)
+    assert len(criteria._SHAPES) <= 2 * (1 + 4 + 32 + 512)
+
+
+def test_memo_keeps_no_shape_past_four_primes():
+    # The window below scan's cap holds k = 4 and k = 5 rows.
+    ks = []
+    for _, sf in arith.squarefree_block(99800001, 100000001, arith.ELIGIBLE):
+        if sf.k >= 4:
+            ks.append(sf.k)
+            _routes_agree(sf)
+    assert (ks.count(4), ks.count(5), len(ks)) == (119, 4, 123)
+    _memo_is_bounded()
 
 
 @st.composite
-def eligible_products(draw):
+def eligible_products(draw, fewest=1):
     """Square-free n = n' or 2n' with n' = 1 mod 8 a product of 1-8 primes
-    +-1 mod 8, each the next such prime after a draw up to 10^(12/k)."""
-    k = draw(st.integers(1, 8))
+    (at least ``fewest``) +-1 mod 8, each the next such prime after a draw
+    up to 10^(12/k)."""
+    k = draw(st.integers(fewest, 8))
     primes = [1]
     for q in sorted(draw(st.lists(st.integers(7, round(10 ** (12 / k))), min_size=k, max_size=k))):
         q = max(q, primes[-1] + 1)
@@ -228,3 +272,10 @@ def eligible_products(draw):
 def test_classify_routes_agree_on_products(sf):
     assert _classified(sf)
     _routes_agree(sf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eligible_products(fewest=5))
+def test_memo_stays_bounded_on_products(sf):
+    _routes_agree(sf)
+    _memo_is_bounded()
