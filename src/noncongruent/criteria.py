@@ -55,9 +55,8 @@ def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = 
 
     Odd n: d is the positive divisor read off the one-dimensional kernel of
     A + D_(-1).  Even n: |d| comes from the kernel of A^T and the sign is
-    fixed by d = 1 mod 8.  The kernel is read off the echelon of that
-    matrix that the symbol table of n (built here unless given) keeps, and
-    d is re-checked before it is returned.
+    fixed by d = 1 mod 8.  The matrix comes from the symbol table of n
+    (built here unless given), and d is re-checked before it is returned.
     """
     if table is None:
         table = matrices.symbol_table(sf)
@@ -130,10 +129,9 @@ def classify(n: int | SquareFreeN) -> Verdict:
     n is factored once (a ``SquareFreeN`` is taken as already factored),
     every field is recorded once in stage order (s2, the 4-ranks, d, mu,
     the symbol), and every F2 matrix is read off one symbol table of n.
-    Every n past the eligibility gate has D_2 = 0, so the table eliminates
-    A and A + D_(-1) for odd n, and the Monsky matrix, A and A^T for even n,
-    once per table shape with k <= 4 in each process (``_SHAPES``); d, mu
-    and the symbol read the primes and are made and checked for each n.
+    s2, the 4-ranks and the divisor kernel are made once per table shape
+    with k <= 4 in each process (``_SHAPES``); d, mu and the symbol read
+    the primes and are made and checked for each n.
     The criterion is Theorem 1 for odd n (h4(-n) = 1, h4(n) = 0 and
     (-mu/d) = -1) and Theorem 2 for even n (h4(-n/2) = 1 and
     ((2 - sqrt(2))/|d|) = -1).

@@ -43,11 +43,7 @@ def rank(rows: Sequence[int], ncols: int) -> int:
 def kernel(rows: Sequence[int], ncols: int) -> list[int]:
     """All 2^dim right kernel vectors: zero first, then the span doubled by
     one basis vector at a time, in increasing free column."""
-    return echelon_kernel(*_echelon(list(rows), ncols), ncols)
-
-
-def echelon_kernel(rows: list[int], pivots: list[int], ncols: int) -> list[int]:
-    """``kernel`` of a matrix from its ``_echelon`` (rows, pivots)."""
+    rows, pivots = _echelon(list(rows), ncols)
     out = [0]
     for free in range(ncols):
         if free in pivots:

@@ -8,9 +8,6 @@ representatives, the matrix whose kernel holds the distinguished divisor,
 and the Redei matrix of Q(sqrt(m)) for every square-free m, with the
 class-group ranks h2 / h4 it gives.  Each matrix is square and a tuple of
 row ints (bit j of row i is entry (i, j)), as ``f2linalg`` takes them.
-
-For eligible n, D_2 = 0: the table eliminates A and the divisor matrix
-once each, and s2, h4(+-n) and the kernel behind d are read off them.
 """
 
 from __future__ import annotations
@@ -118,18 +115,6 @@ def _h4(redei: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _once:
-    """``functools.cached_property`` without its lock: in Python 3.11 the
-    lock taken on each first read costs more than eliminating a 2 x 2."""
-
-    def __init__(self, method):
-        self.method, self.name = method, method.__name__
-
-    def __get__(self, table, owner=None):
-        value = table.__dict__[self.name] = self.method(table)
-        return value
-
-
 class SymbolTable:
     """The quadratic symbols among the odd primes p_0 < ... < p_(k-1) of n.
 
@@ -138,15 +123,13 @@ class SymbolTable:
     sum to zero.  Bit i of ``minus_one`` and of ``two`` is the additive
     (-1 / p_i) and (2 / p_i), the diagonals of D_(-1) and D_2.  The divisor
     matrix, the Monsky matrix and the Redei matrices of +-n' and +-2n' (n'
-    the odd part of n) are all A or A^T plus diagonals.  A^T and the
-    echelons of A and of the divisor matrix are made on first use and kept
-    on the table.
+    the odd part of n) are all A or A^T plus diagonals.
     """
 
     def __init__(self, sf: SquareFreeN, a: tuple[int, ...], minus_one: int, two: int):
         self.sf, self.a, self.minus_one, self.two = sf, a, minus_one, two
 
-    @_once
+    @property
     def a_t(self) -> tuple[int, ...]:
         """The rows of A^T.  By reciprocity (p_i / p_j) = (p_j / p_i) unless
         both primes are 3 mod 4, so row i of A^T is row i of A with the bits
@@ -160,18 +143,9 @@ class SymbolTable:
         _require_factors(self.sf)
         return self.a_t if self.sf.is_even else plus_diagonal(self.a, self.minus_one)
 
-    @_once
-    def _a_echelon(self) -> tuple[list[int], list[int]]:
-        return f2linalg._echelon(list(self.a), self.sf.k)
-
-    @_once
-    def _divisor_echelon(self) -> tuple[list[int], list[int]]:
-        return f2linalg._echelon(list(self.divisor_matrix()), self.sf.k)
-
     def divisor_kernel(self) -> list[int]:
-        """``f2linalg.kernel(self.divisor_matrix(), k)``, from the cached echelon."""
-        _require_factors(self.sf)
-        return f2linalg.echelon_kernel(*self._divisor_echelon, self.sf.k)
+        """The kernel vectors of the divisor matrix, as ``f2linalg.kernel`` lists them."""
+        return f2linalg.kernel(self.divisor_matrix(), self.sf.k)
 
     def monsky_matrix(self) -> tuple[int, ...]:
         """The 2k x 2k Monsky matrix, whose kernel is the pure 2-Selmer group.
@@ -191,13 +165,8 @@ class SymbolTable:
         return (*top, *bottom)
 
     def s2(self) -> int:
-        """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix, which
-        is diag(A, A + D_(-1)) for odd n with D_2 = 0."""
-        _require_factors(self.sf)
-        k = self.sf.k
-        if self.sf.is_even or self.two:
-            return 2 * k - f2linalg.rank(self.monsky_matrix(), 2 * k)
-        return 2 * k - len(self._a_echelon[1]) - len(self._divisor_echelon[1])
+        """Pure 2-Selmer rank: 2k minus the rank of the Monsky matrix."""
+        return 2 * self.sf.k - f2linalg.rank(self.monsky_matrix(), 2 * self.sf.k)
 
     def redei_matrix(self, m: int) -> tuple[int, ...]:
         """The Redei matrix of Q(sqrt(m)) for m = +-n' or +-2n'.
@@ -222,19 +191,7 @@ class SymbolTable:
         return tuple(r | (self.two >> i & 1) << k for i, r in enumerate(rows)) + (last,)
 
     def h4(self, m: int) -> int:
-        """``h4(m)`` for m = +-n' or +-2n', from the table's Redei matrix.
-
-        For odd n = 1 mod 4 that of n is A + D_(-1).  With D_2 = 0 and n' = 1
-        mod 8 that of -n' is A with the D_(-1) row and a zero column added,
-        and the row adds no rank: x in ker A makes d = psi(x) and e = n'/d
-        squares mod each other's primes, so (d/e)(e/d) = 1 and reciprocity
-        puts an even number of primes 3 mod 4 in d.
-        """
-        k = self.sf.k
-        if m == self.sf.n and m % 4 == 1:
-            return k - 1 - len(self._divisor_echelon[1])
-        if m == -self.sf.odd_part and not self.two and self.sf.odd_part % 8 == 1:
-            return k - len(self._a_echelon[1])
+        """``h4(m)`` for m = +-n' or +-2n', from the table's Redei matrix."""
         return _h4(self.redei_matrix(m))
 
 

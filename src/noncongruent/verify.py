@@ -146,26 +146,31 @@ def _pell_orbit(bound: int):
         yield n, ok, {"symbols": symbols, "mu": v.mu, "window_mu": window_mu}
 
 
+# Each suite and the largest bound it takes (a count of n for lemma-2symbol).
 SUITES = {
-    "selmer-oracle": _selmer_oracle,
-    "class-oracle": _class_oracle,
-    "pairing-product": _pairing_product,
-    "lemma-2symbol": _lemma_2symbol,
-    "proposition": _proposition,
-    "corollaries": _corollaries,
-    "pell-orbit": _pell_orbit,
+    "selmer-oracle": (_selmer_oracle, 10**5),
+    "class-oracle": (_class_oracle, 10**6),
+    "pairing-product": (_pairing_product, 10**5),
+    "lemma-2symbol": (_lemma_2symbol, 10**4),
+    "proposition": (_proposition, 10**6),
+    "corollaries": (_corollaries, 10**6),
+    "pell-orbit": (_pell_orbit, 10**6),
 }
 
 
 def run(suite: str, bound: int) -> dict:
     """Run one suite: pass and fail counts, plus the first failing case.
 
-    A bound that leaves the suite no case raises ``OutOfRange``: a report
-    of no passes and no failures would check nothing.
+    A bound above the suite's maximum raises ``OutOfRange`` before the
+    sweep starts.  A bound that leaves the suite no case raises it too: a
+    report of no passes and no failures would check nothing.
     """
+    sweep, most = SUITES[suite]
+    if bound > most:
+        raise OutOfRange(f"suite {suite} takes a bound of at most {most}, not {bound}")
     passed = failed = 0
     first_bad = None
-    for case, ok, detail in SUITES[suite](bound):
+    for case, ok, detail in sweep(bound):
         if ok:
             passed += 1
         else:

@@ -7,7 +7,7 @@ from math import isqrt
 
 import pytest
 
-from noncongruent import arith, cli, criteria, matrices
+from noncongruent import arith, cli, criteria, matrices, verify
 from noncongruent.cli import main
 
 # SHA-256 of the CSV body (header excluded) of
@@ -157,6 +157,19 @@ def test_verify_exits_3_when_the_bound_leaves_no_case(suite, bound):
     proc = run_cli("verify", suite, bound)
     assert proc.returncode == 3 and proc.stdout == "", (suite, proc.stdout)
     assert "no case" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_refuses_a_bound_past_the_suite_maximum(monkeypatch, capsys, suite):
+    def sweep(bound):
+        raise AssertionError(f"{suite} swept to {bound}")
+
+    most = verify.SUITES[suite][1]
+    monkeypatch.setitem(verify.SUITES, suite, (sweep, most))
+    assert main(["verify", suite, str(most + 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"suite {suite} takes a bound of at most {most}, not {most + 1}"}
 
 
 def test_main_entrypoint_in_process(capsys):
