@@ -68,8 +68,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """Brent-cycle rho; returns a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -117,8 +115,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -224,6 +220,9 @@ def _strike(alive: bytearray, start: int, step: int) -> None:
     alive[start::step] = bytes(len(range(start, len(alive), step)))
 
 
+# The width of the blocks that scans and sweeps sieve.
+BLOCK = 1024
+
 # The filters of ``squarefree_block``: the residues mod 8 allowed to n, and
 # those allowed to each odd prime of n; no filter, eligible and strictly
 # eligible n.
@@ -281,9 +280,9 @@ def squarefree_block(lo: int, hi: int, allowed: tuple = ANY):
 
 
 def squarefree_upto(bound: int, allowed: tuple = ANY):
-    """``squarefree_block``'s rows for n in [1, bound], sieved in 1024-blocks."""
-    for lo in range(1, bound + 1, 1024):
-        yield from squarefree_block(lo, min(lo + 1024, bound + 1), allowed)
+    """``squarefree_block``'s rows for n in [1, bound], sieved in blocks of ``BLOCK``."""
+    for lo in range(1, bound + 1, BLOCK):
+        yield from squarefree_block(lo, min(lo + BLOCK, bound + 1), allowed)
 
 
 # ---------------------------------------------------------------------------

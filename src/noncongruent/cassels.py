@@ -20,7 +20,7 @@ from .arith import SquareFreeN, hilbert, legendre, split_power, sqrt_2adic
 from .criteria import closed_form_pairing  # the one closed form, importable here too
 from .errors import NotRankTwo, PrecisionExhausted, VerificationFailed
 from .matrices import SelmerTriple
-from .reps import Rep2MuTau, linked_u2w, sqrt2_mod
+from .reps import Rep2MuTau, sqrt2_mod
 
 
 class TorsorSystem(namedtuple("TorsorSystem", "lam n")):
@@ -111,8 +111,8 @@ def _pairing_inputs(sf: SquareFreeN) -> tuple[int, tuple[TangentData, TangentDat
         )
         return v.d, (t1, t3)
     n, mu = sf.n, v.mu
-    u2w = linked_u2w(Rep2MuTau(mu, isqrt(2 * mu * mu - n), n))
-    u, w = u2w.u, u2w.w
+    rep = Rep2MuTau(mu, isqrt(2 * mu * mu - n), n)
+    u, w = rep.u, rep.w
     t1 = TangentData(form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, -1))
     t3 = TangentData(form=(2 * n, 1, -n, 0), point=(w, n, u, 0), linear=(2 * w, 1, -u, 0))
     return v.d, (t1, t3)

@@ -2,8 +2,8 @@
 
 All output is exact-integer JSON (one object per line for scans) or the CSV
 projection of the same fields.  Scans are deterministic: the range is cut
-into 1024-blocks, workers classify blocks independently, and rows are merged
-back in order.
+into blocks of ``arith.BLOCK``, each block (in a worker under --jobs) returns
+its finished text, and the blocks are written back in order.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ import os
 import sys
 
 from . import criteria, matrices, verify
-from .arith import ANY, ELIGIBLE, STRICT, SquareFreeN, squarefree_block
+from .arith import ANY, BLOCK, ELIGIBLE, STRICT, SquareFreeN, squarefree_block
 from .criteria import VerdictKind
 from .errors import NoncongruentError, OutOfRange, TooLarge
-
-_BLOCK = 1024
 
 CSV_COLUMNS = [
     "n",
@@ -36,12 +34,12 @@ CSV_COLUMNS = [
 
 
 def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
-    n = sf.n
     v = criteria.classify(sf)
+    eligible = v.verdict is not VerdictKind.NOT_ELIGIBLE
     row = {
-        "n": n,
-        "eligible": sf.eligibility and n % 8 in (1, 2),
-        "strict": sf.strict_eligibility and n % 8 in (1, 2),
+        "n": sf.n,
+        "eligible": eligible,
+        "strict": eligible and sf.strict_eligibility,
         "s2": v.s2,
         "h4_minus": v.h4_minus,
         "h4_plus": v.h4_plus,
@@ -66,34 +64,16 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     return row
 
 
-# The sieve's filter per --eligible / --strict, and the residues mod 8 of n
-# that each of --odd / --even keeps.
-_FILTERS = {"all": ANY, "eligible": ELIGIBLE, "strict": STRICT}
-_PARITIES = {"all": range(8), "odd": range(1, 8, 2), "even": range(0, 8, 2)}
-
-
-def _scan_block(args: tuple[int, int, dict]) -> list[dict]:
-    lo, hi, opts = args
-    residues, prime_residues = _FILTERS[opts["filter"]]
-    parity = _PARITIES[opts["parity"]]
-    allowed = (tuple(r for r in residues if r in parity), prime_residues)
-    rows = []
-    # The sieve drops every row the filters reject before building its record.
-    for _, sf in squarefree_block(lo, hi, allowed):
-        if opts["filter"] != "all" and sf.k == 0:
-            continue
-        rows.append(_scan_row(sf, opts["oracle"]))
-    return rows
-
-
-def _emit_rows(rows, fmt: str, out) -> None:
-    for row in rows:
-        if fmt == "csv":
-            out.write(",".join("" if row[c] is None else str(row[c]) for c in CSV_COLUMNS))
-            out.write("\n")
-        else:
-            out.write(json.dumps(row, separators=(",", ":")))
-            out.write("\n")
+def _scan_block(args: tuple) -> str:
+    """The CSV or JSON lines of the n in [lo, hi) that pass the sieve's
+    filter ``allowed``: the sieve drops every other n before building its
+    record."""
+    lo, hi, allowed, with_oracle, csv = args
+    rows = [_scan_row(sf, with_oracle) for _, sf in squarefree_block(lo, hi, allowed)]
+    if csv:
+        cells = [["" if row[c] is None else str(row[c]) for c in CSV_COLUMNS] for row in rows]
+        return "".join([",".join(line) + "\n" for line in cells])
+    return "".join([json.dumps(row, separators=(",", ":")) + "\n" for row in rows])
 
 
 def cmd_classify(args) -> int:
@@ -116,27 +96,28 @@ def cmd_scan(args) -> int:
     if not 1 <= args.min <= args.max <= 10**8:
         raise OutOfRange("scan range must satisfy 1 <= min <= max <= 10^8")
     jobs = _worker_count(args.jobs)
-    opts = {
-        "parity": "odd" if args.odd else "even" if args.even else "all",
-        "filter": "strict" if args.strict else "eligible" if args.eligible else "all",
-        "oracle": args.oracle,
-    }
-    fmt = "csv" if args.csv else "json"
-    if fmt == "csv":
+    # The sieve's filter: the residues mod 8 of n that --eligible / --strict
+    # and --odd / --even keep, and those that each odd prime of n may take.
+    filtered = args.eligible or args.strict
+    residues, prime_residues = STRICT if args.strict else ELIGIBLE if filtered else ANY
+    if args.odd or args.even:
+        residues = tuple(r for r in residues if r % 2 == args.odd)
+    # n = 1 and 2, the only square-free n with no odd prime, are no rows of
+    # a filtered scan, so it starts at 3.
+    lo = max(args.min, 3) if filtered else args.min
+    if args.csv:
         sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
     blocks = [
-        (b, min(b + _BLOCK, args.max + 1), opts)
-        for b in range(args.min, args.max + 1, _BLOCK)
+        (b, min(b + BLOCK, args.max + 1), (residues, prime_residues), args.oracle, args.csv)
+        for b in range(lo, args.max + 1, BLOCK)
     ]
     if jobs > 1 and len(blocks) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            for rows in pool.imap(_scan_block, blocks):
-                _emit_rows(rows, fmt, sys.stdout)
+            sys.stdout.writelines(pool.imap(_scan_block, blocks))
     else:
-        for block in blocks:
-            _emit_rows(_scan_block(block), fmt, sys.stdout)
+        sys.stdout.writelines(map(_scan_block, blocks))
     return 0
 
 

@@ -50,17 +50,15 @@ class Verdict:
         return out
 
 
-def distinguished_divisor(sf: SquareFreeN, table: matrices.SymbolTable | None = None) -> int:
+def distinguished_divisor(sf: SquareFreeN) -> int:
     """The unique divisor d != 1 of n with (d, n)_v = +1 at every place.
 
     Odd n: d is the positive divisor read off the one-dimensional kernel of
     A + D_(-1).  Even n: |d| comes from the kernel of A^T and the sign is
-    fixed by d = 1 mod 8.  The matrix comes from the symbol table of n
-    (built here unless given), and d is re-checked before it is returned.
+    fixed by d = 1 mod 8.  The matrix comes from the symbol table of n,
+    and d is re-checked before it is returned.
     """
-    if table is None:
-        table = matrices.symbol_table(sf)
-    return _checked_divisor(sf, table.divisor_kernel())
+    return _checked_divisor(sf, matrices.symbol_table(sf).divisor_kernel())
 
 
 def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> int:

@@ -37,10 +37,6 @@ class OutOfRange(NoncongruentError):
     """Argument lies outside the supported range."""
 
 
-class CountNotPowerOfTwo(NoncongruentError):
-    """Internal consistency failure: |V1| + |V2| should be a power of two."""
-
-
 class NotRankTwo(NoncongruentError):
     """Operation requires pure 2-Selmer rank exactly 2."""
 

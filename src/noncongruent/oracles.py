@@ -37,9 +37,6 @@ class BQForm(namedtuple("BQForm", "a b c")):
     def is_primitive(self) -> bool:
         return gcd(gcd(self.a, self.b), self.c) == 1
 
-    def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
-
 
 class ClassGroupReport(namedtuple("ClassGroupReport", "disc order invariant_factors r2 r4 r8")):
     """Order, cyclic structure and 2-power ranks of a form class group."""

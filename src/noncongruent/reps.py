@@ -31,7 +31,10 @@ _Z2 = tuple[int, int]
 
 class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
     """n = 2*mu^2 - tau^2: for n > 0 the sign of mu is normalized mod 4
-    (``rep_2mu2_tau2``), for n < 0 mu and tau are positive (``rep_neg``)."""
+    (``rep_2mu2_tau2``), for n < 0 mu and tau are positive (``rep_neg``).
+
+    It carries the linked n = u^2 - 2*w^2 with u = 2*mu - tau and w = tau - mu,
+    since (2*mu - tau)^2 - 2*(tau - mu)^2 = 2*mu^2 - tau^2."""
 
     __slots__ = ()
 
@@ -40,16 +43,13 @@ class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
             raise ValueError("not a representation")
         return super().__new__(cls, mu, tau, n)
 
+    @property
+    def u(self) -> int:
+        return 2 * self.mu - self.tau
 
-class RepU2W(namedtuple("RepU2W", "u w n")):
-    """n' = u^2 - 2*w^2."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: int, w: int, n: int):
-        if u * u - 2 * w * w != n:
-            raise ValueError("not a representation")
-        return super().__new__(cls, u, w, n)
+    @property
+    def w(self) -> int:
+        return self.tau - self.mu
 
 
 class RepA8B(namedtuple("RepA8B", "a b n")):
@@ -220,10 +220,3 @@ def rep_neg(m: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
         # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
         tau, mu = 3, 2
     return Rep2MuTau(abs(mu), abs(tau), m)
-
-
-def linked_u2w(rep: Rep2MuTau) -> RepU2W:
-    """The u^2 - 2*w^2 representation tied to (mu, tau): u = 2mu - tau, w = tau - mu."""
-    u = 2 * rep.mu - rep.tau
-    w = rep.tau - rep.mu
-    return RepU2W(u, w, rep.n)

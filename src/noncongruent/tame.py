@@ -20,7 +20,7 @@ from .arith import (
     hilbert,
     legendre,
 )
-from .errors import CountNotPowerOfTwo, OutOfRange
+from .errors import OutOfRange, VerificationFailed
 from .reps import fundamental_2mu2_tau2, rep_neg
 
 
@@ -91,10 +91,10 @@ def tame_report(m: int) -> TameKernelReport:
 
     count = len(v1) + len(v2)
     if count & (count - 1):
-        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} for m = {m}")
+        raise VerificationFailed(f"|V1|+|V2| = {count} for m = {m}")
     r4 = count.bit_length() - 2 - (m < 0)
     if r4 < 0:
-        raise CountNotPowerOfTwo(f"|V1|+|V2| = {count} too small for m = {m}")
+        raise VerificationFailed(f"|V1|+|V2| = {count} too small for m = {m}")
     return TameKernelReport(m, r2, r4, frozenset(v1), frozenset(v2), mu)
 
 

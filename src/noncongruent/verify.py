@@ -10,13 +10,12 @@ from __future__ import annotations
 from math import isqrt
 
 from . import criteria, matrices
-from .arith import ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
+from .arith import BLOCK, ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .errors import OutOfRange, TooLarge
 from .reps import (
     Rep2MuTau,
     fundamental_2mu2_tau2,
-    linked_u2w,
     orbit_step_2mu2,
     rep_a2_8b2,
     z2_jacobi,
@@ -68,23 +67,21 @@ def _pairing_product(bound: int):
 
 
 def _lemma_2symbol(count: int):
-    """The first ``count`` square-free eligible n = 1 mod 8 with k >= 1."""
+    """The first ``count`` square-free eligible n = 1 mod 8 with k >= 1:
+    the sieve's eligible n = 1 mod 8 from 17 on, since 1 has no odd prime."""
     from . import cassels
 
     seen = 0
     lo = 17
     while seen < count:
-        for n, sf in squarefree_block(lo, lo + 1024, _ODD_ELIGIBLE):
-            if sf.k == 0:
-                continue
+        for n, sf in squarefree_block(lo, lo + BLOCK, _ODD_ELIGIBLE):
             mu, tau = fundamental_2mu2_tau2(n, sf)
-            u = linked_u2w(Rep2MuTau(mu, tau, n)).u
-            lhs, rhs = cassels.two_symbol_check(n, u, mu)
+            lhs, rhs = cassels.two_symbol_check(n, Rep2MuTau(mu, tau, n).u, mu)
             yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
             seen += 1
             if seen == count:
                 return
-        lo += 1024
+        lo += BLOCK
 
 
 def _proposition(bound: int):

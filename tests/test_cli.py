@@ -78,8 +78,8 @@ def test_scan_range_preconditions():
 
 
 def test_parity_scan_builds_only_the_records_it_prints(monkeypatch, capsys):
-    # The sieve strikes the other parity: a record for each printed row,
-    # and one for n = 1 or 2, which has no odd prime and is not printed.
+    # The sieve strikes the other parity, and the scan starts past n = 1
+    # and 2, which have no odd prime: a record for each printed row only.
     built = []
     real = arith.SquareFreeN.from_primes
     counting = staticmethod(lambda n, ps: built.append(n) or real(n, ps))
@@ -88,7 +88,7 @@ def test_parity_scan_builds_only_the_records_it_prints(monkeypatch, capsys):
         built.clear()
         assert main(["scan", "1", "200000", "--eligible", parity, "--csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + printed
-        assert len(built) == printed + 1
+        assert len(built) == printed
         assert {n % 2 for n in built} == {parity == "--odd"}
 
 
@@ -101,9 +101,10 @@ def test_scan_skips_non_squarefree():
 
 
 def test_scan_deterministic_and_parallel_consistent():
-    base = run_cli("scan", 1, 600, "--eligible").stdout
-    again = run_cli("scan", 1, 600, "--eligible").stdout
-    parallel = run_cli("scan", 1, 600, "--eligible", "--jobs", 2).stdout
+    # Three blocks at least, so --jobs 2 starts a pool.
+    base = run_cli("scan", 1, 3000, "--eligible").stdout
+    again = run_cli("scan", 1, 3000, "--eligible").stdout
+    parallel = run_cli("scan", 1, 3000, "--eligible", "--jobs", 2).stdout
     assert base == again == parallel
 
 
@@ -170,6 +171,20 @@ def test_verify_refuses_a_bound_past_the_suite_maximum(monkeypatch, capsys, suit
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": f"suite {suite} takes a bound of at most {most}, not {most + 1}"}
+
+
+def test_verify_reports_a_failing_case_and_exits_4(monkeypatch, capsys):
+    def sweep(bound):
+        yield 17, True, {}
+        yield 41, False, {"why": "planted"}
+        yield 73, False, {"why": "second"}
+
+    monkeypatch.setitem(verify.SUITES, "pell-orbit", (sweep, 100))
+    report = verify.run("pell-orbit", 100)
+    assert report["passed"] == 1 and report["failed"] == 2
+    assert report["first_counterexample"] == {"case": 41, "detail": {"why": "planted"}}
+    assert main(["verify", "pell-orbit", "100"]) == 4
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_main_entrypoint_in_process(capsys):

@@ -191,9 +191,8 @@ def test_classify_takes_a_factored_n():
 
 def test_scan_block_never_factorizes(monkeypatch):
     calls = _count_factorize(monkeypatch)
-    opts = {"parity": "all", "filter": "eligible", "oracle": False}
-    rows = cli._scan_block((99329, 100353, opts))
-    assert rows and calls == []
+    text = cli._scan_block((99329, 100353, arith.ELIGIBLE, False, True))
+    assert text and calls == []
 
 
 def test_selmer_oracle_sweep_never_factorizes(monkeypatch):

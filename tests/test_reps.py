@@ -23,7 +23,6 @@ from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
     fundamental_2mu2_tau2,
-    linked_u2w,
     orbit_step_2mu2,
     rep_2mu2_tau2,
     rep_a2_8b2,
@@ -49,7 +48,7 @@ def test_rep_2mu2_tau2_norm_obstruction():
 
 
 def test_rep_u2_2w2_and_a2_8b2_examples():
-    r = linked_u2w(Rep2MuTau(3, 1, 17))
+    r = Rep2MuTau(3, 1, 17)
     assert (r.u, r.w) == (5, -2)
     assert (rep_a2_8b2(17).a, rep_a2_8b2(17).b) == (3, 1)
     assert (rep_a2_8b2(41).a, rep_a2_8b2(41).b) == (3, 2)
@@ -74,7 +73,7 @@ def test_representations_reproduce_target():
         if is_norm(2, n):
             mu, tau = fundamental_2mu2_tau2(n)
             assert 2 * mu * mu - tau * tau == n and mu > 0
-            r = linked_u2w(Rep2MuTau(mu, tau, n))
+            r = Rep2MuTau(mu, tau, n)
             assert r.u * r.u - 2 * r.w * r.w == n
             count += 1
         if is_norm(2, -n):
@@ -105,7 +104,7 @@ def test_fundamental_solution_is_in_search_window():
         assert mu <= isqrt(n // 2) + isqrt(n) + 2
 
 
-def test_linked_u2w_identity():
+def test_rep_u_w_identity():
     rng = random.Random(33)
     count = 0
     while count < 100:
@@ -115,9 +114,8 @@ def test_linked_u2w_identity():
         count += 1
         mu, tau = fundamental_2mu2_tau2(n)
         rep = Rep2MuTau(mu, tau, n)
-        u2w = linked_u2w(rep)
-        assert u2w.u == 2 * mu - tau and u2w.w == tau - mu
-        assert u2w.u * u2w.u - 2 * u2w.w * u2w.w == n
+        assert rep.u == 2 * mu - tau and rep.w == tau - mu
+        assert rep.u * rep.u - 2 * rep.w * rep.w == n
 
 
 def test_two_symbol_lemma_small():
@@ -133,7 +131,7 @@ def test_two_symbol_lemma_small():
             continue
         checked += 1
         mu, tau = fundamental_2mu2_tau2(n)
-        u = linked_u2w(Rep2MuTau(mu, tau, n)).u
+        u = Rep2MuTau(mu, tau, n).u
         lhs, rhs = two_symbol_check(n, u, mu)
         assert lhs[0] == rhs and lhs[1] == rhs
 
