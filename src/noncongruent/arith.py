@@ -25,12 +25,29 @@ from .errors import (
 # primality and factorization
 # ---------------------------------------------------------------------------
 
+_base_primes: tuple[int, ...] = ()
+_base_bound = 0
+
+
+def base_primes(bound: int) -> tuple[int, ...]:
+    """The primes up to ``bound``, read off a table that each process sieves
+    once and sieves again, at least twice as far, only when outgrown."""
+    global _base_primes, _base_bound
+    if bound > _base_bound:
+        _base_bound = max(bound, 2 * _base_bound, 1024)
+        is_p = bytearray([0, 0]) + bytearray([1]) * (_base_bound - 1)
+        for p in range(2, isqrt(_base_bound) + 1):
+            if is_p[p]:
+                is_p[p * p :: p] = bytes(len(range(p * p, _base_bound + 1, p)))
+        _base_primes = tuple(compress(range(_base_bound + 1), is_p))
+    return _base_primes[: bisect_right(_base_primes, bound)]
+
+
 _TRIAL_BOUND = 10**3
-# The primes the trial loop can find: a cofactor prime to their product
-# skips the loop.
-_TRIAL_PRODUCT = prod(
-    d for d in range(7, _TRIAL_BOUND, 2) if all(d % q for q in range(3, isqrt(d) + 1, 2))
-)
+# The primes that the trial loop walks, past 2, 3 and 5: a cofactor prime to
+# their product skips the loop.
+_TRIAL_PRIMES = base_primes(_TRIAL_BOUND)[3:]
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 # Witnesses making Miller-Rabin deterministic below psi_13 (Sorenson-Webster);
 # without 41 only below psi_12 = 318665857834031151167461.
@@ -104,12 +121,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out[p] = out.get(p, 0) + 1
             n //= p
     if gcd(n, _TRIAL_PRODUCT) > 1:
-        d = 7
-        while d * d <= n and d < _TRIAL_BOUND:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            d += 2
+        for p in _TRIAL_PRIMES:
+            if p * p > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
     # No prime below the trial bound is left in n or in its factors, so one
     # below the bound's square is prime without a Miller-Rabin test.
     stack = [n] if n > 1 else []
@@ -167,14 +184,8 @@ class SquareFreeN(
         increasing ``primes``; the caller vouches for both, nothing is checked."""
         is_even = n % 2 == 0
         residues = {p % 8 for p in primes}
-        return cls(
-            n=n,
-            odd_part=n // 2 if is_even else n,
-            primes=primes,
-            is_even=is_even,
-            eligibility=residues <= {1, 7},
-            strict_eligibility=residues <= {1},
-        )
+        odd_part = n // 2 if is_even else n
+        return cls(n, odd_part, primes, is_even, residues <= {1, 7}, residues <= {1})
 
     @property
     def k(self) -> int:
@@ -196,24 +207,6 @@ def factor_squarefree(n: int) -> SquareFreeN:
     if any(e > 1 for _, e in fac):
         raise NotSquareFree(f"{n} is divisible by a square")
     return SquareFreeN.from_primes(n, tuple(p for p, _ in fac if p != 2))
-
-
-_base_primes: tuple[int, ...] = ()
-_base_bound = 0
-
-
-def base_primes(bound: int) -> tuple[int, ...]:
-    """The primes up to ``bound``, read off a table that each process sieves
-    once and sieves again, at least twice as far, only when outgrown."""
-    global _base_primes, _base_bound
-    if bound > _base_bound:
-        _base_bound = max(bound, 2 * _base_bound, 1024)
-        is_p = bytearray([0, 0]) + bytearray([1]) * (_base_bound - 1)
-        for p in range(2, isqrt(_base_bound) + 1):
-            if is_p[p]:
-                is_p[p * p :: p] = bytes(len(range(p * p, _base_bound + 1, p)))
-        _base_primes = tuple(compress(range(_base_bound + 1), is_p))
-    return _base_primes[: bisect_right(_base_primes, bound)]
 
 
 def _strike(alive: bytearray, start: int, step: int) -> None:
@@ -279,9 +272,10 @@ def squarefree_block(lo: int, hi: int, allowed: tuple = ANY):
         yield n, SquareFreeN.from_primes(n, tuple(ps))
 
 
-def squarefree_upto(bound: int, allowed: tuple = ANY):
-    """``squarefree_block``'s rows for n in [1, bound], sieved in blocks of ``BLOCK``."""
-    for lo in range(1, bound + 1, BLOCK):
+def squarefree_upto(bound: int, allowed: tuple = ANY, start: int = 1):
+    """``squarefree_block``'s rows for n in [start, bound], sieved in blocks
+    of ``BLOCK``."""
+    for lo in range(start, bound + 1, BLOCK):
         yield from squarefree_block(lo, min(lo + BLOCK, bound + 1), allowed)
 
 
@@ -328,16 +322,6 @@ def additive_jacobi(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eps(u: int) -> int:
-    """(u - 1)/2 mod 2 for an odd integer (class of u mod 4)."""
-    return 0 if u % 4 == 1 else 1
-
-
-def _omega(u: int) -> int:
-    """(u^2 - 1)/8 mod 2 for an odd integer (class of u mod 8)."""
-    return 0 if u % 8 in (1, 7) else 1
-
-
 def hilbert(a: int, b: int, p: int | None) -> int:
     """Hilbert symbol (a, b)_v of nonzero integers a, b at the place v of the
     prime p, or at the real place for None.  A place is just its prime:
@@ -347,18 +331,25 @@ def hilbert(a: int, b: int, p: int | None) -> int:
         raise ValueError("Hilbert symbol requires nonzero arguments")
     if p is None:
         return -1 if (a < 0 and b < 0) else 1
-    alpha, a = split_power(a, p)
-    beta, b = split_power(b, p)
+    alpha = beta = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    while b % p == 0:
+        b //= p
+        beta += 1
     if p == 2:
-        exponent = _eps(a) * _eps(b) + alpha * _omega(b) + beta * _omega(a)
+        # (a, b)_2 = (-1)^(eps(a) eps(b) + alpha omega(b) + beta omega(a)) for
+        # the odd a, b, with eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2.
+        exponent = (a % 4 == 3 and b % 4 == 3) + alpha * (b % 8 in (3, 5))
+        exponent += beta * (a % 8 in (3, 5))
         return 1 if exponent % 2 == 0 else -1
-    result = 1
-    if alpha * beta % 2 == 1 and p % 4 == 3:
+    # Legendre symbols by Euler's criterion: p is prime and divides neither a nor b.
+    result = -1 if alpha * beta % 2 == 1 and p % 4 == 3 else 1
+    if beta % 2 == 1 and pow(a, p >> 1, p) != 1:
         result = -result
-    if beta % 2 == 1:
-        result *= legendre(a, p)
-    if alpha % 2 == 1:
-        result *= legendre(b, p)
+    if alpha % 2 == 1 and pow(b, p >> 1, p) != 1:
+        result = -result
     return result
 
 

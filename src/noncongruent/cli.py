@@ -71,7 +71,8 @@ def _scan_block(args: tuple) -> str:
     lo, hi, allowed, with_oracle, csv = args
     rows = [_scan_row(sf, with_oracle) for _, sf in squarefree_block(lo, hi, allowed)]
     if csv:
-        cells = [["" if row[c] is None else str(row[c]) for c in CSV_COLUMNS] for row in rows]
+        # ``_scan_row`` builds each row in the order of ``CSV_COLUMNS``.
+        cells = [["" if x is None else str(x) for x in row.values()] for row in rows]
         return "".join([",".join(line) + "\n" for line in cells])
     return "".join([json.dumps(row, separators=(",", ":")) + "\n" for row in rows])
 

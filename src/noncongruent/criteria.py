@@ -74,8 +74,10 @@ def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> in
             d = -d
         elif d % 8 != 1:
             raise VerificationFailed(f"|d| = {d} is not +-1 mod 8")
-    if any(hilbert(d, sf.n, p) != 1 for p in (None, 2, *sf.primes)):
-        raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {sf.n}")
+    n = sf.n
+    for p in (None, 2, *sf.primes):
+        if hilbert(d, n, p) != 1:
+            raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {n}")
     return d
 
 
@@ -141,7 +143,7 @@ def classify(n: int | SquareFreeN) -> Verdict:
             sf = factor_squarefree(n)
         except NotSquareFree:
             sf = None
-    v = Verdict(n=n if sf is None else sf.n, verdict=VerdictKind.NOT_ELIGIBLE)
+    v = Verdict(n if sf is None else sf.n, VerdictKind.NOT_ELIGIBLE)
     if sf is None or not sf.eligibility or sf.n % 8 not in (1, 2):
         v.record("n", "not_squarefree" if sf is None else "eligibility_sieve", v.n)
         return v

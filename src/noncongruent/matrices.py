@@ -16,7 +16,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 
 from . import f2linalg
-from .arith import SquareFreeN, additive_jacobi, factor_squarefree
+from .arith import SquareFreeN, factor_squarefree
 from .errors import EmptyFactorization
 
 
@@ -196,7 +196,8 @@ class SymbolTable:
 
 
 def symbol_table(sf: SquareFreeN) -> SymbolTable:
-    """The table of sf from its k(k-1)/2 symbols (p_j / p_i), i < j; by
+    """The table of sf from its k(k-1)/2 symbols (p_j / p_i), i < j, each by
+    Euler's criterion, since the primes of a ``SquareFreeN`` are proven; by
     reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4."""
     ps = sf.primes
     rows = [0] * len(ps)
@@ -205,8 +206,8 @@ def symbol_table(sf: SquareFreeN) -> SymbolTable:
         minus_one |= (p % 4 == 3) << i
         two |= (p % 8 in (3, 5)) << i
         for j in range(i + 1, len(ps)):
-            s = additive_jacobi(ps[j], p)
+            s = pow(ps[j], p >> 1, p) != 1
             rows[i] |= s << j
             rows[j] |= (s ^ (p % 4 == 3 and ps[j] % 4 == 3)) << i
-    a = tuple(r | (r.bit_count() & 1) << i for i, r in enumerate(rows))
+    a = tuple([r | (r.bit_count() & 1) << i for i, r in enumerate(rows)])
     return SymbolTable(sf, a, minus_one, two)

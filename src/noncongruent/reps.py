@@ -72,10 +72,6 @@ def orbit_step_2mu2(mu: int, tau: int) -> tuple[int, int]:
 # arithmetic in Z[sqrt(2)] and Z[sqrt(-2)]
 # ---------------------------------------------------------------------------
 
-# Per radicand, the units that step along an orbit: Z[sqrt(-2)] has only +-1.
-_STEPS = {2: ((3, 2), (3, -2)), -2: ()}
-
-
 def _mul(a: _Z2, b: _Z2, r: int) -> _Z2:
     return a[0] * b[0] + r * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
@@ -85,14 +81,18 @@ def _smallest(a: _Z2, r: int) -> _Z2:
     |coordinate 1|, the coefficient of sqrt(r).
 
     Along the orbit under e = 3 + 2*sqrt(2) the coordinate is A*e^j + B*e^-j,
-    whose absolute value falls and then rises, so stepping while it falls
-    ends at the minimum.  Z[sqrt(-2)] has no step: a is returned.
+    whose absolute value falls and then rises, so stepping by e, then by
+    e^-1 = 3 - 2*sqrt(2), while it falls ends at the minimum.  Z[sqrt(-2)]
+    has no step: a is returned.
     """
-    for unit in _STEPS[r]:
-        b = _mul(a, unit, r)
-        while abs(b[1]) < abs(a[1]):
-            a, b = b, _mul(b, unit, r)
-    return a
+    if r == -2:
+        return a
+    x, y = a
+    while abs(2 * x + 3 * y) < abs(y):
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    while abs(3 * y - 2 * x) < abs(y):
+        x, y = 3 * x - 4 * y, 3 * y - 2 * x
+    return x, y
 
 
 def _gcd(a: _Z2, b: _Z2, r: int) -> _Z2:
@@ -117,6 +117,7 @@ def _prime_element(p: int, r: int) -> _Z2:
     return _smallest(_gcd((p, 0), (sqrt_mod(r, p), 1), r), r)
 
 
+@lru_cache(maxsize=4096)
 def sqrt2_mod(p: int) -> int:
     """The square root s = -a/b of 2 mod an odd prime p = +-1 mod 8, where
     a + b*sqrt(2) is the prime element above p: reduction mod that prime
@@ -166,9 +167,12 @@ def _least(n: int, sf: SquareFreeN | None, sign: int, r: int) -> _Z2:
     for i, (x, y) in enumerate(elements):
         # Conjugating the whole product keeps |coordinates|, and the conjugate
         # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
-        choices = ((x, y), (x, -y)) if i > sf.is_even else ((x, y),)
-        products = [_smallest(_mul(a, e, r), r) for a in products for e in choices]
-    return min(products, key=lambda a: abs(a[1]))
+        ys = (y, -y) if i > sf.is_even else (y,)
+        products = [(a * x + r * b * s, a * s + b * x) for a, b in products for s in ys]
+    # A unit on a partial product leaves the orbit of the finished one
+    # unchanged, so each finished product is reduced once.  Products of
+    # one norm with equal least |coordinate 1| have equal |coordinate 0|.
+    return min([_smallest(a, r) for a in products], key=lambda a: abs(a[1]))
 
 
 def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, int]:

@@ -28,9 +28,9 @@ _ODD_ELIGIBLE = ((1,), ELIGIBLE[1])
 def _selmer_oracle(bound: int):
     from . import oracles
 
-    for n, sf in squarefree_upto(bound):
-        if sf.k == 0:
-            continue
+    # n = 1 and 2, the only square-free n with no odd prime, have no
+    # Monsky matrix, so the sweep starts at 3.
+    for n, sf in squarefree_upto(bound, start=3):
         got = oracles.selmer_oracle(sf)
         want = matrices.selmer_elements(sf)
         yield n, got == want, {"oracle": sorted(map(str, got)), "kernel": sorted(map(str, want))}
@@ -39,10 +39,9 @@ def _selmer_oracle(bound: int):
 def _class_oracle(bound: int):
     from . import oracles
 
-    # Past the cap on |disc| both n and -n are refused, so the sweep stops there.
-    for n, sf in squarefree_upto(min(bound, oracles._DISC_CAP)):
-        if n == 1:
-            continue
+    # m = 1 defines no quadratic field, so the sweep starts at n = 2; past
+    # the cap on |disc| both n and -n are refused, so it stops there.
+    for n, sf in squarefree_upto(min(bound, oracles._DISC_CAP), start=2):
         table = matrices.symbol_table(sf)
         for m in (n, -n):
             try:
@@ -93,9 +92,7 @@ def _proposition(bound: int):
     (i) b even <=> (ii) ((1+sqrt 2)/n) = 1 <=> (iv) (sqrt 2/n) = (-1)^((n-1)/8)
     for n = a^2 + 8b^2, and (vi) |mu| = 1 mod 4 <=> (viii) (mu/n) = 1.
     """
-    for n, sf in squarefree_upto(bound, ((1,), STRICT[1])):
-        if sf.k == 0:
-            continue
+    for n, sf in squarefree_upto(bound, ((1,), STRICT[1]), start=3):
         h4m = matrices.symbol_table(sf).h4(-n)
         mu = fundamental_2mu2_tau2(n, sf)[0]
         b = {
@@ -116,9 +113,7 @@ def _proposition(bound: int):
 def _corollaries(bound: int):
     from . import tame
 
-    for n, sf in squarefree_upto(bound, STRICT):
-        if sf.k == 0:
-            continue
+    for n, sf in squarefree_upto(bound, STRICT, start=3):
         v = criteria.classify(sf)
         r4 = tame.r4_tame(n if n % 2 == 1 else -n)
         ok = (v.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (r4 == 0)

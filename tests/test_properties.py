@@ -1,6 +1,6 @@
 """Property tests for the exact primitives in ``arith`` and ``f2linalg``."""
 
-from math import gcd
+from math import gcd, prod
 
 from f2rows import beside, mul_vec, transpose
 from hypothesis import assume, given
@@ -30,6 +30,26 @@ def test_hilbert_product_formula(a, b):
     for p in primes:
         product *= hilbert(a, b, p)
     assert product == 1
+
+
+# The places of the bilinearity and Steinberg tests, and nonzero integers
+# times a product of their primes, so that odd and even valuations occur.
+PLACES = (None, 2, *(p for p in ODD_PRIMES if p <= 50))
+place_heavy = st.tuples(
+    st.lists(st.sampled_from([-1, *PLACES[1:]]), max_size=6), nonzero
+).map(lambda t: prod(t[0]) * t[1])
+
+
+@given(place_heavy, place_heavy, place_heavy, st.sampled_from(PLACES))
+def test_hilbert_is_bilinear(a, b, c, v):
+    assert hilbert(a, b * c, v) == hilbert(a, b, v) * hilbert(a, c, v)
+    assert hilbert(a * b, c, v) == hilbert(a, c, v) * hilbert(b, c, v)
+
+
+@given(place_heavy, st.sampled_from(PLACES))
+def test_hilbert_steinberg_relation(a, v):
+    assume(a != 1)
+    assert hilbert(a, 1 - a, v) == 1
 
 
 @given(integers, integers, odd_positive, odd_positive)

@@ -164,7 +164,11 @@ def test_solvers_equal_window_scans_exhaustively():
         _assert_matches_window_scans(n, sf)
         represented += sf.eligibility
     assert represented > 1000
-    for n in (1, 2, 17, 34, 161, 322):
+    # The products of the first 5, 6 and 7 primes = +-1 mod 8, 7 to 71, alone
+    # and doubled (n <= 2.4 * 10^10): 16 to 64 products, each reduced once.
+    split = [p for p in range(3, 72) if p % 8 in (1, 7) and is_prime(p)]
+    firsts = [m * prod(split[:k]) for k in (5, 6, 7) for m in (1, 2)]
+    for n in (1, 2, 17, 34, 161, 322, *firsts):
         _assert_matches_window_scans(n, None)
 
 
