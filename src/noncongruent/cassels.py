@@ -330,12 +330,8 @@ def local_point_search(ts: TorsorSystem, p: int | None) -> LocalPoint | None:
     h1, h3, scales = _local_model(ts, p)
     vp4n2 = 2 * split_power(ts.n, p)[0] + (2 if p == 2 else 0)
     depth = 2 * vp4n2 + 1 + 4
-    # No point certifies below level 5 at p = 2 (see _levels).
-    first_scan = 5 if p == 2 else 1
     for m, x in _levels(h1, h3, p, depth + 1):
-        if _eval_form(h1, x) % p**m or _eval_form(h3, x) % p**m:
-            raise VerificationFailed(f"{x} is off the torsor mod {p}^{m}")
-        e = _certified(h1, h3, x, p, m) if m >= first_scan else None
+        e = _certified(h1, h3, x, p, m)
         if e is not None:
             coords = tuple((x[i] * p ** scales[i]) % p**m for i in range(4))
             return LocalPoint(p, coords, m, e)
@@ -343,7 +339,9 @@ def local_point_search(ts: TorsorSystem, p: int | None) -> LocalPoint | None:
 
 
 def _levels(h1, h3, p: int, last: int):
-    """(m, x) for each point x of each level m up to last, as it is made.
+    """(m, x) for each point x of each level m from the first that can
+    certify up to last, as it is made; every point made is checked on the
+    torsor.
 
     With g = 2 at p = 2 and g = 1 otherwise, level m holds the classes
     x mod p^m/g with both forms 0 mod p^m, each standing for its g^3
@@ -356,23 +354,49 @@ def _levels(h1, h3, p: int, last: int):
     itself is the first.
 
     The first level, g, keeps the points mod p of _level_one with both
-    forms 0 mod g*p; each later level lifts the finished one below.  Stops
-    after an empty level and raises PrecisionExhausted after the last.  The
-    cap counts residues.  Nothing repeats: a child is congruent to its
-    parent, and the parents are distinct.
+    forms 0 mod g*p.  Up to the first level that can certify (5 at p = 2, g
+    at odd p) the lift runs depth first, only as far as the search draws,
+    which makes that level in the order of the full levels; each later level
+    lifts the finished one below.  Stops after an empty level and raises
+    PrecisionExhausted after the last.  The cap counts residues.  Nothing
+    repeats: a child is congruent to its parent, and the parents are
+    distinct.
     """
-    g = 2 if p == 2 else 1
+    g, first = (2, 5) if p == 2 else (1, 1)
+
+    def lifted(x, m):
+        """The children at level m of the level m - 1 point x."""
+        children = _lift_children(h1, h3, x, p, p ** (m - 1) // g, g)
+        for y in children:
+            if _eval_form(h1, y) % p**m or _eval_form(h3, y) % p**m:
+                raise VerificationFailed(f"{y} is off the torsor mod {p}^{m}")
+        return children
+
+    def above(points, m):
+        """The points of level first over those of level m, depth first."""
+        if m == first:
+            yield from points
+            return
+        for x in points:
+            yield from above(lifted(x, m + 1), m + 1)
+
+    # The filter is the on-torsor check of level g: g*p = p^g.
+    level_one = (
+        x for x in _level_one(h1, h3, p)
+        if _eval_form(h1, x) % (g * p) == _eval_form(h3, x) % (g * p) == 0
+    )
     frontier = []
-    for x in _level_one(h1, h3, p):
-        if _eval_form(h1, x) % (g * p) == _eval_form(h3, x) % (g * p) == 0:
-            frontier.append(x)
-            yield g, x
-    for m in range(g + 1, last + 1):
+    for x in above(level_one, g):
+        frontier.append(x)
+        if first > g and g**3 * len(frontier) > _FRONTIER_CAP:
+            raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {first}")
+        yield first, x
+    for m in range(first + 1, last + 1):
         if not frontier:
             return
-        mod, nxt = p ** (m - 1) // g, []
+        nxt = []
         for x in frontier:
-            children = _lift_children(h1, h3, x, p, mod, g)
+            children = lifted(x, m)
             nxt += children
             if g**3 * len(nxt) > _FRONTIER_CAP:
                 raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")

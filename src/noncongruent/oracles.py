@@ -18,7 +18,7 @@ from math import gcd, isqrt, prod
 
 from . import cassels
 from .arith import SquareFreeN, factorize, squarefree_part
-from .errors import NoRepresentation, NotFundamental, TooLarge
+from .errors import NoRepresentation, NotFundamental, TooLarge, VerificationFailed
 from .matrices import SelmerTriple
 from .reps import Rep2MuTau, RepA8B
 
@@ -26,16 +26,10 @@ _DISC_CAP = 10**6
 
 
 class BQForm(namedtuple("BQForm", "a b c")):
-    """Primitive integral binary quadratic form a x^2 + b xy + c y^2, a tuple (a, b, c)."""
+    """Binary quadratic form a x^2 + b xy + c y^2 for each class a group
+    lists; inside, forms are plain triples (a, b, c), which it equals."""
 
     __slots__ = ()
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
 
 
 class ClassGroupReport(namedtuple("ClassGroupReport", "disc order invariant_factors r2 r4 r8")):
@@ -57,7 +51,7 @@ def is_fundamental(disc: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# composition and reduction
+# composition and reduction, on triples (a, b, c)
 # ---------------------------------------------------------------------------
 
 
@@ -73,7 +67,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x0, y0, a
 
 
-def compose(f: BQForm, g: BQForm) -> BQForm:
+def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
     """Composition of primitive forms of one discriminant (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 5.4.7).
 
@@ -82,23 +76,25 @@ def compose(f: BQForm, g: BQForm) -> BQForm:
     with r = y1*y2*(b2 - s) - x2*c2 mod a1/d1: two extended gcds and no
     search, for either sign of the discriminant.  It is generally unreduced.
     """
-    disc = f.disc
-    if disc != g.disc:
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    disc = b1 * b1 - 4 * a1 * c1
+    if disc != b2 * b2 - 4 * a2 * c2:
         raise ValueError("discriminants differ")
-    s = (f.b + g.b) // 2
-    y1, _, d = _xgcd(g.a, f.a)
+    s = (b1 + b2) // 2
+    y1, _, d = _xgcd(a2, a1)
     x2, y2, d1 = _xgcd(s, d)
     y2 = -y2
-    v1, v2 = f.a // d1, g.a // d1
-    r = (y1 * y2 * (g.b - s) - x2 * g.c) % v1
-    b = g.b + 2 * v2 * r
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
+    b = b2 + 2 * v2 * r
     a = v1 * v2
-    return BQForm(a, b, (b * b - disc) // (4 * a))
+    return a, b, (b * b - disc) // (4 * a)
 
 
-def reduce_definite(f: BQForm) -> BQForm:
+def reduce_definite(f: tuple[int, int, int]) -> tuple[int, int, int]:
     """Canonical reduced form in the class of a positive-definite form."""
-    a, b, c = f.a, f.b, f.c
+    a, b, c = f
     while True:
         if c < a:
             a, b, c = c, -b, a
@@ -108,36 +104,21 @@ def reduce_definite(f: BQForm) -> BQForm:
         b, c = b + 2 * r * a, a * r * r + b * r + c
     if a == c and b < 0:
         b = -b
-    return BQForm(a, b, c)
+    return a, b, c
 
 
-def indef_is_reduced(f: BQForm, sq: int) -> bool:
-    """|sqrt(D) - 2|a|| < b < sqrt(D), as exact integer inequalities."""
-    return 0 < f.b <= sq and 2 * abs(f.a) - f.b <= sq < 2 * abs(f.a) + f.b
-
-
-def indef_rho(f: BQForm, sq: int) -> BQForm:
-    """One reduction / cycle step (c, b', c') for indefinite forms."""
-    c = f.c
+def _rho(f: tuple[int, int, int], sq: int, disc: int) -> tuple[int, int, int]:
+    """One reduction / cycle step (c, b', c') for an indefinite form of
+    discriminant disc, sq = isqrt(disc)."""
+    _, b, c = f
     ac = abs(c)
     if ac > sq:
-        r = (-f.b) % (2 * ac)
+        r = (-b) % (2 * ac)
         if r > ac:
             r -= 2 * ac
     else:
-        r = sq - (sq + f.b) % (2 * ac)
-    return BQForm(c, r, (r * r - f.disc) // (4 * c))
-
-
-def indef_reduce(f: BQForm, sq: int) -> BQForm:
-    """Apply rho until the form is reduced."""
-    steps = 0
-    while not indef_is_reduced(f, sq):
-        f = indef_rho(f, sq)
-        steps += 1
-        if steps > 10_000:
-            raise ArithmeticError(f"reduction did not converge for {f}")
-    return f
+        r = sq - (sq + b) % (2 * ac)
+    return c, r, (r * r - disc) // (4 * c)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +126,7 @@ def indef_reduce(f: BQForm, sq: int) -> BQForm:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_definite_forms(disc: int) -> list[BQForm]:
+def _reduced_definite_forms(disc: int) -> list[tuple[int, int, int]]:
     """Reduced primitive forms |b| <= a <= c (b >= 0 if |b| = a or a = c), by b
     and then by the divisors a <= sqrt(ac) of ac = (b^2 - disc)/4 (Cohen, A Course
     in Computational Algebraic Number Theory, 5.3); 3b^2 <= 4ac - b^2 = |disc|."""
@@ -156,14 +137,14 @@ def _reduced_definite_forms(disc: int) -> list[BQForm]:
             if ac % a:
                 continue
             c = ac // a
-            if gcd(gcd(a, b), c) == 1:
-                out.append(BQForm(a, b, c))
+            if gcd(a, b, c) == 1:
+                out.append((a, b, c))
                 if 0 < b < a < c:
-                    out.append(BQForm(a, -b, c))
+                    out.append((a, -b, c))
     return out
 
 
-def _reduced_indefinite_forms(disc: int) -> list[BQForm]:
+def _reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     sq = isqrt(disc)
     out = []
     for b in range(1, sq + 1):
@@ -171,14 +152,9 @@ def _reduced_indefinite_forms(disc: int) -> list[BQForm]:
             continue
         n4 = (disc - b * b) // 4
         # Reduced window: (sq - b)/2 < |a| <= (sq + b)/2, with |a| | n4.
-        for a_abs in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
-            if n4 % a_abs:
-                continue
-            c_abs = n4 // a_abs
-            for a in (a_abs, -a_abs):
-                form = BQForm(a, b, -c_abs if a > 0 else c_abs)
-                if form.is_primitive():
-                    out.append(form)
+        for a in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
+            if n4 % a == 0 and gcd(a, b, n4 // a) == 1:
+                out += [(a, b, -(n4 // a)), (-a, b, n4 // a)]
     return out
 
 
@@ -191,46 +167,53 @@ def _within_cap(disc: int) -> int:
 
 class _FormGroup:
     """Finite abelian group of form classes with canonical representatives,
-    for |disc| <= _DISC_CAP (``_within_cap``)."""
+    for |disc| <= _DISC_CAP (``_within_cap``), on triples (a, b, c); the
+    classes it lists (``elements`` and ``identity``) are BQForms."""
 
     def __init__(self, disc: int):
         self.disc = disc
         if disc < 0:
-            self.elements = sorted(_reduced_definite_forms(disc))
-            self._rep = None
+            classes = sorted(_reduced_definite_forms(disc))
             b0 = disc % 2
-            self.identity = BQForm(1, b0, (b0 * b0 - disc) // 4)
+            identity = (1, b0, (b0 * b0 - disc) // 4)
         else:
-            self.sq = isqrt(disc)
-            reduced = _reduced_indefinite_forms(disc)
-            rep: dict[BQForm, BQForm] = {}
-            for f in reduced:
+            self.sq = sq = isqrt(disc)
+            rep: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+            for f in _reduced_indefinite_forms(disc):
                 if f in rep:
                     continue
                 cycle = [f]
-                g = indef_rho(f, self.sq)
-                guard = 0
+                g = _rho(f, sq, disc)
                 while g != f:
                     cycle.append(g)
-                    g = indef_rho(g, self.sq)
-                    guard += 1
-                    if guard > 100_000:
-                        raise ArithmeticError("cycle did not close")
+                    if len(cycle) > 100_000:
+                        raise VerificationFailed(f"cycle of {f} did not close")
+                    g = _rho(g, sq, disc)
                 best = min(cycle)
                 for h in cycle:
                     rep[h] = best
             self._rep = rep
-            self.elements = sorted(set(rep.values()))
-            b0 = self.sq if (self.sq - disc) % 2 == 0 else self.sq - 1
-            self.identity = self.canon(BQForm(1, b0, (b0 * b0 - disc) // 4))
+            classes = sorted(set(rep.values()))
+            b0 = sq if (sq - disc) % 2 == 0 else sq - 1
+            identity = self.canon((1, b0, (b0 * b0 - disc) // 4))
+        self.elements = [BQForm._make(f) for f in classes]
+        self.identity = BQForm._make(identity)
 
-    def canon(self, f: BQForm) -> BQForm:
-        if self.disc < 0:
+    def canon(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The listed class of f: its reduced form, or for disc > 0 the
+        representative of the cycle that rho reduces f into."""
+        disc = self.disc
+        if disc < 0:
             return reduce_definite(f)
-        g = indef_reduce(f, self.sq)
-        return self._rep[g]
+        sq = self.sq
+        for _ in range(10_000):
+            a, b = f[0], f[1]
+            if 0 < b <= sq and 2 * abs(a) - b <= sq < 2 * abs(a) + b:
+                return self._rep[f]
+            f = _rho(f, sq, disc)
+        raise VerificationFailed(f"reduction did not converge for {f}")
 
-    def mul(self, f: BQForm, g: BQForm) -> BQForm:
+    def mul(self, f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
         return self.canon(compose(f, g))
 
     def h4(self) -> int:
@@ -252,15 +235,15 @@ class _FormGroup:
             return True
         f, g = classes[0], classes[-1]
 
-        def mul(x: BQForm, y: BQForm) -> BQForm | None:
-            h = compose(x, y)
-            return self.canon(h) if h.disc == self.disc and h.is_primitive() else None
+        def mul(x, y):
+            h = a, b, c = compose(x, y)
+            return self.canon(h) if b * b - 4 * a * c == self.disc and gcd(a, b, c) == 1 else None
 
         fg = mul(f, g)
-        g_inverse = self.canon(BQForm(g.a, -g.b, g.c))  # the opposite form
+        g_inverse = self.canon((g[0], -g[1], g[2]))  # the opposite form
         return fg is not None and fg == mul(g, f) and mul(fg, g_inverse) == f
 
-    def power(self, f: BQForm, e: int) -> BQForm:
+    def power(self, f: tuple[int, int, int], e: int) -> tuple[int, int, int]:
         """f^e for a canonical f, left to right: one composition per bit
         below the top one, and one more per set bit."""
         if e == 0:
@@ -280,16 +263,19 @@ class _FormGroup:
 def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
     """r_{q^a} for a = 1, 2, ... : log_q of successive image-size ratios.
 
-    Stops once the image stabilizes (the q-part is exhausted; what remains
-    is the prime-to-q part, on which q-th powering is a bijection), and
-    at once when q does not divide the order.
+    Each class is raised to the q-th power once: its image is a listed
+    class, so that one map carries every level's image to the next.  Stops
+    once the image stabilizes (the q-part is exhausted; what remains is the
+    prime-to-q part, on which q-th powering is a bijection), and at once
+    when q does not divide the order.
     """
     if group.order % q:
         return []
-    current = set(group.elements)
+    image = {f: group.power(f, q) for f in group.elements}
+    current = set(image)
     ranks = []
     while True:
-        nxt = {group.power(f, q) for f in current}
+        nxt = {image[f] for f in current}
         if len(nxt) == len(current):
             break
         ratio = len(current) // len(nxt)

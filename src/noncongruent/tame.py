@@ -30,11 +30,15 @@ class TameKernelReport(namedtuple("TameKernelReport", "m r2 r4 v1 v2 mu_used")):
     __slots__ = ()
 
 
-def _factored(m: int) -> SquareFreeN:
-    """|m| factored, for square-free m with |m| > 2."""
+def _factored(m: int, sf: SquareFreeN | None = None) -> SquareFreeN:
+    """|m| factored, for square-free m with |m| > 2: ``sf`` when given."""
     if abs(m) <= 2:
         raise OutOfRange(f"|m| must exceed 2, got {m}")
-    return factor_squarefree(abs(m))
+    if sf is None:
+        return factor_squarefree(abs(m))
+    if sf.n != abs(m):
+        raise ValueError(f"the factored {sf.n} is not |{m}|")
+    return sf
 
 
 def _mu(m: int, sf: SquareFreeN) -> int | None:
@@ -46,10 +50,11 @@ def _mu(m: int, sf: SquareFreeN) -> int | None:
     return fundamental_2mu2_tau2(m, sf)[0] if m > 0 else rep_neg(m, sf).mu
 
 
-def tame_report(m: int) -> TameKernelReport:
+def tame_report(m: int, sf: SquareFreeN | None = None) -> TameKernelReport:
     """Full report: r2, r4, the V sets and the mu that was used (if any).
 
-    |m| is factored once and read through one symbol table.  e in {+-1, +-2}
+    |m| is factored once, or not at all when ``sf`` (|m| factored) is
+    given, and read through one symbol table.  e in {+-1, +-2}
     is a norm from Q(sqrt(m)) exactly when (e > 0 or m > 0) and (e / p) = 1
     at every odd p | m (the symbol at 2 follows by Hilbert reciprocity); the
     norms among them form a group of order 1, 2 or 4, which gives r2.
@@ -62,7 +67,7 @@ def tame_report(m: int) -> TameKernelReport:
     in V2 (eps = +-mu), and for m < 0 alpha = 1 makes the divisor negative.
     V2 is empty when 2 is not a norm from Q(sqrt(m)).
     """
-    sf = _factored(m)
+    sf = _factored(m, sf)
     table = matrices.symbol_table(sf)
     k, minus_one, two = sf.k, table.minus_one, table.two
     if m > 0:
@@ -98,9 +103,10 @@ def tame_report(m: int) -> TameKernelReport:
     return TameKernelReport(m, r2, r4, frozenset(v1), frozenset(v2), mu)
 
 
-def r4_tame(m: int) -> int:
-    """4-rank of the tame kernel from the V-set counts."""
-    return tame_report(m).r4
+def r4_tame(m: int, sf: SquareFreeN | None = None) -> int:
+    """4-rank of the tame kernel from the V-set counts; ``sf`` as in
+    ``tame_report``."""
+    return tame_report(m, sf).r4
 
 
 def v_sets_direct(m: int) -> tuple[frozenset[int], frozenset[int]]:

@@ -115,7 +115,7 @@ def _corollaries(bound: int):
 
     for n, sf in squarefree_upto(bound, STRICT, start=3):
         v = criteria.classify(sf)
-        r4 = tame.r4_tame(n if n % 2 == 1 else -n)
+        r4 = tame.r4_tame(n if n % 2 == 1 else -n, sf)
         ok = (v.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (r4 == 0)
         yield n, ok, {"verdict": v.verdict.value, "r4_tame": r4}
 

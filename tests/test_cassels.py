@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -381,6 +382,25 @@ def test_search_matches_brute_lift():
                 assert got == want, (n, lam, p)
                 outcomes.add((p > 2, type(got)))
     assert outcomes == {(odd, kind) for odd in (False, True) for kind in (LocalPoint, type(None))}
+
+
+# SHA-256 of repr() of the list of local_point_search(ts, p) outcomes, for
+# every square-free n < 500 in order, every candidate triple of n and the
+# finite bad places 2, then the primes of n: points, precisions and minors
+# as the level-by-level search found them.
+SEARCH_DIGEST = "b8d9513f38e6ad9b3c92eb7106d076594f69720b72d96c1d6039317fe71deeeb"
+
+
+def test_local_point_searches_are_pinned():
+    from noncongruent.oracles import _candidate_triples
+
+    outcomes = []
+    for n, sf in squarefree_upto(499):
+        for lam in _candidate_triples(sf):
+            ts = TorsorSystem(lam, n)
+            outcomes += [local_point_search(ts, p) for p in (2, *sf.primes)]
+    assert (len(outcomes), outcomes.count(None)) == (12914, 8906)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SEARCH_DIGEST
 
 
 def test_solve_mod_p_lists_every_solution_in_order():

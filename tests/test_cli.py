@@ -276,6 +276,25 @@ def test_classgroup_rejects_non_fundamental_with_exit_3(capsys):
     assert capsys.readouterr().err == '{"error": "20 is not a fundamental discriminant"}\n'
 
 
+@pytest.mark.parametrize(
+    "rho, argv, message",
+    [
+        # a step that never moves leaves every unreduced composite unreduced
+        (lambda f, sq, disc: f, ["verify", "class-oracle", "60"], "did not converge"),
+        # a step that never returns leaves a cycle open
+        (lambda f, sq, disc: (f[0], f[1], f[2] + 1), ["classgroup", "229"], "did not close"),
+    ],
+    ids=["reduction", "cycle"],
+)
+def test_class_group_guards_exit_3(monkeypatch, capsys, rho, argv, message):
+    from noncongruent import oracles
+
+    monkeypatch.setattr(oracles, "_rho", rho)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in json.loads(err)["error"]
+
+
 def test_scan_eligible_csv_digest(capsys):
     assert main(["scan", "1", "100000", "--eligible", "--csv"]) == 0
     body = capsys.readouterr().out.partition("\n")[2]

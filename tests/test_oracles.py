@@ -1,8 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -76,9 +77,8 @@ def _reduced_definite_by_a_b(disc):
                 continue
             if b < 0 and (a == c or -b == a):
                 continue
-            form = BQForm(a, b, c)
-            if form.is_primitive():
-                out.append(form)
+            if gcd(a, b, c) == 1:
+                out.append(BQForm(a, b, c))
     return out
 
 
@@ -127,6 +127,18 @@ def test_definite_class_number_matches_dirichlet():
     assert checked == 909
 
 
+# SHA-256 of repr([tuple(class_group(D)) ...]) over every fundamental D with
+# |D| <= 5000 in increasing order: (disc, order, invariant factors, r2, r4,
+# r8), as the form-class oracle gave them on BQForm records.
+CLASS_GROUP_DIGEST = "bfba76a9274a7705ed904ed584ed70be54929e3dfc984471e4a29f9ed9f4c3d8"
+
+
+def test_class_group_reports_are_pinned():
+    reports = [tuple(class_group(d)) for d in range(-5000, 5001) if is_fundamental(d)]
+    assert len(reports) == 3040
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == CLASS_GROUP_DIGEST
+
+
 def test_h4_h8_oracle_examples():
     assert h4_oracle(-17) == 1
     assert h4_oracle(17) == 0
@@ -173,7 +185,8 @@ def test_group_closure_on_spot_discriminants():
             # the raw composite is integral of discriminant disc, and the law
             # is commutative with the principal form as identity and the
             # opposite form (a, -b, c) as inverse
-            assert all(compose(f, g).disc == disc for g in group.elements)
+            composites = [compose(f, g) for g in group.elements]
+            assert all(h[1] * h[1] - 4 * h[0] * h[2] == disc for h in composites)
             assert all(group.mul(f, g) == group.mul(g, f) for g in group.elements)
             assert group.mul(f, group.identity) == f
             assert group.mul(f, BQForm(f.a, -f.b, f.c)) == group.identity

@@ -162,3 +162,34 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
             assert calls == expected, (reader.__name__, m)
     rep = tame_report(161)
     assert rep.mu_used == 9 and rep.r4 == 1
+
+
+def test_tame_report_takes_a_factored_m():
+    # the report of a handed-over record is the report of m; a record of
+    # another |m| is refused, and |m| <= 2 stays out of range
+    for m in (161, -161, -34, 34, 1694842751854, -847421375927):
+        sf = factor_squarefree(abs(m))
+        assert tame_report(m, sf) == tame_report(m), m
+        assert r4_tame(m, sf) == r4_tame(m), m
+    with pytest.raises(ValueError):
+        tame_report(17, factor_squarefree(161))
+    with pytest.raises(OutOfRange):
+        r4_tame(-2, factor_squarefree(2))
+
+
+def test_corollaries_factor_nothing_past_the_sieve(monkeypatch):
+    # the suite hands the sieve's record to classify and r4_tame alike
+    import sys
+
+    from noncongruent import arith, verify
+
+    calls = []
+    real = arith.factorize
+    for name, module in list(sys.modules.items()):
+        if name == "noncongruent" or name.startswith("noncongruent."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, lambda n: calls.append(n) or real(n))
+    report = verify.run("corollaries", 5000)
+    assert report["failed"] == 0 and report["passed"] > 100
+    assert calls == []
