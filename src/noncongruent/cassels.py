@@ -354,57 +354,44 @@ def _levels(h1, h3, p: int, last: int):
     itself is the first.
 
     The first level, g, keeps the points mod p of _level_one with both
-    forms 0 mod g*p.  Up to the first level that can certify (5 at p = 2, g
-    at odd p) the lift runs depth first, only as far as the search draws,
-    which makes that level in the order of the full levels; each later level
-    lifts the finished one below.  Stops after an empty level and raises
-    PrecisionExhausted after the last.  The cap counts residues.  Nothing
-    repeats: a child is congruent to its parent, and the parents are
-    distinct.
+    forms 0 mod g*p; each later level is a lazy lift of the one below.  One
+    loop yields the levels from the first that can certify (5 at p = 2, g
+    at odd p), so those below it are made depth first, only as far as the
+    search draws, in the order of the full levels; it keeps each level it
+    yields to lift the next, stops after an empty level and raises
+    PrecisionExhausted after the last.  The cap counts residues above level
+    g.  Nothing repeats: a child is congruent to its parent, and the
+    parents are distinct.
     """
     g, first = (2, 5) if p == 2 else (1, 1)
 
-    def lifted(x, m):
-        """The children at level m of the level m - 1 point x."""
-        children = _lift_children(h1, h3, x, p, p ** (m - 1) // g, g)
-        for y in children:
-            if _eval_form(h1, y) % p**m or _eval_form(h3, y) % p**m:
-                raise VerificationFailed(f"{y} is off the torsor mod {p}^{m}")
-        return children
-
-    def above(points, m):
-        """The points of level first over those of level m, depth first."""
-        if m == first:
-            yield from points
-            return
+    def lifted(points, m):
+        """The points of level m over the level m - 1 points, lazily."""
         for x in points:
-            yield from above(lifted(x, m + 1), m + 1)
+            children = _lift_children(h1, h3, x, p, p ** (m - 1) // g, g)
+            for y in children:
+                if _eval_form(h1, y) % p**m or _eval_form(h3, y) % p**m:
+                    raise VerificationFailed(f"{y} is off the torsor mod {p}^{m}")
+            yield from children
 
     # The filter is the on-torsor check of level g: g*p = p^g.
-    level_one = (
+    points = (
         x for x in _level_one(h1, h3, p)
         if _eval_form(h1, x) % (g * p) == _eval_form(h3, x) % (g * p) == 0
     )
-    frontier = []
-    for x in above(level_one, g):
-        frontier.append(x)
-        if first > g and g**3 * len(frontier) > _FRONTIER_CAP:
-            raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {first}")
-        yield first, x
-    for m in range(first + 1, last + 1):
-        if not frontier:
-            return
-        nxt = []
-        for x in frontier:
-            children = lifted(x, m)
-            nxt += children
-            if g**3 * len(nxt) > _FRONTIER_CAP:
+    for m in range(g + 1, first + 1):
+        points = lifted(points, m)
+    for m in range(first, last + 1):
+        level = []
+        for x in points:
+            level.append(x)
+            if m > g and g**3 * len(level) > _FRONTIER_CAP:
                 raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")
-            for child in children:
-                yield m, child
-        frontier = nxt
-    if frontier:
-        raise PrecisionExhausted(f"no certificate and live frontier at p = {p}, level {last}")
+            yield m, x
+        if not level:
+            return
+        points = lifted(level, m + 1)
+    raise PrecisionExhausted(f"no certificate and live frontier at p = {p}, level {last}")
 
 
 def _level_one(h1, h3, p: int):

@@ -34,6 +34,16 @@ class SelmerTriple(namedtuple("SelmerTriple", "d1 d2 d3")):
     def __str__(self) -> str:
         return f"({self.d1},{self.d2},{self.d3})"
 
+    @classmethod
+    def of(cls, is_even: bool, a: int, b: int) -> SelmerTriple:
+        """The triple for the positive odd divisors a, b of n: (a, b, sqf(ab))
+        for odd n, (sqf(a*d3), a, d3) with d3 = +-b = 1 mod 4 for even n;
+        sqf(de) = de / gcd(d, e)^2 for square-free d and e."""
+        if not is_even:
+            return cls(a, b, a * b // gcd(a, b) ** 2)
+        d3 = b if b % 4 == 1 else -b
+        return cls(a * d3 // gcd(a, d3) ** 2, a, d3)
+
 
 def _require_factors(sf: SquareFreeN) -> None:
     if sf.k == 0:
@@ -60,31 +70,13 @@ def s2(sf: SquareFreeN) -> int:
 
 
 def selmer_elements(sf: SquareFreeN) -> set[SelmerTriple]:
-    """Pure 2-Selmer representatives, one triple per Monsky kernel vector.
-
-    Odd n: kernel vector (x; y) maps to d2 = psi(x), d1 = psi(y), with d3 the
-    square-free part of d1*d2 (all positive divisors of n).
-
-    Even n: (x; y) maps to |d3| = psi(x) with the sign fixed by d3 = 1 mod 4,
-    d2 = psi(y) > 0, and d1 the signed square-free part of d2*d3.
-
-    The square-free part of d*e for square-free d, e is d*e / gcd(d, e)^2.
-    """
-    out: set[SelmerTriple] = set()
+    """Pure 2-Selmer representatives: each Monsky kernel vector (x; y)
+    gives ``SelmerTriple.of(sf.is_even, psi(y), psi(x))``."""
     low = (1 << sf.k) - 1
-    for v in f2linalg.kernel(symbol_table(sf).monsky_matrix(), 2 * sf.k):
-        x, y = v & low, v >> sf.k
-        if not sf.is_even:
-            d2 = psi(x, sf.primes)
-            d1 = psi(y, sf.primes)
-            out.add(SelmerTriple(d1, d2, d1 * d2 // gcd(d1, d2) ** 2))
-        else:
-            d3 = psi(x, sf.primes)
-            if d3 % 4 == 3:
-                d3 = -d3
-            d2 = psi(y, sf.primes)
-            out.add(SelmerTriple(d2 * d3 // gcd(d2, d3) ** 2, d2, d3))
-    return out
+    return {
+        SelmerTriple.of(sf.is_even, psi(v >> sf.k, sf.primes), psi(v & low, sf.primes))
+        for v in f2linalg.kernel(symbol_table(sf).monsky_matrix(), 2 * sf.k)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -389,22 +389,10 @@ def window_a2_8b2(n: int) -> RepA8B:
 
 
 def _candidate_triples(sf: SquareFreeN) -> list[SelmerTriple]:
-    """The representative grid: divisors are subset products of the primes
-    of n, and the square-free part of d*e for square-free d, e is
-    d*e / gcd(d, e)^2."""
+    """The representative grid: ``SelmerTriple.of`` over every pair of
+    divisors of n, the subset products of its primes."""
     divs = sf.odd_divisors()
-    if not sf.is_even:
-        return [
-            SelmerTriple(d1, d2, d1 * d2 // gcd(d1, d2) ** 2)
-            for d1 in divs
-            for d2 in divs
-        ]
-    out = []
-    for d2 in divs:
-        for d3_abs in divs:
-            d3 = d3_abs if d3_abs % 4 == 1 else -d3_abs
-            out.append(SelmerTriple(d2 * d3 // gcd(d2, d3) ** 2, d2, d3))
-    return out
+    return [SelmerTriple.of(sf.is_even, a, b) for a in divs for b in divs]
 
 
 def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:

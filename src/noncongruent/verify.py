@@ -7,6 +7,7 @@ the acceptance tests assert on, so every sweep exists once.
 
 from __future__ import annotations
 
+import itertools
 from math import isqrt
 
 from . import criteria, matrices
@@ -70,17 +71,14 @@ def _lemma_2symbol(count: int):
     the sieve's eligible n = 1 mod 8 from 17 on, since 1 has no odd prime."""
     from . import cassels
 
-    seen = 0
-    lo = 17
-    while seen < count:
-        for n, sf in squarefree_block(lo, lo + BLOCK, _ODD_ELIGIBLE):
-            mu, tau = fundamental_2mu2_tau2(n, sf)
-            lhs, rhs = cassels.two_symbol_check(n, Rep2MuTau(mu, tau, n).u, mu)
-            yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
-            seen += 1
-            if seen == count:
-                return
-        lo += BLOCK
+    rows = itertools.chain.from_iterable(
+        squarefree_block(lo, lo + BLOCK, _ODD_ELIGIBLE) for lo in itertools.count(17, BLOCK)
+    )
+    # islice refuses a negative count; run reports a sweep with no case.
+    for n, sf in itertools.islice(rows, max(count, 0)):
+        mu, tau = fundamental_2mu2_tau2(n, sf)
+        lhs, rhs = cassels.two_symbol_check(n, Rep2MuTau(mu, tau, n).u, mu)
+        yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
 
 
 def _proposition(bound: int):

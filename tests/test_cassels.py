@@ -481,6 +481,49 @@ def test_point_off_the_torsor_is_an_error(monkeypatch):
         local_point_search(ts, 2)
 
 
+def test_search_at_two_lifts_lazily_below_level_five(monkeypatch):
+    # Levels 2 to 4 at p = 2 are made only as far as the search draws: a
+    # search that certifies at level 5 lifts one point of each level below,
+    # where making those levels in full takes 364 lifts over these n.
+    from noncongruent import cassels
+    from noncongruent.oracles import _candidate_triples
+
+    calls = []
+    real = cassels._lift_children
+    monkeypatch.setattr(cassels, "_lift_children", lambda *args: calls.append(1) or real(*args))
+    searches = 0
+    for n in (17, 41, 113, 161, 1057):
+        sf = factor_squarefree(n)
+        for lam in _candidate_triples(sf):
+            calls.clear()
+            point = local_point_search(TorsorSystem(lam, n), 2)
+            if point is not None and point.precision == 5:
+                searches += 1
+                assert len(calls) <= 3, (n, lam, len(calls))
+    assert searches == 28
+
+
+def test_levels_raise_on_the_last_level_and_the_frontier_cap(monkeypatch):
+    from noncongruent import cassels
+    from noncongruent.cassels import _levels, _local_model
+
+    ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
+    (a1, a3, _), (b1, b3, _) = _local_model(ts, 2), _local_model(ts, 17)
+    # 16 classes at level 5 and 69 points at level one; no level is empty
+    # and none certifies
+    with pytest.raises(PrecisionExhausted, match="live frontier at p = 2, level 6"):
+        list(_levels(a1, a3, 2, 6))
+    with pytest.raises(PrecisionExhausted, match="live frontier at p = 17, level 1"):
+        list(_levels(b1, b3, 17, 1))
+    monkeypatch.setattr(cassels, "_FRONTIER_CAP", 50)
+    # the seventh class of eight residues passes the cap at level 5
+    with pytest.raises(PrecisionExhausted, match="frontier blow-up at p = 2, level 5"):
+        list(_levels(a1, a3, 2, 12))
+    # the cap does not count level one; level 2 has 1156 points
+    with pytest.raises(PrecisionExhausted, match="frontier blow-up at p = 17, level 2"):
+        list(_levels(b1, b3, 17, 4))
+
+
 def test_frontiers_list_each_residue_once():
     # a child is congruent to its parent and the parents are distinct, so
     # no level repeats a residue (or, at p = 2, a class)

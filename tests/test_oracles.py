@@ -305,6 +305,23 @@ def test_selmer_oracle_examples():
         assert selmer_oracle(sf) == selmer_elements(sf)
 
 
+# SHA-256 of repr() of the list of (n, triples) for every square-free n from
+# 3 on, in order: sorted(selmer_elements(sf)) for n <= 20000 (the Monsky
+# kernel's triples) and _candidate_triples(sf) in list order for n <= 2000
+# (the oracle's grid).  Both build their triples through SelmerTriple.of,
+# so a wrong map could agree with itself; these pin what it gives.
+SELMER_ELEMENTS_DIGEST = "cc1f70925fe4c4a56d94a637554c33dcf19a5c575e6d22eb0cf4b729c62489fa"
+CANDIDATE_TRIPLES_DIGEST = "fde02edb24bd632a865872dc2c81ff8de9939160a2175e66a2aef484ea843860"
+
+
+def test_selmer_triples_are_pinned():
+    kernel = [(n, sorted(selmer_elements(sf))) for n, sf in arith.squarefree_upto(20000, start=3)]
+    grid = [(n, oracles._candidate_triples(sf)) for n, sf in arith.squarefree_upto(2000, start=3)]
+    assert (len(kernel), len(grid)) == (12158, 1213)
+    assert hashlib.sha256(repr(kernel).encode()).hexdigest() == SELMER_ELEMENTS_DIGEST
+    assert hashlib.sha256(repr(grid).encode()).hexdigest() == CANDIDATE_TRIPLES_DIGEST
+
+
 def test_point_search_examples():
     pts = point_search(5, 100)
     assert (Fraction(-4), Fraction(6)) in pts
