@@ -12,37 +12,9 @@ row ints (bit j of row i is entry (i, j)), as ``f2linalg`` takes them.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from math import gcd, isqrt
-
 from . import f2linalg
-from .arith import SquareFreeN, factor_squarefree
+from .arith import SelmerTriple, SquareFreeN, factor_squarefree
 from .errors import EmptyFactorization
-
-
-class SelmerTriple(namedtuple("SelmerTriple", "d1 d2 d3")):
-    """Square-free triple (d1, d2, d3) with d1*d2*d3 a perfect square."""
-
-    __slots__ = ()
-
-    def __new__(cls, d1: int, d2: int, d3: int):
-        prod = d1 * d2 * d3
-        if prod <= 0 or isqrt(prod) ** 2 != prod:
-            raise ValueError(f"({d1},{d2},{d3}) is not a square-class triple")
-        return super().__new__(cls, d1, d2, d3)
-
-    def __str__(self) -> str:
-        return f"({self.d1},{self.d2},{self.d3})"
-
-    @classmethod
-    def of(cls, is_even: bool, a: int, b: int) -> SelmerTriple:
-        """The triple for the positive odd divisors a, b of n: (a, b, sqf(ab))
-        for odd n, (sqf(a*d3), a, d3) with d3 = +-b = 1 mod 4 for even n;
-        sqf(de) = de / gcd(d, e)^2 for square-free d and e."""
-        if not is_even:
-            return cls(a, b, a * b // gcd(a, b) ** 2)
-        d3 = b if b % 4 == 1 else -b
-        return cls(a * d3 // gcd(a, d3) ** 2, a, d3)
 
 
 def _require_factors(sf: SquareFreeN) -> None:

@@ -7,25 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from noncongruent.arith import (
+    SelmerTriple,
     factor_squarefree,
     hilbert,
     legendre,
     squarefree_upto,
 )
 from noncongruent.cassels import (
-    LocalPoint,
-    TorsorSystem,
     _hilbert2,
+    _pairing_inputs,
     closed_form_pairing,
     local_factors,
-    local_point_search,
     pairing_matrix,
     pairing_product,
-    tangent_data,
 )
 from noncongruent.criteria import distinguished_divisor
 from noncongruent.errors import NotRankTwo, PrecisionExhausted, VerificationFailed
-from noncongruent.matrices import SelmerTriple, selmer_elements
+from noncongruent.matrices import selmer_elements
+from noncongruent.oracles import LocalPoint, TorsorSystem, local_point_search
 from noncongruent.reps import rep_2mu2_tau2
 
 
@@ -49,7 +48,7 @@ def test_trivial_torsor_has_rational_point():
 
 def test_tangent_data_vanishing():
     for n in (17, 34, 161, 322):
-        t1, t3 = tangent_data(factor_squarefree(n))
+        t1, t3 = _pairing_inputs(factor_squarefree(n))[1]
         for t in (t1, t3):
             assert sum(c * x * x for c, x in zip(t.form, t.point)) == 0
             assert sum(c * x for c, x in zip(t.linear, t.point)) == 0
@@ -123,7 +122,7 @@ def test_pairing_outside_rank_two_is_refused(n):
     # each has a prime that is not +-1 mod 8, so classify calls it NotEligible
     # and records no d; every pairing quantity is refused with one error
     sf = factor_squarefree(n)
-    for fn in (pairing_product, pairing_matrix, tangent_data, local_factors):
+    for fn in (pairing_product, pairing_matrix, local_factors):
         with pytest.raises(NotRankTwo):
             fn(sf)
 
@@ -172,7 +171,7 @@ def test_good_place_spot_check():
     # at a certified local point and take the Hilbert symbol directly.
     sf = factor_squarefree(17)
     d = distinguished_divisor(sf)
-    t1, t3 = tangent_data(sf)
+    t1, t3 = _pairing_inputs(sf)[1]
     ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
     good = (3, 5, 7, 11, 13, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
     checked = 0
@@ -197,7 +196,7 @@ def _brute_levels(ts, p, max_level):
     kept when both forms vanish mod p^m: p^3 trials per residue, in the
     order of the shift's base-p digits, the first coordinate lowest.
     """
-    from noncongruent.cassels import _level_one, _local_model
+    from noncongruent.oracles import _level_one, _local_model
 
     h1, h3, _ = _local_model(ts, p)
     frontier = list(_level_one(h1, h3, p))
@@ -220,7 +219,7 @@ def _brute_levels(ts, p, max_level):
 def _certified_points(ts, p, max_level):
     """All Hensel-certified points mod p^m for m <= max_level, with their
     minor valuation, in the brute lift's order (white box)."""
-    from noncongruent.cassels import _certified, _local_model
+    from noncongruent.oracles import _certified, _local_model
 
     h1, h3, scales = _local_model(ts, p)
     for m, frontier in _brute_levels(ts, p, max_level):
@@ -236,7 +235,7 @@ def _factor_at_searched_point(sf, p, d, lam):
     Returns None when no certified point determines the tangent product's
     unit class (the caller skips such places).
     """
-    t1, t3 = tangent_data(sf)
+    t1, t3 = _pairing_inputs(sf)[1]
     margin = 3 if p == 2 else 1
     for coords, m, _ in _certified_points(TorsorSystem(lam, sf.n), p, 9 if p == 2 else 4):
         value = (
@@ -288,7 +287,7 @@ def test_point_choice_independence_of_product():
 def test_level_one_matches_naive_enumeration():
     from itertools import product
 
-    from noncongruent.cassels import _level_one
+    from noncongruent.oracles import _level_one
 
     def naive(h1, h3, p):
         # every x3, listed under its two terms (h1[3] x3^2, h3[3] x3^2) mod p
@@ -348,7 +347,7 @@ def _brute_search(ts, p):
     """What local_point_search at p must return, from the brute lift: None
     at the first empty level, else the first certified residue, up to the
     last level 2*v_p(4n^2) + 6; PrecisionExhausted past it."""
-    from noncongruent.cassels import _certified, _local_model
+    from noncongruent.oracles import _certified, _local_model
 
     h1, h3, scales = _local_model(ts, p)
     last = 2 * (2 * (ts.n % p == 0) + 2 * (p == 2)) + 6  # n is square-free
@@ -404,7 +403,7 @@ def test_local_point_searches_are_pinned():
 
 
 def test_solve_mod_p_lists_every_solution_in_order():
-    from noncongruent.cassels import _solve_mod_p
+    from noncongruent.oracles import _solve_mod_p
 
     def brute(rows, p):
         """Every y in F_p^3 solving the rows, in increasing y0 + p*y1 + p^2*y2."""
@@ -447,11 +446,11 @@ def test_solve_mod_p_lists_every_solution_in_order():
 def test_search_draws_level_one_lazily(monkeypatch):
     # At a large place the first level-one point usually certifies: the
     # search must not make the other ~4p points first.
-    from noncongruent import cassels
+    from noncongruent import oracles
     from noncongruent.oracles import _candidate_triples
 
     drawn = []
-    real = cassels._level_one
+    real = oracles._level_one
 
     def counted(h1, h3, p):
         points = real(h1, h3, p)
@@ -460,7 +459,7 @@ def test_search_draws_level_one_lazily(monkeypatch):
             drawn.append(x)
             yield x
 
-    monkeypatch.setattr(cassels, "_level_one", counted)
+    monkeypatch.setattr(oracles, "_level_one", counted)
     sf = factor_squarefree(10009)
     found = 0
     for lam in _candidate_triples(sf):
@@ -473,9 +472,9 @@ def test_search_draws_level_one_lazily(monkeypatch):
 
 def test_point_off_the_torsor_is_an_error(monkeypatch):
     # a lift that leaves the torsor is a bug, never a point skipped in silence
-    from noncongruent import cassels
+    from noncongruent import oracles
 
-    monkeypatch.setattr(cassels, "_lift_children", lambda *args: [(1, 1, 0, 0)])
+    monkeypatch.setattr(oracles, "_lift_children", lambda *args: [(1, 1, 0, 0)])
     ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
     with pytest.raises(VerificationFailed):
         local_point_search(ts, 2)
@@ -485,12 +484,12 @@ def test_search_at_two_lifts_lazily_below_level_five(monkeypatch):
     # Levels 2 to 4 at p = 2 are made only as far as the search draws: a
     # search that certifies at level 5 lifts one point of each level below,
     # where making those levels in full takes 364 lifts over these n.
-    from noncongruent import cassels
+    from noncongruent import oracles
     from noncongruent.oracles import _candidate_triples
 
     calls = []
-    real = cassels._lift_children
-    monkeypatch.setattr(cassels, "_lift_children", lambda *args: calls.append(1) or real(*args))
+    real = oracles._lift_children
+    monkeypatch.setattr(oracles, "_lift_children", lambda *args: calls.append(1) or real(*args))
     searches = 0
     for n in (17, 41, 113, 161, 1057):
         sf = factor_squarefree(n)
@@ -504,8 +503,8 @@ def test_search_at_two_lifts_lazily_below_level_five(monkeypatch):
 
 
 def test_levels_raise_on_the_last_level_and_the_frontier_cap(monkeypatch):
-    from noncongruent import cassels
-    from noncongruent.cassels import _levels, _local_model
+    from noncongruent import oracles
+    from noncongruent.oracles import _levels, _local_model
 
     ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
     (a1, a3, _), (b1, b3, _) = _local_model(ts, 2), _local_model(ts, 17)
@@ -515,7 +514,7 @@ def test_levels_raise_on_the_last_level_and_the_frontier_cap(monkeypatch):
         list(_levels(a1, a3, 2, 6))
     with pytest.raises(PrecisionExhausted, match="live frontier at p = 17, level 1"):
         list(_levels(b1, b3, 17, 1))
-    monkeypatch.setattr(cassels, "_FRONTIER_CAP", 50)
+    monkeypatch.setattr(oracles, "_FRONTIER_CAP", 50)
     # the seventh class of eight residues passes the cap at level 5
     with pytest.raises(PrecisionExhausted, match="frontier blow-up at p = 2, level 5"):
         list(_levels(a1, a3, 2, 12))
@@ -527,8 +526,7 @@ def test_levels_raise_on_the_last_level_and_the_frontier_cap(monkeypatch):
 def test_frontiers_list_each_residue_once():
     # a child is congruent to its parent and the parents are distinct, so
     # no level repeats a residue (or, at p = 2, a class)
-    from noncongruent.cassels import _levels, _local_model
-    from noncongruent.oracles import _candidate_triples
+    from noncongruent.oracles import _candidate_triples, _levels, _local_model
 
     levels = 0
     for n in (17, 34, 41, 82, 105, 161):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from noncongruent import f2linalg
 from noncongruent.arith import (
+    SelmerTriple,
     additive_jacobi,
     factor_squarefree,
     hilbert,
@@ -17,7 +18,6 @@ from noncongruent.arith import (
 )
 from noncongruent.errors import EmptyFactorization, NotSquareFree
 from noncongruent.matrices import (
-    SelmerTriple,
     h4,
     redei_matrix,
     s2,

@@ -322,6 +322,27 @@ def test_selmer_triples_are_pinned():
     assert hashlib.sha256(repr(grid).encode()).hexdigest() == CANDIDATE_TRIPLES_DIGEST
 
 
+@pytest.mark.parametrize("mutation", ["swap-d1-d2", "flip-even-d3-sign"])
+def test_a_wrong_triple_map_fails_the_oracle(monkeypatch, mutation):
+    # The oracle decides membership by local solvability alone, so a wrong
+    # but injective map from divisor pairs to triples shows up as a mismatch
+    # with the Monsky kernel, though both sides build triples through it.
+    real = arith.SelmerTriple.of
+
+    def wrong(cls, is_even, a, b):
+        if mutation == "swap-d1-d2":
+            d1, d2, d3 = real(is_even, a, b)
+            return cls(d2, d1, d3)
+        if not is_even:
+            return real(is_even, a, b)
+        d3 = -b if b % 4 == 1 else b
+        return cls(a * d3 // gcd(a, d3) ** 2, a, d3)
+
+    monkeypatch.setattr(arith.SelmerTriple, "of", classmethod(wrong))
+    pairs = ((selmer_oracle(sf), selmer_elements(sf)) for _, sf in arith.squarefree_upto(300, start=3))
+    assert any(oracle != kernel for oracle, kernel in pairs)
+
+
 def test_point_search_examples():
     pts = point_search(5, 100)
     assert (Fraction(-4), Fraction(6)) in pts

@@ -20,7 +20,6 @@ ALLOWED = {
     "arith.is_norm",  # the factoring norm check that tests compare the symbol routes with
     "oracles.window_neg",  # the window scan that rep_neg is checked against
     "oracles.window_a2_8b2",  # the window scan that rep_a2_8b2 is checked against
-    "cassels.tangent_data",  # the searched pairing of ROADMAP items 5 and 6 reads it
 }
 
 
@@ -65,6 +64,34 @@ def test_every_public_function_has_a_caller():
     unused = {name for name, use in public.items() if use not in used}
     assert sorted(unused - ALLOWED) == []
     assert ALLOWED <= set(public)  # an allowed name that is gone should leave the list
+
+
+def _package_imports(tree):
+    """The modules of the package that a tree imports, relative or absolute;
+    the package itself for ``import noncongruent``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "noncongruent":
+                    yield rest.partition(".")[0] or head
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                head, _, module = module.partition(".")
+                if head != "noncongruent":
+                    continue
+            if module:
+                yield module.partition(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_oracles_import_only_arith_and_errors():
+    # The oracles check the other modules' code paths, so they run none of
+    # them: only the integer primitives and the error types are shared.
+    tree = ast.parse((ROOT / "src" / "noncongruent" / "oracles.py").read_text())
+    assert set(_package_imports(tree)) <= {"arith", "errors"}
 
 
 def test_package_exports_what_the_demos_import():
