@@ -166,6 +166,10 @@ def squarefree_part(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The residues mod 8 that the odd primes of an eligible (strictly eligible) n take.
+_PLUS_MINUS_ONE, _PLUS_ONE = frozenset((1, 7)), frozenset((1,))
+
+
 class SquareFreeN(
     namedtuple("SquareFreeN", "n odd_part primes is_even eligibility strict_eligibility")
 ):
@@ -185,7 +189,9 @@ class SquareFreeN(
         is_even = n % 2 == 0
         residues = {p % 8 for p in primes}
         odd_part = n // 2 if is_even else n
-        return cls(n, odd_part, primes, is_even, residues <= {1, 7}, residues <= {1})
+        return tuple.__new__(
+            cls, (n, odd_part, primes, is_even, residues <= _PLUS_MINUS_ONE, residues <= _PLUS_ONE)
+        )
 
     @property
     def k(self) -> int:

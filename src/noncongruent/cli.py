@@ -18,6 +18,8 @@ from .arith import ANY, BLOCK, ELIGIBLE, STRICT, SquareFreeN, squarefree_block
 from .criteria import VerdictKind
 from .errors import NoncongruentError, OutOfRange, TooLarge
 
+_NOT_ELIGIBLE = VerdictKind.NOT_ELIGIBLE  # a global: the enum's class lookup costs more per row
+
 CSV_COLUMNS = [
     "n",
     "eligible",
@@ -35,7 +37,7 @@ CSV_COLUMNS = [
 
 def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
     v = criteria.classify(sf)
-    eligible = v.verdict is not VerdictKind.NOT_ELIGIBLE
+    eligible = v.verdict is not _NOT_ELIGIBLE
     row = {
         "n": sf.n,
         "eligible": eligible,
@@ -46,7 +48,7 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
         "d": v.d,
         "mu": v.mu,
         "symbol": v.pairing_symbol,
-        "verdict": v.verdict.value,
+        "verdict": v.verdict._value_,  # what ``.value`` returns, without its descriptor call
         "h4_agree": None,
     }
     if with_oracle and sf.k >= 1:
@@ -72,8 +74,7 @@ def _scan_block(args: tuple) -> str:
     rows = [_scan_row(sf, with_oracle) for _, sf in squarefree_block(lo, hi, allowed)]
     if csv:
         # ``_scan_row`` builds each row in the order of ``CSV_COLUMNS``.
-        cells = [["" if x is None else str(x) for x in row.values()] for row in rows]
-        return "".join([",".join(line) + "\n" for line in cells])
+        return "".join([",".join(["" if x is None else str(x) for x in row.values()]) + "\n" for row in rows])
     return "".join([json.dumps(row, separators=(",", ":")) + "\n" for row in rows])
 
 

@@ -25,6 +25,11 @@ class VerdictKind(enum.Enum):
     NOT_ELIGIBLE = "NotEligible"
 
 
+# The kinds as module globals, in definition order: reading a member off the
+# enum class costs far more per row.
+_NON_CONGRUENT, _FAILS, _NOT_TWO, _NOT_ELIGIBLE = VerdictKind
+
+
 class Verdict:
     """Full classification record with per-field provenance trace."""
 
@@ -114,7 +119,7 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
     quadratic-field symbol ((2 - sqrt(2)) / |d|) over the primes of d.
     """
     if sf.is_even:
-        return z2_jacobi(2, -1, tuple(p for p in sf.primes if d % p == 0))
+        return z2_jacobi(2, -1, tuple([p for p in sf.primes if d % p == 0]))
     return jacobi(-mu, d)
 
 
@@ -143,11 +148,11 @@ def classify(n: int | SquareFreeN) -> Verdict:
             sf = factor_squarefree(n)
         except NotSquareFree:
             sf = None
-    v = Verdict(n if sf is None else sf.n, VerdictKind.NOT_ELIGIBLE)
+    v = Verdict(n if sf is None else sf.n, _NOT_ELIGIBLE)
     if sf is None or not sf.eligibility or sf.n % 8 not in (1, 2):
         v.record("n", "not_squarefree" if sf is None else "eligibility_sieve", v.n)
         return v
-    v.verdict = VerdictKind.S2_NOT_TWO
+    v.verdict = _NOT_TWO
     if sf.k == 0:
         # n = 1 or 2: the pure Selmer group is trivial.
         v.record("s2", "trivial_case", 0)
@@ -155,7 +160,7 @@ def classify(n: int | SquareFreeN) -> Verdict:
     s2, h4_minus, h4_plus, kernel = _shape(sf, matrices.symbol_table(sf))
     if v.record("s2", "monsky_rank", s2) != 2:
         return v
-    v.verdict = VerdictKind.CRITERION_FAILS
+    v.verdict = _FAILS
     # h4(-n) and h4(n) for odd n, h4(-n/2) for even n; both ranks are
     # recorded before they are checked.
     h4_holds = v.record("h4_minus", "redei_rank", h4_minus) == 1
@@ -170,5 +175,5 @@ def classify(n: int | SquareFreeN) -> Verdict:
         mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf).mu)
         method = "jacobi_closed_form"
     if v.record("pairing_symbol", method, closed_form_pairing(sf, d, mu)) == -1:
-        v.verdict = VerdictKind.NON_CONGRUENT_SHA22
+        v.verdict = _NON_CONGRUENT
     return v

@@ -90,6 +90,8 @@ class SymbolTable:
     the odd part of n) are all A or A^T plus diagonals.
     """
 
+    __slots__ = ("sf", "a", "minus_one", "two")
+
     def __init__(self, sf: SquareFreeN, a: tuple[int, ...], minus_one: int, two: int):
         self.sf, self.a, self.minus_one, self.two = sf, a, minus_one, two
 
@@ -164,14 +166,17 @@ def symbol_table(sf: SquareFreeN) -> SymbolTable:
     Euler's criterion, since the primes of a ``SquareFreeN`` are proven; by
     reciprocity (p_i / p_j) is the same unless both primes are 3 mod 4."""
     ps = sf.primes
-    rows = [0] * len(ps)
+    k = len(ps)
+    rows = [0] * k
     minus_one = two = 0
     for i, p in enumerate(ps):
         minus_one |= (p % 4 == 3) << i
         two |= (p % 8 in (3, 5)) << i
-        for j in range(i + 1, len(ps)):
-            s = pow(ps[j], p >> 1, p) != 1
+        for j in range(i + 1, k):
+            q = ps[j]
+            s = pow(q, p >> 1, p) != 1
             rows[i] |= s << j
-            rows[j] |= (s ^ (p % 4 == 3 and ps[j] % 4 == 3)) << i
-    a = tuple([r | (r.bit_count() & 1) << i for i, r in enumerate(rows)])
-    return SymbolTable(sf, a, minus_one, two)
+            rows[j] |= (s ^ (p % 4 == q % 4 == 3)) << i
+        # row i is complete now, and bit i makes it sum to zero
+        rows[i] |= (rows[i].bit_count() & 1) << i
+    return SymbolTable(sf, tuple(rows), minus_one, two)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 
 from .arith import SquareFreeN, factor_squarefree, legendre, sqrt_mod
 from .errors import IllDefined, NoRepresentation, NoRoot
@@ -41,7 +42,7 @@ class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
     def __new__(cls, mu: int, tau: int, n: int):
         if 2 * mu * mu - tau * tau != n:
             raise ValueError("not a representation")
-        return super().__new__(cls, mu, tau, n)
+        return tuple.__new__(cls, (mu, tau, n))
 
     @property
     def u(self) -> int:
@@ -60,7 +61,7 @@ class RepA8B(namedtuple("RepA8B", "a b n")):
     def __new__(cls, a: int, b: int, n: int):
         if a * a + 8 * b * b != n or a <= 0 or a % 2 == 0:
             raise ValueError("not a representation")
-        return super().__new__(cls, a, b, n)
+        return tuple.__new__(cls, (a, b, n))
 
 
 def orbit_step_2mu2(mu: int, tau: int) -> tuple[int, int]:
@@ -156,23 +157,31 @@ def _least(n: int, sf: SquareFreeN | None, sign: int, r: int) -> _Z2:
     elif sf.n != n:
         raise ValueError(f"the factored {sf.n} is not {n}")
     try:
-        elements = [_prime_element(p, r) for p in ((2,) if sf.is_even else ()) + sf.primes]
+        elements = list(map(_prime_element, ((2,) if sf.is_even else ()) + sf.primes, repeat(r)))
     except NoRoot:
         raise NoRepresentation(f"a prime of {n} does not split in Z[sqrt({r})]") from None
     norm = 1
     for x, y in elements:
         norm *= x * x - r * y * y
     # Conjugates share a norm, so one factor 1 + sqrt(2) (norm -1) fixes every sign.
-    products = [(1, 0) if norm == sign * n else (1, 1)]
-    for i, (x, y) in enumerate(elements):
-        # Conjugating the whole product keeps |coordinates|, and the conjugate
-        # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
-        ys = (y, -y) if i > sf.is_even else (y,)
-        products = [(a * x + r * b * s, a * s + b * x) for a, b in products for s in ys]
+    a, b = (1, 0) if norm == sign * n else (1, 1)
+    # Conjugating the whole product keeps |coordinates|, and the conjugate
+    # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
+    one_choice = 1 + sf.is_even
+    for x, y in elements[:one_choice]:
+        a, b = a * x + r * b * y, a * y + b * x
+    products = [(a, b)]
+    for x, y in elements[one_choice:]:
+        products = [(a * x + r * b * s, a * s + b * x) for a, b in products for s in (y, -y)]
     # A unit on a partial product leaves the orbit of the finished one
     # unchanged, so each finished product is reduced once.  Products of
     # one norm with equal least |coordinate 1| have equal |coordinate 0|.
-    return min([_smallest(a, r) for a in products], key=lambda a: abs(a[1]))
+    reduced = map(_smallest, products, repeat(r))
+    least = next(reduced)
+    for a in reduced:
+        if abs(a[1]) < abs(least[1]):
+            least = a
+    return least
 
 
 def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, int]:

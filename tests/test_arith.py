@@ -5,6 +5,7 @@ import pytest
 
 from noncongruent import arith
 from noncongruent.arith import (
+    ELIGIBLE,
     additive_jacobi,
     factor_squarefree,
     factorize,
@@ -79,6 +80,30 @@ def test_factor_squarefree_invariants():
             prod *= p
         assert prod == n
         assert list(sf.primes) == sorted(set(sf.primes))
+
+
+def _flags_by_definition(sf):
+    residues = {p % 8 for p in sf.primes}
+    return residues <= {1, 7}, residues <= {1}
+
+
+def test_eligibility_flags_match_their_definitions():
+    # factor_squarefree and the sieve both build through from_primes
+    checked = 0
+    for n in range(1, 10**5 + 1):
+        try:
+            sf = factor_squarefree(n)
+        except NotSquareFree:
+            continue
+        assert (sf.eligibility, sf.strict_eligibility) == _flags_by_definition(sf), n
+        checked += 1
+    assert checked == 60794
+    rows = list(squarefree_upto(10**5, ELIGIBLE))
+    for n, sf in rows:
+        assert (sf.eligibility, sf.strict_eligibility) == _flags_by_definition(sf), n
+        assert sf.eligibility
+    assert any(sf.strict_eligibility for _, sf in rows)
+    assert not all(sf.strict_eligibility for _, sf in rows)
 
 
 def test_factorize_large_semiprime():

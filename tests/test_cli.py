@@ -32,6 +32,9 @@ PINNED_CLASSIFY = [
     '{"n":2213746,"verdict":"NonCongruentSha22","s2":2,"h4_minus":1,"h4_plus":null,"d":1106873,"mu":null,"pairing_symbol":-1,"trace":[["s2","monsky_rank"],["h4_minus","redei_rank"],["d","kernel_psi"],["pairing_symbol","quad_jacobi_closed_form"]]}',
 ]
 
+# SHA-256 of the classify JSON lines of n = 1..20000, each line ending in a newline.
+CLASSIFY_DIGEST = "6d72b19da668b214103bb3c67b5d7ac64a481192e6d04a152f5f9f32e9fe068d"
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -306,6 +309,14 @@ def test_scan_eligible_csv_digest(capsys):
 def test_classify_json_pinned(line):
     v = criteria.classify(json.loads(line)["n"])
     assert json.dumps(v.to_dict(), separators=(",", ":")) == line
+
+
+def test_classify_json_digest_to_20000():
+    # Every field, the trace and the key order of each verdict.
+    text = "".join(
+        json.dumps(criteria.classify(n).to_dict(), separators=(",", ":")) + "\n" for n in range(1, 20001)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_DIGEST
 
 
 def test_scan_worker_count_is_clamped():

@@ -137,6 +137,30 @@ def test_classify_examples():
     assert classify(45).verdict == VerdictKind.NOT_ELIGIBLE  # not square-free
 
 
+@pytest.mark.parametrize(
+    "n, member",
+    [
+        (17, VerdictKind.NON_CONGRUENT_SHA22),
+        (34, VerdictKind.CRITERION_FAILS),
+        (1513, VerdictKind.S2_NOT_TWO),
+        (15, VerdictKind.NOT_ELIGIBLE),
+    ],
+)
+def test_verdict_is_the_member_everywhere(capsys, n, member):
+    v = classify(n)
+    assert v.verdict is member
+    assert v.to_dict()["verdict"] == member.value
+    assert cli.main(["scan", str(n), str(n), "--csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split(",")[header.split(",").index("verdict")] == member.value
+    # corollaries sweeps the strictly eligible n (every prime 1 mod 8), so not 15
+    details = {case: detail for case, _, detail in verify.SUITES["corollaries"][0](n)}
+    if n == 15:
+        assert n not in details
+    else:
+        assert details[n]["verdict"] == member.value
+
+
 def test_classify_trace_and_fields():
     v = classify(17)
     assert v.s2 == 2 and v.h4_minus == 1 and v.h4_plus == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noncongruent import oracles
 from noncongruent.arith import (
+    SelmerTriple,
     SquareFreeN,
     factor_squarefree,
     factorize,
@@ -22,6 +23,7 @@ from noncongruent.errors import IllDefined, NoRepresentation, NoRoot, NotSquareF
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
+    RepA8B,
     fundamental_2mu2_tau2,
     orbit_step_2mu2,
     rep_2mu2_tau2,
@@ -286,3 +288,21 @@ def test_solvers_reject_non_squarefree(n):
         rep_neg(-n)
     with pytest.raises(NotSquareFree):
         rep_2mu2_tau2(n, 1)
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Rep2MuTau, (3, 1, 16)),  # 2*9 - 1 = 17
+        (Rep2MuTau, (-3, 1, -17)),
+        (RepA8B, (3, 1, 18)),  # 9 + 8 = 17
+        (RepA8B, (-3, 1, 17)),  # a must be positive
+        (RepA8B, (4, 0, 16)),  # a must be odd
+        (SelmerTriple, (2, 3, 5)),  # 30 is no square
+        (SelmerTriple, (-1, 17, 17)),  # the product must be positive
+        (SelmerTriple, (0, 1, 1)),
+    ],
+)
+def test_constructors_refuse_a_non_representation(cls, fields):
+    with pytest.raises(ValueError):
+        cls(*fields)
