@@ -343,11 +343,6 @@ def jacobi(a: int, b: int) -> int:
     return result
 
 
-def additive_jacobi(a: int, b: int) -> int:
-    """Image of the Jacobi symbol in F2 (0 for +1, 1 for -1)."""
-    return 0 if jacobi(a, b) == 1 else 1
-
-
 # ---------------------------------------------------------------------------
 # Hilbert symbols
 # ---------------------------------------------------------------------------

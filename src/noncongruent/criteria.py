@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 
 from . import matrices
-from .arith import SquareFreeN, factor_squarefree, hilbert, jacobi
-from .errors import NotRankTwo, NotSquareFree, VerificationFailed
+from .arith import SquareFreeN, factor_squarefree, hilbert
+from .errors import NotCoprime, NotRankTwo, NotSquareFree, VerificationFailed
 from .reps import rep_2mu2_tau2, z2_jacobi
 
 
@@ -66,10 +66,20 @@ def distinguished_divisor(sf: SquareFreeN) -> int:
     return _checked_divisor(sf, matrices.symbol_table(sf).divisor_kernel())
 
 
+def _odd_places_hold(d: int, sf: SquareFreeN) -> bool:
+    """(d, n)_p = +1 at every odd p | n for d | n, by one Euler criterion each:
+    n is square-free, so (d, n)_p is (d/p) for p not dividing d, else (-(n/d)/p)."""
+    q = -(sf.n // d)
+    for p in sf.primes:
+        if pow(d if d % p else q, p >> 1, p) != 1:
+            return False
+    return True
+
+
 def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> int:
     """d = psi of the nonzero vector of the divisor kernel, sign-fixed for
-    even n.  Before returning, (d, n)_v is re-checked at oo, 2 and each odd
-    p | n: d | n, so no other place can give -1, and the primes of n are
+    even n.  Before returning, d | n and (d, n)_v are re-checked at oo, 2
+    and each odd p | n: no other place can give -1, and the primes of n are
     known."""
     if len(kernel) != 2:
         raise NotRankTwo(f"kernel size {len(kernel)} != 2 for n = {sf.n}")
@@ -80,9 +90,8 @@ def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> in
         elif d % 8 != 1:
             raise VerificationFailed(f"|d| = {d} is not +-1 mod 8")
     n = sf.n
-    for p in (None, 2, *sf.primes):
-        if hilbert(d, n, p) != 1:
-            raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {n}")
+    if n % d or hilbert(d, n, None) != 1 or hilbert(d, n, 2) != 1 or not _odd_places_hold(d, sf):
+        raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {n}")
     return d
 
 
@@ -115,12 +124,19 @@ def _shape(sf: SquareFreeN, table: matrices.SymbolTable) -> tuple:
 def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
     """Closed form of the Cassels pairing of the two pure Selmer generators.
 
-    Odd n: the Jacobi symbol (-mu / d).  Even n (mu is None): the
-    quadratic-field symbol ((2 - sqrt(2)) / |d|) over the primes of d.
+    Odd n: the Jacobi symbol (-mu / d), each (-mu / p) by Euler's criterion.
+    Even n (mu is None): the quadratic-field symbol ((2 - sqrt(2)) / |d|).
+    Both are taken at the primes of d.
     """
     if sf.is_even:
         return z2_jacobi(2, -1, tuple([p for p in sf.primes if d % p == 0]))
-    return jacobi(-mu, d)
+    symbol = 1
+    for p in sf.primes:
+        if d % p == 0 and pow(-mu, p >> 1, p) != 1:
+            if mu % p == 0:
+                raise NotCoprime(f"gcd({-mu}, {d}) > 1")
+            symbol = -symbol
+    return symbol
 
 
 def classify(n: int | SquareFreeN) -> Verdict:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
 
-from .arith import SquareFreeN, factor_squarefree, legendre, sqrt_mod
-from .errors import IllDefined, NoRepresentation, NoRoot
+from .arith import SquareFreeN, factor_squarefree, sqrt_mod
+from .errors import IllDefined, NoRepresentation, NoRoot, NotCoprime
 
 # Elements x + y*sqrt(r) of Z[sqrt(r)], r = +-2, are pairs (x, y): coordinate 0 is x.
 _Z2 = tuple[int, int]
@@ -130,55 +129,60 @@ def sqrt2_mod(p: int) -> int:
 def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     """The symbol ((x + y*sqrt(2)) / m) for m the product of the distinct odd
     ``primes``, each +-1 mod 8: the product of the Legendre symbols
-    ((x + y*s) / p) with s = ``sqrt2_mod(p)``.
+    ((x + y*s) / p) with s = ``sqrt2_mod(p)``, each by Euler's criterion.
 
     The value at p does not depend on the root when the norm x^2 - 2y^2 is
     a nonzero square mod p, since the other root gives the conjugate; a
-    non-residue norm raises IllDefined.
+    non-residue norm raises IllDefined, and one that p divides NotCoprime.
     """
     norm, result = x * x - 2 * y * y, 1
     for p in primes:
-        if legendre(norm, p) != 1:
+        if pow(norm, p >> 1, p) != 1:
+            if norm % p == 0:
+                raise NotCoprime(f"{p} divides the argument")
             raise IllDefined(f"norm {norm} is a non-residue mod {p}")
-        result *= legendre(x + y * sqrt2_mod(p), p)
+        if pow(x + y * sqrt2_mod(p), p >> 1, p) != 1:
+            result = -result
     return result
 
 
-def _least(n: int, sf: SquareFreeN | None, sign: int, r: int) -> _Z2:
-    """The element of Z[sqrt(r)] of norm sign*n with the least |coordinate 1|,
-    for square-free n > 0.
-
-    ``sf`` is n factored, or None to factor it here.  Raises NotSquareFree for
-    non-square-free n, and NoRepresentation when some odd prime of n does not
-    split.  The minimum can be 0 only at n = 1.
-    """
+def _products(n: int, sf: SquareFreeN | None, r: int) -> list[_Z2]:
+    """One element of norm +-n in each unit orbit of Z[sqrt(r)], for square-free
+    n > 0: a prime element above each prime of n multiplied out over the 2^(k-1)
+    conjugate choices, up to conjugating the whole product.  ``sf`` is n factored
+    or None; raises NotSquareFree, or NoRepresentation if an odd p | n does not split."""
     if sf is None:
         sf = factor_squarefree(n)
     elif sf.n != n:
         raise ValueError(f"the factored {sf.n} is not {n}")
     try:
-        elements = list(map(_prime_element, ((2,) if sf.is_even else ()) + sf.primes, repeat(r)))
+        elements = [_prime_element(p, r) for p in ((2, *sf.primes) if sf.is_even else sf.primes)]
     except NoRoot:
         raise NoRepresentation(f"a prime of {n} does not split in Z[sqrt({r})]") from None
-    norm = 1
-    for x, y in elements:
-        norm *= x * x - r * y * y
-    # Conjugates share a norm, so one factor 1 + sqrt(2) (norm -1) fixes every sign.
-    a, b = (1, 0) if norm == sign * n else (1, 1)
     # Conjugating the whole product keeps |coordinates|, and the conjugate
     # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
     one_choice = 1 + sf.is_even
+    a, b = 1, 0
     for x, y in elements[:one_choice]:
         a, b = a * x + r * b * y, a * y + b * x
     products = [(a, b)]
     for x, y in elements[one_choice:]:
         products = [(a * x + r * b * s, a * s + b * x) for a, b in products for s in (y, -y)]
-    # A unit on a partial product leaves the orbit of the finished one
-    # unchanged, so each finished product is reduced once.  Products of
-    # one norm with equal least |coordinate 1| have equal |coordinate 0|.
-    reduced = map(_smallest, products, repeat(r))
-    least = next(reduced)
-    for a in reduced:
+    return products
+
+
+def _least(n: int, sf: SquareFreeN | None, sign: int, r: int) -> _Z2:
+    """The element of Z[sqrt(r)] of norm sign*n with the least |coordinate 1|
+    (0 only at n = 1); ``sf`` and the errors are those of ``_products``."""
+    products = _products(n, sf, r)
+    x, y = products[0]
+    if x * x - r * y * y != sign * n:
+        # One factor 1 + sqrt(2) (norm -1) fixes the sign of every product.
+        products = [(x + 2 * y, x + y) for x, y in products]
+    # Products of one norm with equal least |coordinate 1| have equal |coordinate 0|.
+    least = _smallest(products[0], r)
+    for a in products[1:]:
+        a = _smallest(a, r)
         if abs(a[1]) < abs(least[1]):
             least = a
     return least

@@ -13,13 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import f2linalg, matrices
-from .arith import (
-    SquareFreeN,
-    additive_jacobi,
-    factor_squarefree,
-    hilbert,
-    legendre,
-)
+from .arith import SquareFreeN, factor_squarefree, hilbert, legendre
 from .errors import OutOfRange, VerificationFailed
 from .reps import fundamental_2mu2_tau2, rep_neg
 
@@ -77,7 +71,7 @@ def tame_report(m: int, sf: SquareFreeN | None = None) -> TameKernelReport:
     r2 = k - (m < 0) + norms.bit_length() - 1
 
     mu = _mu(m, sf)
-    b_mu = 0 if mu is None else sum(additive_jacobi(mu, p) << i for i, p in enumerate(sf.primes))
+    b_mu = 0 if mu is None else sum((legendre(mu, p) < 0) << i for i, p in enumerate(sf.primes))
     twist = {1: 0, -1: minus_one, 2: two, -2: minus_one ^ two}[m // sf.odd_part]
     rows = tuple(
         r | (minus_one >> i & 1 | (two >> i & 1) << 1 | (b_mu >> i & 1) << 2) << k

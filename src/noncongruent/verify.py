@@ -8,7 +8,6 @@ the acceptance tests assert on, so every sweep exists once.
 from __future__ import annotations
 
 import itertools
-from math import isqrt
 
 from . import criteria, matrices
 from .arith import BLOCK, ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
@@ -16,6 +15,7 @@ from .criteria import VerdictKind
 from .errors import OutOfRange, TooLarge
 from .reps import (
     Rep2MuTau,
+    _products,
     fundamental_2mu2_tau2,
     orbit_step_2mu2,
     rep_a2_8b2,
@@ -119,19 +119,24 @@ def _corollaries(bound: int):
 
 
 def _pell_orbit(bound: int):
+    """Odd eligible n with s2 = 2: mu is the window scan's least |mu|, and each
+    unit orbit (a product of ``_products`` with its norm fixed to -n) gives
+    the verdict's (-mu/d), mu = d mod 4, at three steps of 3 + 2*sqrt(2)."""
     from . import oracles
 
     for n, sf in squarefree_upto(bound, _ODD_ELIGIBLE):
         v = criteria.classify(sf)
         if v.d is None:
             continue
-        d, mu = v.d, v.mu
-        tau = isqrt(2 * mu * mu - n)
+        d = v.d
         window_mu = oracles.window_2mu2_tau2(n)[0]
         symbols = [v.pairing_symbol]
-        for _ in range(3):
-            mu, tau = orbit_step_2mu2(mu, tau)
-            symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))
+        for tau, mu in _products(n, sf, 2):
+            if tau * tau - 2 * mu * mu != -n:
+                tau, mu = tau + 2 * mu, tau + mu  # the factor 1 + sqrt(2) has norm -1
+            for _ in range(3):
+                mu, tau = orbit_step_2mu2(mu, tau)
+                symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))
         ok = len(set(symbols)) == 1 and abs(v.mu) == window_mu
         yield n, ok, {"symbols": symbols, "mu": v.mu, "window_mu": window_mu}
 

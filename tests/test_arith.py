@@ -6,7 +6,6 @@ import pytest
 from noncongruent import arith
 from noncongruent.arith import (
     ELIGIBLE,
-    additive_jacobi,
     factor_squarefree,
     factorize,
     hilbert,
@@ -210,7 +209,6 @@ def test_jacobi_examples():
     assert jacobi(1, 15) == 1
     assert jacobi(2, 17) == 1
     assert jacobi(3, 17) == -1
-    assert additive_jacobi(3, 17) == 1
     with pytest.raises(NotCoprime):
         jacobi(3, 15)
 

@@ -34,6 +34,38 @@ def test_distinguished_divisor_rechecks_the_kernel(monkeypatch, n, wrong):
         distinguished_divisor(factor_squarefree(n))
 
 
+def test_odd_place_recheck_is_the_hilbert_symbol():
+    # Every signed divisor d != 1 of every square-free n <= 3000 with k >= 1
+    # (2 * d included for even n): one Euler criterion at each odd p | n,
+    # (d / p) or (-(n/d) / p), accepts d exactly when hilbert does.
+    cases = accepted = 0
+    for n, sf in squarefree_upto(3000):
+        if sf.k == 0:
+            continue
+        for e in sf.odd_divisors():
+            for d in {e, -e, 2 * e, -2 * e} if sf.is_even else {e, -e}:
+                if d == 1:
+                    continue
+                want = all(hilbert(d, n, p) == 1 for p in sf.primes)
+                assert criteria._odd_places_hold(d, sf) == want, (n, d)
+                cases += 1
+                accepted += want
+    assert (cases, accepted) == (17006, 5274)
+
+
+def test_odd_pairing_symbol_is_the_jacobi_symbol():
+    # classify takes (-mu / d) as a product of Euler criteria over the
+    # primes of d; arith.jacobi is the reference.
+    cases = 0
+    for n, sf in squarefree_upto(10**5, arith.ELIGIBLE):
+        v = classify(sf)
+        if sf.is_even or v.d is None:
+            continue
+        assert v.pairing_symbol == arith.jacobi(-v.mu, v.d), n
+        cases += 1
+    assert cases == 3786
+
+
 @pytest.mark.parametrize("n", [161, 322])
 def test_failed_4rank_gate_is_an_error(monkeypatch, capsys, n):
     # For eligible n, s2 = 2 forces h4(-n') = 1 (and h4(n) = 0 for odd n),

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from noncongruent import f2linalg
 from noncongruent.arith import (
     SelmerTriple,
-    additive_jacobi,
     factor_squarefree,
     hilbert,
     is_prime,
+    jacobi,
     squarefree_part,
     squarefree_upto,
 )
@@ -39,13 +39,18 @@ def _eligible_squarefree(rng, odd=True, max_primes=3, strict=False):
     return factor_squarefree(n if odd else 2 * n)
 
 
+def _additive_jacobi(a, b):
+    """The Jacobi symbol (a / b) in F2: 0 for +1, 1 for -1."""
+    return int(jacobi(a, b) == -1)
+
+
 def _a(n):
     return symbol_table(factor_squarefree(n)).a
 
 
 def _b(eps, sf):
     """The additive (eps / p) over the odd primes p of sf: the diagonal of D_eps."""
-    return [additive_jacobi(eps, p) for p in sf.primes]
+    return [_additive_jacobi(eps, p) for p in sf.primes]
 
 
 def _d(eps, sf):
@@ -163,7 +168,7 @@ def test_redei_matrix_matches_block_forms():
         a = symbol_table(sf).a
         assert redei_matrix(n) == add(a, _d(-1, sf))
         k = sf.k
-        last = from_lists([_b(-1, sf) + [additive_jacobi(2, n)]])
+        last = from_lists([_b(-1, sf) + [_additive_jacobi(2, n)]])
         assert redei_matrix(-n) == beside(a, k, from_lists([[b] for b in _b(2, sf)])) + last
 
 
@@ -230,11 +235,11 @@ def _monsky_by_symbols(sf):
     # A's diagonal entry is the symbol of the complementary divisor n' / p_i.
     a = from_lists(
         [
-            [additive_jacobi(sf.odd_part // pi if i == j else pj, pi) for j, pj in enumerate(ps)]
+            [_additive_jacobi(sf.odd_part // pi if i == j else pj, pi) for j, pj in enumerate(ps)]
             for i, pi in enumerate(ps)
         ]
     )
-    d = {eps: diagonal([additive_jacobi(eps, p) for p in ps]) for eps in (-1, 2, -2)}
+    d = {eps: diagonal([_additive_jacobi(eps, p) for p in ps]) for eps in (-1, 2, -2)}
     k = sf.k
     if not sf.is_even:
         return beside(add(a, d[2]), k, d[2]) + beside(d[2], k, add(a, d[-2])), a
@@ -246,16 +251,16 @@ def _table_matches_definitions(sf):
     table = symbol_table(sf)
     ps = sf.primes
     for i, pi in enumerate(ps):
-        assert table.minus_one >> i & 1 == additive_jacobi(-1, pi)
-        assert table.two >> i & 1 == additive_jacobi(2, pi)
+        assert table.minus_one >> i & 1 == _additive_jacobi(-1, pi)
+        assert table.two >> i & 1 == _additive_jacobi(2, pi)
         for j, pj in enumerate(ps):
             if j != i:
-                assert table.a[i] >> j & 1 == additive_jacobi(pj, pi)
+                assert table.a[i] >> j & 1 == _additive_jacobi(pj, pi)
         # A's diagonal is the parity of the rest of its row
         assert table.a[i] >> i & 1 == (table.a[i] & ~(1 << i)).bit_count() & 1
     monsky, a = _monsky_by_symbols(sf)
     assert table.a == a
-    minus_one = diagonal([additive_jacobi(-1, p) for p in ps])
+    minus_one = diagonal([_additive_jacobi(-1, p) for p in ps])
     assert table.divisor_matrix() == (transpose(a, sf.k) if sf.is_even else add(a, minus_one))
     assert table.monsky_matrix() == monsky
     assert table.s2() == s2(sf) == 2 * sf.k - f2linalg.rank(monsky, 2 * sf.k)

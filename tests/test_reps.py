@@ -19,7 +19,7 @@ from noncongruent.arith import (
     squarefree_upto,
 )
 from noncongruent.cassels import two_symbol_check
-from noncongruent.errors import IllDefined, NoRepresentation, NoRoot, NotSquareFree
+from noncongruent.errors import IllDefined, NoRepresentation, NoRoot, NotCoprime, NotSquareFree
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
@@ -234,6 +234,11 @@ def test_z2_jacobi_examples():
         z2_jacobi(1, 1, (7,))  # the norm -1 is a non-residue mod 7
     with pytest.raises(NoRoot):
         z2_jacobi(1, 1, (5,))  # 2 is a non-residue mod 5
+    s = sqrt2_mod(17)
+    with pytest.raises(NotCoprime, match="17 divides the argument"):
+        z2_jacobi(-s, 1, (17,))  # 17 divides -s + s, so it divides the norm
+    with pytest.raises(NotCoprime, match="17 divides the argument"):
+        z2_jacobi(-s, 1, (41, 17))  # after a prime where the norm 119 is a square
 
 
 def test_z2_jacobi_is_multiplicative_over_primes():
