@@ -78,9 +78,9 @@ def _odd_places_hold(d: int, sf: SquareFreeN) -> bool:
 
 def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> int:
     """d = psi of the nonzero vector of the divisor kernel, sign-fixed for
-    even n.  Before returning, d | n and (d, n)_v are re-checked at oo, 2
-    and each odd p | n: no other place can give -1, and the primes of n are
-    known."""
+    even n.  Before returning, d | n and (d, n)_v are re-checked at 2 and
+    each odd p | n: no other finite place can give -1, the primes of n are
+    known, and (d, n)_oo = +1 for every d since n > 0."""
     if len(kernel) != 2:
         raise NotRankTwo(f"kernel size {len(kernel)} != 2 for n = {sf.n}")
     d = matrices.psi(kernel[1], sf.primes)
@@ -90,7 +90,7 @@ def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> in
         elif d % 8 != 1:
             raise VerificationFailed(f"|d| = {d} is not +-1 mod 8")
     n = sf.n
-    if n % d or hilbert(d, n, None) != 1 or hilbert(d, n, 2) != 1 or not _odd_places_hold(d, sf):
+    if n % d or hilbert(d, n, 2) != 1 or not _odd_places_hold(d, sf):
         raise VerificationFailed(f"(d, n)_v != 1 for d = {d}, n = {n}")
     return d
 

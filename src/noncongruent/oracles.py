@@ -8,11 +8,12 @@ counting images of iterated squaring, never from Redei theory, so they can
 cross-check it.  The Selmer oracle re-derives the pure 2-Selmer set from
 local solvability searches alone, never from the Monsky kernel: this
 module holds the torsors and their certified local point search (with
-multivariate Hensel certificates).  The norm-form window scans find the
-fundamental solutions that ``reps`` builds by Euclid in Z[sqrt(+-2)], by
-trying every coordinate in a window, as plain tuples.  Nothing here comes
-from the package but ``arith`` and ``errors``, so no oracle runs the code
-it checks.
+multivariate Hensel certificates).  The norm-form window scans try every
+coordinate in a window and return plain tuples: those of 2*mu^2 - tau^2
+find the fundamental solutions that ``reps`` builds by Euclid in
+Z[sqrt(2)], and that of a^2 + 8*b^2 is the ``proposition`` suite's source
+of b.  Nothing here comes from the package but ``arith`` and ``errors``,
+so no oracle runs the code it checks.
 """
 
 from __future__ import annotations

@@ -1,20 +1,17 @@
-"""Integer representation solvers for the norm forms x^2 - 2y^2 and x^2 + 2y^2.
+"""Integer representation solvers for the norm form x^2 - 2y^2.
 
 The solutions of 2*mu^2 - tau^2 = n (either sign) are the elements tau +
-mu*sqrt(2) of Z[sqrt(2)] with norm -n; those of a^2 + 8*b^2 = n are the
-elements a + 2b*sqrt(-2) of Z[sqrt(-2)].  Both rings are norm-Euclidean, and
-one set of routines, given the radicand r, serves both.  For square-free n
-such elements exist iff every odd p | n splits (p = +-1 mod 8 for r = 2, 1
-or 3 mod 8 for r = -2), and each is a unit times a product of one prime
-element above every p | n: sqrt(r) above 2, and gcd(p, s + sqrt(r)) by
-Euclid (s^2 = r mod p) or its conjugate above odd p.  The 2^(k-1) conjugate
-choices, up to conjugating the whole product, are the unit orbits.  In
-Z[sqrt(2)], 1 + sqrt(2) fixes the sign of the norm and 3 + 2*sqrt(2) steps
-each product to its smallest sqrt(2) coordinate; Z[sqrt(-2)] has positive
-norms and the units +-1 only.  The minimum over the orbits is the
+mu*sqrt(2) of Z[sqrt(2)] with norm -n.  The ring is norm-Euclidean.  For
+square-free n such elements exist iff every odd p | n splits (p = +-1 mod
+8), and each is a unit times a product of one prime element above every
+p | n: sqrt(2) above 2, and gcd(p, s + sqrt(2)) by Euclid (s^2 = 2 mod p)
+or its conjugate above odd p.  The 2^(k-1) conjugate choices, up to
+conjugating the whole product, are the unit orbits.  The unit 1 + sqrt(2)
+fixes the sign of the norm and 3 + 2*sqrt(2) steps each product to its
+smallest sqrt(2) coordinate.  The minimum over the orbits is the
 fundamental solution, the one that the window scans in ``oracles`` find.
-The prime element above odd p in Z[sqrt(2)] also gives the package's one
-square root of 2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
+The prime element above odd p also gives the package's one square root of
+2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from functools import lru_cache
 from .arith import SquareFreeN, factor_squarefree, sqrt_mod
 from .errors import IllDefined, NoRepresentation, NoRoot, NotCoprime
 
-# Elements x + y*sqrt(r) of Z[sqrt(r)], r = +-2, are pairs (x, y): coordinate 0 is x.
+# Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y): coordinate 0 is x.
 _Z2 = tuple[int, int]
 
 
@@ -52,41 +49,23 @@ class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
         return self.tau - self.mu
 
 
-class RepA8B(namedtuple("RepA8B", "a b n")):
-    """n = a^2 + 8*b^2 with a odd positive."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int, n: int):
-        if a * a + 8 * b * b != n or a <= 0 or a % 2 == 0:
-            raise ValueError("not a representation")
-        return tuple.__new__(cls, (a, b, n))
-
-
 def orbit_step_2mu2(mu: int, tau: int) -> tuple[int, int]:
     """Action of the fundamental unit 3 + 2*sqrt(2) on 2*mu^2 - tau^2 = n."""
     return 3 * mu + 2 * tau, 4 * mu + 3 * tau
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in Z[sqrt(2)] and Z[sqrt(-2)]
+# arithmetic in Z[sqrt(2)]
 # ---------------------------------------------------------------------------
 
-def _mul(a: _Z2, b: _Z2, r: int) -> _Z2:
-    return a[0] * b[0] + r * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _smallest(a: _Z2, r: int) -> _Z2:
-    """The element of a's orbit under the units of Z[sqrt(r)] with the least
-    |coordinate 1|, the coefficient of sqrt(r).
+def _smallest(a: _Z2) -> _Z2:
+    """The element of a's orbit under the units of Z[sqrt(2)] with the least
+    |coordinate 1|, the coefficient of sqrt(2).
 
     Along the orbit under e = 3 + 2*sqrt(2) the coordinate is A*e^j + B*e^-j,
     whose absolute value falls and then rises, so stepping by e, then by
-    e^-1 = 3 - 2*sqrt(2), while it falls ends at the minimum.  Z[sqrt(-2)]
-    has no step: a is returned.
+    e^-1 = 3 - 2*sqrt(2), while it falls ends at the minimum.
     """
-    if r == -2:
-        return a
     x, y = a
     while abs(2 * x + 3 * y) < abs(y):
         x, y = 3 * x + 4 * y, 2 * x + 3 * y
@@ -95,26 +74,26 @@ def _smallest(a: _Z2, r: int) -> _Z2:
     return x, y
 
 
-def _gcd(a: _Z2, b: _Z2, r: int) -> _Z2:
-    """A gcd by Euclid: both rings are norm-Euclidean, since the rounded quotient
-    leaves a remainder of at most 1/2 (r = 2) or 3/4 (r = -2) of the divisor's |norm|."""
+def _gcd(a: _Z2, b: _Z2) -> _Z2:
+    """A gcd by Euclid: Z[sqrt(2)] is norm-Euclidean, since the rounded quotient
+    leaves a remainder of at most 1/2 of the divisor's |norm|."""
     while b != (0, 0):
-        nb = b[0] * b[0] - r * b[1] * b[1]
+        nb = b[0] * b[0] - 2 * b[1] * b[1]
         # a / b = a * conj(b) / N(b), rounded coordinate by coordinate.
-        x, y = a[0] * b[0] - r * a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        x, y = a[0] * b[0] - 2 * a[1] * b[1], a[1] * b[0] - a[0] * b[1]
         if nb < 0:
             x, y, nb = -x, -y, -nb
-        qb = _mul(((2 * x + nb) // (2 * nb), (2 * y + nb) // (2 * nb)), b, r)
-        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+        qx, qy = (2 * x + nb) // (2 * nb), (2 * y + nb) // (2 * nb)
+        a, b = b, (a[0] - qx * b[0] - 2 * qy * b[1], a[1] - qx * b[1] - qy * b[0])
     return a
 
 
 @lru_cache(maxsize=4096)
-def _prime_element(p: int, r: int) -> _Z2:
-    """An element of Z[sqrt(r)] of norm +-p, for p = 2 or an odd prime that splits."""
+def _prime_element(p: int) -> _Z2:
+    """An element of Z[sqrt(2)] of norm +-p, for p = 2 or an odd prime that splits."""
     if p == 2:
         return 0, 1
-    return _smallest(_gcd((p, 0), (sqrt_mod(r, p), 1), r), r)
+    return _smallest(_gcd((p, 0), (sqrt_mod(2, p), 1)))
 
 
 @lru_cache(maxsize=4096)
@@ -122,7 +101,7 @@ def sqrt2_mod(p: int) -> int:
     """The square root s = -a/b of 2 mod an odd prime p = +-1 mod 8, where
     a + b*sqrt(2) is the prime element above p: reduction mod that prime
     sends sqrt(2) to s and the element to 0."""
-    a, b = _prime_element(p, 2)
+    a, b = _prime_element(p)
     return -a * pow(b, -1, p) % p
 
 
@@ -146,8 +125,8 @@ def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     return result
 
 
-def _products(n: int, sf: SquareFreeN | None, r: int) -> list[_Z2]:
-    """One element of norm +-n in each unit orbit of Z[sqrt(r)], for square-free
+def _products(n: int, sf: SquareFreeN | None) -> list[_Z2]:
+    """One element of norm +-n in each unit orbit of Z[sqrt(2)], for square-free
     n > 0: a prime element above each prime of n multiplied out over the 2^(k-1)
     conjugate choices, up to conjugating the whole product.  ``sf`` is n factored
     or None; raises NotSquareFree, or NoRepresentation if an odd p | n does not split."""
@@ -156,33 +135,33 @@ def _products(n: int, sf: SquareFreeN | None, r: int) -> list[_Z2]:
     elif sf.n != n:
         raise ValueError(f"the factored {sf.n} is not {n}")
     try:
-        elements = [_prime_element(p, r) for p in ((2, *sf.primes) if sf.is_even else sf.primes)]
+        elements = [_prime_element(p) for p in ((2, *sf.primes) if sf.is_even else sf.primes)]
     except NoRoot:
-        raise NoRepresentation(f"a prime of {n} does not split in Z[sqrt({r})]") from None
+        raise NoRepresentation(f"a prime of {n} does not split in Z[sqrt(2)]") from None
     # Conjugating the whole product keeps |coordinates|, and the conjugate
-    # of sqrt(r) is -sqrt(r): so 2 and the first odd prime take one choice.
+    # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
     one_choice = 1 + sf.is_even
     a, b = 1, 0
     for x, y in elements[:one_choice]:
-        a, b = a * x + r * b * y, a * y + b * x
+        a, b = a * x + 2 * b * y, a * y + b * x
     products = [(a, b)]
     for x, y in elements[one_choice:]:
-        products = [(a * x + r * b * s, a * s + b * x) for a, b in products for s in (y, -y)]
+        products = [(a * x + 2 * b * s, a * s + b * x) for a, b in products for s in (y, -y)]
     return products
 
 
-def _least(n: int, sf: SquareFreeN | None, sign: int, r: int) -> _Z2:
-    """The element of Z[sqrt(r)] of norm sign*n with the least |coordinate 1|
+def _least(n: int, sf: SquareFreeN | None, sign: int) -> _Z2:
+    """The element of Z[sqrt(2)] of norm sign*n with the least |coordinate 1|
     (0 only at n = 1); ``sf`` and the errors are those of ``_products``."""
-    products = _products(n, sf, r)
+    products = _products(n, sf)
     x, y = products[0]
-    if x * x - r * y * y != sign * n:
+    if x * x - 2 * y * y != sign * n:
         # One factor 1 + sqrt(2) (norm -1) fixes the sign of every product.
         products = [(x + 2 * y, x + y) for x, y in products]
     # Products of one norm with equal least |coordinate 1| have equal |coordinate 0|.
-    least = _smallest(products[0], r)
+    least = _smallest(products[0])
     for a in products[1:]:
-        a = _smallest(a, r)
+        a = _smallest(a)
         if abs(a[1]) < abs(least[1]):
             least = a
     return least
@@ -195,7 +174,7 @@ def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, i
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    tau, mu = _least(n, sf, -1, 2)
+    tau, mu = _least(n, sf, -1)
     return abs(mu), abs(tau)
 
 
@@ -214,25 +193,12 @@ def rep_2mu2_tau2(n: int, d: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
     return Rep2MuTau(mu, tau, n)
 
 
-def rep_a2_8b2(n: int, sf: SquareFreeN | None = None) -> RepA8B:
-    """Representation n = a^2 + 8*b^2 with smallest b >= 0, a odd positive, for
-    square-free odd n: a + y*sqrt(-2) of norm n with the least |y|, b = |y|/2.
-    Odd a gives n = 1 + 2*y^2 mod 8, so y is odd exactly when n = 3 mod 8.
-    ``sf``, n factored, when known, spares factoring n."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("n must be positive odd")
-    a, y = _least(n, sf, 1, -2)
-    if y % 2:
-        raise NoRepresentation(f"{n} = 3 mod 8 is not a^2 + 8*b^2")
-    return RepA8B(abs(a), abs(y) // 2, n)
-
-
 def rep_neg(m: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
     """Representation m = 2*mu^2 - tau^2 with minimal mu >= 1 and tau > 0, for
     square-free m < 0; ``sf`` is -m factored, when known."""
     if m >= 0:
         raise ValueError("m must be negative")
-    tau, mu = _least(-m, sf, 1, 2)
+    tau, mu = _least(-m, sf, 1)
     if mu == 0:
         # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
         tau, mu = 3, 2

@@ -13,14 +13,7 @@ from . import criteria, matrices
 from .arith import BLOCK, ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .errors import OutOfRange, TooLarge
-from .reps import (
-    Rep2MuTau,
-    _products,
-    fundamental_2mu2_tau2,
-    orbit_step_2mu2,
-    rep_a2_8b2,
-    z2_jacobi,
-)
+from .reps import Rep2MuTau, _products, fundamental_2mu2_tau2, orbit_step_2mu2, z2_jacobi
 
 # Eligible n = 1 mod 8: the odd half of ``ELIGIBLE``.
 _ODD_ELIGIBLE = ((1,), ELIGIBLE[1])
@@ -89,12 +82,15 @@ def _proposition(bound: int):
     each case also checks h4(-n) >= 1.  The equivalences are
     (i) b even <=> (ii) ((1+sqrt 2)/n) = 1 <=> (iv) (sqrt 2/n) = (-1)^((n-1)/8)
     for n = a^2 + 8b^2, and (vi) |mu| = 1 mod 4 <=> (viii) (mu/n) = 1.
+    b is read off the complete window scan ``oracles.window_a2_8b2``.
     """
+    from . import oracles
+
     for n, sf in squarefree_upto(bound, ((1,), STRICT[1]), start=3):
         h4m = matrices.symbol_table(sf).h4(-n)
         mu = fundamental_2mu2_tau2(n, sf)[0]
         b = {
-            "b_even": rep_a2_8b2(n, sf).b % 2 == 0,
+            "b_even": oracles.window_a2_8b2(n)[1] % 2 == 0,
             "one_plus_sqrt2": z2_jacobi(1, 1, sf.primes) == 1,
             "sqrt2_vs_n": z2_jacobi(0, 1, sf.primes) == (-1) ** ((n - 1) // 8),
             "mu_mod4": abs(mu) % 4 == 1,
@@ -131,7 +127,7 @@ def _pell_orbit(bound: int):
         d = v.d
         window_mu = oracles.window_2mu2_tau2(n)[0]
         symbols = [v.pairing_symbol]
-        for tau, mu in _products(n, sf, 2):
+        for tau, mu in _products(n, sf):
             if tau * tau - 2 * mu * mu != -n:
                 tau, mu = tau + 2 * mu, tau + mu  # the factor 1 + sqrt(2) has norm -1
             for _ in range(3):

@@ -79,6 +79,21 @@ def test_criterion_8_proposition_eight_way():
     )
 
 
+def test_criterion_8_proposition_checks_b(monkeypatch):
+    # b from the window scan is compared, not only read: a window that
+    # answers b + 1 flips (i) against (ii) and (iv).
+    window = oracles.window_a2_8b2
+
+    def off_by_one(n):
+        a, b, n = window(n)
+        return a, b + 1, n
+
+    monkeypatch.setattr(oracles, "window_a2_8b2", off_by_one)
+    report = verify.run("proposition", 2000)
+    assert report["failed"] > 0
+    assert "b_even" in report["first_counterexample"]["detail"]
+
+
 def test_criterion_9_pinned_values():
     assert criteria.classify(17).verdict == VerdictKind.NON_CONGRUENT_SHA22
     # second route: strict corollary via the tame kernel

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "arith.is_norm",  # the factoring norm check that tests compare the symbol routes with
     "oracles.window_neg",  # the window scan that rep_neg is checked against
-    "oracles.window_a2_8b2",  # the window scan that rep_a2_8b2 is checked against
 }
 
 

@@ -23,11 +23,9 @@ from noncongruent.errors import IllDefined, NoRepresentation, NoRoot, NotCoprime
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
-    RepA8B,
     fundamental_2mu2_tau2,
     orbit_step_2mu2,
     rep_2mu2_tau2,
-    rep_a2_8b2,
     rep_neg,
     sqrt2_mod,
     z2_jacobi,
@@ -52,17 +50,10 @@ def test_rep_2mu2_tau2_norm_obstruction():
 def test_rep_u2_2w2_and_a2_8b2_examples():
     r = Rep2MuTau(3, 1, 17)
     assert (r.u, r.w) == (5, -2)
-    assert (rep_a2_8b2(17).a, rep_a2_8b2(17).b) == (3, 1)
-    assert (rep_a2_8b2(41).a, rep_a2_8b2(41).b) == (3, 2)
+    assert oracles.window_a2_8b2(17)[:2] == (3, 1)
+    assert oracles.window_a2_8b2(41)[:2] == (3, 2)
     r = rep_neg(-34)
     assert (r.mu, r.tau) == (1, 6)
-
-
-def test_rep_a2_8b2_beyond_any_scan():
-    # 1799999999969 * 1799999999753: the scan over b would take about 6.4e11 steps.
-    n = 3239999999499600000007657
-    r = rep_a2_8b2(n)
-    assert (r.a, r.b) == (1066927588943, 512550670599)
 
 
 def test_representations_reproduce_target():
@@ -155,17 +146,23 @@ def _assert_matches_window_scans(n, sf):
     # 1 + sqrt(2) has norm -1
     assert (pos is not NoRepresentation) == is_norm(2, n)
     assert (neg is not NoRepresentation) == is_norm(2, -n)
-    if n % 2:
-        assert _outcome(rep_a2_8b2, n, sf) == _outcome(oracles.window_a2_8b2, n)
 
 
 def test_solvers_equal_window_scans_exhaustively():
     # Every square-free n <= 2*10^4, odd and even, both signs, n = 1 and 2 included.
-    represented = 0
+    represented = a2_8b2 = 0
     for n, sf in squarefree_upto(20000):
         _assert_matches_window_scans(n, sf)
         represented += sf.eligibility
-    assert represented > 1000
+        if n % 2:
+            # a^2 + 8b^2 = n exactly when n = 1 mod 8 and every p | n is 1 or
+            # 3 mod 8: odd a gives n = 1 + 2y^2 mod 8 for y = 2b, so y is even
+            # just when n = 1 mod 8, and a + y*sqrt(-2) of norm n exists just
+            # when every p | n splits in Z[sqrt(-2)].
+            want = n % 8 == 1 and all(p % 8 in (1, 3) for p in sf.primes)
+            assert (_outcome(oracles.window_a2_8b2, n) is not NoRepresentation) == want, n
+            a2_8b2 += want
+    assert represented > 1000 and a2_8b2 > 500
     # The products of the first 5, 6 and 7 primes = +-1 mod 8, 7 to 71, alone
     # and doubled (n <= 2.4 * 10^10): 16 to 64 products, each reduced once.
     split = [p for p in range(3, 72) if p % 8 in (1, 7) and is_prime(p)]
@@ -174,10 +171,9 @@ def test_solvers_equal_window_scans_exhaustively():
         _assert_matches_window_scans(n, None)
 
 
-def _next_split_prime(q, residues=(1, 7)):
-    """The least prime >= q whose residue mod 8 is among ``residues``: +-1
-    for Z[sqrt(2)], 1 and 3 for Z[sqrt(-2)]."""
-    while not (q % 8 in residues and is_prime(q)):
+def _next_split_prime(q):
+    """The least prime >= q that is +-1 mod 8, so splits in Z[sqrt(2)]."""
+    while not (q % 8 in (1, 7) and is_prime(q)):
         q += 1
     return q
 
@@ -205,13 +201,10 @@ def test_solvers_equal_window_scans_on_prime_products(case):
 @given(st.integers(7, 10**12))
 def test_prime_element_has_norm_pm_p(q):
     p = _next_split_prime(q)
-    x, y = _prime_element(p, 2)
+    x, y = _prime_element(p)
     assert abs(x * x - 2 * y * y) == p
     s = sqrt2_mod(p)
     assert (s * s - 2) % p == 0 and (x + y * s) % p == 0
-    p = _next_split_prime(q, (1, 3))
-    x, y = _prime_element(p, -2)
-    assert x * x + 2 * y * y == p
 
 
 def _quad_jacobi_reference(x, y, m, root_choice):
@@ -277,7 +270,6 @@ def test_solvers_reject_a_factored_other_n():
     for solve, n in (
         (fundamental_2mu2_tau2, 17),
         (rep_neg, -17),
-        (rep_a2_8b2, 17),
     ):
         with pytest.raises(ValueError):
             solve(n, sf)
@@ -285,8 +277,6 @@ def test_solvers_reject_a_factored_other_n():
 
 @pytest.mark.parametrize("n", [9, 18, 50, 98, 3 * 17 * 17])
 def test_solvers_reject_non_squarefree(n):
-    with pytest.raises(NotSquareFree if n % 2 else ValueError):
-        rep_a2_8b2(n)  # odd n only
     with pytest.raises(NotSquareFree):
         fundamental_2mu2_tau2(n)
     with pytest.raises(NotSquareFree):
@@ -300,13 +290,12 @@ def test_solvers_reject_non_squarefree(n):
     [
         (Rep2MuTau, (3, 1, 16)),  # 2*9 - 1 = 17
         (Rep2MuTau, (-3, 1, -17)),
-        (RepA8B, (3, 1, 18)),  # 9 + 8 = 17
-        (RepA8B, (-3, 1, 17)),  # a must be positive
-        (RepA8B, (4, 0, 16)),  # a must be odd
         (SelmerTriple, (2, 3, 5)),  # 30 is no square
         (SelmerTriple, (-1, 17, 17)),  # the product must be positive
         (SelmerTriple, (0, 1, 1)),
     ],
+    # Fixed ids, so that each case keeps the name earlier test runs recorded.
+    ids=["Rep2MuTau-fields0", "Rep2MuTau-fields1", *(f"SelmerTriple-fields{i}" for i in (5, 6, 7))],
 )
 def test_constructors_refuse_a_non_representation(cls, fields):
     with pytest.raises(ValueError):
