@@ -1,9 +1,8 @@
 """Exact integer, modular and p-adic primitives.
 
 Everything here is pure integer arithmetic: factorization, Legendre / Jacobi /
-Hilbert symbols, square roots modulo odd primes and in Z_2, and norm-group
-membership for quadratic fields.  A place of Q is its prime, or None for the
-real place.
+Hilbert symbols, square roots in Z_2, and norm-group membership for
+quadratic fields.  A place of Q is its prime, or None for the real place.
 """
 
 from __future__ import annotations
@@ -380,47 +379,8 @@ def hilbert(a: int, b: int, p: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# square roots modulo p and in Z_2
+# square roots in Z_2
 # ---------------------------------------------------------------------------
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    """A square root of a mod odd prime p; assumes (a/p) = 1."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, sq = 0, t
-        while sq != 1:
-            sq = sq * sq % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return x
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """The smaller square root of a modulo the odd prime p, by Tonelli-Shanks;
-    requires p not dividing a and raises NoRoot when a is not a square mod p."""
-    if a % p == 0:
-        raise ValueError(f"argument must be a unit mod {p}")
-    if legendre(a, p) != 1:
-        raise NoRoot(f"{a} is not a quadratic residue mod {p}")
-    s = _tonelli_shanks(a % p, p)
-    return min(s, p - s)
 
 
 def sqrt_2adic(a: int, e: int) -> int:

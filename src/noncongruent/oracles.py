@@ -167,16 +167,19 @@ def _reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _within_cap(disc: int) -> int:
-    """disc, or TooLarge above the cap on form class groups, before anything factors."""
+def _fundamental(disc: int) -> int:
+    """disc, checked for the form class groups: TooLarge above the cap, before
+    anything factors, then NotFundamental unless ``is_fundamental``."""
     if abs(disc) > _DISC_CAP:
         raise TooLarge(f"|disc| = {abs(disc)} exceeds {_DISC_CAP}")
+    if not is_fundamental(disc):
+        raise NotFundamental(f"{disc} is not a fundamental discriminant")
     return disc
 
 
 class _FormGroup:
     """Finite abelian group of form classes with canonical representatives,
-    for |disc| <= _DISC_CAP (``_within_cap``), on triples (a, b, c); the
+    for |disc| <= _DISC_CAP (``_fundamental``), on triples (a, b, c); the
     classes it lists (``elements`` and ``identity``) are BQForms."""
 
     def __init__(self, disc: int):
@@ -299,9 +302,7 @@ def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
 
 def class_group(disc: int) -> ClassGroupReport:
     """Narrow class group of the fundamental discriminant via form classes."""
-    if not is_fundamental(_within_cap(disc)):
-        raise NotFundamental(f"{disc} is not a fundamental discriminant")
-    group = _FormGroup(disc)
+    group = _FormGroup(_fundamental(disc))
     h = group.order
     two_chain = _q_rank_chain(group, 2)
     r2, r4, r8 = (two_chain + [0, 0, 0])[:3]
@@ -332,10 +333,7 @@ def form_group(m: int) -> _FormGroup:
     The discriminant passes the cap unfactored, then ``is_fundamental``
     checks it: NotFundamental when m is not square-free.
     """
-    disc = m if m % 4 == 1 else 4 * m
-    if not is_fundamental(_within_cap(disc)):
-        raise NotFundamental(f"{disc} is not a fundamental discriminant")
-    return _FormGroup(disc)
+    return _FormGroup(_fundamental(m if m % 4 == 1 else 4 * m))
 
 
 def h4_oracle(m: int) -> int:

@@ -4,14 +4,14 @@ The solutions of 2*mu^2 - tau^2 = n (either sign) are the elements tau +
 mu*sqrt(2) of Z[sqrt(2)] with norm -n.  The ring is norm-Euclidean.  For
 square-free n such elements exist iff every odd p | n splits (p = +-1 mod
 8), and each is a unit times a product of one prime element above every
-p | n: sqrt(2) above 2, and gcd(p, s + sqrt(2)) by Euclid (s^2 = 2 mod p)
-or its conjugate above odd p.  The 2^(k-1) conjugate choices, up to
+p | n: sqrt(2) above 2, and gcd(p, sqrt(2) - s) by Euclid or its conjugate
+above odd p, where s is the package's one square root of 2 mod p
+(``sqrt2_mod``, in closed form).  The 2^(k-1) conjugate choices, up to
 conjugating the whole product, are the unit orbits.  The unit 1 + sqrt(2)
 fixes the sign of the norm and 3 + 2*sqrt(2) steps each product to its
 smallest sqrt(2) coordinate.  The minimum over the orbits is the
 fundamental solution, the one that the window scans in ``oracles`` find.
-The prime element above odd p also gives the package's one square root of
-2 mod p, and with it the symbol ((x + y*sqrt(2)) / m).
+The root also gives the symbol ((x + y*sqrt(2)) / m).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .arith import SquareFreeN, factor_squarefree, sqrt_mod
+from .arith import SquareFreeN, factor_squarefree
 from .errors import IllDefined, NoRepresentation, NoRoot, NotCoprime
 
 # Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y): coordinate 0 is x.
@@ -89,20 +89,36 @@ def _gcd(a: _Z2, b: _Z2) -> _Z2:
 
 
 @lru_cache(maxsize=4096)
-def _prime_element(p: int) -> _Z2:
-    """An element of Z[sqrt(2)] of norm +-p, for p = 2 or an odd prime that splits."""
-    if p == 2:
-        return 0, 1
-    return _smallest(_gcd((p, 0), (sqrt_mod(2, p), 1)))
+def sqrt2_mod(p: int) -> int:
+    """The larger square root s of 2 mod an odd prime p = +-1 mod 8; NoRoot
+    at any other p.
+
+    At p = 7 mod 8, s = 2^((p+1)/4), since 2^((p-1)/2) = 1.  At p = 1 mod 8,
+    s = z + 1/z = z - z^3 with z = g^((p-1)/8) for a non-residue g: z^4 = -1,
+    so s^2 = z^2 + 2 + z^-2 = 2.  The search for g ends at the least
+    non-residue, or at a factor of a composite p.
+    """
+    if p % 8 == 7:
+        s = pow(2, (p + 1) >> 2, p)
+    elif p % 8 == 1:
+        g = 3
+        while pow(g, p >> 1, p) == 1:
+            g += 1
+        z = pow(g, p >> 3, p)
+        s = z * (1 - z * z) % p
+    else:
+        raise NoRoot(f"2 is not a quadratic residue mod {p}")
+    return max(s, p - s)
 
 
 @lru_cache(maxsize=4096)
-def sqrt2_mod(p: int) -> int:
-    """The square root s = -a/b of 2 mod an odd prime p = +-1 mod 8, where
-    a + b*sqrt(2) is the prime element above p: reduction mod that prime
-    sends sqrt(2) to s and the element to 0."""
-    a, b = _prime_element(p)
-    return -a * pow(b, -1, p) % p
+def _prime_element(p: int) -> _Z2:
+    """An element of Z[sqrt(2)] of norm +-p, for p = 2 or an odd prime that
+    splits: gcd(p, p - s + sqrt(2)) with s = ``sqrt2_mod(p)``, which reduction
+    mod the prime sends to 0 when it sends sqrt(2) to s."""
+    if p == 2:
+        return 0, 1
+    return _smallest(_gcd((p, 0), (p - sqrt2_mod(p), 1)))
 
 
 def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:

@@ -33,9 +33,9 @@ def _selmer_oracle(bound: int):
 def _class_oracle(bound: int):
     from . import oracles
 
-    # m = 1 defines no quadratic field, so the sweep starts at n = 2; past
-    # the cap on |disc| both n and -n are refused, so it stops there.
-    for n, sf in squarefree_upto(min(bound, oracles._DISC_CAP), start=2):
+    # m = 1 defines no quadratic field, so the sweep starts at n = 2; ``run``
+    # takes no bound above 10^6, the cap on |disc|, so only 4n can pass it.
+    for n, sf in squarefree_upto(bound, start=2):
         table = matrices.symbol_table(sf)
         for m in (n, -n):
             try:

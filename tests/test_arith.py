@@ -14,7 +14,6 @@ from noncongruent.arith import (
     jacobi,
     legendre,
     sqrt_2adic,
-    sqrt_mod,
     squarefree_block,
     squarefree_part,
     squarefree_upto,
@@ -273,28 +272,10 @@ def test_hilbert_product_formula():
 
 
 def test_sqrt_mod_examples():
-    s = sqrt_mod(2, 17)
-    assert s in (6, 11) and (s * s - 2) % 17 == 0
     s = sqrt_2adic(17, 6)
     assert 1 <= s <= 32 and (s * s - 17) % 64 == 0
     with pytest.raises(NoRoot):
-        sqrt_mod(3, 7)
-    with pytest.raises(NoRoot):
         sqrt_2adic(3, 4)
-
-
-def test_sqrt_mod_random():
-    rng = random.Random(6)
-    odd_primes = PRIMES_UNDER_100[1:]
-    checked = 0
-    while checked < 1000:
-        p = rng.choice(odd_primes)
-        a = rng.randrange(1, p)
-        if legendre(a, p) != 1:
-            continue
-        s = sqrt_mod(a, p)
-        assert (s * s - a) % p == 0 and s <= p - s
-        checked += 1
 
 
 def test_sqrt_mod_2adic_random():

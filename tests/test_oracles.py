@@ -9,7 +9,7 @@ import pytest
 
 from noncongruent import arith, matrices, oracles, verify
 from noncongruent.arith import factor_squarefree, squarefree_part
-from noncongruent.errors import NotFundamental, TooLarge
+from noncongruent.errors import NotFundamental, OutOfRange, TooLarge
 from noncongruent.matrices import h4, selmer_elements
 from noncongruent.oracles import (
     BQForm,
@@ -285,18 +285,17 @@ def test_no_command_loads_dataclasses_or_fractions():
 
 
 def test_class_oracle_sweeps_no_n_past_the_cap(monkeypatch):
-    # Past the cap both n and -n are refused, so a larger bound builds no
-    # further symbol table and gives the same cases.
+    # run takes no class-oracle bound above the cap on |disc|, and the sweep
+    # builds no symbol table past its bound: so no n past the cap is swept.
+    most = verify.SUITES["class-oracle"][1]
+    assert most == oracles._DISC_CAP
+    with pytest.raises(OutOfRange):
+        verify.run("class-oracle", most + 1)
     tables = []
     real = matrices.symbol_table
     monkeypatch.setattr(matrices, "symbol_table", lambda sf: tables.append(sf.n) or real(sf))
-    monkeypatch.setattr(oracles, "_DISC_CAP", 300)
-    at_cap = verify.run("class-oracle", 300)
-    at_cap_tables, tables[:] = tables[:], []
-    past_cap = verify.run("class-oracle", 5000)
-    assert max(tables) <= 300
-    assert tables == at_cap_tables
-    assert {**past_cap, "bound": 300} == at_cap
+    verify.run("class-oracle", 300)
+    assert max(tables) == 299
 
 
 def test_selmer_oracle_examples():

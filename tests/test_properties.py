@@ -12,7 +12,6 @@ from noncongruent.arith import (
     is_prime,
     jacobi,
     sqrt_2adic,
-    sqrt_mod,
 )
 from noncongruent.f2linalg import kernel, rank
 
@@ -65,15 +64,6 @@ def test_jacobi_reciprocity(m, n):
     assert jacobi(m, n) * jacobi(n, m) == (-1) ** ((m - 1) // 2 * ((n - 1) // 2))
     assert jacobi(-1, n) == (-1) ** ((n - 1) // 2)
     assert jacobi(2, n) == (-1) ** ((n * n - 1) // 8)
-
-
-@given(st.sampled_from(ODD_PRIMES), st.integers(1, 10**12))
-def test_sqrt_mod_odd_prime_powers(p, x):
-    # Only the first power: sqrt_mod works modulo the prime itself.
-    assume(x % p)
-    a = x * x % p
-    s = sqrt_mod(a, p)
-    assert 0 < s < p and (s * s - a) % p == 0
 
 
 @given(st.integers(3, 40), st.integers(0, 10**12))

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from functools import cache
 from math import prod
 
 import pytest
@@ -14,7 +16,6 @@ from noncongruent.arith import (
     is_norm,
     is_prime,
     legendre,
-    sqrt_mod,
     squarefree_part,
     squarefree_upto,
 )
@@ -207,14 +208,53 @@ def test_prime_element_has_norm_pm_p(q):
     assert (s * s - 2) % p == 0 and (x + y * s) % p == 0
 
 
+@cache
+def _roots_of_2(p):
+    """Both square roots of 2 mod the odd prime p, smaller first, by trying
+    every residue."""
+    return tuple(r for r in range(1, p) if r * r % p == 2)
+
+
+# SHA-256 of the lines "p x y s", where x + y*sqrt(2) = _prime_element(p) and
+# s = sqrt2_mod(p), over the primes p = +-1 mod 8 below 2*10^5, as the
+# Tonelli-Shanks seed and the root read back off the element gave them.
+PRIME_ELEMENT_DIGEST = "89e9b8c5d49428b142b8f440b4514368ecc363a1f4c1c7b4600030b25808c257"
+
+
+def test_prime_elements_and_roots_are_pinned():
+    digest = hashlib.sha256()
+    for p in range(7, 200_000, 2):
+        if p % 8 in (1, 7) and is_prime(p):
+            x, y = _prime_element(p)
+            digest.update(f"{p} {x} {y} {sqrt2_mod(p)}\n".encode())
+    assert digest.hexdigest() == PRIME_ELEMENT_DIGEST
+
+
+def test_sqrt2_mod_is_the_larger_root():
+    for p in range(3, 5000, 2):
+        if not is_prime(p):
+            continue
+        if p % 8 in (3, 5):
+            with pytest.raises(NoRoot):
+                sqrt2_mod(p)
+        else:
+            assert sqrt2_mod(p) == _roots_of_2(p)[1], p
+
+
+def test_sqrt2_mod_past_small_non_residues():
+    # The least primes 1 mod 8 whose least non-residue is 11, 13, ..., 53.
+    for p in (1009, 2689, 8089, 33049, 53881, 87481, 483289, 515761,
+              1083289, 7921489, 3818929, 9257329):
+        s = sqrt2_mod(p)
+        assert (s * s - 2) % p == 0 and 2 * s > p, p
+
+
 def _quad_jacobi_reference(x, y, m, root_choice):
-    """((x + y*sqrt(2)) / m) prime by prime, each p | m taking the root of 2
-    that sqrt_mod gives, or the other one where root_choice(p)."""
+    """((x + y*sqrt(2)) / m) prime by prime, each p | m taking the smaller
+    root of 2, or the larger one where root_choice(p)."""
     value = 1
     for p, mult in factorize(m):
-        s = sqrt_mod(2, p)
-        if root_choice(p):
-            s = p - s
+        s = _roots_of_2(p)[root_choice(p)]
         value *= legendre((x + y * s) % p, p) ** mult
     return value
 
