@@ -8,12 +8,14 @@ counting images of iterated squaring, never from Redei theory, so they can
 cross-check it.  The Selmer oracle re-derives the pure 2-Selmer set from
 local solvability searches alone, never from the Monsky kernel: this
 module holds the torsors and their certified local point search (with
-multivariate Hensel certificates).  The norm-form window scans try every
-coordinate in a window and return plain tuples: those of 2*mu^2 - tau^2
-find the fundamental solutions that ``reps`` builds by Euclid in
-Z[sqrt(2)], and that of a^2 + 8*b^2 is the ``proposition`` suite's source
-of b.  Nothing here comes from the package but ``arith`` and ``errors``,
-so no oracle runs the code it checks.
+multivariate Hensel certificates), run once per place and square class of
+(n, d1, d2, d3); the answers at 2 stay in one table of at most 128 keys,
+those at odd primes live for one oracle call.  The norm-form window scans
+try every coordinate in a window and return plain tuples: those of
+2*mu^2 - tau^2 find the fundamental solutions that ``reps`` builds by
+Euclid in Z[sqrt(2)], and that of a^2 + 8*b^2 is the ``proposition``
+suite's source of b.  Nothing here comes from the package but ``arith``
+and ``errors``, so no oracle runs the code it checks.
 """
 
 from __future__ import annotations
@@ -751,19 +753,49 @@ def _candidate_triples(sf: SquareFreeN) -> list[SelmerTriple]:
     return [SelmerTriple.of(sf.is_even, a, b) for a in divs for b in divs]
 
 
+def _square_class(x: int, p: int) -> tuple[int, int]:
+    """Square class of the nonzero integer x in Q_p: v_p(x) mod 2 with the
+    unit part mod 8 at 2, with its Euler criterion at odd p."""
+    e, u = split_power(x, p)
+    return e & 1, u % 8 if p == 2 else pow(u, p >> 1, p)
+
+
+# Outcomes of the search at 2 by square-class key.  n has 8 classes; the
+# d_i are odd, d1 and d2 have four classes each and d3's follows from d1*d2*d3
+# being a square, so the table never holds more than 128 keys.
+_SOLVABLE_AT_2: dict[tuple, bool] = {}
+
+
+def _solvable(ts: TorsorSystem, p: int, outcomes: dict[tuple, bool]) -> bool:
+    """Whether the torsor has a point over Q_p, searched once per key
+    (p, cls(n), cls(d1), cls(d2), cls(d3)) and read from ``outcomes`` after."""
+    key = (p, *(_square_class(x, p) for x in (ts.n, *ts.lam)))
+    found = outcomes.get(key)
+    if found is None:
+        found = outcomes[key] = local_point_search(ts, p) is not None
+    return found
+
+
 def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
     """Pure 2-Selmer set from torsor local solvability at every v | 2n oo.
 
     Enumerates the representative grid of square-class triples and keeps
-    those whose torsor admits a certified local point at the real place, at
-    2 and at every odd prime dividing n.  Good places are skipped (smooth
-    reduction plus the Hasse bound guarantees points there).
+    those whose torsor admits a local point at the real place, at 2 and at
+    every odd prime dividing n.  Good places are skipped (smooth reduction
+    plus the Hasse bound guarantees points there).  Each variable of H1, H2
+    and H3 carries one coefficient, the same in all three forms, so scaling
+    n or a d_i by a square of Q_p is a change of variables; the search is
+    sound both ways, so it runs once per place and square-class key and its
+    yes/no answer serves every triple with that key.  Answers at 2 stay in
+    the bounded module table; those at odd p live for this call only.
     """
-    places = (None, 2, *sf.primes)
+    at_odd: dict[tuple, bool] = {}
     out = set()
     for lam in _candidate_triples(sf):
         ts = TorsorSystem(lam, sf.n)
-        if all(local_point_search(ts, v) is not None for v in places):
+        if _real_point(ts) is not None and all(
+            _solvable(ts, p, _SOLVABLE_AT_2 if p == 2 else at_odd) for p in (2, *sf.primes)
+        ):
             out.add(lam)
     return out
 

@@ -402,6 +402,27 @@ def test_local_point_searches_are_pinned():
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SEARCH_DIGEST
 
 
+def test_square_class_keys_fix_the_search_outcome():
+    # Each variable of H1, H2 and H3 carries one coefficient, the same in
+    # all three forms, so a square factor of Q_p in n or a d_i is a change
+    # of variables.  On the pinned test's corpus, searches at one place
+    # whose square-class keys agree must agree on solvability.
+    from noncongruent.oracles import _candidate_triples, _square_class
+
+    outcomes = {}
+    searches = 0
+    for n, sf in squarefree_upto(499):
+        for lam in _candidate_triples(sf):
+            ts = TorsorSystem(lam, n)
+            for p in (2, *sf.primes):
+                key = (p, *(_square_class(x, p) for x in (n, *lam)))
+                solvable = local_point_search(ts, p) is not None
+                assert outcomes.setdefault(key, solvable) == solvable, (n, lam, p)
+                searches += 1
+    assert (searches, len(outcomes)) == (12914, 1208)
+    assert sum(p == 2 for p, *_ in outcomes) == 96
+
+
 def test_solve_mod_p_lists_every_solution_in_order():
     from noncongruent.oracles import _solve_mod_p
 

@@ -342,6 +342,30 @@ def test_a_wrong_triple_map_fails_the_oracle(monkeypatch, mutation):
     assert any(oracle != kernel for oracle, kernel in pairs)
 
 
+@pytest.mark.parametrize("mutation", ["units-mod-4", "no-valuation-parity"])
+def test_a_wrong_square_class_key_fails_the_oracle(monkeypatch, mutation):
+    # The oracle reuses one search per place and square-class key, so a key
+    # that merges two classes hands some torsor another's answer.
+    def wrong(x, p):
+        e, u = arith.split_power(x, p)
+        if p != 2:
+            return (0 if mutation == "no-valuation-parity" else e & 1), pow(u, p >> 1, p)
+        return (0, u % 8) if mutation == "no-valuation-parity" else (e & 1, u % 4)
+
+    monkeypatch.setattr(oracles, "_square_class", wrong)
+    monkeypatch.setattr(oracles, "_SOLVABLE_AT_2", {})
+    pairs = ((selmer_oracle(sf), selmer_elements(sf)) for _, sf in arith.squarefree_upto(300, start=3))
+    assert any(oracle != kernel for oracle, kernel in pairs)
+
+
+def test_only_the_2_adic_outcomes_outlive_a_call():
+    verify.run("selmer-oracle", 3000)
+    assert 0 < len(oracles._SOLVABLE_AT_2) <= 128
+    for value in vars(oracles).values():
+        if isinstance(value, dict):
+            assert all(key[0] == 2 for key in value if isinstance(key, tuple)), value
+
+
 def test_point_search_examples():
     pts = point_search(5, 100)
     assert (Fraction(-4), Fraction(6)) in pts
