@@ -15,7 +15,7 @@ import enum
 from . import matrices
 from .arith import SquareFreeN, factor_squarefree, hilbert
 from .errors import NotCoprime, NotRankTwo, NotSquareFree, VerificationFailed
-from .reps import rep_2mu2_tau2, z2_jacobi
+from .reps import rep_2mu2_tau2
 
 
 class VerdictKind(enum.Enum):
@@ -125,11 +125,13 @@ def closed_form_pairing(sf: SquareFreeN, d: int, mu: int | None) -> int:
     """Closed form of the Cassels pairing of the two pure Selmer generators.
 
     Odd n: the Jacobi symbol (-mu / d), each (-mu / p) by Euler's criterion.
-    Even n (mu is None): the quadratic-field symbol ((2 - sqrt(2)) / |d|).
-    Both are taken at the primes of d.
+    Even n (mu is None): ((2 - sqrt(2)) / |d|), whose factor at p is -1
+    exactly when p = +-7 mod 16: for z a primitive 16th root of unity, the
+    root z^3 + z^-3 of 2 - sqrt(2) generates Q(z)^+, cyclic of degree 4 over
+    Q, in which a prime above p splits exactly when p = +-1 mod 16.
     """
     if sf.is_even:
-        return z2_jacobi(2, -1, tuple([p for p in sf.primes if d % p == 0]))
+        return (-1) ** sum([p % 16 in (7, 9) for p in sf.primes if d % p == 0])
     symbol = 1
     for p in sf.primes:
         if d % p == 0 and pow(-mu, p >> 1, p) != 1:
@@ -155,7 +157,7 @@ def classify(n: int | SquareFreeN) -> Verdict:
     the primes and are made and checked for each n.
     The criterion is Theorem 1 for odd n (h4(-n) = 1, h4(n) = 0 and
     (-mu/d) = -1) and Theorem 2 for even n (h4(-n/2) = 1 and
-    ((2 - sqrt(2))/|d|) = -1).
+    ((2 - sqrt(2))/|d|) = -1: an odd number of primes of d are +-7 mod 16).
     """
     if isinstance(n, SquareFreeN):
         sf = n

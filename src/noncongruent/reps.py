@@ -11,7 +11,7 @@ conjugating the whole product, are the unit orbits.  The unit 1 + sqrt(2)
 fixes the sign of the norm and 3 + 2*sqrt(2) steps each product to its
 smallest sqrt(2) coordinate.  The minimum over the orbits is the
 fundamental solution, the one that the window scans in ``oracles`` find.
-The root also gives the symbol ((x + y*sqrt(2)) / m).
+The root also gives ``z2_jacobi``, the oracle of the even pairing symbol.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def _prime_element(p: int) -> _Z2:
 def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     """The symbol ((x + y*sqrt(2)) / m) for m the product of the distinct odd
     ``primes``, each +-1 mod 8: the product of the Legendre symbols
-    ((x + y*s) / p) with s = ``sqrt2_mod(p)``, each by Euler's criterion.
+    ((x + y*s) / p) with s = ``sqrt2_mod(p)``, each by Euler's criterion;
+    the oracle of ``criteria``'s congruence mod 16 for ((2 - sqrt(2)) / m).
 
     The value at p does not depend on the root when the norm x^2 - 2y^2 is
     a nonzero square mod p, since the other root gives the conjugate; a

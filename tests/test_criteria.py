@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from math import prod
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noncongruent import arith, cli, criteria, f2linalg, matrices, verify
+from noncongruent import arith, cli, criteria, f2linalg, matrices, reps, verify
 from noncongruent.arith import (
     SquareFreeN,
     factor_squarefree,
@@ -64,6 +65,66 @@ def test_odd_pairing_symbol_is_the_jacobi_symbol():
         assert v.pairing_symbol == arith.jacobi(-v.mu, v.d), n
         cases += 1
     assert cases == 3786
+
+
+# The sieve's filter for even eligible n: n = 2 mod 8, every odd prime +-1 mod 8.
+_EVEN_ELIGIBLE = ((2,), (1, 7))
+
+
+def test_even_pairing_symbol_is_the_z2_jacobi_symbol():
+    # classify takes ((2 - sqrt(2)) / |d|) as (-1)^#{p | d : p = +-7 mod 16};
+    # reps.z2_jacobi, which reduces sqrt(2) to sqrt2_mod(p) and takes Euler's
+    # criterion, is the reference, prime by prime and on every even verdict.
+    primes = 0
+    for p in arith.base_primes(10**6):
+        if p % 8 in (1, 7):
+            assert reps.z2_jacobi(2, -1, (p,)) == (-1 if p % 16 in (7, 9) else 1), p
+            primes += 1
+    assert primes == 39221
+    cases = 0
+    for n, sf in squarefree_upto(10**6, _EVEN_ELIGIBLE):
+        v = classify(sf)
+        if v.d is None:
+            continue
+        assert v.pairing_symbol == reps.z2_jacobi(2, -1, tuple(p for p in sf.primes if v.d % p == 0)), n
+        cases += 1
+    assert cases == 17492
+
+
+def _primes_1_mod_8_near(x, rng, count):
+    """``count`` distinct primes = 1 mod 8, each the first at or past a
+    random start in [x, 2x)."""
+    found = set()
+    while len(found) < count:
+        p = rng.randrange(x, 2 * x)
+        p += (1 - p) % 8
+        while not is_prime(p):
+            p += 8
+        found.add(p)
+    return sorted(found)
+
+
+def test_k1_laws_hold_at_every_size():
+    # Whole verdicts (the gate, d, mu and the symbol) at k = 1 against two
+    # laws in p alone, for p = 1 mod 8 up to 2 * 10^24.
+    # - n = 2p: d = p, so the even symbol is -1 exactly when p = 9 mod 16
+    #   (closed_form_pairing); given s2 = 2, this law is proved.
+    # - n = p: non-congruent with Sha[2] = (Z/2)^2 exactly when
+    #   (2/p)_4 = 2^((p-1)/4) mod p differs from (-1)^((p-1)/8).  This law
+    #   is observed, not proved: with the law of 2p it held on all 56668
+    #   eligible n = p or 2p <= 2 * 10^6 with s2 = 2 (37116 of them n = p),
+    #   and on p and 2p for 2000 random primes near 10^9 to 10^18.
+    small = [p for p in arith.base_primes(2 * 10**5) if p % 8 == 1]
+    assert len(small) == 4466
+    rng = random.Random(37)
+    primes = small + [p for x in (10**9, 10**12, 10**15, 10**18, 10**24) for p in _primes_1_mod_8_near(x, rng, 100)]
+    for p in primes:
+        odd, even = classify(p), classify(2 * p)
+        assert odd.s2 == even.s2 == 2, p
+        assert (even.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (p % 16 == 9), p
+        quartic = pow(2, (p - 1) // 4, p)
+        sign = 1 if (p - 1) // 8 % 2 == 0 else p - 1
+        assert (odd.verdict == VerdictKind.NON_CONGRUENT_SHA22) == (quartic != sign), p
 
 
 @pytest.mark.parametrize("n", [161, 322])
@@ -231,6 +292,26 @@ def _count_factorize(monkeypatch):
 
     _route(monkeypatch, real, counting)
     return calls
+
+
+def test_even_rows_take_no_square_root_of_2(monkeypatch):
+    # The even symbol is a congruence mod 16, so classify of an even n never
+    # reaches reps.sqrt2_mod: no prime element, no z2_jacobi.
+    calls = []
+    real = reps.sqrt2_mod
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    _route(monkeypatch, real, counting)
+    rows = 0
+    for n, sf in squarefree_upto(2 * 10**4, _EVEN_ELIGIBLE):
+        rows += classify(sf).pairing_symbol is not None
+    assert (calls, rows) == ([], 422)
+    # the counter sees the calls that z2_jacobi makes
+    reps.z2_jacobi(2, -1, (7, 23))
+    assert calls == [7, 23]
 
 
 @pytest.mark.parametrize("n", [2446197334673, 2213746])  # 1375951 * 1777823, 2 * 1009 * 1097
