@@ -3,14 +3,19 @@
 Narrow class groups are realized concretely as form class groups of binary
 quadratic forms: reduced positive-definite forms for negative discriminants,
 reduction cycles of indefinite forms for positive ones (proper equivalence,
-which matches the narrow group canonically).  2-power ranks come from
-counting images of iterated squaring, never from Redei theory, so they can
-cross-check it.  The Selmer oracle re-derives the pure 2-Selmer set from
-local solvability searches alone, never from the Monsky kernel: this
+which matches the narrow group canonically).  The indefinite window is
+searched only up to |a| <= sqrt(-ac), since |a| -> |c| maps it onto itself.
+2-power ranks come from counting images of iterated squaring, never from
+Redei theory, so they can cross-check it; a square takes one extended gcd,
+not the two of a general composition, and the groups work on plain
+triples, building BQForm records only for a caller that reads them.  The
+Selmer oracle re-derives the pure 2-Selmer set from local solvability
+searches alone, never from the Monsky kernel: this
 module holds the torsors and their certified local point search (with
 multivariate Hensel certificates), run once per place and square class of
 (n, d1, d2, d3); the answers at 2 stay in one table of at most 128 keys,
-those at odd primes live for one oracle call.  The norm-form window scans
+those at odd primes and the square-root tables mod p live for one oracle
+call.  The norm-form window scans
 try every coordinate in a window and return plain tuples: those of
 2*mu^2 - tau^2 find the fundamental solutions that ``reps`` builds by
 Euclid in Z[sqrt(2)], and that of a^2 + 8*b^2 is the ``proposition``
@@ -21,6 +26,7 @@ and ``errors``, so no oracle runs the code it checks.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -103,6 +109,23 @@ def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int,
     return a, b, (b * b - disc) // (4 * a)
 
 
+def _square(f: tuple[int, int, int]) -> tuple[int, int, int]:
+    """compose(f, f) by one extended gcd.
+
+    With f = g, gcd(a, a) = |a| has y1 = 0, so d1 = gcd(b, |a|) = x*b +
+    y*|a|, v = a/d1 and r = -x*c mod v give (v^2, b + 2*v*r, c'): the same
+    unreduced triple as ``compose``, whose second gcd this is.
+    """
+    a, b, c = f
+    disc = b * b - 4 * a * c
+    x, _, d1 = _xgcd(b, abs(a))
+    v = a // d1
+    r = -x * c % v
+    b2 = b + 2 * v * r
+    a2 = v * v
+    return a2, b2, (b2 * b2 - disc) // (4 * a2)
+
+
 def reduce_definite(f: tuple[int, int, int]) -> tuple[int, int, int]:
     """Canonical reduced form in the class of a positive-definite form."""
     a, b, c = f
@@ -156,16 +179,26 @@ def _reduced_definite_forms(disc: int) -> list[tuple[int, int, int]]:
 
 
 def _reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms (a, b, c) with 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2|a| < sqrt(disc) + b, by b and then by the divisors
+    |a| <= sqrt(n4) of n4 = (disc - b^2)/4 = -ac.
+
+    The window is closed under |a| -> n4/|a| = |c|: 2|c| = (sqrt(disc) - b)
+    (sqrt(disc) + b)/(2|a|) lies strictly between sqrt(disc) - b and
+    sqrt(disc) + b exactly when 2|a| does.  So each divisor a <= sqrt(n4)
+    with c = n4/a gives (a, b, -c), (-a, b, c) and, unless c = a, the
+    mirrors (c, b, -a), (-c, b, a).
+    """
     sq = isqrt(disc)
     out = []
-    for b in range(1, sq + 1):
-        if (disc - b * b) % 4:
-            continue
+    for b in range(2 - disc % 2, sq + 1, 2):  # b = disc (mod 2): disc is 0 or 1 mod 4
         n4 = (disc - b * b) // 4
-        # Reduced window: (sq - b)/2 < |a| <= (sq + b)/2, with |a| | n4.
-        for a in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
+        for a in range((sq - b) // 2 + 1, isqrt(n4) + 1):
             if n4 % a == 0 and gcd(a, b, n4 // a) == 1:
-                out += [(a, b, -(n4 // a)), (-a, b, n4 // a)]
+                c = n4 // a
+                out += [(a, b, -c), (-a, b, c)]
+                if c != a:
+                    out += [(c, b, -a), (-c, b, a)]
     return out
 
 
@@ -181,8 +214,12 @@ def _fundamental(disc: int) -> int:
 
 class _FormGroup:
     """Finite abelian group of form classes with canonical representatives,
-    for |disc| <= _DISC_CAP (``_fundamental``), on triples (a, b, c); the
-    classes it lists (``elements`` and ``identity``) are BQForms."""
+    for |disc| <= _DISC_CAP (``_fundamental``), on triples (a, b, c).
+
+    ``classes`` (sorted) and ``principal`` are plain triples, which the rank
+    chains walk; ``elements`` and ``identity`` are the same classes as
+    BQForms, built once, when first read.
+    """
 
     def __init__(self, disc: int):
         self.disc = disc
@@ -210,8 +247,16 @@ class _FormGroup:
             classes = sorted(set(rep.values()))
             b0 = sq if (sq - disc) % 2 == 0 else sq - 1
             identity = self.canon((1, b0, (b0 * b0 - disc) // 4))
-        self.elements = [BQForm._make(f) for f in classes]
-        self.identity = BQForm._make(identity)
+        self.classes = classes
+        self.principal = identity
+
+    @cached_property
+    def elements(self) -> list[BQForm]:
+        return [BQForm._make(f) for f in self.classes]
+
+    @cached_property
+    def identity(self) -> BQForm:
+        return BQForm._make(self.principal)
 
     def canon(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
         """The listed class of f: its reduced form, or for disc > 0 the
@@ -229,6 +274,12 @@ class _FormGroup:
 
     def mul(self, f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
         return self.canon(compose(f, g))
+
+    def square(self, f: tuple[int, int, int]) -> tuple[int, int, int] | None:
+        """The listed class of f^2, or None when the composite is no form
+        of the discriminant (then no reduction runs on it)."""
+        h = a, b, c = _square(f)
+        return self.canon(h) if b * b - 4 * a * c == self.disc else None
 
     def h4(self) -> int:
         """The 4-rank, from the squaring chain alone: not the odd-q chains
@@ -261,7 +312,7 @@ class _FormGroup:
         """f^e for a canonical f, left to right: one composition per bit
         below the top one, and one more per set bit."""
         if e == 0:
-            return self.identity
+            return self.principal
         out = f
         for bit in bin(e)[3:]:
             out = self.mul(out, out)
@@ -271,25 +322,28 @@ class _FormGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.classes)
 
 
 def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
     """r_{q^a} for a = 1, 2, ... : log_q of successive image-size ratios.
 
-    Each class is raised to the q-th power once: its image is a listed
-    class, so that one map carries every level's image to the next.  Stops
-    once the image stabilizes (the q-part is exhausted; what remains is the
-    prime-to-q part, on which q-th powering is a bijection), and at once
-    when q does not divide the order.
+    Each class is raised to the q-th power once, by ``square`` at q = 2 and
+    by ``power`` otherwise: its image is a listed class, so that one map
+    carries every level's image to the next.  Stops once the image
+    stabilizes (the q-part is exhausted; what remains is the prime-to-q
+    part, on which q-th powering is a bijection), and at once when q does
+    not divide the order.
     """
     if group.order % q:
         return []
-    image = {f: group.power(f, q) for f in group.elements}
+    step = group.square if q == 2 else lambda f: group.power(f, q)
+    image = {f: step(f) for f in group.classes}
     current = set(image)
     ranks = []
     while True:
-        nxt = {image[f] for f in current}
+        # a square that is no form of the discriminant is None, fixed here
+        nxt = {image.get(f) for f in current}
         if len(nxt) == len(current):
             break
         ratio = len(current) // len(nxt)
@@ -617,6 +671,21 @@ def _levels(h1, h3, p: int, last: int):
     raise PrecisionExhausted(f"no certificate and live frontier at p = {p}, level {last}")
 
 
+@lru_cache(maxsize=8)
+def _square_roots(p: int) -> tuple[tuple[int, ...], ...]:
+    """The square roots mod p of each residue, in increasing order: x and
+    p - x for each 0 < x < p/2 at odd p.  One O(p) table per prime, kept
+    for the last eight primes (n <= 10^5 has at most six) and cleared by
+    each ``selmer_oracle`` call, so the tables held sum to O(n)."""
+    if p == 2:
+        return (0,), (1,)
+    roots: list[tuple[int, ...]] = [()] * p
+    roots[0] = (0,)
+    for x in range(1, (p + 1) // 2):
+        roots[x * x % p] = (x, p - x)
+    return tuple(roots)
+
+
 def _level_one(h1, h3, p: int):
     """Every projective solution mod p, one affine patch per unit coordinate,
     made lazily.
@@ -624,13 +693,12 @@ def _level_one(h1, h3, p: int):
     Both forms are diagonal.  With (a, b) the coefficients of x3, the
     combination e = a*h3 - b*h1 has no x3 term (e is h1 or h3 when both
     vanish), so once x1 is fixed e pins x2^2 by a linear condition; then
-    each form pins x3^2 the same way.  Every square's roots come from a
-    table: O(p) time and memory at every p, 2 included.  The solutions come
-    out in the order of an exhaustive lexicographic scan.
+    each form pins x3^2 the same way.  Every square's roots come from the
+    table of ``_square_roots``: O(p) time and memory at every p, 2
+    included, once per prime while it stays cached.  The solutions come out
+    in the order of an exhaustive lexicographic scan.
     """
-    roots: list[list[int]] = [[] for _ in range(p)]
-    for x in range(p):
-        roots[x * x % p].append(x)
+    roots = _square_roots(p)
     every = range(p)
     a, b = h1[3] % p, h3[3] % p
     if a or b:
@@ -787,9 +855,11 @@ def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
     n or a d_i by a square of Q_p is a change of variables; the search is
     sound both ways, so it runs once per place and square-class key and its
     yes/no answer serves every triple with that key.  Answers at 2 stay in
-    the bounded module table; those at odd p live for this call only.
+    the bounded module table; those at odd p live for this call only, and
+    so do the square-root tables of its primes.
     """
     at_odd: dict[tuple, bool] = {}
+    _square_roots.cache_clear()
     out = set()
     for lam in _candidate_triples(sf):
         ts = TorsorSystem(lam, sf.n)

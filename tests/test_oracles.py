@@ -14,6 +14,7 @@ from noncongruent.matrices import h4, selmer_elements
 from noncongruent.oracles import (
     BQForm,
     _reduced_definite_forms,
+    _reduced_indefinite_forms,
     class_group,
     compose,
     h4_oracle,
@@ -218,6 +219,61 @@ def test_power_equals_repeated_multiplication():
                 out = group.mul(out, f)
 
 
+def _reduced_indefinite_by_full_window(disc):
+    """The reference enumeration: every |a| in the whole reduced window
+    (sqrt(disc) - b)/2 < |a| <= (sqrt(disc) + b)/2, for each b."""
+    sq = isqrt(disc)
+    out = []
+    for b in range(1, sq + 1):
+        if (disc - b * b) % 4:
+            continue
+        n4 = (disc - b * b) // 4
+        for a in range((sq - b) // 2 + 1, (sq + b) // 2 + 1):
+            if n4 % a == 0 and gcd(a, b, n4 // a) == 1:
+                out += [(a, b, -(n4 // a)), (-a, b, n4 // a)]
+    return sorted(out)
+
+
+def test_reduced_indefinite_forms_match_the_full_window():
+    # the half window below sqrt(n4) and its mirrors give the same forms
+    discs = [d for d in range(5, 20001) if is_fundamental(d)]
+    assert len(discs) == 6081
+    for disc in discs:
+        assert sorted(_reduced_indefinite_forms(disc)) == _reduced_indefinite_by_full_window(disc), disc
+
+
+def test_squaring_is_compose_with_itself():
+    from noncongruent.oracles import _FormGroup, _square
+
+    checked = 0
+    for disc in range(-3000, 3001):
+        if not is_fundamental(disc):
+            continue
+        # every class of a positive disc is one of its reduced forms
+        forms = _reduced_indefinite_forms(disc) if disc > 0 else _FormGroup(disc).classes
+        for f in forms:
+            assert _square(f) == compose(f, f), (disc, f)
+        checked += len(forms)
+    assert checked == 55334
+
+
+def test_a_wrong_squaring_fails_the_class_oracle(monkeypatch):
+    # r negated: (v^2, b - 2vr, .) is no form of the discriminant for most
+    # classes and a wrong class for some, and the 4-ranks then disagree with
+    # Redei's on some fields instead of the reduction running on a non-form
+    def negated(f):
+        a, b, c = f
+        x, _, d1 = oracles._xgcd(b, abs(a))
+        v = a // d1
+        r = -(-x * c % v)
+        b2 = b + 2 * v * r
+        return v * v, b2, (b2 * b2 - (b * b - 4 * a * c)) // (4 * v * v)
+
+    assert verify.run("class-oracle", 2000)["failed"] == 0
+    monkeypatch.setattr(oracles, "_square", negated)
+    assert verify.run("class-oracle", 2000)["failed"] > 0
+
+
 def test_h4_oracle_matches_class_group():
     for a in range(2, 501):
         if squarefree_part(a) != a:
@@ -364,6 +420,22 @@ def test_only_the_2_adic_outcomes_outlive_a_call():
     for value in vars(oracles).values():
         if isinstance(value, dict):
             assert all(key[0] == 2 for key in value if isinstance(key, tuple)), value
+
+
+def test_square_root_tables_are_the_scan_and_live_for_one_call():
+    from noncongruent.oracles import _square_roots
+
+    for p in (q for q in range(2, 2000) if arith.is_prime(q)):
+        roots = [[] for _ in range(p)]
+        for x in range(p):
+            roots[x * x % p].append(x)
+        assert list(map(list, _square_roots(p))) == roots, p
+    # n = 3 * 5 * 7 * 11 * 13: its search reads at most the tables of 2n's primes
+    sf = factor_squarefree(15015)
+    assert selmer_oracle(sf) == selmer_elements(sf)
+    assert 0 < _square_roots.cache_info().currsize <= 6
+    selmer_oracle(factor_squarefree(10009))
+    assert _square_roots.cache_info().currsize <= 2
 
 
 def test_point_search_examples():
