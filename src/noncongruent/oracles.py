@@ -217,8 +217,9 @@ class _FormGroup:
     for |disc| <= _DISC_CAP (``_fundamental``), on triples (a, b, c).
 
     ``classes`` (sorted) and ``principal`` are plain triples, which the rank
-    chains walk; ``elements`` and ``identity`` are the same classes as
-    BQForms, built once, when first read.
+    chains and ``composes_distinct`` walk; ``elements`` and ``identity`` are
+    the same classes as BQForms for a caller that wants records, built
+    once, when first read.
     """
 
     def __init__(self, disc: int):
@@ -275,12 +276,6 @@ class _FormGroup:
     def mul(self, f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
         return self.canon(compose(f, g))
 
-    def square(self, f: tuple[int, int, int]) -> tuple[int, int, int] | None:
-        """The listed class of f^2, or None when the composite is no form
-        of the discriminant (then no reduction runs on it)."""
-        h = a, b, c = _square(f)
-        return self.canon(h) if b * b - 4 * a * c == self.disc else None
-
     def h4(self) -> int:
         """The 4-rank, from the squaring chain alone: not the odd-q chains
         of ``class_group``."""
@@ -295,7 +290,7 @@ class _FormGroup:
         where distinct classes meet.  A composite that is no primitive form
         of the discriminant fails the check instead of reaching ``canon``.
         """
-        classes = [f for f in self.elements if f != self.identity][:2]
+        classes = [f for f in self.classes if f != self.principal][:2]
         if not classes:
             return True
         f, g = classes[0], classes[-1]
@@ -309,13 +304,13 @@ class _FormGroup:
         return fg is not None and fg == mul(g, f) and mul(fg, g_inverse) == f
 
     def power(self, f: tuple[int, int, int], e: int) -> tuple[int, int, int]:
-        """f^e for a canonical f, left to right: one composition per bit
-        below the top one, and one more per set bit."""
+        """f^e for a canonical f, left to right: one squaring (``_square``)
+        per bit below the top one, and one composition more per set bit."""
         if e == 0:
             return self.principal
         out = f
         for bit in bin(e)[3:]:
-            out = self.mul(out, out)
+            out = self.canon(_square(out))
             if bit == "1":
                 out = self.mul(out, f)
         return out
@@ -328,22 +323,19 @@ class _FormGroup:
 def _q_rank_chain(group: _FormGroup, q: int) -> list[int]:
     """r_{q^a} for a = 1, 2, ... : log_q of successive image-size ratios.
 
-    Each class is raised to the q-th power once, by ``square`` at q = 2 and
-    by ``power`` otherwise: its image is a listed class, so that one map
-    carries every level's image to the next.  Stops once the image
+    Each class is raised to the q-th power once, by ``power``: its image is
+    a listed class, so that one map carries every level's image to the next.  Stops once the image
     stabilizes (the q-part is exhausted; what remains is the prime-to-q
     part, on which q-th powering is a bijection), and at once when q does
     not divide the order.
     """
     if group.order % q:
         return []
-    step = group.square if q == 2 else lambda f: group.power(f, q)
-    image = {f: step(f) for f in group.classes}
+    image = {f: group.power(f, q) for f in group.classes}
     current = set(image)
     ranks = []
     while True:
-        # a square that is no form of the discriminant is None, fixed here
-        nxt = {image.get(f) for f in current}
+        nxt = {image[f] for f in current}
         if len(nxt) == len(current):
             break
         ratio = len(current) // len(nxt)
