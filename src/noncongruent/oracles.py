@@ -7,10 +7,9 @@ which matches the narrow group canonically).  The indefinite window is
 searched only up to |a| <= sqrt(-ac), since |a| -> |c| maps it onto itself.
 2-power ranks come from counting images of iterated squaring, never from
 Redei theory, so they can cross-check it; a square takes one extended gcd,
-not the two of a general composition, and the groups work on plain
-triples, building BQForm records only for a caller that reads them.  The
-Selmer oracle re-derives the pure 2-Selmer set from local solvability
-searches alone, never from the Monsky kernel: this
+not the two of a general composition, and every form and class is a plain
+triple (a, b, c).  The Selmer oracle re-derives the pure 2-Selmer set from
+local solvability searches alone, never from the Monsky kernel: this
 module holds the torsors and their certified local point search (with
 multivariate Hensel certificates), run once per place and square class of
 (n, d1, d2, d3); the answers at 2 stay in one table of at most 128 keys,
@@ -26,7 +25,7 @@ and ``errors``, so no oracle runs the code it checks.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -40,13 +39,6 @@ from .errors import (
 )
 
 _DISC_CAP = 10**6
-
-
-class BQForm(namedtuple("BQForm", "a b c")):
-    """Binary quadratic form a x^2 + b xy + c y^2 for each class a group
-    lists; inside, forms are plain triples (a, b, c), which it equals."""
-
-    __slots__ = ()
 
 
 class ClassGroupReport(namedtuple("ClassGroupReport", "disc order invariant_factors r2 r4 r8")):
@@ -216,18 +208,16 @@ class _FormGroup:
     """Finite abelian group of form classes with canonical representatives,
     for |disc| <= _DISC_CAP (``_fundamental``), on triples (a, b, c).
 
-    ``classes`` (sorted) and ``principal`` are plain triples, which the rank
-    chains and ``composes_distinct`` walk; ``elements`` and ``identity`` are
-    the same classes as BQForms for a caller that wants records, built
-    once, when first read.
+    ``classes`` (sorted) and ``principal`` are the canonical triples that
+    the rank chains and ``composes_distinct`` walk.  The principal class is
+    that of (1, b0, (b0^2 - disc)/4) with b0 = disc mod 2, for either sign:
+    reduced when disc < 0, walked into its cycle by ``canon`` when disc > 0.
     """
 
     def __init__(self, disc: int):
         self.disc = disc
         if disc < 0:
             classes = sorted(_reduced_definite_forms(disc))
-            b0 = disc % 2
-            identity = (1, b0, (b0 * b0 - disc) // 4)
         else:
             self.sq = sq = isqrt(disc)
             rep: dict[tuple[int, int, int], tuple[int, int, int]] = {}
@@ -246,18 +236,9 @@ class _FormGroup:
                     rep[h] = best
             self._rep = rep
             classes = sorted(set(rep.values()))
-            b0 = sq if (sq - disc) % 2 == 0 else sq - 1
-            identity = self.canon((1, b0, (b0 * b0 - disc) // 4))
         self.classes = classes
-        self.principal = identity
-
-    @cached_property
-    def elements(self) -> list[BQForm]:
-        return [BQForm._make(f) for f in self.classes]
-
-    @cached_property
-    def identity(self) -> BQForm:
-        return BQForm._make(self.principal)
+        b0 = disc % 2
+        self.principal = self.canon((1, b0, (b0 * b0 - disc) // 4))
 
     def canon(self, f: tuple[int, int, int]) -> tuple[int, int, int]:
         """The listed class of f: its reduced form, or for disc > 0 the

@@ -7,10 +7,12 @@ square-free n such elements exist iff every odd p | n splits (p = +-1 mod
 p | n: sqrt(2) above 2, and gcd(p, sqrt(2) - s) by Euclid or its conjugate
 above odd p, where s is the package's one square root of 2 mod p
 (``sqrt2_mod``, in closed form).  The 2^(k-1) conjugate choices, up to
-conjugating the whole product, are the unit orbits.  The unit 1 + sqrt(2)
-fixes the sign of the norm and 3 + 2*sqrt(2) steps each product to its
-smallest sqrt(2) coordinate.  The minimum over the orbits is the
-fundamental solution, the one that the window scans in ``oracles`` find.
+conjugating the whole product, are the unit orbits; past 2^21 of them
+(k >= 23) TooLarge is raised before any is made.  Conjugation keeps the
+norm, so one factor 1 + sqrt(2) in the seed fixes the sign of every
+product, and 3 + 2*sqrt(2) steps each product to its smallest sqrt(2)
+coordinate.  The minimum over the orbits is the fundamental solution, the
+one that the window scans in ``oracles`` find.
 The root also gives ``z2_jacobi``, the oracle of the even pairing symbol.
 """
 
@@ -18,12 +20,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import prod
 
 from .arith import SquareFreeN, factor_squarefree
-from .errors import IllDefined, NoRepresentation, NoRoot, NotCoprime
+from .errors import IllDefined, NoRepresentation, NoRoot, NotCoprime, TooLarge
 
 # Elements x + y*sqrt(2) of Z[sqrt(2)] are pairs (x, y): coordinate 0 is x.
 _Z2 = tuple[int, int]
+
+# The most conjugate choices ``_products`` multiplies out: 2^21 products,
+# k = 22 odd primes, in about 5 s and 0.5 GB.
+_MOST_CHOICES = 2**21
 
 
 class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
@@ -142,11 +149,12 @@ def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     return result
 
 
-def _products(n: int, sf: SquareFreeN | None) -> list[_Z2]:
-    """One element of norm +-n in each unit orbit of Z[sqrt(2)], for square-free
-    n > 0: a prime element above each prime of n multiplied out over the 2^(k-1)
-    conjugate choices, up to conjugating the whole product.  ``sf`` is n factored
-    or None; raises NotSquareFree, or NoRepresentation if an odd p | n does not split."""
+def _products(n: int, sf: SquareFreeN | None, sign: int) -> list[_Z2]:
+    """One element of norm sign*n in each unit orbit of Z[sqrt(2)], for
+    square-free n > 0: a prime element above each prime of n multiplied out
+    over the 2^(k-1) conjugate choices, up to conjugating the whole product.
+    ``sf`` is n factored or None; raises NotSquareFree, NoRepresentation if
+    an odd p | n does not split, or TooLarge past ``_MOST_CHOICES``."""
     if sf is None:
         sf = factor_squarefree(n)
     elif sf.n != n:
@@ -158,7 +166,11 @@ def _products(n: int, sf: SquareFreeN | None) -> list[_Z2]:
     # Conjugating the whole product keeps |coordinates|, and the conjugate
     # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
     one_choice = 1 + sf.is_even
-    a, b = 1, 0
+    if 2 ** (len(elements) - one_choice) > _MOST_CHOICES:
+        raise TooLarge(f"{n} has 2^{sf.k - 1} unit orbits, more than {_MOST_CHOICES}")
+    # Every product has the norm of the elements' product, whose sign one
+    # factor 1 + sqrt(2) (norm -1) in the seed fixes.
+    a, b = (1, 1) if prod(x * x - 2 * y * y for x, y in elements) == -sign * n else (1, 0)
     for x, y in elements[:one_choice]:
         a, b = a * x + 2 * b * y, a * y + b * x
     products = [(a, b)]
@@ -170,11 +182,7 @@ def _products(n: int, sf: SquareFreeN | None) -> list[_Z2]:
 def _least(n: int, sf: SquareFreeN | None, sign: int) -> _Z2:
     """The element of Z[sqrt(2)] of norm sign*n with the least |coordinate 1|
     (0 only at n = 1); ``sf`` and the errors are those of ``_products``."""
-    products = _products(n, sf)
-    x, y = products[0]
-    if x * x - 2 * y * y != sign * n:
-        # One factor 1 + sqrt(2) (norm -1) fixes the sign of every product.
-        products = [(x + 2 * y, x + y) for x, y in products]
+    products = _products(n, sf, sign)
     # Products of one norm with equal least |coordinate 1| have equal |coordinate 0|.
     least = _smallest(products[0])
     for a in products[1:]:

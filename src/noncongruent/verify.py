@@ -116,8 +116,8 @@ def _corollaries(bound: int):
 
 def _pell_orbit(bound: int):
     """Odd eligible n with s2 = 2: mu is the window scan's least |mu|, and each
-    unit orbit (a product of ``_products`` with its norm fixed to -n) gives
-    the verdict's (-mu/d), mu = d mod 4, at three steps of 3 + 2*sqrt(2)."""
+    unit orbit (a product of ``_products`` of norm -n) gives the verdict's
+    (-mu/d), mu = d mod 4, at three steps of 3 + 2*sqrt(2)."""
     from . import oracles
 
     for n, sf in squarefree_upto(bound, _ODD_ELIGIBLE):
@@ -127,9 +127,7 @@ def _pell_orbit(bound: int):
         d = v.d
         window_mu = oracles.window_2mu2_tau2(n)[0]
         symbols = [v.pairing_symbol]
-        for tau, mu in _products(n, sf):
-            if tau * tau - 2 * mu * mu != -n:
-                tau, mu = tau + 2 * mu, tau + mu  # the factor 1 + sqrt(2) has norm -1
+        for tau, mu in _products(n, sf, -1):
             for _ in range(3):
                 mu, tau = orbit_step_2mu2(mu, tau)
                 symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))

@@ -12,7 +12,6 @@ from noncongruent.arith import factor_squarefree, squarefree_part
 from noncongruent.errors import NotFundamental, OutOfRange, TooLarge, VerificationFailed
 from noncongruent.matrices import h4, selmer_elements
 from noncongruent.oracles import (
-    BQForm,
     _reduced_definite_forms,
     _reduced_indefinite_forms,
     class_group,
@@ -79,7 +78,7 @@ def _reduced_definite_by_a_b(disc):
             if b < 0 and (a == c or -b == a):
                 continue
             if gcd(a, b, c) == 1:
-                out.append(BQForm(a, b, c))
+                out.append((a, b, c))
     return out
 
 
@@ -130,7 +129,7 @@ def test_definite_class_number_matches_dirichlet():
 
 # SHA-256 of repr([tuple(class_group(D)) ...]) over every fundamental D with
 # |D| <= 5000 in increasing order: (disc, order, invariant factors, r2, r4,
-# r8), as the form-class oracle gave them on BQForm records.
+# r8), as the form-class oracle gives them.
 CLASS_GROUP_DIGEST = "bfba76a9274a7705ed904ed584ed70be54929e3dfc984471e4a29f9ed9f4c3d8"
 
 
@@ -147,15 +146,15 @@ def test_h4_h8_oracle_examples():
 
 
 def test_composition_group_laws():
-    group_forms = [BQForm(1, 0, 17), BQForm(2, 2, 9), BQForm(3, 2, 6), BQForm(3, -2, 6)]
-    identity = BQForm(1, 0, 17)
+    group_forms = [(1, 0, 17), (2, 2, 9), (3, 2, 6), (3, -2, 6)]
+    identity = (1, 0, 17)
     for f in group_forms:
         assert reduce_definite(compose(f, identity)) == f
     # (3,2,6) generates the cyclic group of order 4
-    g = BQForm(3, 2, 6)
+    g = (3, 2, 6)
     g2 = reduce_definite(compose(g, g))
     g4 = reduce_definite(compose(g2, g2))
-    assert g2 == BQForm(2, 2, 9)
+    assert g2 == (2, 2, 9)
     assert g4 == identity
 
 
@@ -177,20 +176,20 @@ def test_group_closure_on_spot_discriminants():
         d += 1
     for disc in spots:
         group = _FormGroup(disc)
-        elems = set(group.elements)
-        assert group.identity in elems
-        for f in group.elements:
-            row = {group.mul(f, g) for g in group.elements}
+        elems = set(group.classes)
+        assert group.principal in elems
+        for f in group.classes:
+            row = {group.mul(f, g) for g in group.classes}
             assert row == elems  # each row of the Cayley table is a permutation
-            assert group.identity in {group.mul(f, g) for g in group.elements}
+            assert group.principal in {group.mul(f, g) for g in group.classes}
             # the raw composite is integral of discriminant disc, and the law
             # is commutative with the principal form as identity and the
             # opposite form (a, -b, c) as inverse
-            composites = [compose(f, g) for g in group.elements]
+            composites = [compose(f, g) for g in group.classes]
             assert all(h[1] * h[1] - 4 * h[0] * h[2] == disc for h in composites)
-            assert all(group.mul(f, g) == group.mul(g, f) for g in group.elements)
-            assert group.mul(f, group.identity) == f
-            assert group.mul(f, BQForm(f.a, -f.b, f.c)) == group.identity
+            assert all(group.mul(f, g) == group.mul(g, f) for g in group.classes)
+            assert group.mul(f, group.principal) == f
+            assert group.mul(f, (f[0], -f[1], f[2])) == group.principal
 
 
 def test_composes_distinct_catches_a_wrong_law(monkeypatch):
@@ -212,11 +211,34 @@ def test_power_equals_repeated_multiplication():
     # Z/3 x Z/9 (definite) and Z/2 x Z/2 x Z/4 (indefinite)
     for disc in (-3299, 1785):
         group = _FormGroup(disc)
-        for f in group.elements:
-            out = group.identity
+        for f in group.classes:
+            out = group.principal
             for e in range(9):
                 assert group.power(f, e) == out, (disc, f, e)
                 out = group.mul(out, f)
+
+
+def test_principal_class_has_one_rule_for_both_signs():
+    # the earlier rule, one branch per sign: (1, disc mod 2, .) as listed
+    # for disc < 0, (1, b0, .) with b0 the largest b <= sqrt(disc) of the
+    # parity of disc, which is reduced, put in its cycle for disc > 0
+    from noncongruent.oracles import _FormGroup
+
+    checked = 0
+    for disc in range(-5000, 5001):
+        if not is_fundamental(disc):
+            continue
+        group = _FormGroup(disc)
+        if disc < 0:
+            b0 = disc % 2
+            want = (1, b0, (b0 * b0 - disc) // 4)
+        else:
+            sq = isqrt(disc)
+            b0 = sq if (sq - disc) % 2 == 0 else sq - 1
+            want = group._rep[(1, b0, (b0 * b0 - disc) // 4)]
+        assert group.principal == want, disc
+        checked += 1
+    assert checked == 3040
 
 
 def _reduced_indefinite_by_full_window(disc):

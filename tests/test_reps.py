@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from functools import cache
 from math import prod
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noncongruent import oracles
+from noncongruent import criteria, matrices, oracles, reps, tame
 from noncongruent.arith import (
     SelmerTriple,
     SquareFreeN,
@@ -20,7 +21,14 @@ from noncongruent.arith import (
     squarefree_upto,
 )
 from noncongruent.cassels import two_symbol_check
-from noncongruent.errors import IllDefined, NoRepresentation, NoRoot, NotCoprime, NotSquareFree
+from noncongruent.errors import (
+    IllDefined,
+    NoRepresentation,
+    NoRoot,
+    NotCoprime,
+    NotSquareFree,
+    TooLarge,
+)
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
@@ -340,3 +348,31 @@ def test_solvers_reject_non_squarefree(n):
 def test_constructors_refuse_a_non_representation(cls, fields):
     with pytest.raises(ValueError):
         cls(*fields)
+
+
+# The product of the 23 primes = +-1 mod 8 from 7 to 263 without 151: n = 1
+# mod 8 with s2 = 2, factored by trial division alone, so no primality bound
+# stops it before its 2^22 unit orbits would be multiplied out.
+K23 = 306015220939433299854290376039897909499624769
+
+
+def test_orbit_count_past_the_bound_raises_before_any_product():
+    sf = factor_squarefree(K23)
+    assert sf.k == 23 and K23 % 8 == 1 and all(p % 8 in (1, 7) for p in sf.primes)
+    assert matrices.symbol_table(sf).s2() == 2
+    for route in (criteria.classify, tame.tame_report):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="unit orbits"):
+            route(K23)
+        assert time.perf_counter() - start < 1, route
+
+
+def test_orbit_bound_admits_exactly_its_count(monkeypatch):
+    # 2^(k-1) conjugate choices for k odd primes, n odd or even: with the
+    # bound at 2^3, k = 4 is multiplied out and k = 5 is refused
+    monkeypatch.setattr(reps, "_MOST_CHOICES", 2**3)
+    split = [7, 17, 23, 31, 41]
+    for m in (1, 2):
+        assert len(reps._products(m * prod(split[:4]), None, -1)) == 2**3
+        with pytest.raises(TooLarge):
+            reps._products(m * prod(split), None, -1)
