@@ -15,11 +15,11 @@ multivariate Hensel certificates), run once per place and square class of
 (n, d1, d2, d3); the answers at 2 stay in one table of at most 128 keys,
 those at odd primes and the square-root tables mod p live for one oracle
 call.  The norm-form window scans
-try every coordinate in a window and return plain tuples: those of
-2*mu^2 - tau^2 find the fundamental solutions that ``reps`` builds by
-Euclid in Z[sqrt(2)], and that of a^2 + 8*b^2 is the ``proposition``
-suite's source of b.  Nothing here comes from the package but ``arith``
-and ``errors``, so no oracle runs the code it checks.
+try every coordinate in a window and return plain tuples: the one of
+2*mu^2 - tau^2 = m, for m of either sign, finds the least mu >= 1 that
+``reps`` builds by Euclid in Z[sqrt(2)], and that of a^2 + 8*b^2 is the
+``proposition`` suite's source of b.  Nothing here comes from the package
+but ``arith`` and ``errors``, so no oracle runs the code it checks.
 """
 
 from __future__ import annotations
@@ -375,31 +375,21 @@ def h4_oracle(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def window_2mu2_tau2(n: int) -> tuple[int, int]:
-    """Minimal positive (mu, tau) with 2*mu^2 - tau^2 = n > 0.
+def window_2mu2_tau2(m: int) -> tuple[int, int, int]:
+    """(mu, tau, m) with m = 2*mu^2 - tau^2, the least mu >= 1 and tau >= 0,
+    for m != 0 of either sign.
 
-    Any solution reduces into mu in [sqrt(n/2), (1+sqrt(2))*sqrt(n/2)] under
-    the unit 3 + 2*sqrt(2), so scanning that window is a complete search.
+    The unit 3 + 2*sqrt(2) reduces any solution into mu in [sqrt(m/2),
+    (1+sqrt(2))*sqrt(m/2)] for m > 0, and into 1 <= mu <= 2*sqrt(|m|) + 2
+    for m < 0, so scanning that window is a complete search.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    lo = isqrt((n + 1) // 2)
-    while 2 * lo * lo < n:
-        lo += 1
-    hi = isqrt(n // 2) + isqrt(n) + 2
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if m > 0:
+        lo, hi = isqrt((m - 1) // 2) + 1, isqrt(m // 2) + isqrt(m) + 2
+    else:
+        lo, hi = 1, 2 * isqrt(-m) + 2
     for mu in range(lo, hi + 1):
-        t2 = 2 * mu * mu - n
-        tau = isqrt(t2)
-        if tau * tau == t2:
-            return mu, tau
-    raise NoRepresentation(f"{n} != 2*mu^2 - tau^2 for any integers")
-
-
-def window_neg(m: int) -> tuple[int, int, int]:
-    """(mu, tau, m) with m = 2*mu^2 - tau^2 and minimal mu >= 1, for m < 0."""
-    if m >= 0:
-        raise ValueError("m must be negative")
-    for mu in range(1, 2 * isqrt(-m) + 3):
         t2 = 2 * mu * mu - m
         tau = isqrt(t2)
         if tau * tau == t2:

@@ -11,8 +11,10 @@ conjugating the whole product, are the unit orbits; past 2^21 of them
 (k >= 23) TooLarge is raised before any is made.  Conjugation keeps the
 norm, so one factor 1 + sqrt(2) in the seed fixes the sign of every
 product, and 3 + 2*sqrt(2) steps each product to its smallest sqrt(2)
-coordinate.  The minimum over the orbits is the fundamental solution, the
-one that the window scans in ``oracles`` find.
+coordinate.  One solver, ``least_2mu2_tau2``, takes n of either sign: the
+minimum over the orbits, with mu >= 1 (so (2, 3) at n = -1, whose minimum
+is 1), is the solution that the one window scan in ``oracles`` finds, and
+``rep_2mu2_tau2`` signs its mu mod 4 for the criterion.
 The root also gives ``z2_jacobi``, the oracle of the even pairing symbol.
 """
 
@@ -34,8 +36,9 @@ _MOST_CHOICES = 2**21
 
 
 class Rep2MuTau(namedtuple("Rep2MuTau", "mu tau n")):
-    """n = 2*mu^2 - tau^2: for n > 0 the sign of mu is normalized mod 4
-    (``rep_2mu2_tau2``), for n < 0 mu and tau are positive (``rep_neg``).
+    """n = 2*mu^2 - tau^2, checked when made: ``least_2mu2_tau2`` gives the
+    least mu >= 1 and tau >= 0 for n of either sign, ``rep_2mu2_tau2`` the
+    sign of mu normalized mod 4 for n > 0.
 
     It carries the linked n = u^2 - 2*w^2 with u = 2*mu - tau and w = tau - mu,
     since (2*mu - tau)^2 - 2*(tau - mu)^2 = 2*mu^2 - tau^2."""
@@ -149,28 +152,31 @@ def z2_jacobi(x: int, y: int, primes: tuple[int, ...]) -> int:
     return result
 
 
-def _products(n: int, sf: SquareFreeN | None, sign: int) -> list[_Z2]:
-    """One element of norm sign*n in each unit orbit of Z[sqrt(2)], for
-    square-free n > 0: a prime element above each prime of n multiplied out
-    over the 2^(k-1) conjugate choices, up to conjugating the whole product.
-    ``sf`` is n factored or None; raises NotSquareFree, NoRepresentation if
-    an odd p | n does not split, or TooLarge past ``_MOST_CHOICES``."""
+def _products(m: int, sf: SquareFreeN | None) -> list[_Z2]:
+    """One element of norm -m in each unit orbit of Z[sqrt(2)], for
+    square-free m != 0 of either sign: a prime element above each prime of m
+    multiplied out over the 2^(k-1) conjugate choices, up to conjugating the
+    whole product.  ``sf`` is |m| factored or None; raises ValueError at
+    m = 0 or for another factored |m|, NotSquareFree, NoRepresentation if an
+    odd p | m does not split, or TooLarge past ``_MOST_CHOICES``."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
     if sf is None:
-        sf = factor_squarefree(n)
-    elif sf.n != n:
-        raise ValueError(f"the factored {sf.n} is not {n}")
+        sf = factor_squarefree(abs(m))
+    elif sf.n != abs(m):
+        raise ValueError(f"the factored {sf.n} is not |{m}|")
     try:
         elements = [_prime_element(p) for p in ((2, *sf.primes) if sf.is_even else sf.primes)]
     except NoRoot:
-        raise NoRepresentation(f"a prime of {n} does not split in Z[sqrt(2)]") from None
+        raise NoRepresentation(f"a prime of {m} does not split in Z[sqrt(2)]") from None
     # Conjugating the whole product keeps |coordinates|, and the conjugate
     # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
     one_choice = 1 + sf.is_even
     if 2 ** (len(elements) - one_choice) > _MOST_CHOICES:
-        raise TooLarge(f"{n} has 2^{sf.k - 1} unit orbits, more than {_MOST_CHOICES}")
+        raise TooLarge(f"{m} has 2^{sf.k - 1} unit orbits, more than {_MOST_CHOICES}")
     # Every product has the norm of the elements' product, whose sign one
     # factor 1 + sqrt(2) (norm -1) in the seed fixes.
-    a, b = (1, 1) if prod(x * x - 2 * y * y for x, y in elements) == -sign * n else (1, 0)
+    a, b = (1, 1) if prod(x * x - 2 * y * y for x, y in elements) == m else (1, 0)
     for x, y in elements[:one_choice]:
         a, b = a * x + 2 * b * y, a * y + b * x
     products = [(a, b)]
@@ -179,28 +185,28 @@ def _products(n: int, sf: SquareFreeN | None, sign: int) -> list[_Z2]:
     return products
 
 
-def _least(n: int, sf: SquareFreeN | None, sign: int) -> _Z2:
-    """The element of Z[sqrt(2)] of norm sign*n with the least |coordinate 1|
-    (0 only at n = 1); ``sf`` and the errors are those of ``_products``."""
-    products = _products(n, sf, sign)
+def _least(m: int, sf: SquareFreeN | None) -> tuple[int, int]:
+    """(mu, tau) with 2*mu^2 - tau^2 = m, the least mu >= 1 and tau >= 0:
+    the element tau + mu*sqrt(2) of norm -m with the least |coordinate 1|,
+    but (2, 3) at m = -1.  ``sf`` and the errors are those of ``_products``."""
+    products = _products(m, sf)
     # Products of one norm with equal least |coordinate 1| have equal |coordinate 0|.
     least = _smallest(products[0])
     for a in products[1:]:
         a = _smallest(a)
         if abs(a[1]) < abs(least[1]):
             least = a
-    return least
+    tau, mu = least
+    # The orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
+    return (abs(mu), abs(tau)) if mu else (2, 3)
 
 
-def fundamental_2mu2_tau2(n: int, sf: SquareFreeN | None = None) -> tuple[int, int]:
-    """Minimal positive (mu, tau) with 2*mu^2 - tau^2 = n > 0, n square-free.
-
-    ``sf``, n factored, when known, spares factoring it.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    tau, mu = _least(n, sf, -1)
-    return abs(mu), abs(tau)
+def least_2mu2_tau2(m: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
+    """m = 2*mu^2 - tau^2 with the least mu >= 1 and tau >= 0, for
+    square-free m != 0 of either sign ((2, 3, -1) at m = -1): the solution
+    that ``oracles.window_2mu2_tau2`` finds.  ``sf``, |m| factored, when
+    known, spares factoring it; the errors are those of ``_products``."""
+    return Rep2MuTau(*_least(m, sf), m)
 
 
 def rep_2mu2_tau2(n: int, d: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
@@ -210,21 +216,9 @@ def rep_2mu2_tau2(n: int, d: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
     one choice of sign matches d mod 4.  ``sf``, n factored, when known,
     spares factoring n.
     """
-    if d % 2 == 0:
-        raise ValueError("d must be odd")
-    mu, tau = fundamental_2mu2_tau2(n, sf)
+    if n <= 0 or d % 2 == 0:
+        raise ValueError("n must be positive and d odd")
+    mu, tau = _least(n, sf)
     if mu % 2 == 1 and (mu - d) % 4 != 0:
         mu = -mu
     return Rep2MuTau(mu, tau, n)
-
-
-def rep_neg(m: int, sf: SquareFreeN | None = None) -> Rep2MuTau:
-    """Representation m = 2*mu^2 - tau^2 with minimal mu >= 1 and tau > 0, for
-    square-free m < 0; ``sf`` is -m factored, when known."""
-    if m >= 0:
-        raise ValueError("m must be negative")
-    tau, mu = _least(-m, sf, 1)
-    if mu == 0:
-        # m = -1: the orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
-        tau, mu = 3, 2
-    return Rep2MuTau(abs(mu), abs(tau), m)

@@ -15,7 +15,7 @@ from collections import namedtuple
 from . import f2linalg, matrices
 from .arith import SquareFreeN, factor_squarefree, hilbert, legendre
 from .errors import OutOfRange, VerificationFailed
-from .reps import fundamental_2mu2_tau2, rep_neg
+from .reps import least_2mu2_tau2
 
 
 class TameKernelReport(namedtuple("TameKernelReport", "m r2 r4 v1 v2 mu_used")):
@@ -36,12 +36,10 @@ def _factored(m: int, sf: SquareFreeN | None = None) -> SquareFreeN:
 
 
 def _mu(m: int, sf: SquareFreeN) -> int | None:
-    """mu of the fundamental 2*mu^2 - tau^2 = m (least mu >= 1 for m < 0), or
+    """The least mu >= 1 of 2*mu^2 - tau^2 = m, for m of either sign, or
     None when 2 is not a norm from Q(sqrt(m)), that is when some odd prime
     of m is not +-1 mod 8; sf is |m| factored."""
-    if not sf.eligibility:
-        return None
-    return fundamental_2mu2_tau2(m, sf)[0] if m > 0 else rep_neg(m, sf).mu
+    return least_2mu2_tau2(m, sf).mu if sf.eligibility else None
 
 
 def tame_report(m: int, sf: SquareFreeN | None = None) -> TameKernelReport:

@@ -13,7 +13,7 @@ from . import criteria, matrices
 from .arith import BLOCK, ELIGIBLE, STRICT, jacobi, squarefree_block, squarefree_upto
 from .criteria import VerdictKind
 from .errors import OutOfRange, TooLarge
-from .reps import Rep2MuTau, _products, fundamental_2mu2_tau2, orbit_step_2mu2, z2_jacobi
+from .reps import _products, least_2mu2_tau2, orbit_step_2mu2, z2_jacobi
 
 # Eligible n = 1 mod 8: the odd half of ``ELIGIBLE``.
 _ODD_ELIGIBLE = ((1,), ELIGIBLE[1])
@@ -69,8 +69,8 @@ def _lemma_2symbol(count: int):
     )
     # islice refuses a negative count; run reports a sweep with no case.
     for n, sf in itertools.islice(rows, max(count, 0)):
-        mu, tau = fundamental_2mu2_tau2(n, sf)
-        lhs, rhs = cassels.two_symbol_check(n, Rep2MuTau(mu, tau, n).u, mu)
+        rep = least_2mu2_tau2(n, sf)
+        lhs, rhs = cassels.two_symbol_check(n, rep.u, rep.mu)
         yield n, lhs == [rhs, rhs], {"lhs": lhs, "rhs": rhs}
 
 
@@ -88,7 +88,7 @@ def _proposition(bound: int):
 
     for n, sf in squarefree_upto(bound, ((1,), STRICT[1]), start=3):
         h4m = matrices.symbol_table(sf).h4(-n)
-        mu = fundamental_2mu2_tau2(n, sf)[0]
+        mu = least_2mu2_tau2(n, sf).mu
         b = {
             "b_even": oracles.window_a2_8b2(n)[1] % 2 == 0,
             "one_plus_sqrt2": z2_jacobi(1, 1, sf.primes) == 1,
@@ -127,7 +127,7 @@ def _pell_orbit(bound: int):
         d = v.d
         window_mu = oracles.window_2mu2_tau2(n)[0]
         symbols = [v.pairing_symbol]
-        for tau, mu in _products(n, sf, -1):
+        for tau, mu in _products(n, sf):
             for _ in range(3):
                 mu, tau = orbit_step_2mu2(mu, tau)
                 symbols.append(jacobi(-mu if (mu - d) % 4 == 0 else mu, d))

@@ -18,7 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Public on purpose though only tests call them.
 ALLOWED = {
     "arith.is_norm",  # the factoring norm check that tests compare the symbol routes with
-    "oracles.window_neg",  # the window scan that rep_neg is checked against
 }
 
 

@@ -32,10 +32,9 @@ from noncongruent.errors import (
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,
-    fundamental_2mu2_tau2,
+    least_2mu2_tau2,
     orbit_step_2mu2,
     rep_2mu2_tau2,
-    rep_neg,
     sqrt2_mod,
     z2_jacobi,
 )
@@ -61,8 +60,10 @@ def test_rep_u2_2w2_and_a2_8b2_examples():
     assert (r.u, r.w) == (5, -2)
     assert oracles.window_a2_8b2(17)[:2] == (3, 1)
     assert oracles.window_a2_8b2(41)[:2] == (3, 2)
-    r = rep_neg(-34)
+    r = least_2mu2_tau2(-34)
     assert (r.mu, r.tau) == (1, 6)
+    # the orbit of 1 has mu = 0, so the least mu >= 1 of -1 is 2, at 3 + 2*sqrt(2)
+    assert least_2mu2_tau2(-1) == oracles.window_2mu2_tau2(-1) == (2, 3, -1)
 
 
 def test_representations_reproduce_target():
@@ -73,19 +74,19 @@ def test_representations_reproduce_target():
         if squarefree_part(n) != n:
             continue
         if is_norm(2, n):
-            mu, tau = fundamental_2mu2_tau2(n)
-            assert 2 * mu * mu - tau * tau == n and mu > 0
-            r = Rep2MuTau(mu, tau, n)
+            r = least_2mu2_tau2(n)
+            assert 2 * r.mu * r.mu - r.tau * r.tau == n and r.mu > 0
             assert r.u * r.u - 2 * r.w * r.w == n
             count += 1
         if is_norm(2, -n):
-            r = rep_neg(-n)
+            r = least_2mu2_tau2(-n)
             assert 2 * r.mu * r.mu - r.tau * r.tau == -n
             assert r.mu >= 1 and r.tau >= 1
 
 
 def test_orbit_steps_preserve_norms():
-    mu, tau = fundamental_2mu2_tau2(161)
+    rep = least_2mu2_tau2(161)
+    mu, tau = rep.mu, rep.tau
     for _ in range(5):
         mu, tau = orbit_step_2mu2(mu, tau)
         assert 2 * mu * mu - tau * tau == 161
@@ -101,7 +102,7 @@ def test_fundamental_solution_is_in_search_window():
         if squarefree_part(n) != n or not is_norm(2, n):
             continue
         count += 1
-        mu, tau = fundamental_2mu2_tau2(n)
+        mu = least_2mu2_tau2(n).mu
         assert 2 * mu * mu >= n
         assert mu <= isqrt(n // 2) + isqrt(n) + 2
 
@@ -114,9 +115,8 @@ def test_rep_u_w_identity():
         if squarefree_part(n) != n or not is_norm(2, n):
             continue
         count += 1
-        mu, tau = fundamental_2mu2_tau2(n)
-        rep = Rep2MuTau(mu, tau, n)
-        assert rep.u == 2 * mu - tau and rep.w == tau - mu
+        rep = least_2mu2_tau2(n)
+        assert rep.u == 2 * rep.mu - rep.tau and rep.w == rep.tau - rep.mu
         assert rep.u * rep.u - 2 * rep.w * rep.w == n
 
 
@@ -132,9 +132,8 @@ def test_two_symbol_lemma_small():
         if sf.k == 0 or not sf.eligibility:
             continue
         checked += 1
-        mu, tau = fundamental_2mu2_tau2(n)
-        u = Rep2MuTau(mu, tau, n).u
-        lhs, rhs = two_symbol_check(n, u, mu)
+        rep = least_2mu2_tau2(n)
+        lhs, rhs = two_symbol_check(n, rep.u, rep.mu)
         assert lhs[0] == rhs and lhs[1] == rhs
 
 
@@ -146,15 +145,13 @@ def _outcome(solver, *args):
 
 
 def _assert_matches_window_scans(n, sf):
-    pos = _outcome(oracles.window_2mu2_tau2, n)
-    neg = _outcome(oracles.window_neg, -n)
-    assert _outcome(fundamental_2mu2_tau2, n, sf) == pos
-    assert _outcome(rep_neg, -n, sf) == neg
-    # the complete windows represent exactly where 2 is a norm from Q(sqrt(+-n)):
-    # 2mu^2 - tau^2 = n says -n is a norm from Z[sqrt(2)], and so is n, since
-    # 1 + sqrt(2) has norm -1
-    assert (pos is not NoRepresentation) == is_norm(2, n)
-    assert (neg is not NoRepresentation) == is_norm(2, -n)
+    for m in (n, -n):
+        scan = _outcome(oracles.window_2mu2_tau2, m)
+        assert _outcome(least_2mu2_tau2, m, sf) == scan, m
+        # the complete windows represent exactly where 2 is a norm from
+        # Q(sqrt(+-n)): 2mu^2 - tau^2 = m says -m is a norm from Z[sqrt(2)],
+        # and so is m, since 1 + sqrt(2) has norm -1
+        assert (scan is not NoRepresentation) == is_norm(2, m), m
 
 
 def test_solvers_equal_window_scans_exhaustively():
@@ -204,7 +201,8 @@ def test_solvers_equal_window_scans_on_prime_products(case):
     n, primes = case
     sf = SquareFreeN.from_primes(n, primes)
     _assert_matches_window_scans(n, sf)
-    assert fundamental_2mu2_tau2(n) == fundamental_2mu2_tau2(n, sf)
+    for m in (n, -n):
+        assert least_2mu2_tau2(m) == least_2mu2_tau2(m, sf)
 
 
 @given(st.integers(7, 10**12))
@@ -315,20 +313,20 @@ def test_z2_jacobi_matches_reference_on_eligible_n():
 
 def test_solvers_reject_a_factored_other_n():
     sf = factor_squarefree(161)
-    for solve, n in (
-        (fundamental_2mu2_tau2, 17),
-        (rep_neg, -17),
-    ):
+    for m in (17, -17):
         with pytest.raises(ValueError):
-            solve(n, sf)
+            least_2mu2_tau2(m, sf)
+    # m = 0 is not square-free, and the solver and the scan both refuse it
+    for solve in (least_2mu2_tau2, oracles.window_2mu2_tau2):
+        with pytest.raises(ValueError):
+            solve(0)
 
 
 @pytest.mark.parametrize("n", [9, 18, 50, 98, 3 * 17 * 17])
 def test_solvers_reject_non_squarefree(n):
-    with pytest.raises(NotSquareFree):
-        fundamental_2mu2_tau2(n)
-    with pytest.raises(NotSquareFree):
-        rep_neg(-n)
+    for m in (n, -n):
+        with pytest.raises(NotSquareFree):
+            least_2mu2_tau2(m)
     with pytest.raises(NotSquareFree):
         rep_2mu2_tau2(n, 1)
 
@@ -373,6 +371,6 @@ def test_orbit_bound_admits_exactly_its_count(monkeypatch):
     monkeypatch.setattr(reps, "_MOST_CHOICES", 2**3)
     split = [7, 17, 23, 31, 41]
     for m in (1, 2):
-        assert len(reps._products(m * prod(split[:4]), None, -1)) == 2**3
+        assert len(reps._products(m * prod(split[:4]), None)) == 2**3
         with pytest.raises(TooLarge):
-            reps._products(m * prod(split), None, -1)
+            reps._products(m * prod(split), None)

@@ -103,7 +103,7 @@ def test_corollary_formula_equivalence_strict_odd():
     from noncongruent import f2linalg
     from noncongruent.arith import factor_squarefree, jacobi
     from noncongruent.matrices import symbol_table
-    from noncongruent.reps import fundamental_2mu2_tau2
+    from noncongruent.reps import least_2mu2_tau2
 
     checked = 0
     for n in range(9, 20000, 8):
@@ -113,7 +113,7 @@ def test_corollary_formula_equivalence_strict_odd():
         if sf.k == 0 or not sf.strict_eligibility:
             continue
         checked += 1
-        mu = fundamental_2mu2_tau2(n)[0]
+        mu = least_2mu2_tau2(n).mu
         rhs = f2linalg.rank(symbol_table(sf).a, sf.k) == sf.k - 1 and jacobi(mu, n) == -1
         assert (r4_tame(n) == 0) == rhs, n
     assert checked > 50
@@ -139,7 +139,7 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
     calls = dict.fromkeys(("factorize", "mu", "is_norm", "_echelon"), 0)
     for name, real in (
         ("factorize", arith.factorize),
-        ("mu", reps.fundamental_2mu2_tau2),
+        ("mu", reps.least_2mu2_tau2),
         ("is_norm", arith.is_norm),
         ("_echelon", f2linalg._echelon),
     ):
@@ -158,7 +158,7 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
         for reader in (tame.tame_report, tame.r4_tame):
             calls.update(dict.fromkeys(calls, 0))
             reader(m)
-            expected = {"factorize": 1, "mu": int(m > 0), "is_norm": 0, "_echelon": 1}
+            expected = {"factorize": 1, "mu": 1, "is_norm": 0, "_echelon": 1}
             assert calls == expected, (reader.__name__, m)
     rep = tame_report(161)
     assert rep.mu_used == 9 and rep.r4 == 1
