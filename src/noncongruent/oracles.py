@@ -12,7 +12,11 @@ triple (a, b, c).  The Selmer oracle re-derives the pure 2-Selmer set from
 local solvability searches alone, never from the Monsky kernel: this
 module holds the torsors and their certified local point search (with
 multivariate Hensel certificates), run once per place and square class of
-(n, d1, d2, d3); the answers at 2 stay in one table of at most 128 keys,
+(n, d1, d2, d3).  The model searched at p is closed form: d1*d2*d3 is a
+square of square-free factors, so an odd p || n divides none of the d_i
+or two; with none it is H1 and H3, and with all but d_i, p | u_i at every
+local point, so it is u_i -> p*u_i with both forms divided by p.  The
+answers at 2 stay in one table of at most 128 keys,
 those at odd primes and the square-root tables mod p live for one oracle
 call.  The norm-form window scans
 try every coordinate in a window and return plain tuples: the one of
@@ -417,11 +421,12 @@ def window_a2_8b2(n: int) -> tuple[int, int, int]:
 class TorsorSystem(namedtuple("TorsorSystem", "lam n")):
     """Three diagonal quadrics in (t, u1, u2, u3) cutting out the torsor.
 
-    Stored as coefficient 4-tuples over (t, u1, u2, u3):
+    H1 and H3 are stored as coefficient 4-tuples over (t, u1, u2, u3):
         H1: -n t^2            + d2 u2^2 - d3 u3^2
         H2: -n t^2 - d1 u1^2            + d3 u3^2
         H3: 2n t^2 + d1 u1^2 - d2 u2^2
-    H1 + H2 + H3 = 0, so the torsor is the intersection of any two.
+    H1 + H2 + H3 = 0, so the torsor is the intersection of any two, and
+    H1 and H3 are the pair every search starts from (``_local_model``).
     """
 
     __slots__ = ()
@@ -429,10 +434,6 @@ class TorsorSystem(namedtuple("TorsorSystem", "lam n")):
     @property
     def h1(self) -> tuple[int, int, int, int]:
         return (-self.n, 0, self.lam.d2, -self.lam.d3)
-
-    @property
-    def h2(self) -> tuple[int, int, int, int]:
-        return (-self.n, -self.lam.d1, 0, self.lam.d3)
 
     @property
     def h3(self) -> tuple[int, int, int, int]:
@@ -496,74 +497,43 @@ def _real_point(ts: TorsorSystem) -> LocalPoint | None:
 _FRONTIER_CAP = 500_000
 
 
-def _primitivize(form: list[int], p: int) -> list[int]:
-    """Divide out the largest power of p dividing every coefficient."""
-    if all(c == 0 for c in form):
-        raise ValueError("zero form")  # pragma: no cover
-    while all(c % p == 0 for c in form):
-        form = [c // p for c in form]
-    return form
-
-
-def _minimize_at_p(ts: TorsorSystem, p: int) -> tuple[list[list[int]], list[int]]:
-    """p-minimal model of the torsor: forms with unit content and no variable
-    forced to vanish mod p.
-
-    When a form reduces mod p to a unit times a single square c*x_i^2, every
-    local solution has p | x_i, so substituting x_i -> p*x_i (and stripping
-    contents again) preserves solvability while making the reduction less
-    degenerate.  Returns the transformed forms and the per-variable scaling
-    exponents mapping new coordinates back to original ones.
-    """
-    forms = [list(ts.h1), list(ts.h2), list(ts.h3)]
-    scales = [0, 0, 0, 0]
-    for _ in range(4):
-        forms = [_primitivize(f, p) for f in forms]
-        forced = None
-        for f in forms:
-            nonzero = [i for i in range(4) if f[i] % p != 0]
-            if len(nonzero) == 1:
-                forced = nonzero[0]
-                break
-        if forced is None:
-            break
-        for f in forms:
-            f[forced] *= p * p
-        scales[forced] += 1
-    return [_primitivize(f, p) for f in forms], scales
-
-
-def _choose_pair(forms: list[list[int]], p: int) -> tuple[list[int], list[int]]:
-    """Two forms whose reductions mod p are linearly independent, if any."""
-    reductions = [[c % p for c in f] for f in forms]
-    for i, j in ((0, 2), (0, 1), (1, 2)):
-        u, w = reductions[i], reductions[j]
-        independent = any(
-            (u[a] * w[b] - u[b] * w[a]) % p for a in range(4) for b in range(4)
-        )
-        if independent:
-            return forms[i], forms[j]
-    return forms[0], forms[2]
-
-
 def _local_model(ts: TorsorSystem, p: int) -> tuple[list[int], list[int], list[int]]:
     """The two forms the search at p lifts, and the exponents that scale
-    their coordinates back to the torsor's: H1 and H3 at 2, a p-minimal
-    pair at odd p."""
+    their coordinates back to the torsor's, in closed form.
+
+    d1*d2*d3 is a square of square-free factors, so an odd p divides none
+    of the d_i or exactly two.  With none (and at p = 2) the model is H1
+    and H3.  With all but d_i and p || n, the form without u_i is 0 mod p
+    and the other two are d_i*u_i^2 mod p, so p | u_i at every local point:
+    the model is u_i -> p*u_i with H1 and H3 then divided by p, which are
+    independent mod p.  Any other odd p (p^2 | n, or p | d_i but not n)
+    raises VerificationFailed.
+    """
+    h1, h3, scales = list(ts.h1), list(ts.h3), [0, 0, 0, 0]
     if p == 2:
-        return list(ts.h1), list(ts.h3), [0, 0, 0, 0]
-    forms, scales = _minimize_at_p(ts, p)
-    return *_choose_pair(forms, p), scales
+        return h1, h3, scales
+    hit = [d % p == 0 for d in ts.lam]
+    if ts.n % (p * p) == 0 or sum(hit) not in (0, 2) or (any(hit) and ts.n % p):
+        raise VerificationFailed(f"no closed-form model at p = {p} for {ts}")
+    if any(hit):
+        i = 1 + hit.index(False)
+        scales[i] = 1
+        h1[i] *= p * p
+        h3[i] *= p * p
+        h1, h3 = [c // p for c in h1], [c // p for c in h3]
+    return h1, h3, scales
 
 
 def local_point_search(ts: TorsorSystem, p: int | None) -> LocalPoint | None:
     """Search for a certified local point on the torsor at the prime p, or at
     the real place for None.
 
-    Finite places lift a p-minimized model level by level (see _levels) and
-    certify each point as it is made.  Returns None only when some level has
-    no solutions at all, which soundly certifies insolvability.  The
-    certificate depth is the sufficient bound 2*v_p(4n^2) + 1 plus slack.
+    Finite places lift the closed-form model of ``_local_model`` (H1 and
+    H3, or u_i -> p*u_i divided by p where p divides two d_i) level by
+    level (see _levels) and certify each point as it is made.  Returns None
+    only when some level has no solutions at all, which soundly certifies
+    insolvability.  The certificate depth is the sufficient bound
+    2*v_p(4n^2) + 1 plus slack.
     """
     if p is None:
         return _real_point(ts)

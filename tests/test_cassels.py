@@ -28,22 +28,70 @@ from noncongruent.oracles import LocalPoint, TorsorSystem, local_point_search
 from noncongruent.reps import rep_2mu2_tau2
 
 
+def _h2(ts):
+    """H2 = -(H1 + H3), the third form of the torsor's pencil."""
+    return tuple(-a - b for a, b in zip(ts.h1, ts.h3))
+
+
 def test_torsor_coefficients_exact():
     ts = TorsorSystem(SelmerTriple(17, 1, 17), 17)
     assert ts.h1 == (-17, 0, 1, -17)
-    assert ts.h2 == (-17, -17, 0, 17)
+    assert _h2(ts) == (-17, -17, 0, 17)
     assert ts.h3 == (34, 17, -1, 0)
     # the three forms always sum to zero
     for i in range(4):
-        assert ts.h1[i] + ts.h2[i] + ts.h3[i] == 0
+        assert ts.h1[i] + _h2(ts)[i] + ts.h3[i] == 0
 
 
 def test_trivial_torsor_has_rational_point():
     ts = TorsorSystem(SelmerTriple(1, 1, 1), 17)
     pt = (0, 1, 1, 1)
-    for form in (ts.h1, ts.h2, ts.h3):
+    for form in (ts.h1, _h2(ts), ts.h3):
         assert sum(c * x * x for c, x in zip(form, pt)) == 0
     assert local_point_search(ts, None).coords == pt
+
+
+def test_local_model_meets_its_definition():
+    # At every odd p | n, for square-free n <= 3000 of both parities: both
+    # forms have unit content, neither is a unit times one square mod p,
+    # the pair is independent mod p, and p times the model (or the model
+    # alone, when no coordinate scales) is the torsor's H1 and H3 with
+    # each coordinate scaled by p ** scales.
+    from noncongruent.oracles import _candidate_triples, _local_model
+
+    models = 0
+    for n, sf in squarefree_upto(3000, start=3):
+        for lam in _candidate_triples(sf):
+            ts = TorsorSystem(lam, n)
+            for p in sf.primes:
+                h1, h3, scales = _local_model(ts, p)
+                lift = p if any(scales) else 1
+                for form, torsor in ((h1, ts.h1), (h3, ts.h3)):
+                    units = sum(c % p != 0 for c in form)
+                    assert units > 0, ("content", n, lam, p)
+                    assert units != 1, ("one square", n, lam, p)
+                    assert [lift * c for c in form] == [
+                        c * p ** (2 * s) for c, s in zip(torsor, scales)
+                    ], (n, lam, p)
+                assert any(
+                    (h1[i] * h3[j] - h1[j] * h3[i]) % p for i in range(4) for j in range(i + 1, 4)
+                ), (n, lam, p)
+                models += 1
+    assert models == 91116
+
+
+@pytest.mark.parametrize(
+    "lam, n",
+    [
+        ((3, 5, 15), 17),  # 3 divides d1 and d3 but not n
+        ((1, 1, 1), 45),  # 3^2 divides n
+        ((9, 1, 1), 3),  # 3 divides one d_i
+        ((3, 3, 9), 3),  # 3 divides all three
+    ],
+)
+def test_local_model_refuses_what_its_closed_form_does_not_cover(lam, n):
+    with pytest.raises(VerificationFailed, match="p = 3"):
+        local_point_search(TorsorSystem(SelmerTriple(*lam), n), 3)
 
 
 def test_tangent_data_vanishing():

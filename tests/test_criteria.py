@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -193,6 +194,29 @@ def test_every_table_shape_passes_the_4rank_gate():
         5: [10288, 5380, 680, 35, 1],
     }
     assert sum(counts.values()) == 1 + 4 + 32 + 512 + 16384
+
+
+def test_selmer_oracle_agrees_on_a_witness_of_every_memo_key():
+    # The least n of each memo key (parity, A, D_(-1)) with k <= 4, from the
+    # primes +-1 mod 8 below 400: every one of the 1098 keys has one, the
+    # even witnesses are twice the odd ones, and at each the descent oracle
+    # finds the Monsky kernel, at k = 4 and at primes CI's pins never reach.
+    from noncongruent.oracles import selmer_oracle
+
+    primes = [p for p in arith.base_primes(400) if p % 8 in (1, 7)]
+    least = {}
+    for k in range(1, 5):
+        for ps in combinations(primes, k):
+            odd = prod(ps)
+            for n in (odd, 2 * odd):
+                if n % 8 in (1, 2):
+                    sf = SquareFreeN.from_primes(n, ps)
+                    table = matrices.symbol_table(sf)
+                    key = (sf.is_even, table.a, table.minus_one)
+                    least[key] = min(least.get(key, sf), sf)
+    assert len(least) == 1098 and max(least.values()).n == 752556722
+    for sf in least.values():
+        assert selmer_oracle(sf) == matrices.selmer_elements(sf), sf.n
 
 
 def test_distinguished_divisor_is_unique_brute_force():
