@@ -82,8 +82,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """Brent-cycle rho; returns a nontrivial factor of composite odd n."""
+def _pollard_rho(n: int) -> list[int]:
+    """The primes of composite odd n, with multiplicity, from one Brent-cycle
+    rho walk.  A batch gcd's proper divisor g is settled, as a prime below
+    10^6 or by ``is_prime`` or else by a walk of its own, and the walk goes on
+    mod n / g in the same round with the same c, already that far into the
+    cycle of every prime left, until the cofactor is prime.  A batch gcd of n
+    is stepped back through one gcd at a time; if that gives n too, the next
+    c starts over.  Raises TooLarge after 99 values of c, as a prime n does."""
+    primes: list[int] = []
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -99,19 +106,25 @@ def _pollard_rho(n: int) -> int:
                     q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
+                if g == n:
+                    g = 1
+                    while g == 1:
+                        ys = (ys * ys + c) % n
+                        g = gcd(x - ys, n)
+                    y = ys
+                if 1 < g < n:
+                    primes += [g] if g < _TRIAL_BOUND**2 or is_prime(g) else _pollard_rho(g)
+                    n //= g
+                    if n < _TRIAL_BOUND**2 or is_prime(n):
+                        return primes + [n]
+                    x, y, q, g = x % n, y % n, 1, 1
             r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g
     raise TooLarge(f"Pollard rho found no factor of {n}")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs; trial division then rho for the rest."""
+    """Sorted (prime, exponent) pairs; trial division, then one rho walk for
+    a composite cofactor."""
     if n < 1:
         raise ZeroOrNegative(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -128,14 +141,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= p
     # No prime below the trial bound is left in n or in its factors, so one
     # below the bound's square is prime without a Miller-Rabin test.
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        g = _pollard_rho(m)
-        stack.extend((g, m // g))
+    if n > 1:
+        for p in [n] if n < _TRIAL_BOUND**2 or is_prime(n) else _pollard_rho(n):
+            out[p] = out.get(p, 0) + 1
     return sorted(out.items())
 
 

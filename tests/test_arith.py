@@ -2,6 +2,8 @@ import random
 from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noncongruent import arith
 from noncongruent.arith import (
@@ -174,6 +176,81 @@ def test_factorize_squares_above_trial_bound(n, fac):
     _check_factors(n, fac)
     with pytest.raises(NotSquareFree):
         factor_squarefree(n)
+
+
+@st.composite
+def products_below_psi13(draw):
+    """(n, {p: e}) for n = u * (the product of 1-5 prime powers p^e) < psi_13,
+    u in 1, 2, 3, 8, 30, each p drawn from [1009, 10^9] and e from 1-3; a
+    power that would carry n past psi_13 is left out."""
+    u = draw(st.sampled_from((1, 2, 3, 8, 30)))
+    n, exps = u, dict(_trial_division(u))
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(st.integers(1009, 10**9))
+        while not is_prime(p):
+            p += 1
+        e = draw(st.integers(1, 3))
+        if n * p**e < arith._PSI_13:
+            n *= p**e
+            exps[p] = exps.get(p, 0) + e
+    assume(n > u)
+    return n, exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(products_below_psi13())
+def test_factorize_products_of_prime_powers(case):
+    n, exps = case
+    fac = factorize(n)
+    _check_factors(n, fac)
+    assert fac == sorted(exps.items())
+    if any(e > 1 for e in exps.values()):
+        with pytest.raises(NotSquareFree):
+            factor_squarefree(n)
+    else:
+        assert factor_squarefree(n).primes == tuple(p for p in sorted(exps) if p != 2)
+
+
+@pytest.mark.parametrize(
+    "n, walks",
+    [
+        (9817 * 10007 * 10247, [9817 * 10007 * 10247]),
+        (2 * 788353 * 795601 * 797473, [788353 * 795601 * 797473]),
+        (1000003 * 1000033 * 1000037, [1000003 * 1000033 * 1000037]),
+        # One batch meets 1013 and 1031 at once: its gcd fails is_prime and
+        # gets a walk of its own.
+        (1013 * 1031 * 3041, [1013 * 1031 * 3041, 1013 * 1031]),
+    ],
+)
+def test_factorize_walks_rho_once_per_composite(monkeypatch, n, walks):
+    # Each split divides the factor out and goes on walking mod the
+    # cofactor, so no prime piece starts a walk of its own.
+    seen = []
+    rho = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda m: seen.append(m) or rho(m))
+    fac = factorize(n)
+    _check_factors(n, fac)
+    assert len(fac) >= 3
+    assert seen == walks
+
+
+@pytest.mark.parametrize("n", [1031 * 1109, 9817 * 10007 * 10247])
+def test_rho_steps_back_through_a_batch_whose_gcd_is_n(monkeypatch, n):
+    # A batch meets every prime left, so its gcd is the whole modulus (for
+    # the second n, the cofactor after the first split); one gcd per step
+    # back through the batch finds a proper factor.
+    gcds = []
+    real = arith.gcd
+
+    def spy(a, b):
+        gcds.append((b, real(a, b)))
+        return gcds[-1][1]
+
+    monkeypatch.setattr(arith, "gcd", spy)
+    fac = factorize(n)
+    _check_factors(n, fac)
+    assert any(g == m for m, g in gcds)
+    assert any(1 < g < m for m, g in gcds)
 
 
 def _trial_division(n):
