@@ -131,6 +131,75 @@ def test_is_prime_refuses_psi13():
     assert not is_prime(psi13 - 1)
 
 
+# OEIS A014233: psi_j, the least odd composite that is a strong probable
+# prime to each of the first j prime bases.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _miller_rabin_13(n):
+    if n < 2:
+        return False
+    if any(n % p == 0 for p in FIRST_13_PRIMES):
+        return n in FIRST_13_PRIMES
+    return all(_strong_probable_prime(n, a) for a in FIRST_13_PRIMES)
+
+
+@pytest.mark.parametrize("j", range(1, 13))
+def test_is_prime_exposes_psi_j(j):
+    # psi_j fools the first j bases, so a witness count cut to the size of n
+    # must count n = psi_j itself into the tier above.
+    psi = PSI[j - 1]
+    assert all(_strong_probable_prime(psi, a) for a in FIRST_13_PRIMES[:j])
+    assert not is_prime(psi)
+
+
+def test_is_prime_agrees_with_thirteen_witnesses_around_each_psi_j():
+    for psi in PSI[:12]:
+        for n in range(psi - 50, psi + 51):
+            assert is_prime(n) == _miller_rabin_13(n), n
+    for n in range(PSI[12] - 50, PSI[12]):
+        assert is_prime(n) == _miller_rabin_13(n), n
+
+
+@st.composite
+def below_psi13_by_tier(draw):
+    """An n from a uniformly drawn nonempty tier [psi_(j-1), psi_j) below
+    psi_13, and the least n' >= n that passes all 13 bases, if below psi_13."""
+    lo, hi = draw(st.sampled_from([t for t in zip((0,) + PSI, PSI) if t[0] < t[1]]))
+    n = draw(st.integers(lo, hi - 1))
+    nxt = n
+    while not _miller_rabin_13(nxt):
+        nxt += 1
+    return [n] + ([nxt] if nxt < PSI[12] else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(below_psi13_by_tier())
+def test_is_prime_agrees_with_thirteen_witnesses_below_psi13(ns):
+    for n in ns:
+        assert is_prime(n) == _miller_rabin_13(n), n
+
+
 def test_pollard_rho_gives_up_with_typed_error():
     # On a prime every c ends in the trivial factor n, so rho runs out of c.
     with pytest.raises(TooLarge):
@@ -217,8 +286,9 @@ def test_factorize_products_of_prime_powers(case):
         (9817 * 10007 * 10247, [9817 * 10007 * 10247]),
         (2 * 788353 * 795601 * 797473, [788353 * 795601 * 797473]),
         (1000003 * 1000033 * 1000037, [1000003 * 1000033 * 1000037]),
-        # One batch meets 1013 and 1031 at once: its gcd fails is_prime and
-        # gets a walk of its own.
+        # Round 16 is one batch of 16 steps, which meets 1013 at its first
+        # step and 1031 at its twelfth: its gcd fails is_prime and gets a
+        # walk of its own.
         (1013 * 1031 * 3041, [1013 * 1031 * 3041, 1013 * 1031]),
     ],
 )
@@ -251,6 +321,29 @@ def test_rho_steps_back_through_a_batch_whose_gcd_is_n(monkeypatch, n):
     _check_factors(n, fac)
     assert any(g == m for m, g in gcds)
     assert any(1 < g < m for m, g in gcds)
+
+
+def test_rho_splits_inside_a_four_step_block(monkeypatch):
+    # Rounds 1-64 of Brent's walk y -> y^2 + 1 from y = 2 take 254 steps and
+    # 11 batch gcds; round 128 compares x = y_254 with y_383.. y_510 in
+    # batches of 16.  The first collision, with 20443, is y_408: step 10 of
+    # the round's second batch, the second product of its third four-step
+    # block, so that block's one reduction must keep all four differences.
+    n = 20443 * 20477 * 20479
+    ys = [2]
+    for _ in range(408):
+        ys.append((ys[-1] ** 2 + 1) % n)
+    assert [gcd(ys[254] - y, n) for y in ys[383:]] == [1] * 25 + [20443]
+    gcds = []
+    real = arith.gcd
+
+    def spy(a, b):
+        gcds.append(real(a, b))
+        return gcds[-1]
+
+    monkeypatch.setattr(arith, "gcd", spy)
+    assert sorted(arith._pollard_rho(n)) == [20443, 20477, 20479]
+    assert gcds[:13] == [1] * 12 + [20443]
 
 
 def _trial_division(n):
