@@ -160,6 +160,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def split_power(n: int, p: int) -> tuple[int, int]:
     """(e, n / p^e) for the largest e with p^e dividing the nonzero n."""
+    if n == 0:
+        raise ValueError("0 is divisible by every power of p")
     e = 0
     while n % p == 0:
         n //= p

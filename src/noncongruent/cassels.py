@@ -4,7 +4,8 @@ The pairing is computed two ways: the closed-form Jacobi-type symbol that
 ``criteria.classify`` records, and here a product of local factors evaluated
 at explicit local points on the genus-one torsor attached to the Selmer
 basis, from the d and mu of that verdict.  Every n whose verdict has no d
-gets ``NotRankTwo``.
+gets ``NotRankTwo``.  The factor at 2 is read at the one 2-adic precision
+that the norm of the evaluated tangent product fixes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import isqrt, prod
 from . import criteria
 from .arith import SquareFreeN, hilbert, legendre, split_power, sqrt_2adic
 from .criteria import closed_form_pairing  # the one closed form, importable here too
-from .errors import NotRankTwo, PrecisionExhausted
+from .errors import NotRankTwo
 from .reps import Rep2MuTau, sqrt2_mod
 
 
@@ -92,25 +93,18 @@ def pairing_matrix(sf: SquareFreeN) -> tuple[tuple[tuple[int, int], tuple[int, i
 # local pairing factors at the explicit points of the proofs
 # ---------------------------------------------------------------------------
 
-_MAX_RETRIES = 4
-
-
 def _hilbert2(a: int, b: int, n: int, d: int) -> int:
-    """(a*sqrt(n) + b, d)_2 for n = 1 mod 8 and odd d.
+    """(a*sqrt(n) + b, d)_2 for n = 1 mod 8 and odd d, at one precision.
 
-    sqrt(n) is a root at precision 2^e, known modulo 2^(e-1), so the value
-    is known modulo 2^k with k = e - 1 + v_2(a); e doubles while the value's
-    unit mod 8 is not pinned down by that.
+    x = a*sqrt(n) + b and its conjugate lie in Z_2 with product m = b^2 -
+    a^2*n, so v_2(x) <= v_2(m).  A root at precision 2^e is known modulo
+    2^(e-1), so x is known modulo 2^k with k = e - 1 + v_2(a); e = v_2(m) + 4
+    leaves at least 3 known bits above v_2(x), which fix its unit mod 8.
+    m = 0 (x = 0, or n a square with b = +-a*sqrt(n)) raises ValueError.
     """
     extra = split_power(a, 2)[0] if a else 0
-    e = 12
-    for _ in range(_MAX_RETRIES):
-        k = e - 1 + extra
-        x = (a * sqrt_2adic(n, e) + b) % (1 << k)
-        if x and k - split_power(x, 2)[0] >= 3:
-            return hilbert(x, d, 2)
-        e *= 2
-    raise PrecisionExhausted(f"2-adic symbol of {a}*sqrt({n}) + {b} stayed ambiguous")
+    e = split_power(b * b - a * a * n, 2)[0] + 4
+    return hilbert((a * sqrt_2adic(n, e) + b) % (1 << (e - 1 + extra)), d, 2)
 
 
 def local_factors(sf: SquareFreeN) -> dict[int | None, int]:

@@ -108,14 +108,19 @@ _SHAPES: dict = {}
 
 def _shape(sf: SquareFreeN, table: matrices.SymbolTable) -> tuple:
     """(s2, h4_minus, h4_plus, divisor kernel) of an n past the gate; the
-    last three are None unless s2 = 2, and h4_plus is None for even n."""
+    last three are None unless s2 = 2, and h4_plus is None for even n.
+    s2 = 2 forces h4(-n') = 1 and, for odd n, h4(n) = 0: a shape that
+    fails this raises VerificationFailed before the memo can keep it."""
     key = (sf.is_even, table.a, table.minus_one)
     shape = _SHAPES.get(key)
     if shape is None:
         shape = (table.s2(), None, None, None)
         if shape[0] == 2:
+            h4_minus = table.h4(-sf.odd_part)
             h4_plus = None if sf.is_even else table.h4(sf.n)
-            shape = (2, table.h4(-sf.odd_part), h4_plus, tuple(table.divisor_kernel()))
+            if h4_minus != 1 or h4_plus:
+                raise VerificationFailed(f"s2 = 2 but h4 = ({h4_minus}, {h4_plus}) for n = {sf.n}")
+            shape = (2, h4_minus, h4_plus, tuple(table.divisor_kernel()))
         if sf.k <= 4:
             _SHAPES[key] = shape
     return shape
@@ -146,8 +151,9 @@ def classify(n: int | SquareFreeN) -> Verdict:
 
     ``CriterionFails`` means exactly that the pairing symbol is +1.  For
     eligible n, s2 = 2 holds exactly when the Redei 4-rank conditions do, so
-    a 4-rank that fails at s2 = 2 is a bug and raises VerificationFailed,
-    as does a distinguished divisor that fails its re-check.
+    a 4-rank that fails at s2 = 2 is a bug and raises VerificationFailed
+    (checked once per shape by ``_shape``), as does a distinguished divisor
+    that fails its re-check.
 
     n is factored once (a ``SquareFreeN`` is taken as already factored),
     every field is recorded once in stage order (s2, the 4-ranks, d, mu,
@@ -179,13 +185,10 @@ def classify(n: int | SquareFreeN) -> Verdict:
     if v.record("s2", "monsky_rank", s2) != 2:
         return v
     v.verdict = _FAILS
-    # h4(-n) and h4(n) for odd n, h4(-n/2) for even n; both ranks are
-    # recorded before they are checked.
-    h4_holds = v.record("h4_minus", "redei_rank", h4_minus) == 1
+    # h4(-n) and h4(n) for odd n, h4(-n/2) for even n, checked by _shape.
+    v.record("h4_minus", "redei_rank", h4_minus)
     if not sf.is_even:
-        h4_holds &= v.record("h4_plus", "redei_rank", h4_plus) == 0
-    if not h4_holds:
-        raise VerificationFailed(f"s2 = 2 but h4 = ({v.h4_minus}, {v.h4_plus}) for n = {sf.n}")
+        v.record("h4_plus", "redei_rank", h4_plus)
     d = v.record("d", "kernel_psi", _checked_divisor(sf, kernel))
     if sf.is_even:
         mu, method = None, "quad_jacobi_closed_form"

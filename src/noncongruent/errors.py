@@ -25,10 +25,6 @@ class IllDefined(NoncongruentError):
     """Quadratic-field residue symbol is not well defined for these arguments."""
 
 
-class EmptyFactorization(NoncongruentError):
-    """Operation needs at least one odd prime factor (n = 1, 2 rejected)."""
-
-
 class NoRepresentation(NoncongruentError):
     """The requested norm-form representation does not exist."""
 
@@ -46,7 +42,8 @@ class VerificationFailed(NoncongruentError):
 
 
 class PrecisionExhausted(NoncongruentError):
-    """Symbol or point evaluation stayed ambiguous after all precision retries."""
+    """The descent oracle's Hensel frontier outgrew its cap or stayed live
+    at its last level; nothing else raises it."""
 
 
 class NotFundamental(NoncongruentError):

@@ -8,18 +8,15 @@ representatives, the matrix whose kernel holds the distinguished divisor,
 and the Redei matrix of Q(sqrt(m)) for every square-free m, with the
 class-group ranks h2 / h4 it gives.  Each matrix is square and a tuple of
 row ints (bit j of row i is entry (i, j)), as ``f2linalg`` takes them.
+At n = 1 and 2, with no odd prime (k = 0), the divisor and Monsky
+matrices are 0 x 0: s2 = 0, the Selmer set is {(1,1,1)} and the divisor
+kernel holds the zero vector alone.
 """
 
 from __future__ import annotations
 
 from . import f2linalg
 from .arith import SelmerTriple, SquareFreeN, factor_squarefree
-from .errors import EmptyFactorization
-
-
-def _require_factors(sf: SquareFreeN) -> None:
-    if sf.k == 0:
-        raise EmptyFactorization(f"n = {sf.n} has no odd prime factor")
 
 
 def psi(bits: int, primes: tuple[int, ...]) -> int:
@@ -106,7 +103,6 @@ class SymbolTable:
     def divisor_matrix(self) -> tuple[int, ...]:
         """The k x k matrix whose kernel holds |d|: A + D_(-1) for odd n, A^T
         for even n."""
-        _require_factors(self.sf)
         return self.a_t if self.sf.is_even else plus_diagonal(self.a, self.minus_one)
 
     def divisor_kernel(self) -> list[int]:
@@ -120,7 +116,6 @@ class SymbolTable:
         D_2, it is [[A + D_2, D_2], [D_2, A + D_(-2)]] for odd n and
         [[A^T + D_2, D_(-1)], [D_2, A + D_2]] for even n.
         """
-        _require_factors(self.sf)
         k, two = self.sf.k, self.two
         if self.sf.is_even:
             left, right, twist = self.a_t, self.minus_one, two

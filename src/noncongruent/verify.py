@@ -22,8 +22,9 @@ _ODD_ELIGIBLE = ((1,), ELIGIBLE[1])
 def _selmer_oracle(bound: int):
     from . import oracles
 
-    # n = 1 and 2, the only square-free n with no odd prime, have no
-    # Monsky matrix, so the sweep starts at 3.
+    # At n = 1 and 2, the only square-free n with no odd prime, the Monsky
+    # matrix is 0 x 0 and both sides give {(1,1,1)}; a tier-1 test checks
+    # them, and the sweep starts at 3 so that its pinned counts stand.
     for n, sf in squarefree_upto(bound, start=3):
         got = oracles.selmer_oracle(sf)
         want = matrices.selmer_elements(sf)

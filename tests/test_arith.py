@@ -15,6 +15,7 @@ from noncongruent.arith import (
     is_prime,
     jacobi,
     legendre,
+    split_power,
     sqrt_2adic,
     squarefree_block,
     squarefree_part,
@@ -456,6 +457,14 @@ def test_sqrt_mod_2adic_random():
         s = sqrt_2adic(a, e)
         assert 1 <= s <= 1 << (e - 1)
         assert (s * s - a) % (1 << e) == 0
+
+
+def test_split_power_refuses_zero():
+    # every power of p divides 0, so the loop would never end
+    assert split_power(-96, 2) == (5, -3)
+    assert split_power(7, 3) == (0, 7)
+    with pytest.raises(ValueError):
+        split_power(0, 2)
 
 
 def test_is_norm_examples():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,8 @@ from noncongruent.arith import (
     factor_squarefree,
     hilbert,
     legendre,
+    split_power,
+    sqrt_2adic,
     squarefree_upto,
 )
 from noncongruent.cassels import (
@@ -156,13 +159,30 @@ def test_two_adic_helper_matches_hilbert(x, d):
     assert _hilbert2(0, x, 1, d) == hilbert(x, d, 2)
 
 
-def test_two_adic_helper_gives_up_on_unpinned_units():
-    # the last retry knows values modulo 2^95: the unit of 2^92 * odd is
-    # pinned mod 8 there, that of 2^93 is not, and 0 never is
-    assert _hilbert2(0, 3 << 92, 1, 5) == hilbert(3 << 92, 5, 2)
-    for x in (0, 1 << 93, 1 << 200):
-        with pytest.raises(PrecisionExhausted):
-            _hilbert2(0, x, 1, 5)
+def test_two_adic_helper_takes_its_precision_from_the_norm():
+    # b^2 - a^2*n fixes the precision, so no power of 2 is too large; only
+    # x = 0, where that norm is 0, has no unit to read
+    for x in (1 << 93, 1 << 200):
+        assert _hilbert2(0, x, 1, 5) == hilbert(x, 5, 2)
+    with pytest.raises(ValueError):
+        _hilbert2(0, 0, 1, 5)
+
+
+@given(
+    st.integers(-(2**40), 2**40).filter(bool),
+    st.integers(-(2**40), 2**40),
+    st.integers(1, 2**30).map(lambda k: 8 * k + 1).filter(lambda n: isqrt(n) ** 2 != n),
+)
+def test_two_adic_precision_from_the_norm_pins_the_unit(a, b, n):
+    # at e = v_2(b^2 - a^2*n) + 4 the truncated a*sqrt(n) + b is nonzero
+    # with at least 3 known bits above its valuation, so its unit mod 8
+    # is fixed, and the helper reads its symbol from that value
+    e = split_power(b * b - a * a * n, 2)[0] + 4
+    k = e - 1 + split_power(a, 2)[0]
+    x = (a * sqrt_2adic(n, e) + b) % (1 << k)
+    assert x and k - split_power(x, 2)[0] >= 3
+    for d in (-1, 3, 5):
+        assert _hilbert2(a, b, n, d) == hilbert(x, d, 2)
 
 
 @pytest.mark.parametrize("n", [65, 138, 145, 210])

@@ -157,7 +157,7 @@ def test_verify_suites_pass_small():
     [("corollaries", 0), ("lemma-2symbol", -5), ("selmer-oracle", 2)],
 )
 def test_verify_exits_3_when_the_bound_leaves_no_case(suite, bound):
-    # n = 1 and 2 have no odd prime, so selmer-oracle 2 has no case either.
+    # selmer-oracle starts at 3, so a bound of 2 leaves it no case either.
     proc = run_cli("verify", suite, bound)
     assert proc.returncode == 3 and proc.stdout == "", (suite, proc.stdout)
     assert "no case" in json.loads(proc.stderr)["error"]

@@ -6,7 +6,7 @@ from f2rows import add, beside, diagonal, from_lists, mul_vec, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncongruent import f2linalg
+from noncongruent import f2linalg, oracles
 from noncongruent.arith import (
     SelmerTriple,
     factor_squarefree,
@@ -16,7 +16,7 @@ from noncongruent.arith import (
     squarefree_part,
     squarefree_upto,
 )
-from noncongruent.errors import EmptyFactorization, NotSquareFree
+from noncongruent.errors import NotSquareFree
 from noncongruent.matrices import (
     h4,
     redei_matrix,
@@ -61,8 +61,12 @@ def test_build_A_examples():
     assert _a(17) == from_lists([[0]])
     assert _a(15) == from_lists([[1, 1], [1, 1]])
     assert _a(161) == from_lists([[0, 0], [1, 1]])
-    with pytest.raises(EmptyFactorization):
-        symbol_table(factor_squarefree(2)).divisor_matrix()
+    # n = 1 and 2 have no odd prime: the divisor matrix is 0 x 0 and its
+    # kernel holds the zero vector alone, so there is no divisor d
+    for n in (1, 2):
+        table = symbol_table(factor_squarefree(n))
+        assert table.divisor_matrix() == ()
+        assert table.divisor_kernel() == [0]
 
 
 def test_build_D_examples():
@@ -78,8 +82,13 @@ def test_monsky_matrix_examples():
     sf15 = factor_squarefree(15)
     top_left = [row & 0b11 for row in symbol_table(sf15).monsky_matrix()[:2]]
     assert top_left == list(add(_a(15), _d(2, sf15)))
-    with pytest.raises(EmptyFactorization):
-        symbol_table(factor_squarefree(2)).monsky_matrix()
+    # at n = 1 and 2 the Monsky matrix is 0 x 0: s2 = 0 and the pure
+    # 2-Selmer group is {(1,1,1)}, which is the oracle's answer too
+    for n in (1, 2):
+        sf = factor_squarefree(n)
+        assert symbol_table(sf).monsky_matrix() == ()
+        assert s2(sf) == 0
+        assert selmer_elements(sf) == oracles.selmer_oracle(sf) == {SelmerTriple(1, 1, 1)}
 
 
 def test_s2_examples():

@@ -64,6 +64,28 @@ def test_every_public_function_has_a_caller():
     assert ALLOWED <= set(public)  # an allowed name that is gone should leave the list
 
 
+def _raised_names(tree):
+    """The name of each exception that a ``raise`` in the tree raises, by
+    its class or by a call to it, bare or as ``module.Name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_error_type_has_a_raiser():
+    # An error type that nothing in the package raises any more goes with
+    # its last raiser; only the base class is never raised itself.
+    package = ROOT / "src" / "noncongruent"
+    errors = ast.parse((package / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = {name for p in package.glob("*.py") for name in _raised_names(ast.parse(p.read_text()))}
+    assert sorted(defined - raised) == ["NoncongruentError"]
+
+
 def _package_imports(tree):
     """The modules of the package that a tree imports, relative or absolute;
     the package itself for ``import noncongruent``."""
