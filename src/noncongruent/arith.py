@@ -186,10 +186,6 @@ def squarefree_part(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The residues mod 8 that the odd primes of an eligible (strictly eligible) n take.
-_PLUS_MINUS_ONE, _PLUS_ONE = frozenset((1, 7)), frozenset((1,))
-
-
 class SquareFreeN(
     namedtuple("SquareFreeN", "n odd_part primes is_even eligibility strict_eligibility")
 ):
@@ -205,13 +201,17 @@ class SquareFreeN(
     @classmethod
     def from_primes(cls, n: int, primes: tuple[int, ...]) -> "SquareFreeN":
         """The record of square-free n whose odd primes are exactly the
-        increasing ``primes``; the caller vouches for both, nothing is checked."""
+        increasing ``primes``; the caller vouches for both, nothing is checked.
+        Both eligibility flags come from one pass over the residues mod 8."""
+        eligible = strict = True
+        for p in primes:
+            if p % 8 != 1:
+                strict = False
+                if p % 8 != 7:
+                    eligible = False
+                    break
         is_even = n % 2 == 0
-        residues = {p % 8 for p in primes}
-        odd_part = n // 2 if is_even else n
-        return tuple.__new__(
-            cls, (n, odd_part, primes, is_even, residues <= _PLUS_MINUS_ONE, residues <= _PLUS_ONE)
-        )
+        return tuple.__new__(cls, (n, n // 2 if is_even else n, primes, is_even, eligible, strict))
 
     @property
     def k(self) -> int:

@@ -35,22 +35,12 @@ CSV_COLUMNS = [
 ]
 
 
-def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
+def _scan_row(sf: SquareFreeN, with_oracle: bool) -> tuple:
+    """The scan row of ``sf``: its fields as a tuple in the order of
+    ``CSV_COLUMNS``, ``h4_agree`` filled only ``with_oracle``."""
     v = criteria.classify(sf)
     eligible = v.verdict is not _NOT_ELIGIBLE
-    row = {
-        "n": sf.n,
-        "eligible": eligible,
-        "strict": eligible and sf.strict_eligibility,
-        "s2": v.s2,
-        "h4_minus": v.h4_minus,
-        "h4_plus": v.h4_plus,
-        "d": v.d,
-        "mu": v.mu,
-        "symbol": v.pairing_symbol,
-        "verdict": v.verdict._value_,  # what ``.value`` returns, without its descriptor call
-        "h4_agree": None,
-    }
+    agree = None
     if with_oracle and sf.k >= 1:
         from . import oracles
 
@@ -60,22 +50,24 @@ def _scan_row(sf: SquareFreeN, with_oracle: bool) -> dict:
         try:
             oracle = oracles.h4_oracle(m)
         except TooLarge:
-            return row  # past the form class group's cap the field stays empty
-        h4 = v.h4_minus if v.h4_minus is not None else matrices.symbol_table(sf).h4(m)
-        row["h4_agree"] = h4 == oracle
-    return row
+            pass  # past the form class group's cap the field stays empty
+        else:
+            agree = oracle == (v.h4_minus if v.h4_minus is not None else matrices.symbol_table(sf).h4(m))
+    # ``_value_`` is what ``.value`` returns, without its descriptor call.
+    return (sf.n, eligible, eligible and sf.strict_eligibility, v.s2, v.h4_minus, v.h4_plus, v.d, v.mu,
+            v.pairing_symbol, v.verdict._value_, agree)
 
 
 def _scan_block(args: tuple) -> str:
     """The CSV or JSON lines of the n in [lo, hi) that pass the sieve's
     filter ``allowed``: the sieve drops every other n before building its
-    record."""
+    record.  A CSV line joins the row's fields, None as empty; a JSON line
+    pairs them with ``CSV_COLUMNS``."""
     lo, hi, allowed, with_oracle, csv = args
     rows = [_scan_row(sf, with_oracle) for _, sf in squarefree_block(lo, hi, allowed)]
     if csv:
-        # ``_scan_row`` builds each row in the order of ``CSV_COLUMNS``.
-        return "".join([",".join(["" if x is None else str(x) for x in row.values()]) + "\n" for row in rows])
-    return "".join([json.dumps(row, separators=(",", ":")) + "\n" for row in rows])
+        return "".join([",".join(["" if x is None else str(x) for x in row]) + "\n" for row in rows])
+    return "".join([json.dumps(dict(zip(CSV_COLUMNS, row)), separators=(",", ":")) + "\n" for row in rows])
 
 
 def cmd_classify(args) -> int:

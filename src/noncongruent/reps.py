@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import prod
 
 from .arith import SquareFreeN, factor_squarefree
 from .errors import IllDefined, NoRepresentation, NoRoot, NotCoprime, TooLarge
@@ -123,11 +122,9 @@ def sqrt2_mod(p: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _prime_element(p: int) -> _Z2:
-    """An element of Z[sqrt(2)] of norm +-p, for p = 2 or an odd prime that
-    splits: gcd(p, p - s + sqrt(2)) with s = ``sqrt2_mod(p)``, which reduction
-    mod the prime sends to 0 when it sends sqrt(2) to s."""
-    if p == 2:
-        return 0, 1
+    """An element of Z[sqrt(2)] of norm +-p, for an odd prime p that splits:
+    gcd(p, p - s + sqrt(2)) with s = ``sqrt2_mod(p)``, which reduction mod
+    the prime sends to 0 when it sends sqrt(2) to s."""
     return _smallest(_gcd((p, 0), (p - sqrt2_mod(p), 1)))
 
 
@@ -156,9 +153,11 @@ def _products(m: int, sf: SquareFreeN | None) -> list[_Z2]:
     """One element of norm -m in each unit orbit of Z[sqrt(2)], for
     square-free m != 0 of either sign: a prime element above each prime of m
     multiplied out over the 2^(k-1) conjugate choices, up to conjugating the
-    whole product.  ``sf`` is |m| factored or None; raises ValueError at
-    m = 0 or for another factored |m|, NotSquareFree, NoRepresentation if an
-    odd p | m does not split, or TooLarge past ``_MOST_CHOICES``."""
+    whole product.  The seed is sqrt(2) above 2, for even m, times the first
+    odd prime's element; each later element doubles the list, its element
+    before its conjugate.  ``sf`` is |m| factored or None; raises ValueError
+    at m = 0 or for another factored |m|, NotSquareFree, NoRepresentation if
+    an odd p | m does not split, or TooLarge past ``_MOST_CHOICES``."""
     if m == 0:
         raise ValueError("m must be nonzero")
     if sf is None:
@@ -166,21 +165,25 @@ def _products(m: int, sf: SquareFreeN | None) -> list[_Z2]:
     elif sf.n != abs(m):
         raise ValueError(f"the factored {sf.n} is not |{m}|")
     try:
-        elements = [_prime_element(p) for p in ((2, *sf.primes) if sf.is_even else sf.primes)]
+        elements = [_prime_element(p) for p in sf.primes]
     except NoRoot:
         raise NoRepresentation(f"a prime of {m} does not split in Z[sqrt(2)]") from None
     # Conjugating the whole product keeps |coordinates|, and the conjugate
     # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
-    one_choice = 1 + sf.is_even
-    if 2 ** (len(elements) - one_choice) > _MOST_CHOICES:
+    if 2 ** (sf.k - 1) > _MOST_CHOICES:
         raise TooLarge(f"{m} has 2^{sf.k - 1} unit orbits, more than {_MOST_CHOICES}")
-    # Every product has the norm of the elements' product, whose sign one
-    # factor 1 + sqrt(2) (norm -1) in the seed fixes.
-    a, b = (1, 1) if prod(x * x - 2 * y * y for x, y in elements) == m else (1, 0)
-    for x, y in elements[:one_choice]:
-        a, b = a * x + 2 * b * y, a * y + b * x
-    products = [(a, b)]
-    for x, y in elements[one_choice:]:
+    # Every product has the norm of the elements' product (sqrt(2)'s is -2),
+    # whose sign one factor 1 + sqrt(2) (norm -1) in the seed fixes.
+    norm = -2 if sf.is_even else 1
+    for x, y in elements:
+        norm *= x * x - 2 * y * y
+    a, b = (1, 1) if norm == m else (1, 0)
+    if sf.is_even:  # times sqrt(2)
+        a, b = 2 * b, a
+    rest = iter(elements)
+    x, y = next(rest, (1, 0))  # the first odd prime's element, or 1 at k = 0
+    products = [(a * x + 2 * b * y, a * y + b * x)]
+    for x, y in rest:
         products = [(a * x + 2 * b * s, a * s + b * x) for a, b in products for s in (y, -y)]
     return products
 

@@ -342,13 +342,29 @@ def test_scan_oracle_builds_one_symbol_table_per_rank_two_row(monkeypatch):
     builds = []
     real = matrices.symbol_table
     monkeypatch.setattr(matrices, "symbol_table", lambda sf: builds.append(sf.n) or real(sf))
+    h4_agree, s2 = cli.CSV_COLUMNS.index("h4_agree"), cli.CSV_COLUMNS.index("s2")
     rank_two = 0
     for n, sf in arith.squarefree_block(1, 3000, arith.ELIGIBLE):
         if sf.k == 0:
             continue
         builds.clear()
         row = cli._scan_row(sf, True)
-        assert row["h4_agree"] is True, n
-        assert builds == ([n] if row["s2"] == 2 else [n, n]), n
-        rank_two += row["s2"] == 2
+        assert row[h4_agree] is True, n
+        assert builds == ([n] if row[s2] == 2 else [n, n]), n
+        rank_two += row[s2] == 2
     assert rank_two > 100
+
+
+def test_scan_csv_and_json_render_one_row(capsys):
+    # Each JSON object has the keys of CSV_COLUMNS in order, and the CSV
+    # line of the same n is its values joined, null as empty.
+    assert main(["scan", "1", "3000", "--oracle"]) == 0
+    objects = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert main(["scan", "1", "3000", "--oracle", "--csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == ",".join(cli.CSV_COLUMNS)
+    assert len(lines) == len(objects) > 1000
+    for obj, line in zip(objects, lines):
+        assert list(obj) == cli.CSV_COLUMNS
+        assert line == ",".join(["" if x is None else str(x) for x in obj.values()])
+    assert {obj["h4_agree"] for obj in objects} == {None, True}

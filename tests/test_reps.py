@@ -374,3 +374,31 @@ def test_orbit_bound_admits_exactly_its_count(monkeypatch):
         assert len(reps._products(m * prod(split[:4]), None)) == 2**3
         with pytest.raises(TooLarge):
             reps._products(m * prod(split), None)
+
+
+def _products_by_slices(m, sf):
+    """The earlier construction of ``reps._products``, kept as its oracle:
+    2's element (0, 1) listed first, the norm's sign by ``prod`` over a
+    generator, and the seed and the doubling loop read off slices."""
+    elements = ([(0, 1)] if sf.is_even else []) + [_prime_element(p) for p in sf.primes]
+    one_choice = 1 + sf.is_even
+    a, b = (1, 1) if prod(x * x - 2 * y * y for x, y in elements) == m else (1, 0)
+    for x, y in elements[:one_choice]:
+        a, b = a * x + 2 * b * y, a * y + b * x
+    products = [(a, b)]
+    for x, y in elements[one_choice:]:
+        products = [(a * x + 2 * b * s, a * s + b * x) for a, b in products for s in (y, -y)]
+    return products
+
+
+def test_products_equal_the_sliced_construction():
+    # Every square-free 3 <= |m| <= 20000 whose odd primes all split, both
+    # signs: the same products in the same order.
+    compared = 0
+    for n, sf in squarefree_upto(20000, (range(8), (1, 7)), start=3):
+        for m in (n, -n):
+            products = reps._products(m, sf)
+            assert products == _products_by_slices(m, sf), m
+            assert all(x * x - 2 * y * y == -m for x, y in products), m
+            compared += 1
+    assert compared > 2000
