@@ -33,26 +33,31 @@ _NON_CONGRUENT, _FAILS, _NOT_TWO, _NOT_ELIGIBLE = VerdictKind
 class Verdict:
     """Full classification record with per-field provenance trace."""
 
-    def __init__(self, n: int, verdict: VerdictKind):
-        # Set in the key order of ``to_dict``; ``record`` only overwrites.
-        self.n, self.verdict = n, verdict
-        self.s2 = self.h4_minus = self.h4_plus = self.d = self.mu = self.pairing_symbol = None
-        self.trace: list[tuple[str, str]] = []
+    def __init__(self, n: int, verdict: VerdictKind, trace: tuple, s2=None, h4_minus=None, h4_plus=None,
+                 d=None, mu=None, pairing_symbol=None):
+        # Set in the key order of ``to_dict``; the trace is the verdict's own list.
+        self.n, self.verdict, self.s2, self.h4_minus, self.h4_plus = n, verdict, s2, h4_minus, h4_plus
+        self.d, self.mu, self.pairing_symbol, self.trace = d, mu, pairing_symbol, [*trace]
 
     def __eq__(self, other):
         return vars(self) == vars(other) if isinstance(other, Verdict) else NotImplemented
-
-    def record(self, name: str, method: str, value):
-        """Set one field, note in the trace how it was computed, return it."""
-        setattr(self, name, value)
-        self.trace.append((name, method))
-        return value
 
     def to_dict(self) -> dict:
         out = dict(vars(self))
         out["verdict"] = self.verdict.value
         out["trace"] = [list(t) for t in self.trace]
         return out
+
+
+# The trace of each exit of ``classify``: its (field, method) pairs in stage order.
+_NOT_SQUAREFREE = (("n", "not_squarefree"),)
+_SIEVED_OUT = (("n", "eligibility_sieve"),)
+_TRIVIAL = (("s2", "trivial_case"),)
+_MONSKY = (("s2", "monsky_rank"),)
+_EVEN_TWO = _MONSKY + (("h4_minus", "redei_rank"), ("d", "kernel_psi"),
+                       ("pairing_symbol", "quad_jacobi_closed_form"))
+_ODD_TWO = _MONSKY + (("h4_minus", "redei_rank"), ("h4_plus", "redei_rank"), ("d", "kernel_psi"),
+                      ("mu", "z2_euclid"), ("pairing_symbol", "jacobi_closed_form"))
 
 
 def distinguished_divisor(sf: SquareFreeN) -> int:
@@ -80,7 +85,9 @@ def _checked_divisor(sf: SquareFreeN, kernel: list[int] | tuple[int, ...]) -> in
     """d = psi of the nonzero vector of the divisor kernel, sign-fixed for
     even n.  Before returning, d | n and (d, n)_v are re-checked at 2 and
     each odd p | n: no other finite place can give -1, the primes of n are
-    known, and (d, n)_oo = +1 for every d since n > 0."""
+    known, and (d, n)_oo = +1 for every d since n > 0.  By Hilbert
+    reciprocity the odd places then force (d, n)_2 = +1, so the check at 2
+    is kept as a second route that catches a faulty odd-place check."""
     if len(kernel) != 2:
         raise NotRankTwo(f"kernel size {len(kernel)} != 2 for n = {sf.n}")
     d = matrices.psi(kernel[1], sf.primes)
@@ -156,8 +163,9 @@ def classify(n: int | SquareFreeN) -> Verdict:
     that fails its re-check.
 
     n is factored once (a ``SquareFreeN`` is taken as already factored),
-    every field is recorded once in stage order (s2, the 4-ranks, d, mu,
-    the symbol), and every F2 matrix is read off one symbol table of n.
+    each field is computed once into a local (s2, the 4-ranks, d, mu, the
+    symbol), the verdict is built once, at the exit taken, with that exit's
+    trace, and every F2 matrix is read off one symbol table of n.
     s2, the 4-ranks and the divisor kernel are made once per table shape
     with k <= 4 in each process (``_SHAPES``); d, mu and the symbol read
     the primes and are made and checked for each n.
@@ -171,30 +179,18 @@ def classify(n: int | SquareFreeN) -> Verdict:
         try:
             sf = factor_squarefree(n)
         except NotSquareFree:
-            sf = None
-    v = Verdict(n if sf is None else sf.n, _NOT_ELIGIBLE)
-    if sf is None or not sf.eligibility or sf.n % 8 not in (1, 2):
-        v.record("n", "not_squarefree" if sf is None else "eligibility_sieve", v.n)
-        return v
-    v.verdict = _NOT_TWO
-    if sf.k == 0:
+            return Verdict(n, _NOT_ELIGIBLE, _NOT_SQUAREFREE)
+    n = sf.n
+    if not sf.eligibility or n % 8 not in (1, 2):
+        return Verdict(n, _NOT_ELIGIBLE, _SIEVED_OUT)
+    if not sf.primes:
         # n = 1 or 2: the pure Selmer group is trivial.
-        v.record("s2", "trivial_case", 0)
-        return v
-    s2, h4_minus, h4_plus, kernel = _shape(sf, matrices.symbol_table(sf))
-    if v.record("s2", "monsky_rank", s2) != 2:
-        return v
-    v.verdict = _FAILS
+        return Verdict(n, _NOT_TWO, _TRIVIAL, 0)
     # h4(-n) and h4(n) for odd n, h4(-n/2) for even n, checked by _shape.
-    v.record("h4_minus", "redei_rank", h4_minus)
-    if not sf.is_even:
-        v.record("h4_plus", "redei_rank", h4_plus)
-    d = v.record("d", "kernel_psi", _checked_divisor(sf, kernel))
-    if sf.is_even:
-        mu, method = None, "quad_jacobi_closed_form"
-    else:
-        mu = v.record("mu", "z2_euclid", rep_2mu2_tau2(sf.n, d, sf).mu)
-        method = "jacobi_closed_form"
-    if v.record("pairing_symbol", method, closed_form_pairing(sf, d, mu)) == -1:
-        v.verdict = _NON_CONGRUENT
-    return v
+    s2, h4_minus, h4_plus, kernel = _shape(sf, matrices.symbol_table(sf))
+    if s2 != 2:
+        return Verdict(n, _NOT_TWO, _MONSKY, s2)
+    d = _checked_divisor(sf, kernel)
+    mu, trace = (None, _EVEN_TWO) if sf.is_even else (rep_2mu2_tau2(n, d, sf).mu, _ODD_TWO)
+    symbol = closed_form_pairing(sf, d, mu)
+    return Verdict(n, _NON_CONGRUENT if symbol == -1 else _FAILS, trace, 2, h4_minus, h4_plus, d, mu, symbol)

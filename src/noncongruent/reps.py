@@ -73,12 +73,14 @@ def _smallest(a: _Z2) -> _Z2:
 
     Along the orbit under e = 3 + 2*sqrt(2) the coordinate is A*e^j + B*e^-j,
     whose absolute value falls and then rises, so stepping by e, then by
-    e^-1 = 3 - 2*sqrt(2), while it falls ends at the minimum.
+    e^-1 = 3 - 2*sqrt(2), while it falls ends at the minimum.  The steps make
+    it 2x + 3y and 3y - 2x, whose squares are below y^2 exactly when
+    (x + y)(x + 2y) < 0 and (x - y)(x - 2y) < 0.
     """
     x, y = a
-    while abs(2 * x + 3 * y) < abs(y):
+    while (x + y) * (x + 2 * y) < 0:
         x, y = 3 * x + 4 * y, 2 * x + 3 * y
-    while abs(3 * y - 2 * x) < abs(y):
+    while (x - y) * (x - 2 * y) < 0:
         x, y = 3 * x - 4 * y, 3 * y - 2 * x
     return x, y
 
@@ -165,13 +167,13 @@ def _products(m: int, sf: SquareFreeN | None) -> list[_Z2]:
     elif sf.n != abs(m):
         raise ValueError(f"the factored {sf.n} is not |{m}|")
     try:
-        elements = [_prime_element(p) for p in sf.primes]
+        elements = list(map(_prime_element, sf.primes))
     except NoRoot:
         raise NoRepresentation(f"a prime of {m} does not split in Z[sqrt(2)]") from None
     # Conjugating the whole product keeps |coordinates|, and the conjugate
     # of sqrt(2) is -sqrt(2): so 2 and the first odd prime take one choice.
-    if 2 ** (sf.k - 1) > _MOST_CHOICES:
-        raise TooLarge(f"{m} has 2^{sf.k - 1} unit orbits, more than {_MOST_CHOICES}")
+    if 2 ** (len(elements) - 1) > _MOST_CHOICES:
+        raise TooLarge(f"{m} has 2^{len(elements) - 1} unit orbits, more than {_MOST_CHOICES}")
     # Every product has the norm of the elements' product (sqrt(2)'s is -2),
     # whose sign one factor 1 + sqrt(2) (norm -1) in the seed fixes.
     norm = -2 if sf.is_even else 1
@@ -194,12 +196,11 @@ def _least(m: int, sf: SquareFreeN | None) -> tuple[int, int]:
     but (2, 3) at m = -1.  ``sf`` and the errors are those of ``_products``."""
     products = _products(m, sf)
     # Products of one norm with equal least |coordinate 1| have equal |coordinate 0|.
-    least = _smallest(products[0])
-    for a in products[1:]:
-        a = _smallest(a)
-        if abs(a[1]) < abs(least[1]):
-            least = a
-    tau, mu = least
+    tau, mu = _smallest(products.pop())
+    for a in products:
+        x, y = _smallest(a)
+        if y * y < mu * mu:
+            tau, mu = x, y
     # The orbit of 1 has mu = 0 and next mu = +-2, at 3 +- 2*sqrt(2).
     return (abs(mu), abs(tau)) if mu else (2, 3)
 

@@ -36,10 +36,21 @@ def test_distinguished_divisor_rechecks_the_kernel(monkeypatch, n, wrong):
         distinguished_divisor(factor_squarefree(n))
 
 
+def test_divisor_recheck_at_2_catches_a_faulty_odd_place_check(monkeypatch):
+    # With the odd places waved through, d = 23 for n = 391 = 17 * 23 fails
+    # only at 2: (23, 391)_2 = -1.
+    monkeypatch.setattr(criteria, "_odd_places_hold", lambda d, sf: True)
+    sf = factor_squarefree(391)
+    assert matrices.psi(0b10, sf.primes) == 23 and hilbert(23, 391, 2) == -1
+    with pytest.raises(VerificationFailed, match="d = 23, n = 391"):
+        criteria._checked_divisor(sf, [0, 0b10])
+
+
 def test_odd_place_recheck_is_the_hilbert_symbol():
     # Every signed divisor d != 1 of every square-free n <= 3000 with k >= 1
     # (2 * d included for even n): one Euler criterion at each odd p | n,
-    # (d / p) or (-(n/d) / p), accepts d exactly when hilbert does.
+    # (d / p) or (-(n/d) / p), accepts d exactly when hilbert does.  Then
+    # (d, n)_2 = +1 too: (d, n)_oo = +1 for n > 0, and Hilbert reciprocity.
     cases = accepted = 0
     for n, sf in squarefree_upto(3000):
         if sf.k == 0:
@@ -50,6 +61,7 @@ def test_odd_place_recheck_is_the_hilbert_symbol():
                     continue
                 want = all(hilbert(d, n, p) == 1 for p in sf.primes)
                 assert criteria._odd_places_hold(d, sf) == want, (n, d)
+                assert hilbert(d, n, 2) == 1 or not want, (n, d)
                 cases += 1
                 accepted += want
     assert (cases, accepted) == (17006, 5274)
@@ -286,6 +298,19 @@ def test_classify_trace_and_fields():
     assert "s2" in fields and "pairing_symbol" in fields
     out = v.to_dict()
     assert out["verdict"] == "NonCongruentSha22"
+
+
+def test_each_verdict_owns_its_trace():
+    # Each exit path copies its trace, so a caller's edit stays its own.
+    first, other = classify(17), classify(41).to_dict()
+    want = first.to_dict()
+    first.trace.append(("s2", "tampered"))
+    first.trace[0] = ("n", "tampered")
+    assert classify(17).to_dict() == want and classify(41).to_dict() == other
+    assert classify(17) == classify(17) != first
+    assert list(want) == ["n", "verdict", "s2", "h4_minus", "h4_plus", "d", "mu", "pairing_symbol", "trace"]
+    for n in (12, 15, 1, 1513, 34, 17):  # one n for each exit path
+        assert classify(n).trace is not classify(n).trace
 
 
 def test_classify_never_marks_sha_without_symbol():
