@@ -3,9 +3,9 @@
 A matrix is a sequence of rows and a width ``ncols``: row i is a Python int
 whose bit j is the entry in column j, so row addition is a single XOR
 regardless of width.  A vector is likewise an int whose bit j is coordinate
-j: addition is XOR and the dot product is the parity of AND.  Elimination
+j: addition is XOR and the dot product is the parity of AND.  ``kernel``
 pivots on the first nonzero column with the lowest available row, which
-makes ranks and the order of kernel vectors reproducible across runs.
+makes the order of its vectors reproducible across runs.
 """
 
 from __future__ import annotations
@@ -35,9 +35,16 @@ def _echelon(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
 
 
 def rank(rows: Sequence[int], ncols: int) -> int:
-    """Rank over F2 by Gaussian elimination."""
-    _, pivots = _echelon(list(rows), ncols)
-    return len(pivots)
+    """F2 rank of the rows cut to ``ncols`` bits: each joins the basis if it is
+    nonzero once every basis row b that lowers it (clears its top bit) is added."""
+    mask, basis = (1 << ncols) - 1, []
+    for r in rows:
+        r &= mask
+        for b in basis:
+            r ^= b if r ^ b < r else 0
+        if r:
+            basis.append(r)
+    return len(basis)
 
 
 def kernel(rows: Sequence[int], ncols: int) -> list[int]:

@@ -390,16 +390,19 @@ def test_selmer_oracle_sweep_never_factorizes(monkeypatch):
 
 
 def test_classify_shares_its_eliminations(monkeypatch):
-    # A memo miss eliminates the Monsky matrix, the Redei matrices of -n'
-    # and (odd n) of n, and the divisor matrix, once each; a second
-    # classify of the same n reads the memo and eliminates nothing.
+    # A memo miss ranks the Monsky matrix (2k columns), the Redei matrix of
+    # -n' (k + 1, since -n' = 3 mod 4) and, for odd n, that of n (k, since
+    # n = 1 mod 8), and makes one echelon form, for the divisor kernel; a
+    # second classify of the same n reads the memo and eliminates nothing.
     monkeypatch.setattr(criteria, "_SHAPES", {})
-    calls = _counting_echelon(monkeypatch)
-    for n, most in ((17, 4), (161, 4), (2446197334673, 4), (34, 3), (322, 3), (2213746, 3)):
+    calls = _counting_eliminations(monkeypatch)
+    for n in (17, 161, 2446197334673, 34, 322, 2213746):
         criteria._SHAPES.clear()
         calls.clear()
         assert classify(n).s2 == 2
-        assert 0 < len(calls) <= most, (n, calls)
+        k = factor_squarefree(n).k
+        redei = [("rank", k + 1)] + [("rank", k)] * (n % 2)
+        assert calls == [("rank", 2 * k), *redei, ("_echelon", k)], n
         calls.clear()
         assert classify(n).s2 == 2
         assert calls == [], n
@@ -445,22 +448,24 @@ def test_classify_routes_agree_exhaustively(monkeypatch):
     assert seen > 10000 and misses <= seen // 100
 
 
-def _counting_echelon(monkeypatch):
+def _counting_eliminations(monkeypatch):
+    """Route f2linalg's rank and _echelon through a log of (name, ncols)."""
     calls = []
-    real = f2linalg._echelon
+    for name in ("rank", "_echelon"):
+        real = getattr(f2linalg, name)
 
-    def echelon(rows, ncols):
-        calls.append(ncols)
-        return real(rows, ncols)
+        def counting(rows, ncols, _real=real, _name=name):
+            calls.append((_name, ncols))
+            return _real(rows, ncols)
 
-    _route(monkeypatch, real, echelon)
+        _route(monkeypatch, real, counting)
     return calls
 
 
 @pytest.mark.parametrize("first, second", [(161, 497), (322, 994)])  # 7 * 23, 7 * 71 (times 2)
 def test_a_shape_is_eliminated_once(monkeypatch, first, second):
     monkeypatch.setattr(criteria, "_SHAPES", {})
-    calls = _counting_echelon(monkeypatch)
+    calls = _counting_eliminations(monkeypatch)
     assert classify(first).s2 == 2 and calls
     calls.clear()
     v = classify(second)

@@ -69,3 +69,38 @@ def test_kernel_enumeration_size():
         vecs = kernel(m, ncols)
         assert len(vecs) == 1 << (ncols - rank(m, ncols))
         assert len(set(vecs)) == len(vecs)
+
+
+def _column_rank(rows, ncols):
+    """Rank by column-by-column Gaussian elimination, the way rank was once
+    computed: pivot on the lowest available row with the column's bit set."""
+    rows, r = list(rows), 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> col & 1:
+                rows[i] ^= rows[r]
+        r += 1
+    return r
+
+
+def test_rank_matches_column_elimination():
+    # up to 64 x 64, with zero rows, repeated rows and bits at or above
+    # ncols, which must not count
+    rng = random.Random(47)
+    for _ in range(2000):
+        nrows, ncols = rng.randrange(1, 65), rng.randrange(1, 65)
+        rows = [rng.getrandbits(ncols + rng.randrange(0, 4)) for _ in range(nrows)]
+        if rng.random() < 0.5:
+            # a low-rank matrix: sums of a few rows, then zero and repeated rows
+            few = rows[: rng.randrange(1, 5)]
+            rows = [rng.choice(few) ^ rng.choice(few) for _ in range(nrows)]
+        rows += [0] * rng.randrange(0, 3) + rng.choices(rows, k=rng.randrange(0, 3))
+        rng.shuffle(rows)
+        assert rank(rows, ncols) == _column_rank(rows, ncols), (rows, ncols)
+    # bits at or above ncols alone give rank 0
+    assert rank((0b100, 0b1000), 2) == 0
+    assert rank((0b101, 0b001), 2) == 1

@@ -10,6 +10,11 @@ def v_sets(m):
     return report.v1, report.v2
 
 
+def _r4_of(v1, v2, m):
+    """r4 = log2(|V1| + |V2|) - 1 - [m < 0], from sets listed by any route."""
+    return (len(v1) + len(v2)).bit_length() - 2 - (m < 0)
+
+
 def test_r2_examples():
     assert tame_report(17).r2 == 3
     assert tame_report(-34).r2 == 1
@@ -57,12 +62,15 @@ def test_report_fields():
 
 
 def test_dual_route_agreement_sweep():
-    # one augmented kernel vs literal per-divisor Hilbert checks, |m| <= 5000
+    # one augmented kernel, and r4_tame's ranks, vs literal per-divisor
+    # Hilbert checks, which share no F2 code with either, |m| <= 5000
     for a in range(3, 5001):
         if squarefree_part(a) != a:
             continue
         for m in (a, -a):
-            assert v_sets(m) == v_sets_direct(m), m
+            direct = v_sets_direct(m)
+            assert v_sets(m) == direct, m
+            assert r4_tame(m) == _r4_of(*direct, m), m
 
 
 def test_dual_route_agreement_at_large_k():
@@ -83,6 +91,7 @@ def test_dual_route_agreement_at_large_k():
         for m in (a, -a):
             v1, v2 = v_sets(m)
             assert (v1, v2) == v_sets_direct(m), m
+            assert r4_tame(m) == _r4_of(v1, v2, m), m
             count = len(v1) + len(v2)
             assert count & (count - 1) == 0 and count >= (2 if m > 0 else 4), m
             with_v2 += bool(v2)
@@ -136,12 +145,13 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
 
     from noncongruent import arith, f2linalg, reps, tame
 
-    calls = dict.fromkeys(("factorize", "mu", "is_norm", "_echelon"), 0)
+    calls = dict.fromkeys(("factorize", "mu", "is_norm", "_echelon", "rank"), 0)
     for name, real in (
         ("factorize", arith.factorize),
         ("mu", reps.least_2mu2_tau2),
         ("is_norm", arith.is_norm),
         ("_echelon", f2linalg._echelon),
+        ("rank", f2linalg.rank),
     ):
 
         def counting(*args, _real=real, _name=name):
@@ -153,12 +163,14 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, attr, counting)
-    # every reader is one report: one factorization and one elimination
-    for m in (161, -161, -34):
-        for reader in (tame.tame_report, tame.r4_tame):
+    # each reader factors once and solves for mu once, if 2 is a norm; the
+    # sizes of V1 and V2 take the ranks of [B | b_-1 | b_2], [B | b_-1] and,
+    # when mu exists, [B | b_-1 | b_mu]; r4_tame lists no kernel, tame_report one
+    for m, mus in ((161, 1), (-161, 1), (-34, 1), (15, 0), (-105, 0)):
+        for reader, echelons in ((tame.tame_report, 1), (tame.r4_tame, 0)):
             calls.update(dict.fromkeys(calls, 0))
             reader(m)
-            expected = {"factorize": 1, "mu": 1, "is_norm": 0, "_echelon": 1}
+            expected = {"factorize": 1, "mu": mus, "is_norm": 0, "_echelon": echelons, "rank": 2 + mus}
             assert calls == expected, (reader.__name__, m)
     rep = tame_report(161)
     assert rep.mu_used == 9 and rep.r4 == 1
