@@ -1,8 +1,8 @@
 """Exact integer, modular and p-adic primitives.
 
 Everything here is pure integer arithmetic: factorization, Legendre / Jacobi /
-Hilbert symbols, square roots in Z_2, and norm-group membership for
-quadratic fields.  A place of Q is its prime, or None for the real place.
+Hilbert symbols and square roots in Z_2.  A place of Q is its prime, or None
+for the real place.
 """
 
 from __future__ import annotations
@@ -424,20 +424,3 @@ def sqrt_2adic(a: int, e: int) -> int:
             s += 1 << (j - 1)
     s %= half
     return min(s, half - s)
-
-
-# ---------------------------------------------------------------------------
-# norm membership
-# ---------------------------------------------------------------------------
-
-
-def is_norm(e: int, m: int) -> bool:
-    """True iff e is a norm from Q(sqrt(m)), i.e. (e, m)_v = +1 everywhere.
-
-    Only places dividing 2, infinity, e and m can carry a nontrivial symbol,
-    so the check is finite; it factors e and m to find them.
-    """
-    if e == 0 or m == 0:
-        raise ValueError("arguments must be nonzero")
-    primes = {p for x in (e, m) for p, _ in factorize(abs(x)) if p != 2}
-    return all(hilbert(e, m, p) == 1 for p in (None, 2, *sorted(primes)))

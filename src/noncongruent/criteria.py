@@ -11,6 +11,7 @@ criterion only means the sufficient condition does not hold.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 
 from . import matrices
 from .arith import SquareFreeN, factor_squarefree, hilbert
@@ -30,20 +31,14 @@ class VerdictKind(enum.Enum):
 _NON_CONGRUENT, _FAILS, _NOT_TWO, _NOT_ELIGIBLE = VerdictKind
 
 
-class Verdict:
-    """Full classification record with per-field provenance trace."""
+class Verdict(namedtuple("Verdict", "n verdict s2 h4_minus h4_plus d mu pairing_symbol trace")):
+    """Full classification record with per-field provenance trace: the
+    fields in the key order of ``to_dict``, the trace its exit's constant."""
 
-    def __init__(self, n: int, verdict: VerdictKind, trace: tuple, s2=None, h4_minus=None, h4_plus=None,
-                 d=None, mu=None, pairing_symbol=None):
-        # Set in the key order of ``to_dict``; the trace is the verdict's own list.
-        self.n, self.verdict, self.s2, self.h4_minus, self.h4_plus = n, verdict, s2, h4_minus, h4_plus
-        self.d, self.mu, self.pairing_symbol, self.trace = d, mu, pairing_symbol, [*trace]
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if isinstance(other, Verdict) else NotImplemented
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = dict(vars(self))
+        out = self._asdict()
         out["verdict"] = self.verdict.value
         out["trace"] = [list(t) for t in self.trace]
         return out
@@ -179,18 +174,18 @@ def classify(n: int | SquareFreeN) -> Verdict:
         try:
             sf = factor_squarefree(n)
         except NotSquareFree:
-            return Verdict(n, _NOT_ELIGIBLE, _NOT_SQUAREFREE)
+            return Verdict(n, _NOT_ELIGIBLE, None, None, None, None, None, None, _NOT_SQUAREFREE)
     n = sf.n
     if not sf.eligibility or n % 8 not in (1, 2):
-        return Verdict(n, _NOT_ELIGIBLE, _SIEVED_OUT)
+        return Verdict(n, _NOT_ELIGIBLE, None, None, None, None, None, None, _SIEVED_OUT)
     if not sf.primes:
         # n = 1 or 2: the pure Selmer group is trivial.
-        return Verdict(n, _NOT_TWO, _TRIVIAL, 0)
+        return Verdict(n, _NOT_TWO, 0, None, None, None, None, None, _TRIVIAL)
     # h4(-n) and h4(n) for odd n, h4(-n/2) for even n, checked by _shape.
     s2, h4_minus, h4_plus, kernel = _shape(sf, matrices.symbol_table(sf))
     if s2 != 2:
-        return Verdict(n, _NOT_TWO, _MONSKY, s2)
+        return Verdict(n, _NOT_TWO, s2, None, None, None, None, None, _MONSKY)
     d = _checked_divisor(sf, kernel)
     mu, trace = (None, _EVEN_TWO) if sf.is_even else (rep_2mu2_tau2(n, d, sf).mu, _ODD_TWO)
     symbol = closed_form_pairing(sf, d, mu)
-    return Verdict(n, _NON_CONGRUENT if symbol == -1 else _FAILS, trace, 2, h4_minus, h4_plus, d, mu, symbol)
+    return Verdict(n, _NON_CONGRUENT if symbol == -1 else _FAILS, 2, h4_minus, h4_plus, d, mu, symbol, trace)

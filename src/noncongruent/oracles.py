@@ -18,7 +18,9 @@ or two; with none it is H1 and H3, and with all but d_i, p | u_i at every
 local point, so it is u_i -> p*u_i with both forms divided by p.  The
 answers at 2 stay in one table of at most 128 keys,
 those at odd primes and the square-root tables mod p live for one oracle
-call.  The norm-form window scans
+call.  ``is_norm`` factors e and m and tests (e, m)_v at every place
+that can carry a -1, the reference that the symbol routes are checked
+against; only the tests call it.  The norm-form window scans
 try every coordinate in a window and return plain tuples: the one of
 2*mu^2 - tau^2 = m, for m of either sign, finds the least mu >= 1 that
 ``reps`` builds by Euclid in Z[sqrt(2)], and that of a^2 + 8*b^2 is the
@@ -33,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
-from .arith import SelmerTriple, SquareFreeN, factorize, split_power, squarefree_part
+from .arith import SelmerTriple, SquareFreeN, factorize, hilbert, split_power, squarefree_part
 from .errors import (
     NoRepresentation,
     NotFundamental,
@@ -375,8 +377,20 @@ def h4_oracle(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# norm forms: window scans
+# norm forms: membership by factoring, window scans
 # ---------------------------------------------------------------------------
+
+
+def is_norm(e: int, m: int) -> bool:
+    """True iff e is a norm from Q(sqrt(m)), i.e. (e, m)_v = +1 everywhere.
+
+    Only places dividing 2, infinity, e and m can carry a nontrivial symbol,
+    so the check is finite; it factors e and m to find them.
+    """
+    if e == 0 or m == 0:
+        raise ValueError("arguments must be nonzero")
+    primes = {p for x in (e, m) for p, _ in factorize(abs(x)) if p != 2}
+    return all(hilbert(e, m, p) == 1 for p in (None, 2, *sorted(primes)))
 
 
 def window_2mu2_tau2(m: int) -> tuple[int, int, int]:

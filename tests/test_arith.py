@@ -11,7 +11,6 @@ from noncongruent.arith import (
     factor_squarefree,
     factorize,
     hilbert,
-    is_norm,
     is_prime,
     jacobi,
     legendre,
@@ -28,6 +27,7 @@ from noncongruent.errors import (
     TooLarge,
     ZeroOrNegative,
 )
+from noncongruent.oracles import is_norm
 
 PRIMES_UNDER_100 = [p for p in range(2, 100) if is_prime(p)]
 

@@ -300,17 +300,22 @@ def test_classify_trace_and_fields():
     assert out["verdict"] == "NonCongruentSha22"
 
 
-def test_each_verdict_owns_its_trace():
-    # Each exit path copies its trace, so a caller's edit stays its own.
+def test_verdicts_refuse_edits():
+    # A verdict is an immutable record whose trace is its exit's shared
+    # constant, so no caller's edit can reach a later verdict.
     first, other = classify(17), classify(41).to_dict()
     want = first.to_dict()
-    first.trace.append(("s2", "tampered"))
-    first.trace[0] = ("n", "tampered")
+    with pytest.raises(AttributeError):
+        first.trace.append(("s2", "tampered"))
+    with pytest.raises(TypeError):
+        first.trace[0] = ("n", "tampered")
+    with pytest.raises(AttributeError):
+        first.d = 1
     assert classify(17).to_dict() == want and classify(41).to_dict() == other
-    assert classify(17) == classify(17) != first
+    assert classify(17) == first != classify(41)
     assert list(want) == ["n", "verdict", "s2", "h4_minus", "h4_plus", "d", "mu", "pairing_symbol", "trace"]
     for n in (12, 15, 1, 1513, 34, 17):  # one n for each exit path
-        assert classify(n).trace is not classify(n).trace
+        assert classify(n).trace is classify(n).trace
 
 
 def test_classify_never_marks_sha_without_symbol():
@@ -392,8 +397,8 @@ def test_selmer_oracle_sweep_never_factorizes(monkeypatch):
 def test_classify_shares_its_eliminations(monkeypatch):
     # A memo miss ranks the Monsky matrix (2k columns), the Redei matrix of
     # -n' (k + 1, since -n' = 3 mod 4) and, for odd n, that of n (k, since
-    # n = 1 mod 8), and makes one echelon form, for the divisor kernel; a
-    # second classify of the same n reads the memo and eliminates nothing.
+    # n = 1 mod 8), and lists one kernel, the divisor kernel; a second
+    # classify of the same n reads the memo and eliminates nothing.
     monkeypatch.setattr(criteria, "_SHAPES", {})
     calls = _counting_eliminations(monkeypatch)
     for n in (17, 161, 2446197334673, 34, 322, 2213746):
@@ -402,7 +407,7 @@ def test_classify_shares_its_eliminations(monkeypatch):
         assert classify(n).s2 == 2
         k = factor_squarefree(n).k
         redei = [("rank", k + 1)] + [("rank", k)] * (n % 2)
-        assert calls == [("rank", 2 * k), *redei, ("_echelon", k)], n
+        assert calls == [("rank", 2 * k), *redei, ("kernel", k)], n
         calls.clear()
         assert classify(n).s2 == 2
         assert calls == [], n
@@ -449,9 +454,9 @@ def test_classify_routes_agree_exhaustively(monkeypatch):
 
 
 def _counting_eliminations(monkeypatch):
-    """Route f2linalg's rank and _echelon through a log of (name, ncols)."""
+    """Route f2linalg's rank and kernel through a log of (name, ncols)."""
     calls = []
-    for name in ("rank", "_echelon"):
+    for name in ("rank", "kernel"):
         real = getattr(f2linalg, name)
 
         def counting(rows, ncols, _real=real, _name=name):

@@ -71,11 +71,13 @@ def test_kernel_enumeration_size():
         assert len(set(vecs)) == len(vecs)
 
 
-def _column_rank(rows, ncols):
-    """Rank by column-by-column Gaussian elimination, the way rank was once
-    computed: pivot on the lowest available row with the column's bit set."""
-    rows, r = list(rows), 0
+def _column_echelon(rows, ncols):
+    """(rows, pivot columns) of column-by-column Gaussian elimination, the
+    way rank and kernel were once computed: pivot on the lowest available
+    row with the column's bit set."""
+    rows, pivots = list(rows), []
     for col in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
         if pivot is None:
             continue
@@ -83,8 +85,22 @@ def _column_rank(rows, ncols):
         for i in range(len(rows)):
             if i != r and rows[i] >> col & 1:
                 rows[i] ^= rows[r]
-        r += 1
-    return r
+        pivots.append(col)
+    return rows, pivots
+
+
+def _column_kernel(rows, ncols):
+    """The kernel list of the column echelon form, in the same order as
+    ``kernel``: zero, then doubled by the vector of each free column."""
+    rows, pivots = _column_echelon(rows, ncols)
+    out = [0]
+    for free in range(ncols):
+        if free not in pivots:
+            b = 1 << free
+            for r, pc in zip(rows, pivots):
+                b |= (r >> free & 1) << pc
+            out.extend([v ^ b for v in out])
+    return out
 
 
 def test_rank_matches_column_elimination():
@@ -100,7 +116,27 @@ def test_rank_matches_column_elimination():
             rows = [rng.choice(few) ^ rng.choice(few) for _ in range(nrows)]
         rows += [0] * rng.randrange(0, 3) + rng.choices(rows, k=rng.randrange(0, 3))
         rng.shuffle(rows)
-        assert rank(rows, ncols) == _column_rank(rows, ncols), (rows, ncols)
+        assert rank(rows, ncols) == len(_column_echelon(rows, ncols)[1]), (rows, ncols)
     # bits at or above ncols alone give rank 0
     assert rank((0b100, 0b1000), 2) == 0
     assert rank((0b101, 0b001), 2) == 1
+
+
+def test_kernel_matches_column_elimination():
+    # list for list, order included, up to 16 x 12, with zero rows, repeated
+    # rows, ncols = 0 and bits at or above ncols, which must not count
+    rng = random.Random(48)
+    widths = set()
+    for _ in range(3000):
+        nrows, ncols = rng.randrange(0, 17), rng.randrange(0, 13)
+        widths.add(ncols)
+        rows = [rng.getrandbits(ncols + rng.randrange(0, 4)) for _ in range(nrows)]
+        if rows and rng.random() < 0.5:
+            few = rows[: rng.randrange(1, 4)]
+            rows = [rng.choice(few) ^ rng.choice(few) for _ in range(nrows)]
+        rows += [0] * rng.randrange(0, 3) + rng.choices(rows, k=rng.randrange(0, 3) if rows else 0)
+        rng.shuffle(rows)
+        assert kernel(rows, ncols) == _column_kernel(rows, ncols), (rows, ncols)
+    assert 0 in widths
+    assert kernel((), 0) == kernel((0b1, 0b11), 0) == [0]
+    assert kernel((0b101, 0b001), 2) == [0, 0b10]

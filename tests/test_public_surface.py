@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public on purpose though only tests call them.
 ALLOWED = {
-    "arith.is_norm",  # the factoring norm check that tests compare the symbol routes with
+    "oracles.is_norm",  # the factoring norm check that tests compare the symbol routes with
 }
 
 

@@ -14,7 +14,6 @@ from noncongruent.arith import (
     SquareFreeN,
     factor_squarefree,
     factorize,
-    is_norm,
     is_prime,
     legendre,
     squarefree_part,
@@ -29,6 +28,7 @@ from noncongruent.errors import (
     NotSquareFree,
     TooLarge,
 )
+from noncongruent.oracles import is_norm
 from noncongruent.reps import (
     _prime_element,
     Rep2MuTau,

@@ -1,7 +1,8 @@
 import pytest
 
-from noncongruent.arith import factor_squarefree, is_norm, squarefree_part
+from noncongruent.arith import factor_squarefree, squarefree_part
 from noncongruent.errors import OutOfRange
+from noncongruent.oracles import is_norm
 from noncongruent.tame import r4_tame, tame_report, v_sets_direct
 
 
@@ -145,12 +146,12 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
 
     from noncongruent import arith, f2linalg, reps, tame
 
-    calls = dict.fromkeys(("factorize", "mu", "is_norm", "_echelon", "rank"), 0)
+    calls = dict.fromkeys(("factorize", "mu", "is_norm", "kernel", "rank"), 0)
     for name, real in (
         ("factorize", arith.factorize),
         ("mu", reps.least_2mu2_tau2),
-        ("is_norm", arith.is_norm),
-        ("_echelon", f2linalg._echelon),
+        ("is_norm", is_norm),
+        ("kernel", f2linalg.kernel),
         ("rank", f2linalg.rank),
     ):
 
@@ -167,10 +168,10 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
     # sizes of V1 and V2 take the ranks of [B | b_-1 | b_2], [B | b_-1] and,
     # when mu exists, [B | b_-1 | b_mu]; r4_tame lists no kernel, tame_report one
     for m, mus in ((161, 1), (-161, 1), (-34, 1), (15, 0), (-105, 0)):
-        for reader, echelons in ((tame.tame_report, 1), (tame.r4_tame, 0)):
+        for reader, kernels in ((tame.tame_report, 1), (tame.r4_tame, 0)):
             calls.update(dict.fromkeys(calls, 0))
             reader(m)
-            expected = {"factorize": 1, "mu": mus, "is_norm": 0, "_echelon": echelons, "rank": 2 + mus}
+            expected = {"factorize": 1, "mu": mus, "is_norm": 0, "kernel": kernels, "rank": 2 + mus}
             assert calls == expected, (reader.__name__, m)
     rep = tame_report(161)
     assert rep.mu_used == 9 and rep.r4 == 1
