@@ -47,7 +47,6 @@ class Verdict(namedtuple("Verdict", "n verdict s2 h4_minus h4_plus d mu pairing_
 # The trace of each exit of ``classify``: its (field, method) pairs in stage order.
 _NOT_SQUAREFREE = (("n", "not_squarefree"),)
 _SIEVED_OUT = (("n", "eligibility_sieve"),)
-_TRIVIAL = (("s2", "trivial_case"),)
 _MONSKY = (("s2", "monsky_rank"),)
 _EVEN_TWO = _MONSKY + (("h4_minus", "redei_rank"), ("d", "kernel_psi"),
                        ("pairing_symbol", "quad_jacobi_closed_form"))
@@ -178,9 +177,6 @@ def classify(n: int | SquareFreeN) -> Verdict:
     n = sf.n
     if not sf.eligibility or n % 8 not in (1, 2):
         return Verdict(n, _NOT_ELIGIBLE, None, None, None, None, None, None, _SIEVED_OUT)
-    if not sf.primes:
-        # n = 1 or 2: the pure Selmer group is trivial.
-        return Verdict(n, _NOT_TWO, 0, None, None, None, None, None, _TRIVIAL)
     # h4(-n) and h4(n) for odd n, h4(-n/2) for even n, checked by _shape.
     s2, h4_minus, h4_plus, kernel = _shape(sf, matrices.symbol_table(sf))
     if s2 != 2:

@@ -16,22 +16,22 @@ multivariate Hensel certificates), run once per place and square class of
 square of square-free factors, so an odd p || n divides none of the d_i
 or two; with none it is H1 and H3, and with all but d_i, p | u_i at every
 local point, so it is u_i -> p*u_i with both forms divided by p.  The
-answers at 2 stay in one table of at most 128 keys,
-those at odd primes and the square-root tables mod p live for one oracle
-call.  ``is_norm`` factors e and m and tests (e, m)_v at every place
-that can carry a -1, the reference that the symbol routes are checked
-against; only the tests call it.  The norm-form window scans
-try every coordinate in a window and return plain tuples: the one of
-2*mu^2 - tau^2 = m, for m of either sign, finds the least mu >= 1 that
-``reps`` builds by Euclid in Z[sqrt(2)], and that of a^2 + 8*b^2 is the
-``proposition`` suite's source of b.  Nothing here comes from the package
-but ``arith`` and ``errors``, so no oracle runs the code it checks.
+answers at every place stay in one process table, cleared at 2^16 keys;
+the square-root tables mod p live for one oracle call.  ``is_norm``
+factors e and m and tests (e, m)_v at every place that can carry a -1,
+the reference that the symbol routes are checked against; only the tests
+call it.  The norm-form window scans try every coordinate in a window
+and return plain tuples: the one of 2*mu^2 - tau^2 = m, for m of either
+sign, finds the least mu >= 1 that ``reps`` builds by Euclid in
+Z[sqrt(2)], and that of a^2 + 8*b^2 is the ``proposition`` suite's source
+of b.  Nothing here comes from the package but ``arith`` and ``errors``,
+so no oracle runs the code it checks.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -502,7 +502,7 @@ def _real_point(ts: TorsorSystem) -> LocalPoint | None:
     t = 1, u3 = 0 (d1, d3 < 0).
     """
     if ts.lam.d2 > 0:
-        if ts.lam == SelmerTriple(1, 1, 1):
+        if ts.lam == (1, 1, 1):
             return LocalPoint(None, (0, 1, 1, 1), 0, 0)
         return LocalPoint(None, None, 0, 0)
     return None
@@ -775,19 +775,18 @@ def _square_class(x: int, p: int) -> tuple[int, int]:
     return e & 1, u % 8 if p == 2 else pow(u, p >> 1, p)
 
 
-# Outcomes of the search at 2 by square-class key.  n has 8 classes; the
-# d_i are odd, d1 and d2 have four classes each and d3's follows from d1*d2*d3
-# being a square, so the table never holds more than 128 keys.
-_SOLVABLE_AT_2: dict[tuple, bool] = {}
+# Search outcomes by key (p, cls(n), cls(d1), cls(d2), cls(d3)); at most 128 have p = 2.
+_SOLVABLE: dict[tuple, bool] = {}
+_SOLVABLE_CAP = 1 << 16
 
 
-def _solvable(ts: TorsorSystem, p: int, outcomes: dict[tuple, bool]) -> bool:
-    """Whether the torsor has a point over Q_p, searched once per key
-    (p, cls(n), cls(d1), cls(d2), cls(d3)) and read from ``outcomes`` after."""
-    key = (p, *(_square_class(x, p) for x in (ts.n, *ts.lam)))
-    found = outcomes.get(key)
+def _solvable(ts: TorsorSystem, key: tuple) -> bool:
+    """Whether the torsor has a point over Q_p, p = key[0], searched once per key."""
+    found = _SOLVABLE.get(key)
     if found is None:
-        found = outcomes[key] = local_point_search(ts, p) is not None
+        if len(_SOLVABLE) >= _SOLVABLE_CAP:
+            _SOLVABLE.clear()
+        found = _SOLVABLE[key] = local_point_search(ts, key[0]) is not None
     return found
 
 
@@ -800,18 +799,19 @@ def selmer_oracle(sf: SquareFreeN) -> set[SelmerTriple]:
     plus the Hasse bound guarantees points there).  Each variable of H1, H2
     and H3 carries one coefficient, the same in all three forms, so scaling
     n or a d_i by a square of Q_p is a change of variables; the search is
-    sound both ways, so it runs once per place and square-class key and its
-    yes/no answer serves every triple with that key.  Answers at 2 stay in
-    the bounded module table; those at odd p live for this call only, and
-    so do the square-root tables of its primes.
+    sound both ways, so it runs once per place and square-class key, and
+    its yes/no answer serves every triple with that key in the process,
+    until ``_SOLVABLE`` reaches its cap and is cleared.  Square classes and
+    the square-root tables of n's primes are made once per call.
     """
-    at_odd: dict[tuple, bool] = {}
     _square_roots.cache_clear()
+    places = (2, *sf.primes)
+    classes = cache(lambda x: tuple(_square_class(x, p) for p in places))
     out = set()
     for lam in _candidate_triples(sf):
         ts = TorsorSystem(lam, sf.n)
         if _real_point(ts) is not None and all(
-            _solvable(ts, p, _SOLVABLE_AT_2 if p == 2 else at_odd) for p in (2, *sf.primes)
+            _solvable(ts, key) for key in zip(places, *map(classes, (sf.n, *lam)))
         ):
             out.add(lam)
     return out

@@ -15,11 +15,11 @@ from noncongruent.cli import main
 # the same digest the benchmark checks.
 SCAN_DIGEST = "8ef720bdee9c2e421a9f3ec7d90179ad974f3ee5be7115ff43b8de2122a9c95d"
 
-# classify JSON of s2 = 2 cases, odd and even, with negative mu and d, and
-# of each early exit: trivial Selmer group, not square-free, not eligible,
-# and an eligible n with s2 = 4.
+# classify JSON of s2 = 2 cases, odd and even, with negative mu and d, of
+# n = 1 (s2 = 0 from its 0 x 0 Monsky matrix), of each early exit: not
+# square-free, not eligible, and of an eligible n with s2 = 4.
 PINNED_CLASSIFY = [
-    '{"n":1,"verdict":"S2NotTwo","s2":0,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["s2","trivial_case"]]}',
+    '{"n":1,"verdict":"S2NotTwo","s2":0,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["s2","monsky_rank"]]}',
     '{"n":12,"verdict":"NotEligible","s2":null,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["n","not_squarefree"]]}',
     '{"n":15,"verdict":"NotEligible","s2":null,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["n","eligibility_sieve"]]}',
     '{"n":1513,"verdict":"S2NotTwo","s2":4,"h4_minus":null,"h4_plus":null,"d":null,"mu":null,"pairing_symbol":null,"trace":[["s2","monsky_rank"]]}',
@@ -33,7 +33,7 @@ PINNED_CLASSIFY = [
 ]
 
 # SHA-256 of the classify JSON lines of n = 1..20000, each line ending in a newline.
-CLASSIFY_DIGEST = "6d72b19da668b214103bb3c67b5d7ac64a481192e6d04a152f5f9f32e9fe068d"
+CLASSIFY_DIGEST = "60a2da5808b11b099440e7930bf3c3ad6ab6a903399cbb09676b4a045ae112fa"
 
 
 def run_cli(*args):

@@ -435,17 +435,44 @@ def test_a_wrong_square_class_key_fails_the_oracle(monkeypatch, mutation):
         return (0, u % 8) if mutation == "no-valuation-parity" else (e & 1, u % 4)
 
     monkeypatch.setattr(oracles, "_square_class", wrong)
-    monkeypatch.setattr(oracles, "_SOLVABLE_AT_2", {})
+    # A table left warm by earlier tests would answer the wrong keys right.
+    monkeypatch.setattr(oracles, "_SOLVABLE", {})
     pairs = ((selmer_oracle(sf), selmer_elements(sf)) for _, sf in arith.squarefree_upto(300, start=3))
     assert any(oracle != kernel for oracle, kernel in pairs)
 
 
-def test_only_the_2_adic_outcomes_outlive_a_call():
+def test_one_table_keeps_every_place():
     verify.run("selmer-oracle", 3000)
-    assert 0 < len(oracles._SOLVABLE_AT_2) <= 128
-    for value in vars(oracles).values():
-        if isinstance(value, dict):
-            assert all(key[0] == 2 for key in value if isinstance(key, tuple)), value
+    table = oracles._SOLVABLE
+    for p, *classes in table:
+        assert arith.is_prime(p) and len(classes) == 4, (p, classes)
+        assert all(len(c) == 2 and c[0] in (0, 1) for c in classes), (p, classes)
+    # 8 classes of n, 4 of each of the odd d1 and d2, and d3's follows.
+    assert 0 < sum(key[0] == 2 for key in table) <= 128
+    assert any(key[0] != 2 for key in table)
+    assert len(table) <= oracles._SOLVABLE_CAP
+
+
+@pytest.mark.parametrize("table", ["kept", "cleared-each-call", "cap-8"])
+def test_the_table_changes_no_selmer_set(monkeypatch, table):
+    # A hit hands a torsor the answer of another with its key, so the sets
+    # must not depend on what the table holds: kept across calls from empty,
+    # cleared before every call, or cleared at a cap of 8 keys, which no
+    # search may find the table past.
+    monkeypatch.setattr(oracles, "_SOLVABLE", {})
+    if table == "cap-8":
+        monkeypatch.setattr(oracles, "_SOLVABLE_CAP", 8)
+    search = oracles.local_point_search
+
+    def capped(ts, p):
+        assert len(oracles._SOLVABLE) < oracles._SOLVABLE_CAP
+        return search(ts, p)
+
+    monkeypatch.setattr(oracles, "local_point_search", capped)
+    for n, sf in arith.squarefree_upto(3000, start=3):
+        if table == "cleared-each-call":
+            oracles._SOLVABLE.clear()
+        assert selmer_oracle(sf) == selmer_elements(sf), n
 
 
 def test_square_root_tables_are_the_scan_and_live_for_one_call():
