@@ -16,7 +16,7 @@ from math import isqrt, prod
 from . import criteria
 from .arith import SquareFreeN, hilbert, legendre, split_power, sqrt_2adic
 from .criteria import closed_form_pairing  # the one closed form, importable here too
-from .errors import NotRankTwo
+from .errors import NotRankTwo, VerificationFailed
 from .reps import Rep2MuTau, sqrt2_mod
 
 
@@ -32,9 +32,9 @@ class TangentData(namedtuple("TangentData", "form point linear")):
 
     def __new__(cls, form: tuple[int, ...], point: tuple[int, ...], linear: tuple[int, ...]):
         if sum(c * x * x for c, x in zip(form, point)) != 0:
-            raise ValueError("point does not lie on the quadric")
+            raise VerificationFailed("point does not lie on the quadric")
         if sum(c * x for c, x in zip(linear, point)) != 0:
-            raise ValueError("linear form does not vanish at the point")
+            raise VerificationFailed("linear form does not vanish at the point")
         return super().__new__(cls, form, point, linear)
 
 
@@ -138,7 +138,7 @@ def local_factors(sf: SquareFreeN) -> dict[int | None, int]:
         l1, l3 = (sum(c * x for c, x in zip(t.linear, point)) for t in tangents)
         value = l1 * l3 % p
         if value == 0:
-            raise ArithmeticError("tangent product vanished mod p")  # pragma: no cover
+            raise VerificationFailed(f"tangent product vanished mod {p} for n = {sf.n}")
         factors[p] = legendre(value, p) if abs(d) % p == 0 else 1
     return factors
 

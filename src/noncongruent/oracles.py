@@ -10,12 +10,14 @@ Redei theory, so they can cross-check it; a square takes one extended gcd,
 not the two of a general composition, and every form and class is a plain
 triple (a, b, c).  The Selmer oracle re-derives the pure 2-Selmer set from
 local solvability searches alone, never from the Monsky kernel: this
-module holds the torsors and their certified local point search (with
-multivariate Hensel certificates), run once per place and square class of
-(n, d1, d2, d3).  The model searched at p is closed form: d1*d2*d3 is a
-square of square-free factors, so an odd p || n divides none of the d_i
-or two; with none it is H1 and H3, and with all but d_i, p | u_i at every
-local point, so it is u_i -> p*u_i with both forms divided by p.  The
+module holds the torsors and their certified local point search, which
+lifts residues mod p^m one level at a time by one Hensel row at every
+prime, 2 included, and certifies each by a multivariate Hensel criterion;
+it runs once per place and square class of (n, d1, d2, d3).  The model
+searched at p is closed form: d1*d2*d3 is a square of square-free
+factors, so an odd p || n divides none of the d_i or two; with none it is
+H1 and H3, and with all but d_i, p | u_i at every local point, so it is
+u_i -> p*u_i with both forms divided by p.  The
 answers at every place stay in one process table, cleared at 2^16 keys;
 the square-root tables mod p live for one oracle call.  ``is_norm``
 factors e and m and tests (e, m)_v at every place that can carry a -1,
@@ -508,6 +510,7 @@ def _real_point(ts: TorsorSystem) -> LocalPoint | None:
     return None
 
 
+# The most points that one level above level one may hold before the search gives up.
 _FRONTIER_CAP = 500_000
 
 
@@ -567,49 +570,40 @@ def _levels(h1, h3, p: int, last: int):
     certify up to last, as it is made; every point made is checked on the
     torsor.
 
-    With g = 2 at p = 2 and g = 1 otherwise, level m holds the classes
-    x mod p^m/g with both forms 0 mod p^m, each standing for its g^3
-    residues mod p^m: (x + 2^k*y)^2 = x^2 (mod 2^(k+1)), so at p = 2, x mod
-    2^k already decides both forms mod 2^(k+1).  Every 2x2 Jacobian minor is
-    4*c_ij*x_i*x_j (the gradient rows are 2*c*x), of valuation e >= 2 at
-    p = 2, so no point certifies below level 5 there.  A certificate needs
-    e <= (m - 1)/2, so shifting a coordinate by 2^(m-1) moves no minor that
-    could certify: the class decides for its eight residues, and the class
-    itself is the first.
+    Level m holds the residues x mod p^m with both forms 0 mod p^m, at
+    every p.  Every 2x2 Jacobian minor is 4*c_ij*x_i*x_j (the gradient rows
+    are 2*c*x), of valuation e >= 2 at p = 2, and a certificate needs
+    e <= (m - 1)/2, so no point certifies below level 5 there.
 
-    The first level, g, keeps the points mod p of _level_one with both
-    forms 0 mod g*p; each later level is a lazy lift of the one below.  One
-    loop yields the levels from the first that can certify (5 at p = 2, g
-    at odd p), so those below it are made depth first, only as far as the
-    search draws, in the order of the full levels; it keeps each level it
-    yields to lift the next, stops after an empty level and raises
-    PrecisionExhausted after the last.  The cap counts residues above level
-    g.  Nothing repeats: a child is congruent to its parent, and the
-    parents are distinct.
+    Level one keeps the points mod p of _level_one on the torsor; each
+    later level is a lazy lift of the one below.  One loop yields the
+    levels from the first that can certify (5 at p = 2, one at odd p), so
+    those below it are made depth first, only as far as the search draws,
+    in the order of the full levels; it keeps each level it yields to lift
+    the next, stops after an empty level and raises PrecisionExhausted
+    after the last.  The cap counts the points above level one.  Nothing
+    repeats: a child is congruent to its parent, and the parents are
+    distinct.
     """
-    g, first = (2, 5) if p == 2 else (1, 1)
+    first = 5 if p == 2 else 1
 
     def lifted(points, m):
         """The points of level m over the level m - 1 points, lazily."""
         for x in points:
-            children = _lift_children(h1, h3, x, p, p ** (m - 1) // g, g)
+            children = _lift_children(h1, h3, x, p, p ** (m - 1))
             for y in children:
                 if _eval_form(h1, y) % p**m or _eval_form(h3, y) % p**m:
                     raise VerificationFailed(f"{y} is off the torsor mod {p}^{m}")
             yield from children
 
-    # The filter is the on-torsor check of level g: g*p = p^g.
-    points = (
-        x for x in _level_one(h1, h3, p)
-        if _eval_form(h1, x) % (g * p) == _eval_form(h3, x) % (g * p) == 0
-    )
-    for m in range(g + 1, first + 1):
+    points = (x for x in _level_one(h1, h3, p) if _eval_form(h1, x) % p == _eval_form(h3, x) % p == 0)
+    for m in range(2, first + 1):
         points = lifted(points, m)
     for m in range(first, last + 1):
         level = []
         for x in points:
             level.append(x)
-            if m > g and g**3 * len(level) > _FRONTIER_CAP:
+            if m > 1 and len(level) > _FRONTIER_CAP:
                 raise PrecisionExhausted(f"frontier blow-up at p = {p}, level {m}")
             yield m, x
         if not level:
@@ -690,27 +684,22 @@ def _level_one(h1, h3, p: int):
         yield 0, 0, 0, 1
 
 
-def _lift_children(h1, h3, x, p: int, mod: int, g: int):
-    """The children of the class x mod `mod` one level up: x + mod*y, with
+def _lift_children(h1, h3, x, p: int, mod: int):
+    """The children of the residue x mod `mod` one level up: x + mod*y, with
     y on the three coordinates other than the patch, from one affine system
     over F_p.
 
-    x stands for the points mod g*mod (see _levels) and has both forms 0
-    there.  h(x + mod*y) = h(x) + mod*sum(c*y*(2*x + mod*y)), and
-    y*(2*x + mod*y) = y*(2*x + mod) (mod g*p): y^2 = y for y in {0, 1} at
-    p = 2, and p | mod at odd p.  So the children are the classes mod
-    p*mod with h(x)/(g*mod) + sum(c*(2*x + mod)/g*y) = 0 (mod p); at p = 2
-    the mod term counts only at mod = 2.  The coordinates of x lie in
-    [0, mod), so the children's lie in [0, p*mod).
+    x has both forms 0 mod `mod`, a power of p above 1, and
+    h(x + mod*y) = h(x) + mod*sum(c*y*(2*x + mod*y)), with p | mod.  So the
+    children are the residues mod p*mod with
+    h(x)/mod + sum(2*c*x*y) = 0 (mod p), the same row at every p.  The
+    coordinates of x lie in [0, mod), so the children's lie in [0, p*mod).
     """
-    # The patch coordinate is the first one equal to 1 with only multiples
-    # of p before it; it was frozen at level one and never shifts.
-    patch = next(i for i in range(4) if x[i] == 1 and all(x[j] % p == 0 for j in range(i)))
+    # The patch coordinate is the first unit: it was frozen at 1 at level
+    # one, with zeros before it, and only the others shift, by multiples of p.
+    patch = next(i for i, c in enumerate(x) if c % p)
     free = [i for i in range(4) if i != patch]
-    rows = [
-        [h[i] * (2 * x[i] + mod) // g for i in free] + [-_eval_form(h, x) // (g * mod)]
-        for h in (h1, h3)
-    ]
+    rows = [[2 * h[i] * x[i] for i in free] + [-_eval_form(h, x) // mod] for h in (h1, h3)]
     out = []
     for y in _solve_mod_p(rows, p):
         cand = list(x)

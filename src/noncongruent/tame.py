@@ -67,11 +67,10 @@ def _counted(m: int, sf: SquareFreeN | None) -> tuple:
     return sf, r2, r4, mu, rows, size1, size2
 
 
-def tame_report(m: int, sf: SquareFreeN | None = None) -> TameKernelReport:
+def tame_report(m: int) -> TameKernelReport:
     """Full report: r2, r4, the V sets and the mu that was used (if any).
 
-    |m| is factored once, or not at all when ``sf`` (|m| factored) is
-    given, and read through one symbol table.  e in {+-1, +-2}
+    |m| is factored once and read through one symbol table.  e in {+-1, +-2}
     is a norm from Q(sqrt(m)) exactly when (e > 0 or m > 0) and (e / p) = 1
     at every odd p | m (the symbol at 2 follows by Hilbert reciprocity); the
     norms among them form a group of order 1, 2 or 4, which gives r2.
@@ -85,7 +84,7 @@ def tame_report(m: int, sf: SquareFreeN | None = None) -> TameKernelReport:
     V2 is empty when 2 is not a norm from Q(sqrt(m)).  Sets whose sizes
     differ from those ``r4_tame`` reads off ranks raise VerificationFailed.
     """
-    sf, r2, r4, mu, rows, size1, size2 = _counted(m, sf)
+    sf, r2, r4, mu, rows, size1, size2 = _counted(m, None)
     k = sf.k
     v1, v2 = set(), set()
     for v in f2linalg.kernel(rows, k + 3):
@@ -103,7 +102,9 @@ def tame_report(m: int, sf: SquareFreeN | None = None) -> TameKernelReport:
 
 def r4_tame(m: int, sf: SquareFreeN | None = None) -> int:
     """4-rank of the tame kernel from ranks rho(...) of the named columns
-    of [B | b_(-1) | b_2 | b_mu] (``tame_report``); ``sf`` as there.
+    of [B | b_(-1) | b_2 | b_mu] (``tame_report``); |m| is factored once,
+    or not at all when ``sf`` (|m| factored, as the ``corollaries`` sweep
+    hands over the sieve's record) is given.
 
     psi maps the kernel of [B | b_(-1) | b_2], 2^(k + 2 - rho(B, b_(-1), b_2))
     vectors (x, alpha, beta), onto V1, injectively on x, and on (x, alpha)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from math import isqrt
 
@@ -17,6 +18,7 @@ from noncongruent.arith import (
     squarefree_upto,
 )
 from noncongruent.cassels import (
+    TangentData,
     _hilbert2,
     _pairing_inputs,
     closed_form_pairing,
@@ -431,9 +433,9 @@ def _brute_search(ts, p):
 
 
 def test_search_matches_brute_lift():
-    # One F_p solve per point (per class at 2) must find what trying every
-    # shift of every residue finds: the same point, precision and minor, or
-    # None, at 2 and at the odd places p <= 13.
+    # One F_p solve per point must find what trying every shift of every
+    # residue finds: the same point, precision and minor, or None, at 2 and
+    # at the odd places p <= 13.
     from noncongruent.oracles import _candidate_triples
 
     outcomes = set()
@@ -468,6 +470,24 @@ def test_local_point_searches_are_pinned():
             outcomes += [local_point_search(ts, p) for p in (2, *sf.primes)]
     assert (len(outcomes), outcomes.count(None)) == (12914, 8906)
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SEARCH_DIGEST
+
+
+# SHA-256 of repr() of the list of local_point_search(ts, 2) outcomes, for
+# every square-free 3 <= n <= 1500 in order and every candidate triple of n,
+# as the search found them when it lifted 2-adic classes of eight residues.
+SEARCH_AT_TWO_DIGEST = "998ba24d69a4decb65ddc7b07d533e497245b9589a44a28b8d3b71b8627e1796"
+
+
+def test_local_point_searches_at_two_are_pinned():
+    from noncongruent.oracles import _candidate_triples
+
+    outcomes = [
+        local_point_search(TorsorSystem(lam, n), 2)
+        for n, sf in squarefree_upto(1500, start=3)
+        for lam in _candidate_triples(sf)
+    ]
+    assert (len(outcomes), outcomes.count(None)) == (15700, 10854)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SEARCH_AT_TWO_DIGEST
 
 
 def test_square_class_keys_fix_the_search_outcome():
@@ -559,6 +579,24 @@ def test_search_draws_level_one_lazily(monkeypatch):
     assert found
 
 
+def test_a_vanished_tangent_product_exits_3(monkeypatch, capsys):
+    # At n = 34 the factor at 17 reads L1 = 2 - sqrt(2) at (1, 0, 2, sqrt(2)):
+    # a wrong root 2 makes it vanish, which the CLI reports as exit 3.
+    from noncongruent import cassels
+    from noncongruent.cli import main
+
+    monkeypatch.setattr(cassels, "sqrt2_mod", lambda p: 2)
+    assert main(["verify", "pairing-product", "100"]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "tangent product vanished mod 17 for n = 34"}
+
+
+def test_tangent_data_off_its_quadric_is_an_error():
+    with pytest.raises(VerificationFailed, match="quadric"):
+        TangentData(form=(-1, 0, 1, -1), point=(0, 0, 1, 2), linear=(0, 0, 1, -1))
+    with pytest.raises(VerificationFailed, match="linear form"):
+        TangentData(form=(-1, 0, 1, -1), point=(0, 0, 1, 1), linear=(0, 0, 1, 1))
+
+
 def test_point_off_the_torsor_is_an_error(monkeypatch):
     # a lift that leaves the torsor is a bug, never a point skipped in silence
     from noncongruent import oracles
@@ -571,8 +609,9 @@ def test_point_off_the_torsor_is_an_error(monkeypatch):
 
 def test_search_at_two_lifts_lazily_below_level_five(monkeypatch):
     # Levels 2 to 4 at p = 2 are made only as far as the search draws: a
-    # search that certifies at level 5 lifts one point of each level below,
-    # where making those levels in full takes 364 lifts over these n.
+    # search that certifies at level 5 makes 6 to 14 lifts over these n,
+    # where building levels 2 to 4 in full takes 43 lifts per search (a
+    # residue at 2 has all eight children or none, so a few dead ends run).
     from noncongruent import oracles
     from noncongruent.oracles import _candidate_triples
 
@@ -587,7 +626,7 @@ def test_search_at_two_lifts_lazily_below_level_five(monkeypatch):
             point = local_point_search(TorsorSystem(lam, n), 2)
             if point is not None and point.precision == 5:
                 searches += 1
-                assert len(calls) <= 3, (n, lam, len(calls))
+                assert len(calls) <= 14, (n, lam, len(calls))
     assert searches == 28
 
 
@@ -597,14 +636,14 @@ def test_levels_raise_on_the_last_level_and_the_frontier_cap(monkeypatch):
 
     ts = TorsorSystem(SelmerTriple(1, 17, 17), 17)
     (a1, a3, _), (b1, b3, _) = _local_model(ts, 2), _local_model(ts, 17)
-    # 16 classes at level 5 and 69 points at level one; no level is empty
+    # 128 residues at level 5 and 69 points at level one; no level is empty
     # and none certifies
     with pytest.raises(PrecisionExhausted, match="live frontier at p = 2, level 6"):
         list(_levels(a1, a3, 2, 6))
     with pytest.raises(PrecisionExhausted, match="live frontier at p = 17, level 1"):
         list(_levels(b1, b3, 17, 1))
     monkeypatch.setattr(oracles, "_FRONTIER_CAP", 50)
-    # the seventh class of eight residues passes the cap at level 5
+    # the 51st residue passes the cap at level 5
     with pytest.raises(PrecisionExhausted, match="frontier blow-up at p = 2, level 5"):
         list(_levels(a1, a3, 2, 12))
     # the cap does not count level one; level 2 has 1156 points
@@ -614,7 +653,7 @@ def test_levels_raise_on_the_last_level_and_the_frontier_cap(monkeypatch):
 
 def test_frontiers_list_each_residue_once():
     # a child is congruent to its parent and the parents are distinct, so
-    # no level repeats a residue (or, at p = 2, a class)
+    # no level repeats a residue, at 2 as at odd p
     from noncongruent.oracles import _candidate_triples, _levels, _local_model
 
     levels = 0

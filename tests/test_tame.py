@@ -178,14 +178,14 @@ def test_tame_report_factors_once_and_solves_once(monkeypatch):
 
 
 def test_tame_report_takes_a_factored_m():
-    # the report of a handed-over record is the report of m; a record of
-    # another |m| is refused, and |m| <= 2 stays out of range
+    # r4_tame of a handed-over record is r4_tame of m, and the report (which
+    # factors |m| itself) agrees; a record of another |m| is refused, and
+    # |m| <= 2 stays out of range
     for m in (161, -161, -34, 34, 1694842751854, -847421375927):
         sf = factor_squarefree(abs(m))
-        assert tame_report(m, sf) == tame_report(m), m
-        assert r4_tame(m, sf) == r4_tame(m), m
+        assert r4_tame(m, sf) == r4_tame(m) == tame_report(m).r4, m
     with pytest.raises(ValueError):
-        tame_report(17, factor_squarefree(161))
+        r4_tame(17, factor_squarefree(161))
     with pytest.raises(OutOfRange):
         r4_tame(-2, factor_squarefree(2))
 
